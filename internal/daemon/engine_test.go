@@ -312,6 +312,7 @@ func TestBenchEngine(t *testing.T) {
 	const (
 		scaleHosts   = 2048
 		scaleQueries = 4
+		scaleHop     = "40ms" // scale_queries_per_sec is bound by it: see TestScaleSmoke2K
 	)
 	scalePeaks := sampleRuntimePeaks(5 * time.Millisecond)
 	var scaleOut bytes.Buffer
@@ -320,7 +321,7 @@ func TestBenchEngine(t *testing.T) {
 		"-topology", "random", "-hosts", strconv.Itoa(scaleHosts), "-seed", "23",
 		"-query", "-hq", "0", "-agg", "count",
 		"-queries", strconv.Itoa(scaleQueries), "-concurrency", "1",
-		"-hop", "10ms",
+		"-hop", scaleHop,
 		"-dhat", "16",
 	})
 	if err != nil {
@@ -434,6 +435,7 @@ func TestBenchEngine(t *testing.T) {
 		"latency_ms_p95_tcp_sharded":  tcpLat.Quantile(0.95),
 		"latency_ms_p99_tcp_sharded":  tcpLat.Quantile(0.99),
 		"scale_hosts":                 scaleHosts,
+		"scale_hop":                   scaleHop,
 		"scale_queries_per_sec":       scaleQPS,
 		"scale_peak_goroutines":       scalePeakG,
 		"scale_heap_inuse_bytes":      scalePeakHeap,

@@ -10,19 +10,39 @@ type Alive func(HostID) bool
 // host. Unreachable (or dead) hosts get distance -1. If src itself is dead,
 // every entry is -1.
 func (g *Graph) BFS(src HostID, alive Alive) []int32 {
-	dist := make([]int32, g.Len())
+	s := g.newBFSScratch()
+	s.run(g, src, alive)
+	return s.dist
+}
+
+// bfsScratch is the working set of one BFS — the distance array and the
+// visit queue — kept so multi-source callers (Diameter runs one BFS per
+// host) overwrite one pair of buffers instead of allocating per source.
+type bfsScratch struct {
+	dist  []int32
+	queue []HostID // cap g.Len(): every host is enqueued at most once
+}
+
+func (g *Graph) newBFSScratch() *bfsScratch {
+	return &bfsScratch{dist: make([]int32, g.Len()), queue: make([]HostID, 0, g.Len())}
+}
+
+// run overwrites s.dist with the BFS distances from src (see BFS) and
+// returns src's eccentricity: the largest finite distance, -1 if src is
+// dead.
+func (s *bfsScratch) run(g *Graph, src HostID, alive Alive) int {
+	dist := s.dist
 	for i := range dist {
 		dist[i] = -1
 	}
 	if alive != nil && !alive(src) {
-		return dist
+		return -1
 	}
-	queue := make([]HostID, 0, 64)
-	queue = append(queue, src)
+	queue := append(s.queue[:0], src)
 	dist[src] = 0
-	for len(queue) > 0 {
-		h := queue[0]
-		queue = queue[1:]
+	ecc := int32(0)
+	for i := 0; i < len(queue); i++ {
+		h := queue[i]
 		for _, n := range g.adj[h] {
 			if dist[n] >= 0 {
 				continue
@@ -31,23 +51,17 @@ func (g *Graph) BFS(src HostID, alive Alive) []int32 {
 				continue
 			}
 			dist[n] = dist[h] + 1
+			ecc = dist[n] // BFS visits in distance order: the last is the farthest
 			queue = append(queue, n)
 		}
 	}
-	return dist
+	return int(ecc)
 }
 
 // Eccentricity returns the largest finite BFS distance from src among
 // alive hosts, or -1 if src is dead.
 func (g *Graph) Eccentricity(src HostID, alive Alive) int {
-	dist := g.BFS(src, alive)
-	ecc := -1
-	for _, d := range dist {
-		if int(d) > ecc {
-			ecc = int(d)
-		}
-	}
-	return ecc
+	return g.newBFSScratch().run(g, src, alive)
 }
 
 // Diameter computes the exact diameter of the graph restricted to alive
@@ -55,11 +69,12 @@ func (g *Graph) Eccentricity(src HostID, alive Alive) int {
 // so use DiameterSampled for large graphs.
 func (g *Graph) Diameter(alive Alive) int {
 	max := 0
+	s := g.newBFSScratch()
 	for h := 0; h < g.Len(); h++ {
 		if alive != nil && !alive(HostID(h)) {
 			continue
 		}
-		if e := g.Eccentricity(HostID(h), alive); e > max {
+		if e := s.run(g, HostID(h), alive); e > max {
 			max = e
 		}
 	}
@@ -78,6 +93,7 @@ func (g *Graph) DiameterSampled(sweeps int, alive Alive) int {
 	}
 	best := 0
 	start := HostID(0)
+	scratch := g.newBFSScratch()
 	for s := 0; s < sweeps; s++ {
 		// Find the first alive host at or after start.
 		src := None
@@ -91,14 +107,14 @@ func (g *Graph) DiameterSampled(sweeps int, alive Alive) int {
 		if src == None {
 			return 0
 		}
-		dist := g.BFS(src, alive)
+		scratch.run(g, src, alive)
 		far, fd := src, int32(0)
-		for h, d := range dist {
+		for h, d := range scratch.dist {
 			if d > fd {
 				far, fd = HostID(h), d
 			}
 		}
-		if e := g.Eccentricity(far, alive); e > best {
+		if e := scratch.run(g, far, alive); e > best {
 			best = e
 		}
 		start = far + 1

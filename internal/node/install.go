@@ -2,21 +2,42 @@ package node
 
 import (
 	"math/rand"
+	randv2 "math/rand/v2"
 
 	"validity/internal/graph"
 	"validity/internal/protocol"
 	"validity/internal/sim"
 )
 
+// coinSource is a host's FM coin stream for one query: the standard
+// library's 16-byte PCG behind the math/rand Source64 interface the sketch
+// code draws through. A query instantiates one per local host, so the
+// source's size is the per-host footprint of a query — math/rand's own
+// seeded source is ~5 KB, pinned until the query retires.
+type coinSource struct{ pcg randv2.PCG }
+
+// newCoinSource derives host h's stream from (seed, h) alone — seed being
+// the per-query seed (QuerySeed) — so a fleet of processes sharding one
+// topology tosses identical coins for any given host no matter which
+// process serves it, which keeps multi-process results reproducible.
+func newCoinSource(seed int64, h graph.HostID) *coinSource {
+	c := new(coinSource)
+	c.pcg.Seed(uint64(seed), uint64(h))
+	return c
+}
+
+func (c *coinSource) Uint64() uint64 { return c.pcg.Uint64() }
+func (c *coinSource) Int63() int64   { return int64(c.pcg.Uint64() >> 1) }
+
+// Seed implements rand.Source; nothing reseeds a coin stream.
+func (c *coinSource) Seed(seed int64) { c.pcg.Seed(uint64(seed), 0) }
+
 // materializeHandlers builds p's per-host handlers, wrapping each local
-// one with an independent per-host RNG derived from seed.
+// one with the host's own coin source derived from seed.
 //
 // Protocols build their handlers in Install(*sim.Network), so a scratch
 // event-loop network over the same graph is used purely as a handler
-// factory — it is never run. The per-host seed derivation depends only on
-// (seed, host), so a fleet of processes sharding one topology builds
-// identical sketch coin-tosses for any given host no matter which process
-// serves it, which keeps multi-process results reproducible.
+// factory — it is never run.
 func materializeHandlers(rt *Runtime, p protocol.Protocol, seed int64) ([]sim.Handler, error) {
 	scratch := sim.NewNetwork(sim.Config{Graph: rt.Graph(), Seed: seed})
 	if err := p.Install(scratch); err != nil {
@@ -28,8 +49,7 @@ func materializeHandlers(rt *Runtime, p protocol.Protocol, seed int64) ([]sim.Ha
 		if !rt.Local(id) {
 			continue
 		}
-		rng := rand.New(rand.NewSource(seed ^ (int64(h)+1)*0x5851F42D4C957F2D))
-		hs[h] = WithRand(scratch.Handler(id), rng)
+		hs[h] = WithRand(scratch.Handler(id), rand.New(newCoinSource(seed, id)))
 	}
 	return hs, nil
 }

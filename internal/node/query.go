@@ -397,14 +397,15 @@ func (qs *queryState) markAlive(h graph.HostID) {
 	}
 }
 
-// startHost runs hd.Start exactly once for host h; must be called from
-// the shard worker owning h.
-func (qs *queryState) startHost(rt *Runtime, h graph.HostID, hd sim.Handler) {
+// startHost runs hd.Start exactly once for host h, on the calling worker's
+// context; must be called from the shard worker owning h.
+func (qs *queryState) startHost(h graph.HostID, hd sim.Handler, ctx *sim.Context) {
 	if qs.started[h] {
 		return
 	}
 	qs.started[h] = true
-	hd.Start(sim.BackendContext(qs.be, h, 0))
+	ctx.Reset(qs.be, h, 0)
+	hd.Start(ctx)
 }
 
 // armClock starts the query clock if it is not yet running, converts the

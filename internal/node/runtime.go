@@ -282,8 +282,11 @@ type Runtime struct {
 	selfProc    int32
 	remoteProcs []int32
 
+	// alive[h] is false once local host h was Kill'd. Atomic, outside
+	// rt.mu: every callback and every send checks it.
+	alive []atomic.Bool
+
 	mu      sync.Mutex
-	alive   []bool
 	started bool
 	closed  bool
 	factory QueryFactory
@@ -341,7 +344,7 @@ func New(cfg Config) (*Runtime, error) {
 		hop:          cfg.Hop,
 		local:        make([]bool, n),
 		shardOf:      make([]int32, n),
-		alive:        make([]bool, n),
+		alive:        make([]atomic.Bool, n),
 		queries:      make(map[QueryID]*queryEntry),
 		retiredTotal: Stats{PerHostProcessed: make([]int64, n)},
 		quit:         make(chan struct{}),
@@ -364,7 +367,7 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	for h := range rt.local {
 		if rt.local[h] {
-			rt.alive[h] = true
+			rt.alive[h].Store(true)
 			rt.localHosts = append(rt.localHosts, graph.HostID(h))
 		}
 	}
@@ -605,21 +608,27 @@ func (rt *Runtime) drainOverflow(s *shard) {
 // every callback of every host the shard owns on this single goroutine.
 // A host's callbacks all land on one shard (shardOf is fixed), so they
 // execute serialized and in enqueue order without per-host goroutines.
+//
+// The worker owns the one sim.Context every handler callback it runs is
+// handed: runItem re-targets it per callback instead of minting a fresh
+// one per frame, which is safe because callbacks on one worker never nest
+// and handlers must not retain the context past their return.
 func (rt *Runtime) shardLoop(s *shard) {
 	defer rt.wg.Done()
+	ctx := new(sim.Context)
 	for {
 		select {
 		case <-rt.quit:
 			return
 		case it := <-s.ch:
-			rt.runItem(it)
+			rt.runItem(it, ctx)
 		}
 	}
 }
 
-// runItem executes one host callback; must only be called from the shard
-// worker owning it.h.
-func (rt *Runtime) runItem(it item) {
+// runItem executes one host callback with ctx, the calling worker's
+// reusable context; must only be called from the shard worker owning it.h.
+func (rt *Runtime) runItem(it item, ctx *sim.Context) {
 	h := it.h
 	switch it.kind {
 	case itemFunc:
@@ -674,7 +683,7 @@ func (rt *Runtime) runItem(it item) {
 	}
 	switch it.kind {
 	case itemStart:
-		qs.startHost(rt, h, hd)
+		qs.startHost(h, hd, ctx)
 	case itemMsg:
 		// A lazily instantiated handler's first contact IS its
 		// start-of-life: run Start before the first Receive, so
@@ -682,23 +691,21 @@ func (rt *Runtime) runItem(it item) {
 		// just at h_q) work on worker shards that never see
 		// StartQuery. started[h] makes it exactly-once against the
 		// explicit itemStart of the issuing process.
-		qs.startHost(rt, h, hd)
+		qs.startHost(h, hd, ctx)
 		qs.delivered.Add(1)
 		rt.met.delivered.Inc()
 		atomic.AddInt64(&qs.processed[h], 1)
 		qs.observeChain(it.msg.Chain)
 		msg := sim.MakeMessage(it.msg.From, it.msg.To, it.msg.Payload, it.msg.Chain)
-		hd.Receive(sim.BackendContext(qs.be, h, it.msg.Chain), msg)
+		ctx.Reset(qs.be, h, it.msg.Chain)
+		hd.Receive(ctx, msg)
 	case itemTimer:
-		hd.Timer(sim.BackendContext(qs.be, h, it.chain), it.tag)
+		ctx.Reset(qs.be, h, it.chain)
+		hd.Timer(ctx, it.tag)
 	}
 }
 
-func (rt *Runtime) aliveHost(h graph.HostID) bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.alive[h]
-}
+func (rt *Runtime) aliveHost(h graph.HostID) bool { return rt.alive[h].Load() }
 
 // Kill switches local host h off mid-run (§3.2) for every query: it
 // processes nothing more, its timers never fire, and the transport drops
@@ -710,9 +717,7 @@ func (rt *Runtime) Kill(h graph.HostID) {
 	if !rt.local[h] {
 		return
 	}
-	rt.mu.Lock()
-	rt.alive[h] = false
-	rt.mu.Unlock()
+	rt.alive[h].Store(false)
 	rt.tr.Kill(h)
 }
 
@@ -825,11 +830,12 @@ func (rt *Runtime) armEngineClock() {
 
 // --- handler helpers -----------------------------------------------------
 
-// WithRand wraps hd so that every callback context carries rng. Live
-// backends have no shared deterministic RNG (sim.Context.Rand returns nil
-// there), but FM-sketch partials need coin tosses at activation; the
-// runtime serializes all callbacks of a host on one shard worker, so an
-// unsynchronized per-host source is safe.
+// WithRand wraps hd so that every callback context carries rng, set in
+// place on the worker's reused context. Live backends have no shared
+// deterministic RNG (sim.Context.Rand returns nil there), but FM-sketch
+// partials need coin tosses at activation; the runtime serializes all
+// callbacks of a host on one shard worker, so an unsynchronized per-host
+// source is safe.
 func WithRand(hd sim.Handler, rng *rand.Rand) sim.Handler {
 	return &randHandler{inner: hd, rng: rng}
 }
@@ -839,8 +845,17 @@ type randHandler struct {
 	rng   *rand.Rand
 }
 
-func (r *randHandler) Start(ctx *sim.Context) { r.inner.Start(ctx.WithRand(r.rng)) }
-func (r *randHandler) Receive(ctx *sim.Context, msg sim.Message) {
-	r.inner.Receive(ctx.WithRand(r.rng), msg)
+func (r *randHandler) Start(ctx *sim.Context) {
+	ctx.SetRand(r.rng)
+	r.inner.Start(ctx)
 }
-func (r *randHandler) Timer(ctx *sim.Context, tag int) { r.inner.Timer(ctx.WithRand(r.rng), tag) }
+
+func (r *randHandler) Receive(ctx *sim.Context, msg sim.Message) {
+	ctx.SetRand(r.rng)
+	r.inner.Receive(ctx, msg)
+}
+
+func (r *randHandler) Timer(ctx *sim.Context, tag int) {
+	ctx.SetRand(r.rng)
+	r.inner.Timer(ctx, tag)
+}

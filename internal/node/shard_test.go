@@ -3,6 +3,7 @@ package node
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,11 +20,25 @@ import (
 // concurrently. `next` is a deliberately plain (non-atomic) field — under
 // `go test -race`, two shard workers touching the same host would trip
 // the race detector even if the CAS guard happened to miss the overlap.
+//
+// It also pins the reused-context contract: a shard worker hands every
+// callback the same sim.Context, re-targeted, so for the whole of a
+// callback the context must name this host and carry this host's RNG —
+// rng for a host installed through WithRand, nil for a bare handler even
+// when the worker's previous callback served a wrapped host.
 type orderProbe struct {
 	h    graph.HostID
+	rng  *rand.Rand
 	busy atomic.Bool
 	next int
 	errs chan string
+}
+
+func (p *orderProbe) checkContext(ctx *sim.Context, when string) {
+	if ctx.Self() != p.h || ctx.Rand() != p.rng {
+		p.errs <- fmt.Sprintf("host %d: %s the callback the context names host %d (own rng: %v)",
+			p.h, when, ctx.Self(), ctx.Rand() == p.rng)
+	}
 }
 
 func (p *orderProbe) Start(ctx *sim.Context) {}
@@ -32,10 +47,12 @@ func (p *orderProbe) Receive(ctx *sim.Context, msg sim.Message) {
 		p.errs <- fmt.Sprintf("host %d: concurrent callbacks", p.h)
 		return
 	}
+	p.checkContext(ctx, "entering")
 	if seq := msg.Payload.(int); seq != p.next {
 		p.errs <- fmt.Sprintf("host %d: seq %d delivered, want %d (reorder)", p.h, seq, p.next)
 	}
 	p.next++
+	p.checkContext(ctx, "leaving")
 	p.busy.Store(false)
 }
 func (p *orderProbe) Timer(ctx *sim.Context, tag int) {}
@@ -45,9 +62,11 @@ func (p *orderProbe) Timer(ctx *sim.Context, tag int) {}
 // enough to exercise back-pressure, each host fed an independent ordered
 // message stream from its own producer goroutine. Every host must see its
 // stream strictly in order with no concurrent callbacks (the plain `next`
-// counter doubles as a race-detector tripwire), and a final Do per host —
-// which serializes behind the host's queued callbacks — must observe the
-// complete stream.
+// counter doubles as a race-detector tripwire) through a context that is
+// its own for the duration of each callback (every other host carries a
+// per-host RNG, so a worker alternates between wrapped and bare
+// handlers), and a final Do per host — which serializes behind the host's
+// queued callbacks — must observe the complete stream.
 func TestShardSerializationProperty(t *testing.T) {
 	const (
 		hosts   = 16
@@ -69,11 +88,19 @@ func TestShardSerializationProperty(t *testing.T) {
 	if got := rt.Shards(); got != nshards {
 		t.Fatalf("runtime has %d shards, want %d", got, nshards)
 	}
-	errs := make(chan string, hosts*msgs)
+	errs := make(chan string, 3*hosts*msgs) // room for every check of every callback to fail
 	probes := make([]*orderProbe, hosts)
 	for h := 0; h < hosts; h++ {
-		probes[h] = &orderProbe{h: graph.HostID(h), errs: errs}
-		rt.SetHandler(graph.HostID(h), probes[h])
+		p := &orderProbe{h: graph.HostID(h), errs: errs}
+		probes[h] = p
+		// Hosts h and h+nshards share a worker: wrapping h/nshards's odd
+		// ones makes every worker serve both kinds.
+		if (h/nshards)%2 == 1 {
+			p.rng = rand.New(rand.NewSource(int64(h)))
+			rt.SetHandler(p.h, WithRand(p, p.rng))
+		} else {
+			rt.SetHandler(p.h, p)
+		}
 	}
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)

@@ -88,20 +88,25 @@ type pendingKill struct {
 	at sim.Time
 }
 
-// pushTimerLocked adds e to the heap; rt.tmu must be held.
-func (rt *Runtime) pushTimerLocked(e *timerEntry) {
+// pushTimerLocked adds e to the heap and reports whether it became the
+// earliest entry; rt.tmu must be held.
+func (rt *Runtime) pushTimerLocked(e *timerEntry) bool {
 	e.seq = rt.timerSeq
 	rt.timerSeq++
 	heap.Push(&rt.theap, e)
+	return rt.theap[0] == e
 }
 
-// scheduleEntry adds e to the heap and wakes the timer loop so a new
-// earliest entry shortens the current sleep.
+// scheduleEntry adds e to the heap, waking the timer loop only when e is
+// the new earliest entry and so shortens the current sleep: the loop is
+// already timed for the old head, which any later entry leaves in place.
 func (rt *Runtime) scheduleEntry(e *timerEntry) {
 	rt.tmu.Lock()
-	rt.pushTimerLocked(e)
+	head := rt.pushTimerLocked(e)
 	rt.tmu.Unlock()
-	rt.wakeTimer()
+	if head {
+		rt.wakeTimer()
+	}
 }
 
 func (rt *Runtime) wakeTimer() {
@@ -128,13 +133,16 @@ func (rt *Runtime) scheduleRetire(qs *queryState) {
 
 // timerLoop drains the heap: it sleeps until the earliest entry is due,
 // fires everything due, and re-sleeps. scheduleEntry wakes it early when a
-// new entry preempts the current earliest.
+// new entry preempts the current earliest. One timer is re-armed every
+// pass, and the batch of due entries reuses one slice.
 func (rt *Runtime) timerLoop() {
 	defer rt.wg.Done()
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
+	var due []*timerEntry
 	for {
 		rt.tmu.Lock()
 		now := time.Now()
-		var due []*timerEntry
 		for len(rt.theap) > 0 && !rt.theap[0].when.After(now) {
 			due = append(due, heap.Pop(&rt.theap).(*timerEntry))
 		}
@@ -147,24 +155,21 @@ func (rt *Runtime) timerLoop() {
 		for _, e := range due {
 			rt.fireTimer(e)
 		}
+		clear(due) // fired entries must not stay pinned by the batch slice
+		due = due[:0]
 
+		// An empty heap sleeps until the next push wakes it; the timer may
+		// still be armed from an earlier pass, but nobody listens to it.
 		var timeout <-chan time.Time
-		var timer *time.Timer
 		if wait >= 0 {
-			timer = time.NewTimer(wait)
+			timer.Reset(wait)
 			timeout = timer.C
 		}
 		select {
 		case <-rt.quit:
-			if timer != nil {
-				timer.Stop()
-			}
 			return
 		case <-rt.timerWake:
 		case <-timeout:
-		}
-		if timer != nil {
-			timer.Stop()
 		}
 	}
 }

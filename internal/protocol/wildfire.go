@@ -124,6 +124,12 @@ type wfHost struct {
 	dist    int // hops from h_q along the activation path
 	partial agg.Partial
 	initial agg.Partial // own contribution, frozen at activation
+	// snap is the latest immutable copy of partial (see snapshot). Every
+	// partial a host hands out or retains besides `partial` itself — snap,
+	// initial, message payloads, lastSent and lastRecv entries — is never
+	// mutated again, which is what lets hosts share them freely, across
+	// goroutines on the in-process transport included.
+	snap agg.Partial
 	// lastSent[n] is the partial most recently sent to neighbor n;
 	// a neighbor already holding our exact state is skipped on flush.
 	lastSent map[graph.HostID]agg.Partial
@@ -148,13 +154,24 @@ func (h *wfHost) limit() sim.Time {
 	return early
 }
 
+// snapshot returns an immutable copy of the current partial, cloning only
+// when the partial changed since the last one was taken: one snapshot
+// serves every message and lastSent entry of a flush, and the reply a
+// freshly activated host owes its activator at the end of the tick
+// re-sends the one its forwarded broadcast carried.
+func (h *wfHost) snapshot() agg.Partial {
+	if !h.snap.Equal(h.partial) {
+		h.snap = h.partial.Clone()
+	}
+	return h.snap
+}
+
 func (h *wfHost) Start(ctx *sim.Context) {
 	if !h.isHq {
 		return
 	}
 	h.activate(ctx, 0, nil)
-	bc := wfBroadcast{Hop: 1, A: h.partial.Clone()}
-	ctx.SendAll(bc)
+	ctx.SendAll(wfBroadcast{Hop: 1, A: h.snapshot()})
 	h.noteSentToAll(ctx, graph.None)
 }
 
@@ -169,6 +186,7 @@ func (h *wfHost) activate(ctx *sim.Context, dist int, incoming agg.Partial) {
 	}
 	h.partial = agg.NewPartial(h.w.Query.Kind, value, h.w.Query.Params, ctx.Rand())
 	h.initial = h.partial.Clone()
+	h.snap = h.initial // still the whole state unless incoming adds to it
 	h.lastSent = make(map[graph.HostID]agg.Partial, ctx.Degree())
 	h.lastRecv = make(map[graph.HostID]agg.Partial, ctx.Degree())
 	if incoming != nil {
@@ -177,7 +195,7 @@ func (h *wfHost) activate(ctx *sim.Context, dist int, incoming agg.Partial) {
 }
 
 func (h *wfHost) noteSentToAll(ctx *sim.Context, skip graph.HostID) {
-	snapshot := h.partial.Clone()
+	snapshot := h.snapshot()
 	for _, n := range ctx.Neighbors() {
 		if n == skip {
 			continue
@@ -210,7 +228,7 @@ func (h *wfHost) onBroadcast(ctx *sim.Context, from graph.HostID, m wfBroadcast)
 	h.lastRecv[from] = m.A
 	// Forward the query with our partial piggybacked (the first
 	// convergecast message rides on the broadcast, footnote 4).
-	ctx.SendAllExcept(from, wfBroadcast{Hop: h.dist + 1, A: h.partial.Clone()})
+	ctx.SendAllExcept(from, wfBroadcast{Hop: h.dist + 1, A: h.snapshot()})
 	h.noteSentToAll(ctx, from)
 	// If combining changed anything relative to what the sender already
 	// knows, the end-of-tick flush will reply to the sender (Example 5.1:
@@ -218,7 +236,7 @@ func (h *wfHost) onBroadcast(ctx *sim.Context, from graph.HostID, m wfBroadcast)
 	if !h.partial.Equal(m.A) {
 		h.markDirty(ctx)
 	} else {
-		h.lastSent[from] = h.partial.Clone() // sender already holds this state
+		h.lastSent[from] = m.A // sender already holds this state
 	}
 }
 
@@ -232,17 +250,15 @@ func (h *wfHost) onConverge(ctx *sim.Context, from graph.HostID, a agg.Partial) 
 	}
 	h.lastRecv[from] = a
 	changed := h.partial.Combine(a)
-	if h.partial.Equal(a) {
+	same := h.partial.Equal(a)
+	if same {
 		// The sender holds exactly our state now; no need to update it.
-		h.lastSent[from] = h.partial.Clone()
+		h.lastSent[from] = a
 	}
-	if changed {
-		h.markDirty(ctx)
-		return
-	}
-	if !h.partial.Equal(a) {
-		// We learned nothing but the sender lags behind (Fig. 4's
-		// else-branch): schedule the catch-up reply with the same batch.
+	// Reflood on change — and when we learned nothing but the sender lags
+	// behind (Fig. 4's else-branch), schedule the catch-up reply with the
+	// same batch.
+	if changed || !same {
 		h.markDirty(ctx)
 	}
 }
@@ -273,19 +289,27 @@ func (h *wfHost) Timer(ctx *sim.Context, tag int) {
 	if ctx.Medium() == sim.MediumWireless {
 		// One radio transmission reaches everyone; selective suppression
 		// saves nothing (§5.3).
-		ctx.SendAll(wfConverge{A: h.partial.Clone()})
+		ctx.SendAll(wfConverge{A: h.snapshot()})
 		h.noteSentToAll(ctx, graph.None)
 		return
 	}
-	snapshot := h.partial.Clone()
+	// The snapshot is taken — and boxed into its message — on the first
+	// neighbor that actually needs it; a flush that suppresses every
+	// neighbor allocates nothing.
+	var snapshot agg.Partial
+	var msg any
 	for _, n := range ctx.Neighbors() {
-		if prev, ok := h.lastSent[n]; ok && prev.Equal(snapshot) {
+		if prev, ok := h.lastSent[n]; ok && prev.Equal(h.partial) {
 			continue
 		}
-		if known, ok := h.lastRecv[n]; ok && known.Dominates(snapshot) {
+		if known, ok := h.lastRecv[n]; ok && known.Dominates(h.partial) {
 			continue // the neighbor provably holds a superset already
 		}
-		ctx.Send(n, wfConverge{A: snapshot})
+		if msg == nil {
+			snapshot = h.snapshot()
+			msg = wfConverge{A: snapshot}
+		}
+		ctx.Send(n, msg)
 		h.lastSent[n] = snapshot
 	}
 }

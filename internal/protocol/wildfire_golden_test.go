@@ -1,0 +1,148 @@
+package protocol
+
+import (
+	"fmt"
+	"testing"
+
+	"validity/internal/agg"
+	"validity/internal/churn"
+	"validity/internal/graph"
+	"validity/internal/sim"
+	"validity/internal/topology"
+	"validity/internal/zipfval"
+)
+
+// wildfireGolden pins WILDFIRE's observable behaviour on the deterministic
+// event loop — declared result and the three §6.3 costs — for every
+// partial family on both media under one leave+join timeline. The rows
+// were captured before the snapshot-sharing refactor of wildfire.go: which
+// partial objects a host retains is an implementation detail, what it
+// sends and declares is not.
+var wildfireGolden = map[string]string{
+	"count/point-to-point": "result=165.479438 sent=6528 maxproc=81 time=10",
+	"count/wireless":       "result=165.479438 sent=1577 maxproc=101 time=11",
+	"min/point-to-point":   "result=10 sent=1317 maxproc=14 time=6",
+	"min/wireless":         "result=10 sent=565 maxproc=33 time=6",
+	"avg/point-to-point":   "result=86.672355 sent=7062 maxproc=89 time=12",
+	"avg/wireless":         "result=86.672355 sent=1749 maxproc=115 time=13",
+}
+
+func TestWildfireDifferentialGolden(t *testing.T) {
+	g := topology.NewRandom(200, 5, 23)
+	vals := zipfval.Default(23).Values(g.Len())
+	tl := churn.Timeline{
+		{H: 17, T: 1}, {H: 42, T: 2}, {H: 99, T: 3}, {H: 150, T: 5}, {H: 3, T: 8},
+		{H: 42, T: 6, Kind: churn.Join},  // rebirth
+		{H: 120, T: 4, Kind: churn.Join}, // late joiner
+		{H: 61, T: 0},                    // never a member
+	}
+	for _, kind := range []agg.Kind{agg.Count, agg.Min, agg.Avg} {
+		for _, medium := range []sim.Medium{sim.MediumPointToPoint, sim.MediumWireless} {
+			name := fmt.Sprintf("%v/%v", kind, medium)
+			q := Query{Kind: kind, Hq: 0, DHat: 10, Params: agg.Params{Vectors: 16, Bits: 32}}
+			nw := sim.NewNetwork(sim.Config{Graph: g, Medium: medium, Seed: 23, Values: vals})
+			tl.Apply(nw)
+			v, st, err := Run(NewWildfire(q), nw)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got := fmt.Sprintf("result=%.9g sent=%d maxproc=%d time=%d",
+				v, st.MessagesSent, st.MaxComputation(), st.TimeCost)
+			if got != wildfireGolden[name] {
+				t.Errorf("%s:\n got  %s\n want %s", name, got, wildfireGolden[name])
+			}
+		}
+	}
+}
+
+// sinkBackend lets a test drive one host's callbacks by hand: sends are
+// counted, timers ignored (the test fires the flush itself).
+type sinkBackend struct {
+	g     *graph.Graph
+	sends int
+}
+
+func (b *sinkBackend) Now() sim.Time                             { return 1 }
+func (b *sinkBackend) Value(graph.HostID) int64                  { return 5 }
+func (b *sinkBackend) Graph() *graph.Graph                       { return b.g }
+func (b *sinkBackend) Send(_, _ graph.HostID, _ any, _ int)      { b.sends++ }
+func (b *sinkBackend) SetTimer(graph.HostID, sim.Time, int, int) {}
+
+// TestWildfireRoundAllocations pins the garbage of one WILDFIRE round at
+// a host — Receive, then the end-of-tick flush — for the shapes a round
+// takes. Snapshots are shared, so the only allocations left are the one
+// clone of a partial that changed and the one boxed message per flush; a
+// received partial is retained as is.
+func TestWildfireRoundAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are pinned for uninstrumented builds")
+	}
+	const deg, runs = 4, 50
+	g := graph.New(deg + 1)
+	for n := 1; n <= deg; n++ {
+		g.AddEdge(0, graph.HostID(n))
+	}
+	be := &sinkBackend{g: g}
+	ctx := new(sim.Context)
+	maxPartial := func(v int64) agg.Partial { return agg.NewPartial(agg.Max, v, params(), nil) }
+	// activated returns host 0 of a fresh query issued at neighbor 1, just
+	// activated by 1's broadcast: its own value (5) tops the piggybacked 1,
+	// so it owes 1 a reply at the end of the tick.
+	activated := func() *wfHost {
+		w := NewWildfire(Query{Kind: agg.Max, Hq: 1, DHat: 8, Params: params()})
+		if err := w.Install(sim.NewNetwork(sim.Config{Graph: g})); err != nil {
+			t.Fatal(err)
+		}
+		ctx.Reset(be, 0, 1)
+		w.hosts[0].Receive(ctx, sim.MakeMessage(1, 0, wfBroadcast{Hop: 1, A: maxPartial(1)}, 1))
+		return w.hosts[0]
+	}
+	flush := func(h *wfHost) (sent int) {
+		be.sends = 0
+		ctx.Reset(be, 0, 1)
+		h.Timer(ctx, wfTagFlush)
+		return be.sends
+	}
+	// Everything a run consumes is built up front, so the measurement sees
+	// the host's own allocations only. AllocsPerRun calls f runs+1 times.
+	fresh := make([]*wfHost, runs+1)
+	for i := range fresh {
+		fresh[i] = activated()
+	}
+	host := activated()
+	flush(host)
+	rising := make([]sim.Message, runs+1) // from neighbor 2: news every time
+	for i := range rising {
+		rising[i] = sim.MakeMessage(2, 0, wfConverge{A: maxPartial(int64(100 + i))}, 2)
+	}
+
+	next, sent := 0, 0
+	check := func(shape string, wantAllocs float64, wantSent int, f func()) {
+		t.Helper()
+		next = 0
+		if got := testing.AllocsPerRun(runs, f); got != wantAllocs || sent != wantSent {
+			t.Errorf("%s: %.0f allocations and %d sends per round, want %.0f and %d",
+				shape, got, sent, wantAllocs, wantSent)
+		}
+	}
+	// The reply to the activator: nothing changed since the snapshot the
+	// broadcast carried, so it is re-sent — one boxed message, no clone.
+	check("reply to activator", 1, 1, func() {
+		sent = flush(fresh[next])
+		next++
+	})
+	// News from neighbor 2: clone the changed partial once, box one
+	// message, send it to the three neighbors that lack it.
+	check("changed", 2, deg-1, func() {
+		ctx.Reset(be, 0, 2)
+		host.Receive(ctx, rising[next])
+		next++
+		sent = flush(host)
+	})
+	// The same partial again: nothing to learn, nothing to say.
+	check("duplicate", 0, 0, func() {
+		ctx.Reset(be, 0, 2)
+		host.Receive(ctx, rising[runs])
+		sent = flush(host)
+	})
+}

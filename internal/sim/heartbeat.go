@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"encoding/gob"
-
-	"validity/internal/graph"
-)
+import "validity/internal/graph"
 
 // HeartbeatMonitor implements the failure-detection mechanism of §3.1:
 // hosts send heartbeats to their neighbors every T_hb ticks; if a host
@@ -26,19 +22,10 @@ type HeartbeatMonitor struct {
 	started  bool
 }
 
-// heartbeatMsg is the periodic liveness beacon. It crosses process
-// boundaries when a monitored handler runs on the TCP transport, so it is
-// gob-registered with explicit encoders (gob refuses field-less structs;
-// the beacon's entire content is its type).
+// heartbeatMsg is the periodic liveness beacon; its entire content is its
+// type. It has no wire tag, so monitored handlers run on the event loop
+// and the in-process transport only.
 type heartbeatMsg struct{}
-
-func init() { gob.Register(heartbeatMsg{}) }
-
-// GobEncode implements gob.GobEncoder.
-func (heartbeatMsg) GobEncode() ([]byte, error) { return []byte{}, nil }
-
-// GobDecode implements gob.GobDecoder.
-func (*heartbeatMsg) GobDecode([]byte) error { return nil }
 
 // heartbeatTag drives the periodic send timer; chosen high to avoid
 // colliding with protocol tags.

@@ -388,31 +388,34 @@ type Backend interface {
 	SetTimer(h graph.HostID, at Time, tag, chain int)
 }
 
-// BackendContext returns a Context for host h executing on b with the
-// given causal chain depth. Runtimes mint one per handler callback.
-func BackendContext(b Backend, h graph.HostID, chain int) *Context {
-	return &Context{be: b, host: h, chain: chain}
-}
-
-// Context is the capability a handler uses to act on the network. It is
-// valid only for the duration of the callback it was passed to. Exactly
+// Context is the capability a handler uses to act on the network. Exactly
 // one of nw (event-driven backend) or be (live runtime backend) is set.
+//
+// A Context is valid only for the duration of the callback it was passed
+// to, and on live backends that contract is load-bearing: a runtime owns
+// one Context per worker goroutine and re-targets it (Reset, SetRand) for
+// every callback it runs, so a handler that retained the pointer would
+// later act as whichever host that worker serves next. Handlers must copy
+// out what they need (Self, Now, ...) and never store the Context itself.
 type Context struct {
 	nw    *Network
 	be    Backend
 	host  graph.HostID
 	chain int
-	rng   *rand.Rand // optional override, see WithRand
+	rng   *rand.Rand // per-host source on live backends, see SetRand
 }
 
-// WithRand returns a copy of the context whose Rand() yields r. Live
-// backends have no shared deterministic RNG, so runtimes executing
-// handlers on one wrap contexts with per-host sources (node.WithRand).
-func (c *Context) WithRand(r *rand.Rand) *Context {
-	cp := *c
-	cp.rng = r
-	return &cp
+// Reset re-targets c at host h executing on b with the given causal chain
+// depth and no RNG — the state a fresh callback starts from. Runtimes call
+// it on their worker's one Context before every handler callback.
+func (c *Context) Reset(b Backend, h graph.HostID, chain int) {
+	*c = Context{be: b, host: h, chain: chain}
 }
+
+// SetRand makes Rand() yield r until the next Reset. Live backends have no
+// shared deterministic RNG, so runtimes executing handlers on one install
+// the callback host's own source this way (node.WithRand).
+func (c *Context) SetRand(r *rand.Rand) { c.rng = r }
 
 // Self returns the host this context belongs to.
 func (c *Context) Self() graph.HostID { return c.host }
@@ -450,8 +453,8 @@ func (c *Context) graph() *graph.Graph {
 }
 
 // Rand returns the simulation RNG (deterministic per seed), or the
-// WithRand override if set. Live backends have no shared RNG; handlers
-// running there must be given one via WithRand, otherwise Rand returns
+// SetRand override if set. Live backends have no shared RNG; handlers
+// running there must be given one via SetRand, otherwise Rand returns
 // nil.
 func (c *Context) Rand() *rand.Rand {
 	if c.rng != nil {

@@ -20,7 +20,9 @@ import (
 // same delay, so due times are monotone in send order and the queue head
 // is always the next delivery — no timer heap, and a 2K-host fleet's
 // flood of in-flight messages costs one goroutine plus a queue entry each
-// instead of a goroutine each.
+// instead of a goroutine each. The queue is a ring (deliveryRing) that
+// grows to the largest burst it has held and is then reused for every
+// later burst: a steady-state Send allocates nothing.
 type Channel struct {
 	n     int
 	delay time.Duration
@@ -29,10 +31,11 @@ type Channel struct {
 	recv    []RecvFunc
 	dead    []bool
 	closed  bool
-	pending []delivery
-	// wake nudges the scheduler when a send lands on an empty queue; cap 1
+	pending deliveryRing
+	// wake nudges the scheduler when a send lands on an empty queue — the
+	// only time it can be parked without a timer for the head; cap 1
 	// because one pending signal is enough — the scheduler re-examines the
-	// whole queue every pass.
+	// queue every pass.
 	wake chan struct{}
 	quit chan struct{}
 	// The scheduler starts lazily on the first send (sync.Once), not in
@@ -46,6 +49,42 @@ type Channel struct {
 type delivery struct {
 	due time.Time
 	msg Message
+}
+
+// deliveryRing is a FIFO of deliveries over a power-of-two circular
+// buffer. It doubles when full and never shrinks, so the buffer a burst
+// grew is the buffer the next burst fills; pop zeroes the slot it
+// vacates, so a delivered payload is not pinned until the ring wraps.
+type deliveryRing struct {
+	buf  []delivery // len is zero or a power of two
+	head int        // index of the oldest entry
+	n    int        // entries queued
+}
+
+// ringMinCap is the ring's first allocation: small enough to cost an idle
+// transport nothing, large enough that a 60-host query never regrows it.
+const ringMinCap = 64
+
+func (r *deliveryRing) push(d delivery) {
+	if r.n == len(r.buf) {
+		grown := make([]delivery, max(2*len(r.buf), ringMinCap))
+		k := copy(grown, r.buf[r.head:])
+		copy(grown[k:], r.buf[:r.head])
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = d
+	r.n++
+}
+
+// front returns the oldest entry; the ring must not be empty.
+func (r *deliveryRing) front() *delivery { return &r.buf[r.head] }
+
+func (r *deliveryRing) pop() delivery {
+	d := r.buf[r.head]
+	r.buf[r.head] = delivery{}
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return d
 }
 
 // NewChannel returns an in-process transport for hosts 0..n-1 where each
@@ -92,17 +131,22 @@ func (c *Channel) Send(msg Message) error {
 		c.mu.Unlock()
 		return fmt.Errorf("transport: destination %d outside [0,%d)", msg.To, c.n)
 	}
-	c.pending = append(c.pending, delivery{due: time.Now().Add(c.delay), msg: msg})
+	wasEmpty := c.pending.n == 0
+	c.pending.push(delivery{due: time.Now().Add(c.delay), msg: msg})
 	c.mu.Unlock()
-	c.startOnce.Do(func() {
-		c.wg.Add(1)
-		go c.schedule()
-	})
-	select {
-	case c.wake <- struct{}{}:
-	default:
+	if wasEmpty {
+		c.startOnce.Do(c.start)
+		select {
+		case c.wake <- struct{}{}:
+		default:
+		}
 	}
 	return nil
+}
+
+func (c *Channel) start() {
+	c.wg.Add(1)
+	go c.schedule()
 }
 
 // schedule is the delivery scheduler: it sleeps until the queue head is
@@ -122,8 +166,7 @@ func (c *Channel) schedule() {
 			c.mu.Unlock()
 			return
 		}
-		if len(c.pending) == 0 {
-			c.pending = nil // let a drained burst's backing array go
+		if c.pending.n == 0 {
 			c.mu.Unlock()
 			select {
 			case <-c.wake:
@@ -132,8 +175,7 @@ func (c *Channel) schedule() {
 				return
 			}
 		}
-		d := c.pending[0]
-		if wait := time.Until(d.due); wait > 0 {
+		if wait := time.Until(c.pending.front().due); wait > 0 {
 			c.mu.Unlock()
 			timer.Reset(wait)
 			select {
@@ -144,7 +186,7 @@ func (c *Channel) schedule() {
 				return
 			}
 		}
-		c.pending = c.pending[1:]
+		d := c.pending.pop()
 		fn := c.recv[d.msg.To]
 		if c.dead[d.msg.To] {
 			fn = nil

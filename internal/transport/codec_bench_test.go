@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"testing"
 
@@ -10,32 +8,14 @@ import (
 	"validity/internal/wire"
 )
 
-// The benchmarks compare the retired transport codec (a fresh gob stream
-// per frame, exactly as the pre-v2 TCP transport framed messages) against
-// the version-2 wire frames, on the workload that dominates a query: a
-// broadcast-shaped message carrying a 64-vector FM count partial.
-
-func init() { gob.Register(sketchPayload{}) }
+// The benchmarks time the version-2 wire frames on the workload that
+// dominates a query: a broadcast-shaped message carrying a 64-vector FM
+// count partial.
 
 func benchMessage() Message {
 	rng := rand.New(rand.NewSource(17))
 	p := agg.NewPartial(agg.Count, 3, agg.Params{Vectors: 64, Bits: 32}, rng)
 	return Message{From: 1, To: 2, Query: 42, Chain: 1, Payload: sketchPayload{Round: 9, A: p}}
-}
-
-func BenchmarkGobFrame(b *testing.B) {
-	msg := benchMessage()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&msg); err != nil {
-			b.Fatal(err)
-		}
-		var out Message
-		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&out); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkWireFrame(b *testing.B) {
