@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race ci fmt fmt-check demo bench benchdiff metrics-smoke fuzz-smoke scale-smoke
+.PHONY: all build vet test race ci fmt fmt-check demo bench benchdiff loc metrics-smoke fuzz-smoke scale-smoke
 
 all: ci
 
@@ -74,17 +74,20 @@ fmt-check:
 demo: build
 	./scripts/demo-validityd.sh
 
-# bench measures engine throughput at a fixed fleet size — one-shot
-# queries/sec and continuous windows/sec — on a static network, at churn
-# rate R>0 (the paper's regime), and under session churn with rebirth
-# (arrivals as well as departures), plus the per-frame cost of hot-path
-# instrumentation (obs_frame_ns_instrumented / _nil), and writes
-# BENCH_engine.json so the perf trajectory tracks dynamism.
+# bench runs the repository's one benchmark (bench/README.md): five
+# workloads, end-to-end metrics, every answer judged valid or counted
+# failed. BENCHMARK.json is its machine-readable contract.
 bench:
-	BENCH_ENGINE_OUT=$(CURDIR)/BENCH_engine.json $(GO) test ./internal/daemon -run TestBenchEngine -count=1 -v
+	$(GO) run ./bench
 
-# benchdiff runs the engine benchmark and diffs it against the committed
-# BENCH_engine.json, flagging throughput drops beyond BENCHDIFF_PCT
-# (default 20%) so perf regressions show up in review.
+# benchdiff judges two sets of `go run ./bench -out FILE` results, at least
+# three runs a side: make benchdiff A=parent_dir B=change_dir. Without A
+# and B the program prints its -compare usage.
 benchdiff:
-	./scripts/benchdiff.sh
+	$(GO) run ./bench -compare $(A) $(B)
+
+# loc prints the two line counts CHANGES.md reports per PR: non-test and
+# _test.go Go lines outside bench/.
+loc:
+	@echo src_loc $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l) \
+	     test_loc $$(find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)

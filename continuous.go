@@ -2,14 +2,10 @@ package validity
 
 import (
 	"fmt"
-	"math/rand"
-	"time"
 
 	"validity/internal/agg"
 	"validity/internal/churn"
-	"validity/internal/continuous"
 	"validity/internal/graph"
-	"validity/internal/node"
 	"validity/internal/protocol"
 	"validity/internal/sim"
 	"validity/internal/stream"
@@ -38,18 +34,6 @@ type ContinuousConfig struct {
 	SketchVectors int
 	// Seed drives randomness; 0 derives from the network seed.
 	Seed int64
-	// Engine runs the stream natively on the live query engine
-	// (internal/stream over node.Runtime with the in-process channel
-	// transport, one goroutine per host, wall-clock δ) instead of the
-	// deterministic event simulator: each window is a real engine
-	// sub-query derived from the seed and the window index, the failure
-	// schedule is enforced per window on the engine's membership layer,
-	// and results are read at quiescence. The same windows, bounds, and
-	// validity semantics — executed the way a deployment would run them.
-	Engine bool
-	// Hop is the wall-clock per-hop delay bound δ for Engine mode
-	// (default 5ms); ignored by the simulator path.
-	Hop time.Duration
 }
 
 // WindowResult is one window of a continuous query; see
@@ -73,7 +57,9 @@ type WindowResult struct {
 
 // ContinuousQuery runs a windowed continuous aggregate query over the
 // network under churn, returning one result per window, each with its own
-// Single-Site Validity bounds (§4.2).
+// Single-Site Validity bounds (§4.2). Like Query it runs on the
+// deterministic simulator; the windows are a stream.Plan, the same
+// definition validityd -continuous serves on the live engine.
 func (n *Network) ContinuousQuery(cfg ContinuousConfig) ([]WindowResult, error) {
 	kind, err := cfg.Aggregate.kind()
 	if err != nil {
@@ -94,85 +80,6 @@ func (n *Network) ContinuousQuery(cfg ContinuousConfig) ([]WindowResult, error) 
 	if seed == 0 {
 		seed = n.seed + 1
 	}
-	winLen := sim.Time(cfg.WindowLen)
-	if winLen == 0 {
-		winLen = sim.Time(2 * dHat)
-	}
-
-	var sched churn.Timeline
-	switch {
-	case cfg.Schedule != nil:
-		for _, f := range cfg.Schedule {
-			if f.H < 0 || f.H >= n.g.Len() {
-				return nil, fmt.Errorf("validity: failure host %d outside network", f.H)
-			}
-			sched = append(sched, eventOf(f))
-		}
-	case cfg.Failures > 0:
-		if cfg.Failures >= n.g.Len() {
-			return nil, fmt.Errorf("validity: cannot fail %d of %d hosts", cfg.Failures, n.g.Len())
-		}
-		if cfg.Engine {
-			break // the engine plan derives its own schedule from the seed
-		}
-		horizon := winLen * sim.Time(cfg.Windows)
-		sched = churn.UniformRemoval(n.g.Len(), cfg.Failures, graph.HostID(cfg.Hq), 0, horizon,
-			rand.New(rand.NewSource(seed)))
-	}
-
-	if cfg.Engine {
-		return n.continuousOnEngine(cfg, kind, dHat, vectors, winLen, seed, sched)
-	}
-
-	medium := sim.MediumPointToPoint
-	if n.wireless {
-		medium = sim.MediumWireless
-	}
-	rs, err := continuous.Run(continuous.Config{
-		Graph:     n.g,
-		Values:    n.values,
-		Hq:        graph.HostID(cfg.Hq),
-		Kind:      kind,
-		DHat:      dHat,
-		Params:    agg.Params{Vectors: vectors, Bits: agg.DefaultParams().Bits},
-		WindowLen: winLen,
-		Windows:   cfg.Windows,
-		Schedule:  sched,
-		Medium:    medium,
-		Seed:      seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]WindowResult, len(rs))
-	for i, r := range rs {
-		out[i] = WindowResult{
-			Index: r.Index, Start: int64(r.Start), End: int64(r.End),
-			Value: r.Value, Lower: r.Lower, Upper: r.Upper,
-			HC: r.HC, HU: r.HU, AliveAtStart: r.AliveAtStart,
-			Valid: r.Valid, Messages: r.Messages,
-		}
-	}
-	return out, nil
-}
-
-// continuousOnEngine is ContinuousQuery's Engine path: the windowed query
-// runs as a stream.Plan on a LiveNetwork — every window an engine
-// sub-query over real goroutines and wall-clock δ, results read at
-// quiescence, each judged by the same per-window oracle bounds the
-// simulator path uses.
-func (n *Network) continuousOnEngine(cfg ContinuousConfig, kind agg.Kind, dHat, vectors int,
-	winLen sim.Time, seed int64, sched churn.Schedule) ([]WindowResult, error) {
-
-	if n.wireless {
-		// The live engine accounts point-to-point sends only; §5.3
-		// wireless broadcast accounting exists in the simulator path.
-		return nil, fmt.Errorf("validity: Engine continuous queries run point-to-point; use the simulator path for wireless accounting")
-	}
-	hop := cfg.Hop
-	if hop <= 0 {
-		hop = 5 * time.Millisecond
-	}
 	plan := &stream.Plan{
 		Query: 1,
 		Spec: protocol.Query{
@@ -181,34 +88,54 @@ func (n *Network) continuousOnEngine(cfg ContinuousConfig, kind agg.Kind, dHat, 
 			DHat:   dHat,
 			Params: agg.Params{Vectors: vectors, Bits: agg.DefaultParams().Bits},
 		},
-		WindowLen: winLen,
+		WindowLen: sim.Time(cfg.WindowLen),
 		Windows:   cfg.Windows,
 		Seed:      seed,
-		Static:    sched,
 	}
-	if cfg.Schedule == nil && cfg.Failures > 0 {
+	switch {
+	case cfg.Schedule != nil:
+		for _, f := range cfg.Schedule {
+			if f.H < 0 || f.H >= n.g.Len() {
+				return nil, fmt.Errorf("validity: failure host %d outside network", f.H)
+			}
+			plan.Static = append(plan.Static, eventOf(f))
+		}
+	case cfg.Failures > 0:
+		if cfg.Failures >= n.g.Len() {
+			return nil, fmt.Errorf("validity: cannot fail %d of %d hosts", cfg.Failures, n.g.Len())
+		}
+		// The same membership Source one-shot Query draws from, spread
+		// over the stream's whole horizon.
 		plan.Source = churn.Uniform{N: n.g.Len(), Remove: cfg.Failures}
 	}
-	ln := node.NewLiveNetwork(n.g, n.values, hop)
-	defer ln.Stop()
-	s, err := stream.Live(ln, plan)
+
+	medium := sim.MediumPointToPoint
+	if n.wireless {
+		medium = sim.MediumWireless
+	}
+	rs, err := stream.RunSim(plan, n.g, n.values, medium, fmFactor(vectors))
 	if err != nil {
 		return nil, err
 	}
-	out := make([]WindowResult, 0, cfg.Windows)
-	for r := range s.Results() {
-		if r.Err != nil {
-			return nil, r.Err
+	sched, err := plan.Schedule()
+	if err != nil {
+		return nil, err
+	}
+	ix := sched.Index()
+	out := make([]WindowResult, len(rs))
+	for i, r := range rs {
+		alive := 0
+		for h := 0; h < n.g.Len(); h++ {
+			if ix.AliveAt(graph.HostID(h), sim.Time(r.Start)) {
+				alive++
+			}
 		}
-		out = append(out, WindowResult{
+		out[i] = WindowResult{
 			Index: r.Window, Start: r.Start, End: r.End,
 			Value: r.Value, Lower: r.Lower, Upper: r.Upper,
-			HC: r.HC, HU: r.HU, AliveAtStart: r.HU,
+			HC: r.HC, HU: r.HU, AliveAtStart: alive,
 			Valid: r.Valid, Messages: r.Stats.MessagesSent,
-		})
-	}
-	if len(out) != cfg.Windows {
-		return nil, fmt.Errorf("validity: engine stream delivered %d of %d windows", len(out), cfg.Windows)
+		}
 	}
 	return out, nil
 }

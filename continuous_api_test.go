@@ -1,9 +1,6 @@
 package validity
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestContinuousQueryAPI(t *testing.T) {
 	net, err := NewNetwork(NetworkConfig{Topology: Gnutella, Hosts: 400, Seed: 11})
@@ -34,45 +31,6 @@ func TestContinuousQueryAPI(t *testing.T) {
 	}
 }
 
-// TestContinuousQueryOnEngine runs the same public API on the live query
-// engine: windows execute as real engine sub-queries over goroutines and
-// wall-clock hops (internal/stream), not under the deterministic event
-// loop, yet every window must still satisfy its own validity bounds.
-func TestContinuousQueryOnEngine(t *testing.T) {
-	net, err := NewNetwork(NetworkConfig{Topology: Random, Hosts: 60, Seed: 19})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := net.ContinuousQuery(ContinuousConfig{
-		Aggregate:     Count,
-		Windows:       3,
-		Failures:      12,
-		SketchVectors: 64,
-		Engine:        true,
-		Hop:           10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 3 {
-		t.Fatalf("windows = %d", len(rs))
-	}
-	for i, r := range rs {
-		if r.Index != i {
-			t.Fatalf("window %d arrived at position %d; results must stream in order", r.Index, i)
-		}
-		if !r.Valid {
-			t.Fatalf("window %d: %v outside its own bounds [%v,%v]", r.Index, r.Value, r.Lower, r.Upper)
-		}
-		if r.Messages == 0 {
-			t.Fatalf("window %d reports zero messages", r.Index)
-		}
-	}
-	if rs[2].HU >= net.Hosts() {
-		t.Fatalf("final window H_U = %d of %d hosts; churn never bit", rs[2].HU, net.Hosts())
-	}
-}
-
 func TestContinuousQueryValidation(t *testing.T) {
 	net, _ := NewNetwork(NetworkConfig{Topology: Random, Hosts: 50, Seed: 12})
 	if _, err := net.ContinuousQuery(ContinuousConfig{Aggregate: Max, Windows: 0}); err == nil {
@@ -90,10 +48,6 @@ func TestContinuousQueryValidation(t *testing.T) {
 	if _, err := net.ContinuousQuery(ContinuousConfig{Aggregate: Max, Windows: 2,
 		Schedule: []Failure{{H: 999, T: 1}}}); err == nil {
 		t.Fatal("bad schedule host accepted")
-	}
-	wireless, _ := NewNetwork(NetworkConfig{Topology: Grid, Hosts: 49, Seed: 3, Wireless: true})
-	if _, err := wireless.ContinuousQuery(ContinuousConfig{Aggregate: Max, Windows: 2, Engine: true}); err == nil {
-		t.Fatal("Engine accepted on a wireless network; its accounting is simulator-only")
 	}
 }
 

@@ -31,6 +31,7 @@ import (
 	"validity/internal/protocol"
 	"validity/internal/stream"
 	"validity/internal/topology"
+	"validity/internal/transport"
 	"validity/internal/zipfval"
 )
 
@@ -72,12 +73,28 @@ func main() {
 	fmt.Printf("%-7s %6s %10s %10s %10s %7s %9s %7s\n",
 		"window", "H_U", "lower", "count", "upper", "valid", "messages", "lat")
 
-	ln := node.NewLiveNetwork(g, values, hop)
-	s, err := stream.Live(ln, plan)
+	// The same four calls validityd -continuous makes: a runtime over a
+	// transport (the channel transport delivers at δ/2, leaving handlers
+	// headroom under the bound), the plan's window factory, Start, and a
+	// Stream on the issuing process.
+	rt, err := node.New(node.Config{
+		Graph:     g,
+		Values:    values,
+		Transport: transport.NewChannel(hosts, hop/2),
+		Hop:       hop,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer ln.Stop()
+	rt.SetQueryFactory(plan.Factory(rt))
+	if err := rt.Start(); err != nil {
+		log.Fatal(err)
+	}
+	defer rt.Stop()
+	s, err := stream.Start(rt, plan)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	for r := range s.Results() {
 		if r.Err != nil {

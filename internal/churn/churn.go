@@ -59,27 +59,15 @@ func (k EventKind) String() string {
 }
 
 // Event is one membership transition: host H leaves or joins at tick T.
-// The zero Kind is Leave, so departure-only literals written against the
-// old Failure type ({H: h, T: t}) keep their meaning unchanged.
+// The zero Kind is Leave, so a departure-only literal is just {H: h, T: t}.
 type Event struct {
 	H    graph.HostID
 	T    sim.Time
 	Kind EventKind
 }
 
-// Failure is the departures-only name for Event, kept so existing
-// schedules read naturally: a Failure is an Event whose zero Kind is
-// Leave.
-type Failure = Event
-
-// Timeline is a set of membership events ordered by time. It replaces
-// the departures-only Schedule; a Timeline holding only Leave events is
-// exactly the old Schedule.
+// Timeline is a set of membership events ordered by time.
 type Timeline []Event
-
-// Schedule is the departures-only name for Timeline, kept for call sites
-// that only ever schedule departures.
-type Schedule = Timeline
 
 // Apply installs every event on the network: leaves as scheduled
 // failures, joins as scheduled arrivals. Hosts whose first event is a

@@ -71,7 +71,7 @@ func TestUniformRemovalPanics(t *testing.T) {
 }
 
 func TestScheduleHelpers(t *testing.T) {
-	s := Schedule{{H: 3, T: 10}, {H: 5, T: 20}}
+	s := Timeline{{H: 3, T: 10}, {H: 5, T: 20}}
 	failed := s.Failed(15)
 	if !failed[3] || failed[5] {
 		t.Fatalf("Failed(15) = %v", failed)
@@ -86,7 +86,7 @@ func TestApplyKillsHosts(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
 	nw := sim.NewNetwork(sim.Config{Graph: g, Seed: 1})
-	Schedule{{H: 1, T: 5}}.Apply(nw)
+	Timeline{{H: 1, T: 5}}.Apply(nw)
 	nw.Run(10)
 	if nw.Alive(1) {
 		t.Fatal("host 1 should be dead after applied schedule")

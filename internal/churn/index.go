@@ -24,7 +24,7 @@ type span struct {
 // the departures-only callers still use. The plain Timeline methods
 // (Failed, FailTime) scan the whole slice on every call, which is fine
 // for one-shot reporting but quadratic when a loop probes every host —
-// the oracle, the continuous drivers, and the engine's per-query
+// the oracle, the continuous-query plan, and the engine's per-query
 // membership tables all go through an Index instead.
 //
 // Presence semantics: a host with no events is a member for the whole

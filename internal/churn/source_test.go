@@ -58,15 +58,15 @@ func TestQuerySeedDistinctFromSharedSeed(t *testing.T) {
 func TestStaticSourceFiltersHorizon(t *testing.T) {
 	src := Static{{H: 3, T: 10}, {H: 5, T: 99}, {H: 4, T: 2}}
 	got := src.Schedule(1, 0, 50)
-	want := Schedule{{H: 4, T: 2}, {H: 3, T: 10}}
+	want := Timeline{{H: 4, T: 2}, {H: 3, T: 10}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Static.Schedule = %v, want %v", got, want)
 	}
 }
 
 func TestMerge(t *testing.T) {
-	got := Merge(Schedule{{H: 1, T: 9}}, Schedule{{H: 2, T: 3}, {H: 3, T: 9}})
-	want := Schedule{{H: 2, T: 3}, {H: 1, T: 9}, {H: 3, T: 9}}
+	got := Merge(Timeline{{H: 1, T: 9}}, Timeline{{H: 2, T: 3}, {H: 3, T: 9}})
+	want := Timeline{{H: 2, T: 3}, {H: 1, T: 9}, {H: 3, T: 9}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Merge = %v, want %v", got, want)
 	}
@@ -116,7 +116,7 @@ func TestParseSource(t *testing.T) {
 }
 
 func TestIndexMatchesScheduleScans(t *testing.T) {
-	s := Schedule{{H: 7, T: 30}, {H: 3, T: 10}, {H: 7, T: 5}, {H: 9, T: 10}}
+	s := Timeline{{H: 7, T: 30}, {H: 3, T: 10}, {H: 7, T: 5}, {H: 9, T: 10}}
 	ix := s.Index()
 	for h := graph.HostID(0); h < 12; h++ {
 		want := sim.Time(-1)
@@ -147,21 +147,21 @@ func TestIndexMatchesScheduleScans(t *testing.T) {
 	}
 	m := s.Failed(10)
 	if len(m) != len(failed) {
-		t.Fatalf("FailedBy(10) = %v disagrees with Schedule.Failed = %v", failed, m)
+		t.Fatalf("FailedBy(10) = %v disagrees with Timeline.Failed = %v", failed, m)
 	}
 	for _, h := range failed {
 		if !m[h] {
-			t.Fatalf("host %d in FailedBy but not Schedule.Failed", h)
+			t.Fatalf("host %d in FailedBy but not Timeline.Failed", h)
 		}
 	}
 }
 
 // The micro-benchmarks quantify the satellite fix: probing every host of
-// a large schedule via the O(n)-scan Schedule methods vs the indexed map.
-func benchSchedule(n int) Schedule {
-	s := make(Schedule, n)
+// a large schedule via the O(n)-scan Timeline methods vs the indexed map.
+func benchSchedule(n int) Timeline {
+	s := make(Timeline, n)
 	for i := range s {
-		s[i] = Failure{H: graph.HostID(i), T: sim.Time(i % 97)}
+		s[i] = Event{H: graph.HostID(i), T: sim.Time(i % 97)}
 	}
 	return s
 }

@@ -20,32 +20,32 @@ func TestParseTraceGrammar(t *testing.T) {
 		name  string
 		input string
 		n     int
-		want  Schedule
+		want  Timeline
 		wrong string // non-empty: expect an error containing it
 	}{
 		{
 			name:  "plain pairs",
 			input: "3,5\n1,2\n",
 			n:     10,
-			want:  Schedule{{H: 1, T: 2}, {H: 3, T: 5}},
+			want:  Timeline{{H: 1, T: 2}, {H: 3, T: 5}},
 		},
 		{
 			name:  "header comments blanks and spaces",
 			input: "host,tick\n# a capture\n\n 7 , 11 \n2,0\n",
 			n:     10,
-			want:  Schedule{{H: 2, T: 0}, {H: 7, T: 11}},
+			want:  Timeline{{H: 2, T: 0}, {H: 7, T: 11}},
 		},
 		{
 			name:  "uppercase header",
 			input: "Host,Tick\n4,4\n",
 			n:     10,
-			want:  Schedule{{H: 4, T: 4}},
+			want:  Timeline{{H: 4, T: 4}},
 		},
 		{
 			name:  "header after provenance comment",
 			input: "# exported 2026-07-28\n\nhost,tick\n3,5\n",
 			n:     10,
-			want:  Schedule{{H: 3, T: 5}},
+			want:  Timeline{{H: 3, T: 5}},
 		},
 		{
 			name:  "empty trace",
@@ -57,7 +57,7 @@ func TestParseTraceGrammar(t *testing.T) {
 			name:  "same host twice keeps both (Index collapses)",
 			input: "5,9\n5,3\n",
 			n:     10,
-			want:  Schedule{{H: 5, T: 3}, {H: 5, T: 9}},
+			want:  Timeline{{H: 5, T: 3}, {H: 5, T: 9}},
 		},
 		{name: "missing comma", input: "5 9\n", n: 10, wrong: "host,tick"},
 		{name: "non-numeric host", input: "x,9\n", n: 10, wrong: "host"},
@@ -103,7 +103,7 @@ func TestParseSourceTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched := src.Schedule(123, 0, 30) // seed must not matter; horizon drops 9@40
-	want := Schedule{{H: 4, T: 2}, {H: 1, T: 7}}
+	want := Timeline{{H: 4, T: 2}, {H: 1, T: 7}}
 	if !reflect.DeepEqual(sched, want) {
 		t.Fatalf("trace schedule = %v, want %v", sched, want)
 	}

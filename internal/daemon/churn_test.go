@@ -47,7 +47,7 @@ func TestDerivedSchedulesIdenticalAcrossProcesses(t *testing.T) {
 	_, planA := planFromArgs(t, args, n)
 	_, planB := planFromArgs(t, args, n)
 
-	var schedules []churn.Schedule
+	var schedules []churn.Timeline
 	for id := node.QueryID(1); id <= 8; id++ {
 		a := planA.forQuery(id, hq, deadline)
 		b := planB.forQuery(id, hq, deadline)

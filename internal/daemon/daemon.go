@@ -603,8 +603,9 @@ func Run(cfg *Config) error {
 	)
 	switch cfg.Transport {
 	case "chan":
-		// Delivery at δ/2 leaves the same processing headroom under the
-		// bound that node.NewLiveNetwork documents.
+		// δ is a bound (§3.1): delivery at δ/2 leaves room for queueing
+		// and handler processing under it — the margin a deployment would
+		// engineer between observed latency and the δ it advertises.
 		tr = transport.NewChannel(n, cfg.Hop/2)
 	case "tcp":
 		addrs, err := parsePeers(cfg.Peers, n)

@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -11,9 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
-
-	"validity/internal/obs"
 )
 
 // TestConflictingFlagsRejected pins the flag-validation contract: flag
@@ -209,250 +205,4 @@ func TestConcurrentTCPQueryStream(t *testing.T) {
 			t.Fatalf("%s warm per-query message counts diverge above the median: %v", kind, counts)
 		}
 	}
-}
-
-// TestBenchEngine is the `make bench` harness: gated on BENCH_ENGINE_OUT,
-// it answers a fixed query stream in process — once over a static network
-// and once under per-query churn, the paper's actual regime — and writes
-// both queries/sec figures to the named JSON file so the perf trajectory
-// tracks dynamism, not just the static best case.
-func TestBenchEngine(t *testing.T) {
-	outPath := os.Getenv("BENCH_ENGINE_OUT")
-	if outPath == "" {
-		t.Skip("set BENCH_ENGINE_OUT=<file> to run the engine benchmark")
-	}
-	const (
-		hosts       = 60
-		queries     = 16
-		concurrency = 4
-		churnRate   = 6
-	)
-	churnSpec := "rate=" + strconv.Itoa(churnRate) + ",window=12"
-	// Each regime runs on its own registry so the daemon_query_latency_ms
-	// histogram holds exactly that regime's observations — throughput says
-	// how fast the stream drained, the tail percentiles say what a single
-	// query paid for it.
-	runStream := func(extra ...string) (float64, *obs.Histogram, float64) {
-		t.Helper()
-		var out bytes.Buffer
-		args := append([]string{
-			"-transport", "chan",
-			"-topology", "random", "-hosts", strconv.Itoa(hosts), "-seed", "23",
-			"-query", "-hq", "0,7", "-agg", "count,min",
-			"-queries", strconv.Itoa(queries), "-concurrency", strconv.Itoa(concurrency),
-			"-hop", testHop.String(),
-		}, extra...)
-		cfg, err := ParseArgs("validityd", args)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Out = &out
-		cfg.Obs = obs.NewRegistry()
-		start := time.Now()
-		if err := Run(cfg); err != nil {
-			t.Fatalf("bench stream %v failed: %v\n%s", extra, err, out.String())
-		}
-		lat := cfg.Obs.Histogram("daemon_query_latency_ms", "", obs.LatencyBucketsMs)
-		if lat.Count() != queries {
-			t.Fatalf("bench stream %v observed %d latencies, want %d", extra, lat.Count(), queries)
-		}
-		// Wire bytes per query, off the engine's §6.3 counter — the exact
-		// transport-frame cost of every send, so the framing overhead
-		// trend is tracked alongside throughput and tails.
-		bytesPerQuery := float64(cfg.Obs.Counter("node_bytes_sent_total", "").Value()) / float64(queries)
-		return float64(queries) / time.Since(start).Seconds(), lat, bytesPerQuery
-	}
-	staticQPS, staticLat, staticBPQ := runStream()
-	churnQPS, churnLat, _ := runStream("-churn", churnSpec)
-
-	// Join churn: session lifetimes with rebirth, so queries run over a
-	// population that shrinks AND grows — the arrivals regime the event
-	// timeline opened. Mean lifetime comfortably above the 24-tick
-	// deadline keeps most hosts up at any instant while still cycling
-	// sessions through every query.
-	joinSpec := "model=sessions,mean=60,join=20"
-	joinQPS, joinLat, _ := runStream("-churn", joinSpec)
-
-	// Continuous throughput: one windowed query streamed in process, static
-	// and churned, measured in windows/sec. Window length stays at the §4.2
-	// minimum 2·D̂ so the figure tracks the engine, not idle window tail.
-	const benchWindows = 12
-	runContinuousStream := func(extra ...string) float64 {
-		t.Helper()
-		var out bytes.Buffer
-		args := append([]string{
-			"-transport", "chan",
-			"-topology", "random", "-hosts", strconv.Itoa(hosts), "-seed", "23",
-			"-query", "-continuous", "-windows", strconv.Itoa(benchWindows),
-			"-hq", "0", "-agg", "count",
-			"-hop", testHop.String(),
-		}, extra...)
-		cfg, err := ParseArgs("validityd", args)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Out = &out
-		start := time.Now()
-		if err := Run(cfg); err != nil {
-			t.Fatalf("bench continuous %v failed: %v\n%s", extra, err, out.String())
-		}
-		return float64(benchWindows) / time.Since(start).Seconds()
-	}
-	staticWPS := runContinuousStream()
-	churnWPS := runContinuousStream("-churn", "rate="+strconv.Itoa(churnRate))
-	joinWPS := runContinuousStream("-churn", joinSpec)
-
-	// Scale regime: the host-sharded scheduler's headline — a 2,048-host
-	// fleet in one process on the chan transport. Alongside throughput it
-	// records the two numbers the sharding is supposed to bound: peak live
-	// goroutines (O(shards), not O(hosts)) and peak heap in use (no
-	// per-host inbox buffers). Params mirror TestScaleSmoke2K: a 2K-host
-	// flood needs δ wide enough for ~10K messages a round and D̂ headroom
-	// over the derived diameter+2.
-	const (
-		scaleHosts   = 2048
-		scaleQueries = 4
-		scaleHop     = "40ms" // scale_queries_per_sec is bound by it: see TestScaleSmoke2K
-	)
-	scalePeaks := sampleRuntimePeaks(5 * time.Millisecond)
-	var scaleOut bytes.Buffer
-	scaleCfg, err := ParseArgs("validityd", []string{
-		"-transport", "chan",
-		"-topology", "random", "-hosts", strconv.Itoa(scaleHosts), "-seed", "23",
-		"-query", "-hq", "0", "-agg", "count",
-		"-queries", strconv.Itoa(scaleQueries), "-concurrency", "1",
-		"-hop", scaleHop,
-		"-dhat", "16",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scaleCfg.Out = &scaleOut
-	scaleStart := time.Now()
-	if err := Run(scaleCfg); err != nil {
-		t.Fatalf("bench scale stream failed: %v\n%s", err, scaleOut.String())
-	}
-	scaleQPS := float64(scaleQueries) / time.Since(scaleStart).Seconds()
-	scalePeakG, scalePeakHeap := scalePeaks.stop()
-
-	// Sharded-TCP regime: the 60-host stream of the static run, but split
-	// across three OS processes on loopback with an explicit -shards 4, so
-	// the trajectory also tracks the engine behind real sockets.
-	tcpQPS, tcpLat := func() (float64, *obs.Histogram) {
-		ports := freeAddrs(t, 3)
-		peers := fmt.Sprintf("0-19=%s,20-39=%s,40-59=%s", ports[0], ports[1], ports[2])
-		common := []string{
-			"-transport", "tcp",
-			"-topology", "random", "-hosts", strconv.Itoa(hosts), "-seed", "23",
-			"-peers", peers,
-			"-agg", "count,min",
-			"-hq", "0,7",
-			"-dhat", "12",
-			"-hop", testHop.String(),
-			"-shards", "4",
-		}
-		for _, serve := range []string{"20-39", "40-59"} {
-			args := append(append([]string{}, common...), "-serve", serve)
-			cmd := exec.Command(os.Args[0])
-			cmd.Env = append(os.Environ(), "VALIDITYD_CHILD_ARGS="+joinArgs(args))
-			var childOut bytes.Buffer
-			cmd.Stdout = &childOut
-			cmd.Stderr = &childOut
-			if err := cmd.Start(); err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() {
-				cmd.Process.Kill()
-				cmd.Wait()
-			})
-		}
-		waitListening(t, ports[1])
-		waitListening(t, ports[2])
-		var out bytes.Buffer
-		args := append(append([]string{}, common...),
-			"-serve", "0-19", "-query",
-			"-queries", strconv.Itoa(queries), "-concurrency", strconv.Itoa(concurrency))
-		cfg, err := ParseArgs("validityd", args)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Out = &out
-		cfg.Obs = obs.NewRegistry()
-		start := time.Now()
-		if err := Run(cfg); err != nil {
-			t.Fatalf("bench tcp-sharded stream failed: %v\n%s", err, out.String())
-		}
-		lat := cfg.Obs.Histogram("daemon_query_latency_ms", "", obs.LatencyBucketsMs)
-		return float64(queries) / time.Since(start).Seconds(), lat
-	}()
-
-	// Obs-overhead regime: the per-frame instrumentation workload the
-	// engine hot path pays — two counter adds and one histogram
-	// observation — timed on a real registry and on the nil-disabled
-	// form. The pair bounds what the observability plane costs a frame
-	// and pins that the disabled form stays a branch, not a lock.
-	obsFrameNs := func(reg *obs.Registry) float64 {
-		c1 := reg.Counter("bench_frames_total", "")
-		c2 := reg.Counter("bench_bytes_total", "")
-		h := reg.Histogram("bench_lat_ms", "", obs.LatencyBucketsMs)
-		const iters = 2_000_000
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			c1.Inc()
-			c2.Add(int64(i & 0xff))
-			h.Observe(float64(i % 1000))
-		}
-		return float64(time.Since(start).Nanoseconds()) / float64(iters)
-	}
-	obsInstrNs := obsFrameNs(obs.NewRegistry())
-	obsNilNs := obsFrameNs(nil)
-
-	report := map[string]any{
-		"bench":                       "engine_query_stream",
-		"fleet_hosts":                 hosts,
-		"queries":                     queries,
-		"concurrency":                 concurrency,
-		"hop":                         testHop.String(),
-		"queries_per_sec":             staticQPS,
-		"bytes_per_query":             staticBPQ,
-		"churn_spec":                  churnSpec,
-		"queries_per_sec_churn":       churnQPS,
-		"join_churn_spec":             joinSpec,
-		"queries_per_sec_join":        joinQPS,
-		"latency_ms_p50":              staticLat.Quantile(0.50),
-		"latency_ms_p95":              staticLat.Quantile(0.95),
-		"latency_ms_p99":              staticLat.Quantile(0.99),
-		"latency_ms_p95_churn":        churnLat.Quantile(0.95),
-		"latency_ms_p99_churn":        churnLat.Quantile(0.99),
-		"latency_ms_p95_join":         joinLat.Quantile(0.95),
-		"latency_ms_p99_join":         joinLat.Quantile(0.99),
-		"windows":                     benchWindows,
-		"windows_per_sec":             staticWPS,
-		"windows_per_sec_churn":       churnWPS,
-		"windows_per_sec_join":        joinWPS,
-		"queries_per_sec_tcp_sharded": tcpQPS,
-		"latency_ms_p50_tcp_sharded":  tcpLat.Quantile(0.50),
-		"latency_ms_p95_tcp_sharded":  tcpLat.Quantile(0.95),
-		"latency_ms_p99_tcp_sharded":  tcpLat.Quantile(0.99),
-		"scale_hosts":                 scaleHosts,
-		"scale_hop":                   scaleHop,
-		"scale_queries_per_sec":       scaleQPS,
-		"scale_peak_goroutines":       scalePeakG,
-		"scale_heap_inuse_bytes":      scalePeakHeap,
-		"obs_frame_ns_instrumented":   obsInstrNs,
-		"obs_frame_ns_nil":            obsNilNs,
-	}
-	blob, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(outPath, append(blob, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("%.2f static / %.2f churned / %.2f join-churned / %.2f tcp-sharded queries/sec (static p50/p95/p99 %.0f/%.0f/%.0f ms), %.2f static / %.2f churned / %.2f join-churned windows/sec over %d hosts; scale: %.2f queries/sec over %d hosts, peak %d goroutines, peak heap %.1f MB; obs %.1f ns/frame instrumented, %.1f ns/frame nil -> %s",
-		staticQPS, churnQPS, joinQPS, tcpQPS,
-		staticLat.Quantile(0.50), staticLat.Quantile(0.95), staticLat.Quantile(0.99),
-		staticWPS, churnWPS, joinWPS, hosts,
-		scaleQPS, scaleHosts, scalePeakG, float64(scalePeakHeap)/(1<<20),
-		obsInstrNs, obsNilNs, outPath)
 }

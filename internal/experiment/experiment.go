@@ -219,7 +219,7 @@ func runTrial(g *graph.Graph, values []int64, kind agg.Kind, spec protoSpec,
 	r int, dHat int, seed int64, medium sim.Medium, withOracle bool) (trialResult, error) {
 	q := protocol.Query{Kind: kind, Hq: 0, DHat: dHat, Params: agg.DefaultParams()}
 	nw := sim.NewNetwork(sim.Config{Graph: g, Medium: medium, Seed: seed, Values: values})
-	var sched churn.Schedule
+	var sched churn.Timeline
 	if r > 0 {
 		sched = churn.UniformRemoval(g.Len(), r, q.Hq, 0, q.Deadline(),
 			rand.New(rand.NewSource(seed)))

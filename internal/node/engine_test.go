@@ -133,17 +133,14 @@ func TestEngineTimerOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	fired := make(chan int, 3)
-	rt.SetHandler(0, &timerHandler{
+	startHandlers(t, rt, []sim.Handler{&timerHandler{
 		onStart: func(ctx *sim.Context) {
 			ctx.SetTimer(6, 6)
 			ctx.SetTimer(2, 2)
 			ctx.SetTimer(4, 4)
 		},
 		onTimer: func(tag int) { fired <- tag },
-	})
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
+	}})
 	defer rt.Stop()
 	var got []int
 	for len(got) < 3 {

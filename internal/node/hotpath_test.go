@@ -148,17 +148,16 @@ func TestFramePathAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan struct{}, 1) // cap 1: one signal per measured run
+	handlers := make([]sim.Handler, 2)
 	for h := graph.HostID(0); h < 2; h++ {
 		hd := &relay{peer: 1 - h, done: done}
-		rt.SetHandler(h, WithRand(hd, rand.New(newCoinSource(1, h))))
+		handlers[h] = WithRand(hd, rand.New(newCoinSource(1, h)))
 	}
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
+	startHandlers(t, rt, handlers)
 	defer rt.Stop()
 	payload := any("frame") // boxed once, outside the measurement
 	perRun := testing.AllocsPerRun(50, func() {
-		if err := tr.Send(transport.Message{From: 1, To: 0, Chain: 1, Payload: payload}); err != nil {
+		if err := tr.Send(transport.Message{From: 1, To: 0, Query: 1, Chain: 1, Payload: payload}); err != nil {
 			t.Error(err)
 		}
 		<-done

@@ -32,13 +32,12 @@ func (c *coinSource) Int63() int64   { return int64(c.pcg.Uint64() >> 1) }
 // Seed implements rand.Source; nothing reseeds a coin stream.
 func (c *coinSource) Seed(seed int64) { c.pcg.Seed(uint64(seed), 0) }
 
-// materializeHandlers builds p's per-host handlers, wrapping each local
-// one with the host's own coin source derived from seed.
-//
-// Protocols build their handlers in Install(*sim.Network), so a scratch
-// event-loop network over the same graph is used purely as a handler
-// factory — it is never run.
-func materializeHandlers(rt *Runtime, p protocol.Protocol, seed int64) ([]sim.Handler, error) {
+// BuildInstance materializes p's per-host handlers for rt's local hosts,
+// each wrapped with the host's own coin source derived from seed — the
+// standard QueryFactory body. Protocols build their handlers in
+// Install(*sim.Network), so a scratch event-loop network over the same
+// graph is used purely as a handler factory; it is never run.
+func BuildInstance(rt *Runtime, p protocol.Protocol, seed int64) (*QueryInstance, error) {
 	scratch := sim.NewNetwork(sim.Config{Graph: rt.Graph(), Seed: seed})
 	if err := p.Install(scratch); err != nil {
 		return nil, err
@@ -51,26 +50,5 @@ func materializeHandlers(rt *Runtime, p protocol.Protocol, seed int64) ([]sim.Ha
 		}
 		hs[h] = WithRand(scratch.Handler(id), rand.New(newCoinSource(seed, id)))
 	}
-	return hs, nil
-}
-
-// Install materializes p's per-host handlers and moves the local ones onto
-// rt's default query — the single-query face over the engine (multi-query
-// callers register a QueryFactory built on BuildInstance instead).
-func Install(rt *Runtime, p protocol.Protocol, seed int64) error {
-	hs, err := materializeHandlers(rt, p, seed)
-	if err != nil {
-		return err
-	}
-	for h, hd := range hs {
-		if hd != nil {
-			rt.SetHandler(graph.HostID(h), hd)
-		}
-	}
-	return nil
-}
-
-// InstallLive is Install for the single-process LiveNetwork face.
-func InstallLive(ln *LiveNetwork, p protocol.Protocol, seed int64) error {
-	return Install(ln.rt, p, seed)
+	return &QueryInstance{Protocol: p, Handlers: hs, Deadline: p.Deadline()}, nil
 }

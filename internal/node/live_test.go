@@ -7,7 +7,35 @@ import (
 
 	"validity/internal/graph"
 	"validity/internal/sim"
+	"validity/internal/transport"
 )
+
+// chanRuntime builds an all-local runtime over the channel transport,
+// delivering at hop/2 — the margin under δ every chan fleet runs with.
+func chanRuntime(t testing.TB, g *graph.Graph, values []int64, hop time.Duration) *Runtime {
+	t.Helper()
+	rt, err := New(Config{Graph: g, Values: values, Transport: transport.NewChannel(g.Len(), hop/2), Hop: hop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt
+}
+
+// startHandlers is the tests' door onto the engine for bare handlers: a
+// factory serving them as a handler-only instance (no deadline, so never
+// retired), Start, and StartQuery(1), which runs every handler's Start.
+func startHandlers(t testing.TB, rt *Runtime, hs []sim.Handler) {
+	t.Helper()
+	rt.SetQueryFactory(func(QueryID) (*QueryInstance, error) {
+		return &QueryInstance{Handlers: hs}, nil
+	})
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.StartQuery(1); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // line builds a path graph 0-1-…-(n-1).
 func line(n int) *graph.Graph {
@@ -55,15 +83,22 @@ func (e *liveEcho) sawToken() bool {
 	return e.seen
 }
 
-func TestLiveNetworkFloodReachesAll(t *testing.T) {
-	g := line(8)
-	ln := NewLiveNetwork(g, nil, time.Millisecond)
-	hs := make([]*liveEcho, g.Len())
-	for i := range hs {
-		hs[i] = &liveEcho{initiate: i == 0}
-		ln.SetHandler(graph.HostID(i), hs[i])
+// echoes builds one liveEcho per host of g, host 0 initiating.
+func echoes(g *graph.Graph) ([]*liveEcho, []sim.Handler) {
+	es := make([]*liveEcho, g.Len())
+	hs := make([]sim.Handler, g.Len())
+	for i := range es {
+		es[i] = &liveEcho{initiate: i == 0}
+		hs[i] = es[i]
 	}
-	ln.Start()
+	return es, hs
+}
+
+func TestRuntimeFloodReachesAll(t *testing.T) {
+	g := line(8)
+	rt := chanRuntime(t, g, nil, time.Millisecond)
+	hs, handlers := echoes(g)
+	startHandlers(t, rt, handlers)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		all := true
@@ -76,40 +111,37 @@ func TestLiveNetworkFloodReachesAll(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			ln.Stop()
+			rt.Stop()
 			t.Fatal("live flood did not reach all hosts in time")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	ln.Stop()
-	if ln.MessagesSent() == 0 {
+	rt.Stop()
+	if rt.Stats().MessagesSent == 0 {
 		t.Fatal("no messages recorded")
 	}
 }
 
-func TestLiveNetworkKillBlocksPropagation(t *testing.T) {
+func TestRuntimeKillBlocksPropagation(t *testing.T) {
 	g := line(4)
-	ln := NewLiveNetwork(g, nil, 2*time.Millisecond)
-	hs := make([]*liveEcho, g.Len())
-	for i := range hs {
-		hs[i] = &liveEcho{initiate: i == 0}
-		ln.SetHandler(graph.HostID(i), hs[i])
-	}
-	ln.Kill(1) // dead before start: token can never pass host 1
-	ln.Start()
+	rt := chanRuntime(t, g, nil, 2*time.Millisecond)
+	hs, handlers := echoes(g)
+	rt.Kill(1) // dead before start: token can never pass host 1
+	startHandlers(t, rt, handlers)
 	time.Sleep(100 * time.Millisecond)
-	ln.Stop()
+	rt.Stop()
 	if hs[2].sawToken() || hs[3].sawToken() {
 		t.Fatal("token crossed a killed host")
 	}
 }
 
-func TestLiveNetworkStopIdempotent(t *testing.T) {
-	g := line(2)
-	ln := NewLiveNetwork(g, nil, time.Millisecond)
-	ln.Start()
-	ln.Stop()
-	ln.Stop() // must not panic or deadlock
+func TestRuntimeStopIdempotent(t *testing.T) {
+	rt := chanRuntime(t, line(2), nil, time.Millisecond)
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	rt.Stop()
+	rt.Stop() // must not panic or deadlock
 }
 
 // timerHandler drives SetTimer/Timer callbacks.
@@ -130,11 +162,10 @@ func (h *timerHandler) Timer(ctx *sim.Context, tag int) {
 	}
 }
 
-func TestLiveNetworkTimer(t *testing.T) {
-	g := line(2)
-	ln := NewLiveNetwork(g, nil, time.Millisecond)
+func TestRuntimeTimer(t *testing.T) {
+	rt := chanRuntime(t, line(2), nil, time.Millisecond)
 	done := make(chan int, 1)
-	ln.SetHandler(0, &timerHandler{
+	startHandlers(t, rt, []sim.Handler{&timerHandler{
 		onStart: func(ctx *sim.Context) { ctx.SetTimer(ctx.Now()+5, 7) },
 		onTimer: func(tag int) {
 			select {
@@ -142,8 +173,7 @@ func TestLiveNetworkTimer(t *testing.T) {
 			default:
 			}
 		},
-	})
-	ln.Start()
+	}})
 	select {
 	case tag := <-done:
 		if tag != 7 {
@@ -152,5 +182,5 @@ func TestLiveNetworkTimer(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("live timer never fired")
 	}
-	ln.Stop()
+	rt.Stop()
 }

@@ -86,7 +86,7 @@ func TestPerQueryChurnIsolation(t *testing.T) {
 			Deadline: 1000,
 		}
 		if id == 1 {
-			inst.Churn = churn.Schedule{{H: 1, T: 0}}
+			inst.Churn = churn.Timeline{{H: 1, T: 0}}
 		}
 		return inst, nil
 	})
@@ -148,7 +148,7 @@ func TestPerQueryChurnTimedDeparture(t *testing.T) {
 		return &QueryInstance{
 			Handlers: []sim.Handler{&pinger{to: 1, laterAt: 6}, r},
 			Deadline: 1000,
-			Churn:    churn.Schedule{{H: 1, T: 3}},
+			Churn:    churn.Timeline{{H: 1, T: 3}},
 		}, nil
 	})
 	if err := rt.Start(); err != nil {

@@ -36,13 +36,14 @@ func TestRuntimeWildfireCountMatchesOracle(t *testing.T) {
 	q := protocol.Query{Kind: agg.Count, Hq: 0, DHat: dHat, Params: fmParams}
 	wf := protocol.NewWildfire(q)
 
-	ln := NewLiveNetwork(g, nil, testHop)
-	if err := InstallLive(ln, wf, 17); err != nil {
+	rt := chanRuntime(t, g, nil, testHop)
+	inst, err := BuildInstance(rt, wf, 17)
+	if err != nil {
 		t.Fatal(err)
 	}
-	ln.Start()
+	startHandlers(t, rt, inst.Handlers)
 	waitQuery(dHat, testHop)
-	ln.Stop()
+	rt.Stop()
 
 	v, ok := wf.Result()
 	if !ok {
@@ -56,7 +57,7 @@ func TestRuntimeWildfireCountMatchesOracle(t *testing.T) {
 		t.Fatalf("estimate %.1f outside FM bounds [%.1f, %.1f] × %.1f",
 			v, b.LowerValue, b.UpperValue, fmFactor)
 	}
-	st := ln.Runtime().Stats()
+	st := rt.Stats()
 	if st.MessagesSent == 0 || st.MaxComputation() == 0 || st.TimeCost == 0 {
 		t.Fatalf("cost accounting empty: %+v", st)
 	}
@@ -72,20 +73,21 @@ func TestRuntimeWildfireCountUnderKill(t *testing.T) {
 	q := protocol.Query{Kind: agg.Count, Hq: 0, DHat: dHat, Params: fmParams}
 	wf := protocol.NewWildfire(q)
 
-	ln := NewLiveNetwork(g, nil, testHop)
-	if err := InstallLive(ln, wf, 19); err != nil {
+	rt := chanRuntime(t, g, nil, testHop)
+	inst, err := BuildInstance(rt, wf, 19)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// A tenth of the network is switched off before the query starts
 	// (§3.2 departures; h_q itself is protected as in the experiments).
-	var sched churn.Schedule
+	var sched churn.Timeline
 	for h := graph.HostID(1); int(h) <= n/10; h++ {
-		ln.Kill(h)
-		sched = append(sched, churn.Failure{H: h, T: 0})
+		rt.Kill(h)
+		sched = append(sched, churn.Event{H: h, T: 0})
 	}
-	ln.Start()
+	startHandlers(t, rt, inst.Handlers)
 	waitQuery(dHat, testHop)
-	ln.Stop()
+	rt.Stop()
 
 	v, ok := wf.Result()
 	if !ok {
@@ -154,22 +156,23 @@ func TestRuntimeShardedOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Install(rt, wf, 29); err != nil {
+		rt.SetQueryFactory(func(QueryID) (*QueryInstance, error) {
+			return BuildInstance(rt, wf, 29)
+		})
+		if err := rt.Start(); err != nil {
 			t.Fatal(err)
 		}
 		return rt, wf
 	}
 
+	// The worker shard first: its instance materializes on first contact.
 	rtB, _ := newShard(localB)
-	if err := rtB.Start(); err != nil {
-		t.Fatal(err)
-	}
 	defer rtB.Stop()
 	rtA, wfA := newShard(localA)
-	if err := rtA.Start(); err != nil {
+	defer rtA.Stop()
+	if _, err := rtA.StartQuery(1); err != nil {
 		t.Fatal(err)
 	}
-	defer rtA.Stop()
 
 	waitQuery(dHat, hop)
 	rtA.Stop()

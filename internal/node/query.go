@@ -69,26 +69,13 @@ func QuerySeed(shared int64, id QueryID) int64 {
 	return shared ^ (int64(id)+1)*0x2545F4914F6CDD1D
 }
 
-// BuildInstance materializes p's per-host handlers for rt's local hosts,
-// each wrapped with an independent per-host RNG derived from seed — the
-// standard QueryFactory body. Protocols build their handlers in
-// Install(*sim.Network), so a scratch event-loop network over the same
-// graph is used purely as a handler factory; it is never run.
-func BuildInstance(rt *Runtime, p protocol.Protocol, seed int64) (*QueryInstance, error) {
-	hs, err := materializeHandlers(rt, p, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &QueryInstance{Protocol: p, Handlers: hs, Deadline: p.Deadline()}, nil
-}
-
 // StartQuery instantiates query id locally via the registered factory and
 // invokes Start on every local host's handler — the issuing side of the
 // engine. Remote processes need no call: their instances materialize on
 // first contact with the query's frames.
 func (rt *Runtime) StartQuery(id QueryID) (*QueryInstance, error) {
-	if id <= DefaultQuery {
-		return nil, fmt.Errorf("node: query ids must be ≥ 1 (%d is reserved for the single-query face)", DefaultQuery)
+	if id < 1 {
+		return nil, fmt.Errorf("node: query ids must be ≥ 1, got %d", id)
 	}
 	qs, created, err := rt.queryForErr(id, true)
 	if err != nil {
@@ -139,14 +126,6 @@ type queryEntry struct {
 	err  error       // non-nil if the factory failed (qs is a tombstone)
 }
 
-// queryFor resolves id to its local state, lazily instantiating it via the
-// factory when create is set. Factory failures leave a retired tombstone
-// so the factory runs at most once per id.
-func (rt *Runtime) queryFor(id QueryID, create bool) *queryState {
-	qs, _, _ := rt.queryForErr(id, create)
-	return qs
-}
-
 // lookupQuery returns id's state without instantiating anything (nil while
 // unknown or still materializing).
 func (rt *Runtime) lookupQuery(id QueryID) *queryState {
@@ -159,8 +138,12 @@ func (rt *Runtime) lookupQuery(id QueryID) *queryState {
 	return e.qs
 }
 
+// queryForErr resolves id to its local state, lazily instantiating it via
+// the factory when create is set; the bool reports whether this call ran
+// the factory. Factory failures leave a retired tombstone so the factory
+// runs at most once per id.
 func (rt *Runtime) queryForErr(id QueryID, create bool) (*queryState, bool, error) {
-	if id < DefaultQuery {
+	if id < 1 {
 		// QueryID is read off the network: a corrupt or hostile frame must
 		// not reach the factory (whose spec derivation assumes ids ≥ 1).
 		return nil, false, nil
@@ -180,10 +163,10 @@ func (rt *Runtime) queryForErr(id QueryID, create bool) (*queryState, bool, erro
 			return nil, false, nil
 		}
 		// Admission control: a saturated runtime refuses to materialize new
-		// query state (the default entry does not count against the cap).
-		// No entry or tombstone is created, so a retry after load drops —
-		// or after retired queries compact away — can still succeed.
-		if rt.maxLive >= 0 && len(rt.queries)-1 >= rt.maxLive {
+		// query state. No entry or tombstone is created, so a retry after
+		// load drops — or after retired queries compact away — can still
+		// succeed.
+		if rt.maxLive >= 0 && len(rt.queries) >= rt.maxLive {
 			rt.mu.Unlock()
 			rt.met.rejected.Inc()
 			if rt.trace != nil {
@@ -243,9 +226,6 @@ func (rt *Runtime) queryForErr(id QueryID, create bool) (*queryState, bool, erro
 // freed while an in-flight callback could still touch it. Stats counters
 // survive retirement.
 func (rt *Runtime) retire(qs *queryState) {
-	if qs.id == DefaultQuery {
-		return
-	}
 	qs.retired.Store(true)
 	qs.inst.Store(nil)
 	rt.met.retired.Inc()
@@ -411,8 +391,7 @@ func (qs *queryState) startHost(h graph.HostID, hd sim.Handler, ctx *sim.Context
 // armClock starts the query clock if it is not yet running, converts the
 // query's membership timeline into absolute timer-heap entries for the
 // local hosts (a transition at tick k fires k·δ after the clock armed —
-// departures as tkQueryDead, joins as tkQueryJoin), and arms the engine
-// clock alongside it.
+// departures as tkQueryDead, joins as tkQueryJoin).
 func (qs *queryState) armClock(rt *Runtime) {
 	qs.clockOnce.Do(func() {
 		t := time.Now()
@@ -443,7 +422,6 @@ func (qs *queryState) armClock(rt *Runtime) {
 			}
 		}
 	})
-	rt.armEngineClock()
 }
 
 func (qs *queryState) observeChain(chain int) {

@@ -105,9 +105,6 @@ func summarize(id QueryID, s Stats) RetiredStats {
 // gone (and lands on the folded totals directly) — none can fall between
 // the snapshot and the delete and be lost.
 func (rt *Runtime) compact(qs *queryState) {
-	if qs.id == DefaultQuery {
-		return
-	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	e := rt.queries[qs.id]

@@ -66,19 +66,13 @@ import (
 )
 
 // QueryID identifies one in-flight query across the fleet; it is the
-// demux key carried in every transport frame. ID 0 is the runtime's
-// default query — the single-query face used by SetHandler/Install and
-// LiveNetwork — and is never retired.
+// demux key carried in every transport frame. Valid ids are ≥ 1: the
+// demux drops anything lower, read off the wire, as an unknown query.
 type QueryID = transport.QueryID
-
-// DefaultQuery is the reserved QueryID of the single-query face.
-const DefaultQuery QueryID = 0
 
 // shardQueueCap is the default bound on a shard's pending-callback queue.
 // Transport delivery goroutines block when it fills, which back-pressures
-// senders instead of growing memory without bound. Each shard's queue is
-// widened to hold at least one Start item per owned host, so Start can
-// seed every host before the workers launch without wedging.
+// senders instead of growing memory without bound.
 const shardQueueCap = 1024
 
 // DefaultMaxLiveQueries is the admission cap applied when
@@ -291,7 +285,6 @@ type Runtime struct {
 	closed  bool
 	factory QueryFactory
 	queries map[QueryID]*queryEntry
-	def     *queryState
 	// Compacted history: retired queries shrink to ring summaries and fold
 	// their counters into retiredTotal (see retired.go).
 	retired      retiredRing
@@ -300,20 +293,11 @@ type Runtime struct {
 	quit chan struct{}
 	wg   sync.WaitGroup
 
-	// The engine clock arms at the runtime's first traffic of any query;
-	// KillAt departures are scheduled against it (a host dies for every
-	// query at once). Per-query protocol clocks are separate — see
-	// queryState. The anchor is a time.Time so elapsed time rides Go's
-	// monotonic clock: an NTP step mid-query must not move deadlines.
-	clockOnce  sync.Once
-	clockStart atomic.Pointer[time.Time]
-
 	// Timer heap shared by all hosts and queries; see timer.go.
-	tmu          sync.Mutex
-	theap        timerHeap
-	timerSeq     uint64
-	timerWake    chan struct{}
-	pendingKills []pendingKill
+	tmu       sync.Mutex
+	theap     timerHeap
+	timerSeq  uint64
+	timerWake chan struct{}
 
 	// Observability (obs.go): nil obs/trace disable instrumentation; met
 	// holds pre-registered counters so hot paths never look anything up.
@@ -322,9 +306,8 @@ type Runtime struct {
 	met   runtimeMetrics
 }
 
-// New builds a runtime over cfg. Single-query callers install handlers
-// with SetHandler before Start; multi-query callers register a
-// QueryFactory and issue queries with StartQuery.
+// New builds a runtime over cfg. Callers register a QueryFactory before
+// Start and issue queries with StartQuery.
 func New(cfg Config) (*Runtime, error) {
 	n := cfg.Graph.Len()
 	values := cfg.Values
@@ -384,11 +367,8 @@ func New(cfg Config) (*Runtime, error) {
 	// Round-robin over the sorted local host list: partitions stay within
 	// one host of each other in size no matter how the shard boundary of
 	// the process was drawn.
-	perShard := make([]int, nshards)
 	for i, h := range rt.localHosts {
-		s := i % nshards
-		rt.shardOf[h] = int32(s)
-		perShard[s]++
+		rt.shardOf[h] = int32(i % nshards)
 	}
 	qcap := cfg.ShardQueue
 	if qcap <= 0 {
@@ -396,13 +376,7 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	rt.shards = make([]*shard, nshards)
 	for s := range rt.shards {
-		c := qcap
-		// Start seeds one itemStart per owned host before the workers
-		// launch; the queue must absorb them all without a drain.
-		if min := perShard[s] + 1; c < min {
-			c = min
-		}
-		rt.shards[s] = &shard{ch: make(chan item, c)}
+		rt.shards[s] = &shard{ch: make(chan item, qcap)}
 	}
 	switch {
 	case cfg.MaxLiveQueries < 0:
@@ -421,10 +395,6 @@ func New(cfg Config) (*Runtime, error) {
 		rt.quiesce = len(remote) > 0
 	}
 	rt.initObs(cfg.Obs, cfg.Trace)
-	rt.def = newQueryState(rt, DefaultQuery, nil, 0)
-	defEntry := &queryEntry{qs: rt.def}
-	defEntry.once.Do(func() {}) // pre-consumed: the default face has no factory
-	rt.queries[DefaultQuery] = defEntry
 	return rt, nil
 }
 
@@ -444,24 +414,8 @@ func (rt *Runtime) Values() []int64 { return rt.values }
 // Local reports whether h is served by this runtime.
 func (rt *Runtime) Local(h graph.HostID) bool { return rt.local[h] }
 
-// SetHandler installs the protocol state machine for local host h on the
-// default query. Handlers for hosts served elsewhere are ignored, so
-// callers can install a full protocol (e.g. protocol.Wildfire materialized
-// on a scratch sim.Network) without tracking the shard boundary
-// themselves.
-func (rt *Runtime) SetHandler(h graph.HostID, hd sim.Handler) {
-	if rt.local[h] {
-		rt.def.handlers[h] = hd
-	}
-}
-
-// Handler returns the default-query handler installed at local host h
-// (nil otherwise).
-func (rt *Runtime) Handler(h graph.HostID) sim.Handler { return rt.def.handlers[h] }
-
-// Start binds every local host on the transport, opens it, launches the
-// shard workers plus the timer loop, and invokes each default-query
-// handler's Start on its host's shard.
+// Start binds every local host on the transport, opens it, and launches
+// the shard workers plus the timer loop.
 func (rt *Runtime) Start() error {
 	rt.mu.Lock()
 	if rt.started {
@@ -472,10 +426,6 @@ func (rt *Runtime) Start() error {
 	rt.mu.Unlock()
 
 	for _, h := range rt.localHosts {
-		// Start is enqueued before the host is reachable, so it is the
-		// first callback of the host its shard worker runs (and startHost
-		// is exactly-once even against a frame that would race it).
-		rt.enqueue(h, item{kind: itemStart, qs: rt.def})
 		if err := rt.tr.Bind(h, rt.recvFunc(h)); err != nil {
 			return err
 		}
@@ -805,27 +755,6 @@ func (rt *Runtime) QueryStats(id QueryID) (Stats, bool) {
 		}, true
 	}
 	return qs.snapshot(), true
-}
-
-// armEngineClock starts the engine clock (KillAt's reference) if it is not
-// yet running, converting any departures scheduled before first traffic
-// into absolute timer-heap entries.
-func (rt *Runtime) armEngineClock() {
-	rt.clockOnce.Do(func() {
-		t := time.Now()
-		rt.clockStart.Store(&t)
-		rt.tmu.Lock()
-		for _, pk := range rt.pendingKills {
-			rt.pushTimerLocked(&timerEntry{
-				when: t.Add(time.Duration(pk.at) * rt.hop),
-				kind: tkKill,
-				h:    pk.h,
-			})
-		}
-		rt.pendingKills = nil
-		rt.tmu.Unlock()
-		rt.wakeTimer()
-	})
 }
 
 // --- handler helpers -----------------------------------------------------

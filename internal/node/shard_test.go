@@ -90,6 +90,7 @@ func TestShardSerializationProperty(t *testing.T) {
 	}
 	errs := make(chan string, 3*hosts*msgs) // room for every check of every callback to fail
 	probes := make([]*orderProbe, hosts)
+	handlers := make([]sim.Handler, hosts)
 	for h := 0; h < hosts; h++ {
 		p := &orderProbe{h: graph.HostID(h), errs: errs}
 		probes[h] = p
@@ -97,14 +98,12 @@ func TestShardSerializationProperty(t *testing.T) {
 		// ones makes every worker serve both kinds.
 		if (h/nshards)%2 == 1 {
 			p.rng = rand.New(rand.NewSource(int64(h)))
-			rt.SetHandler(p.h, WithRand(p, p.rng))
+			handlers[h] = WithRand(p, p.rng)
 		} else {
-			rt.SetHandler(p.h, p)
+			handlers[h] = p
 		}
 	}
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
+	startHandlers(t, rt, handlers)
 	defer rt.Stop()
 
 	// One producer per host: the channel transport's single delivery
@@ -116,7 +115,7 @@ func TestShardSerializationProperty(t *testing.T) {
 		go func(h graph.HostID) {
 			defer wg.Done()
 			for seq := 0; seq < msgs; seq++ {
-				if err := tr.Send(transport.Message{From: h, To: h, Query: DefaultQuery, Payload: seq}); err != nil {
+				if err := tr.Send(transport.Message{From: h, To: h, Query: 1, Payload: seq}); err != nil {
 					errs <- fmt.Sprintf("host %d: send %d: %v", h, seq, err)
 					return
 				}
@@ -184,25 +183,22 @@ func TestDispatchCongestionDoesNotBlockTimers(t *testing.T) {
 		Transport:  tr,
 		Hop:        hop,
 		Shards:     2, // host 0 → shard 0, host 1 → shard 1
-		ShardQueue: 1, // widened to 2 (hostsInShard+1) by New
+		ShardQueue: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	gate := &gateHandler{entered: make(chan struct{}), release: make(chan struct{})}
-	rt.SetHandler(0, gate)
 	fired := make(chan int, 1)
-	rt.SetHandler(1, &timerHandler{
+	startHandlers(t, rt, []sim.Handler{gate, &timerHandler{
 		onStart: func(ctx *sim.Context) {},
 		onTimer: func(tag int) { fired <- tag },
-	})
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
+	}})
 	defer rt.Stop()
+	qs := rt.lookupQuery(1)
 
 	// Wedge shard 0: first message parks the worker inside Receive...
-	if err := tr.Send(transport.Message{From: 0, To: 0, Query: DefaultQuery, Payload: 0}); err != nil {
+	if err := tr.Send(transport.Message{From: 0, To: 0, Query: 1, Payload: 0}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -210,13 +206,13 @@ func TestDispatchCongestionDoesNotBlockTimers(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("handler never entered")
 	}
-	// ...then timer-loop-style dispatches overfill its queue (cap 2) and
+	// ...then timer-loop-style dispatches overfill its queue (cap 1) and
 	// spill onto the overflow list. dispatch must return without blocking —
 	// the test would hang here if it didn't.
 	const parked = 10
 	for seq := 1; seq <= parked; seq++ {
-		rt.dispatch(0, item{kind: itemMsg, qs: rt.def, msg: transport.Message{
-			From: 0, To: 0, Query: DefaultQuery, Payload: seq,
+		rt.dispatch(0, item{kind: itemMsg, qs: qs, msg: transport.Message{
+			From: 0, To: 0, Query: 1, Payload: seq,
 		}})
 	}
 	if d := rt.shards[rt.shardOf[0]].depth(); d < parked-2 {
@@ -224,7 +220,7 @@ func TestDispatchCongestionDoesNotBlockTimers(t *testing.T) {
 	}
 
 	// The other shard's timer must fire while shard 0 is wedged.
-	rt.scheduleEntry(&timerEntry{when: time.Now().Add(hop), kind: tkTimer, h: 1, qs: rt.def, tag: 7})
+	rt.scheduleEntry(&timerEntry{when: time.Now().Add(hop), kind: tkTimer, h: 1, qs: qs, tag: 7})
 	select {
 	case tag := <-fired:
 		if tag != 7 {
@@ -326,6 +322,65 @@ func TestAdmissionControlCapsLiveQueries(t *testing.T) {
 	}
 	assertTracedRejection(3)
 	assertTracedRejection(4)
+}
+
+// TestIdleRuntimeHoldsNoQuery pins the one door into the engine: a started
+// runtime nobody has issued a query on holds no query state — the live
+// gauge reads 0 and QuerySnapshots is empty — and a frame carrying QueryID
+// 0 is an unknown query like any other id below 1: counted on the drop
+// counter, never handed to the factory or a shard queue.
+func TestIdleRuntimeHoldsNoQuery(t *testing.T) {
+	tr := transport.NewChannel(2, 0)
+	reg := obs.NewRegistry()
+	rt, err := New(Config{Graph: line(2), Transport: tr, Hop: time.Millisecond, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var factoryCalls atomic.Int64
+	rt.SetQueryFactory(func(QueryID) (*QueryInstance, error) {
+		factoryCalls.Add(1)
+		r := &seqRecorder{}
+		return &QueryInstance{Handlers: []sim.Handler{r, r}}, nil
+	})
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+
+	assertIdle := func(when string) {
+		t.Helper()
+		live := -1.0
+		for _, g := range reg.Snapshot().Gauges {
+			if g.Name == "node_queries_live" {
+				live = g.Value
+			}
+		}
+		if live != 0 {
+			t.Fatalf("%s: node_queries_live = %v on a runtime with no query, want 0", when, live)
+		}
+		if qs := rt.QuerySnapshots(); len(qs) != 0 {
+			t.Fatalf("%s: QuerySnapshots lists %+v on a runtime with no query", when, qs)
+		}
+	}
+	assertIdle("after Start")
+
+	if err := tr.Send(transport.Message{From: 0, To: 1, Query: 0, Chain: 1, Payload: "ping"}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for rt.met.dropUnknown.Value() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("frame for query 0 not counted as an unknown-query drop (counter = %d)", rt.met.dropUnknown.Value())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := factoryCalls.Load(); n != 0 {
+		t.Fatalf("factory invoked %d times for query 0", n)
+	}
+	if d := rt.shards[rt.shardOf[1]].depth(); d != 0 {
+		t.Fatalf("frame for query 0 reached host 1's shard queue (depth %d)", d)
+	}
+	assertIdle("after a query-0 frame")
 }
 
 // TestShardDefaultsClamp pins the shard-count defaulting: zero Shards

@@ -6,7 +6,6 @@ import (
 
 	"validity/internal/graph"
 	"validity/internal/obs"
-	"validity/internal/sim"
 )
 
 // The runtime keeps a single timer heap drained by one goroutine instead
@@ -15,17 +14,15 @@ import (
 // spawning a goroutine for each would churn the scheduler for no benefit.
 // The heap orders entries by wall-clock firing time with a sequence-number
 // tiebreak (FIFO among equal times, matching the event loop's
-// determinism), and covers protocol timers, scheduled membership
-// transitions — the all-queries KillAt kind plus per-query departures and
-// joins — and query-state retirement and compaction alike.
+// determinism), and covers protocol timers, scheduled per-query
+// membership transitions — departures and joins — and query-state
+// retirement and compaction alike.
 
 type timerKind uint8
 
 const (
 	// tkTimer fires a protocol timer callback on a host goroutine.
 	tkTimer timerKind = iota
-	// tkKill executes a scheduled all-queries departure (§3.2).
-	tkKill
 	// tkQueryDead executes a departure on one query's membership timeline:
 	// the host goes silent for that query and that query only.
 	tkQueryDead
@@ -81,28 +78,15 @@ func (q *timerHeap) Pop() any {
 	return e
 }
 
-// pendingKill is a departure scheduled before the engine clock armed; it
-// converts to an absolute heap entry at arm time (armEngineClock).
-type pendingKill struct {
-	h  graph.HostID
-	at sim.Time
-}
-
-// pushTimerLocked adds e to the heap and reports whether it became the
-// earliest entry; rt.tmu must be held.
-func (rt *Runtime) pushTimerLocked(e *timerEntry) bool {
-	e.seq = rt.timerSeq
-	rt.timerSeq++
-	heap.Push(&rt.theap, e)
-	return rt.theap[0] == e
-}
-
 // scheduleEntry adds e to the heap, waking the timer loop only when e is
 // the new earliest entry and so shortens the current sleep: the loop is
 // already timed for the old head, which any later entry leaves in place.
 func (rt *Runtime) scheduleEntry(e *timerEntry) {
 	rt.tmu.Lock()
-	head := rt.pushTimerLocked(e)
+	e.seq = rt.timerSeq
+	rt.timerSeq++
+	heap.Push(&rt.theap, e)
+	head := rt.theap[0] == e
 	rt.tmu.Unlock()
 	if head {
 		rt.wakeTimer()
@@ -124,7 +108,7 @@ func (rt *Runtime) wakeTimer() {
 // shrink to a ring summary.
 func (rt *Runtime) scheduleRetire(qs *queryState) {
 	if qs.deadline <= 0 {
-		return // the default face and deadline-less instances never retire
+		return // deadline-less (handler-only) instances never retire
 	}
 	retireAt := time.Now().Add(2*time.Duration(qs.deadline)*rt.hop + retireGrace)
 	rt.scheduleEntry(&timerEntry{when: retireAt, kind: tkRetire, qs: qs})
@@ -181,8 +165,6 @@ func (rt *Runtime) fireTimer(e *timerEntry) {
 		// congested shard while other shards' timers are due.
 		rt.met.timersFired.Inc()
 		rt.dispatch(e.h, item{kind: itemTimer, qs: e.qs, tag: e.tag, chain: e.chain})
-	case tkKill:
-		rt.Kill(e.h)
 	case tkQueryDead:
 		e.qs.markDead(e.h)
 		if rt.trace != nil {
@@ -223,22 +205,4 @@ func (rt *Runtime) fireTimer(e *timerEntry) {
 // the entry fires drops it.
 func (rt *Runtime) After(d time.Duration, fn func()) {
 	rt.scheduleEntry(&timerEntry{when: time.Now().Add(d), kind: tkFunc, fn: fn})
-}
-
-// KillAt schedules Kill(h) at virtual tick `at` on the engine clock (which
-// arms at the runtime's first traffic of any query): a departure scheduled
-// for tick 10 happens 10 δ after the first query reaches this process, no
-// matter how much earlier the process booted.
-func (rt *Runtime) KillAt(h graph.HostID, at sim.Time) {
-	if !rt.local[h] {
-		return
-	}
-	rt.tmu.Lock()
-	if start := rt.clockStart.Load(); start != nil {
-		rt.pushTimerLocked(&timerEntry{when: start.Add(time.Duration(at) * rt.hop), kind: tkKill, h: h})
-	} else {
-		rt.pendingKills = append(rt.pendingKills, pendingKill{h: h, at: at})
-	}
-	rt.tmu.Unlock()
-	rt.wakeTimer()
 }

@@ -32,7 +32,7 @@ func TestNoChurnBoundsCoincide(t *testing.T) {
 func TestFailureCutsHC(t *testing.T) {
 	g, vals := chain()
 	// Host 2 fails at t=10 < T: hosts 3,4 lose their stable path.
-	sched := churn.Schedule{{H: 2, T: 10}}
+	sched := churn.Timeline{{H: 2, T: 10}}
 	b := Compute(g, vals, 0, sched, 100, agg.Count)
 	if len(b.HC) != 2 {
 		t.Fatalf("|HC| = %d, want 2 (hosts 0,1)", len(b.HC))
@@ -47,7 +47,7 @@ func TestFailureCutsHC(t *testing.T) {
 
 func TestFailureAfterDeadlineDoesNotCount(t *testing.T) {
 	g, vals := chain()
-	sched := churn.Schedule{{H: 2, T: 150}}
+	sched := churn.Timeline{{H: 2, T: 150}}
 	b := Compute(g, vals, 0, sched, 100, agg.Count)
 	if len(b.HC) != 5 {
 		t.Fatalf("|HC| = %d, want 5 (failure after T)", len(b.HC))
@@ -57,7 +57,7 @@ func TestFailureAfterDeadlineDoesNotCount(t *testing.T) {
 func TestFailureExactlyAtDeadlineCounts(t *testing.T) {
 	g, vals := chain()
 	// Fails at exactly T: not alive during the entire closed interval.
-	sched := churn.Schedule{{H: 4, T: 100}}
+	sched := churn.Timeline{{H: 4, T: 100}}
 	b := Compute(g, vals, 0, sched, 100, agg.Count)
 	if len(b.HC) != 4 {
 		t.Fatalf("|HC| = %d, want 4", len(b.HC))
@@ -66,7 +66,7 @@ func TestFailureExactlyAtDeadlineCounts(t *testing.T) {
 
 func TestQueryHostFailureEmptiesHC(t *testing.T) {
 	g, vals := chain()
-	sched := churn.Schedule{{H: 0, T: 5}}
+	sched := churn.Timeline{{H: 0, T: 5}}
 	b := Compute(g, vals, 0, sched, 100, agg.Count)
 	if len(b.HC) != 0 {
 		t.Fatalf("|HC| = %d, want 0 when hq fails", len(b.HC))
@@ -78,7 +78,7 @@ func TestQueryHostFailureEmptiesHC(t *testing.T) {
 
 func TestSumAndMinMaxBounds(t *testing.T) {
 	g, vals := chain()
-	sched := churn.Schedule{{H: 2, T: 10}}
+	sched := churn.Timeline{{H: 2, T: 10}}
 	sum := Compute(g, vals, 0, sched, 100, agg.Sum)
 	if sum.LowerValue != 3 || sum.UpperValue != 15 {
 		t.Fatalf("sum bounds = %v..%v, want 3..15", sum.LowerValue, sum.UpperValue)
@@ -96,7 +96,7 @@ func TestSumAndMinMaxBounds(t *testing.T) {
 
 func TestValid(t *testing.T) {
 	g, vals := chain()
-	sched := churn.Schedule{{H: 2, T: 10}}
+	sched := churn.Timeline{{H: 2, T: 10}}
 	b := Compute(g, vals, 0, sched, 100, agg.Count)
 	for _, v := range []float64{2, 3, 5} {
 		if !b.Valid(v, 0) {
@@ -119,7 +119,7 @@ func TestValidMinOrientation(t *testing.T) {
 	g.AddEdge(1, 2)
 	vals := []int64{10, 5, 1}
 	// Host 1 fails: HC = {0}, q_min(HC)=10; HU q_min = 1.
-	sched := churn.Schedule{{H: 1, T: 1}}
+	sched := churn.Timeline{{H: 1, T: 1}}
 	b := Compute(g, vals, 0, sched, 100, agg.Min)
 	if b.LowerValue != 10 || b.UpperValue != 1 {
 		t.Fatalf("min bounds = %v..%v, want 10..1", b.LowerValue, b.UpperValue)
@@ -137,7 +137,7 @@ func TestValidMinOrientation(t *testing.T) {
 
 func TestValidFactor(t *testing.T) {
 	g, vals := chain()
-	sched := churn.Schedule{{H: 2, T: 10}}
+	sched := churn.Timeline{{H: 2, T: 10}}
 	b := Compute(g, vals, 0, sched, 100, agg.Count) // [2,5]
 	if !b.ValidFactor(7.5, 2) {                     // ≤ 5·2
 		t.Error("7.5 within factor 2 of upper bound 5")
@@ -185,7 +185,7 @@ func TestComputePanicsOnLengthMismatch(t *testing.T) {
 func TestEarliestFailureWins(t *testing.T) {
 	g, vals := chain()
 	// Same host with two schedule entries: the earlier one governs.
-	sched := churn.Schedule{{H: 2, T: 200}, {H: 2, T: 10}}
+	sched := churn.Timeline{{H: 2, T: 200}, {H: 2, T: 10}}
 	b := Compute(g, vals, 0, sched, 100, agg.Count)
 	if len(b.HC) != 2 {
 		t.Fatalf("|HC| = %d, want 2 (earliest failure governs)", len(b.HC))

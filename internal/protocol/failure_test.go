@@ -53,7 +53,7 @@ func TestPartitionMidQueryWildfireRespectsHC(t *testing.T) {
 	if v != 10 {
 		t.Fatalf("partitioned max = %v, want 10 (community A only)", v)
 	}
-	sched := churn.Schedule{{H: bridge, T: 1}}
+	sched := churn.Timeline{{H: bridge, T: 1}}
 	b := oracle.Compute(g, vals, 0, sched, q.Deadline(), agg.Max)
 	if !b.Valid(v, 0) {
 		t.Fatalf("partitioned result %v outside oracle [%v,%v]", v, b.LowerValue, b.UpperValue)
@@ -74,7 +74,7 @@ func TestPartitionMidQueryWildfireRespectsHC(t *testing.T) {
 	if v2 < 10 || v2 > 21 {
 		t.Fatalf("late-partition max = %v, want within [10,21]", v2)
 	}
-	sched2 := churn.Schedule{{H: bridge, T: 9}}
+	sched2 := churn.Timeline{{H: bridge, T: 9}}
 	b2 := oracle.Compute(g, vals, 0, sched2, q.Deadline(), agg.Max)
 	if !b2.Valid(v2, 0) {
 		t.Fatalf("late-partition result %v outside oracle [%v,%v]", v2, b2.LowerValue, b2.UpperValue)
@@ -156,7 +156,7 @@ func TestWirelessGridValidityUnderChurn(t *testing.T) {
 	}
 }
 
-func churnSchedule(n, r int, seed int64, deadline sim.Time) churn.Schedule {
+func churnSchedule(n, r int, seed int64, deadline sim.Time) churn.Timeline {
 	return churn.UniformRemoval(n, r, 0, 0, deadline, newRand(seed))
 }
 

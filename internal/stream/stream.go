@@ -202,18 +202,3 @@ func (s *Stream) emit(r Result) {
 	case <-s.quit:
 	}
 }
-
-// Live is the LiveNetwork continuous face: it registers the plan's window
-// factory on ln's engine, starts the network, and opens the stream — the
-// whole §4.2 execution in one call for single-process callers (the public
-// validity facade, examples). The caller drains Results and then Stops
-// the network.
-func Live(ln *node.LiveNetwork, p *Plan) (*Stream, error) {
-	if err := p.init(); err != nil {
-		return nil, err
-	}
-	rt := ln.Runtime()
-	rt.SetQueryFactory(p.Factory(rt))
-	ln.Start()
-	return Start(rt, p)
-}

@@ -12,6 +12,7 @@ import (
 	"validity/internal/protocol"
 	"validity/internal/sim"
 	"validity/internal/topology"
+	"validity/internal/transport"
 	"validity/internal/zipfval"
 )
 
@@ -48,7 +49,7 @@ func TestSlicePreservesDepartures(t *testing.T) {
 	)
 	horizon := w * sim.Time(n)
 	for trial := 0; trial < 50; trial++ {
-		var sched churn.Schedule
+		var sched churn.Timeline
 		inHorizon := 0
 		for i := 0; i < 40; i++ {
 			// A quarter of the departures land past the horizon (dropped),
@@ -58,7 +59,7 @@ func TestSlicePreservesDepartures(t *testing.T) {
 			if tick < horizon {
 				inHorizon++
 			}
-			sched = append(sched, churn.Failure{H: graph.HostID(rng.Intn(hosts)), T: tick})
+			sched = append(sched, churn.Event{H: graph.HostID(rng.Intn(hosts)), T: tick})
 		}
 		slices := Slice(sched, w, n)
 		if len(slices) != n {
@@ -95,7 +96,7 @@ func TestSlicePreservesDepartures(t *testing.T) {
 }
 
 func TestSliceClampsNegativeTicks(t *testing.T) {
-	slices := Slice(churn.Schedule{{H: 3, T: -4}}, 10, 2)
+	slices := Slice(churn.Timeline{{H: 3, T: -4}}, 10, 2)
 	if len(slices[0]) != 1 || slices[0][0].T != 0 || len(slices[1]) != 0 {
 		t.Fatalf("negative tick not clamped into window 0 at tick 0: %v", slices)
 	}
@@ -112,13 +113,13 @@ func TestWindowScheduleCarriesDeadHostsForward(t *testing.T) {
 		WindowLen: 9,
 		Windows:   3,
 		Seed:      5,
-		Static: churn.Schedule{
+		Static: churn.Timeline{
 			{H: 5, T: 3},  // window 0, relative 3
 			{H: 7, T: 9},  // exactly the window-1 boundary: window 1, relative 0
 			{H: 9, T: 13}, // window 1, relative 4
 		},
 	}
-	want := [][]churn.Failure{
+	want := [][]churn.Event{
 		{{H: 5, T: 3}},
 		{{H: 5, T: 0}, {H: 7, T: 0}, {H: 9, T: 4}},
 		{{H: 5, T: 0}, {H: 7, T: 0}, {H: 9, T: 0}},
@@ -128,7 +129,7 @@ func TestWindowScheduleCarriesDeadHostsForward(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, churn.Schedule(w)) {
+		if !reflect.DeepEqual(got, churn.Timeline(w)) {
 			t.Fatalf("window %d schedule = %v, want %v", k, got, w)
 		}
 	}
@@ -148,7 +149,7 @@ func TestPlanDerivationIsDeterministic(t *testing.T) {
 			WindowLen: 10,
 			Windows:   4,
 			Seed:      23,
-			Static:    churn.Schedule{{H: 9, T: 12}},
+			Static:    churn.Timeline{{H: 9, T: 12}},
 			Source:    churn.Uniform{N: 30, Remove: 5},
 		}
 	}
@@ -210,10 +211,46 @@ func TestPlanValidation(t *testing.T) {
 		t.Fatal("reserved query id accepted")
 	}
 	p = base()
-	p.Static = churn.Schedule{{H: 0, T: 1}}
+	p.Static = churn.Timeline{{H: 0, T: 1}}
 	if p.Validate() == nil {
 		t.Fatal("schedule killing the monitoring host accepted")
 	}
+}
+
+// runOnEngine streams plan to completion on an all-local chan runtime —
+// node.New, Plan.Factory, Start, stream.Start: the calls validityd
+// -continuous makes — and returns the windows, which must all arrive.
+func runOnEngine(t *testing.T, plan *Plan, g *graph.Graph, values []int64) []Result {
+	t.Helper()
+	rt, err := node.New(node.Config{
+		Graph:     g,
+		Values:    values,
+		Transport: transport.NewChannel(g.Len(), testHop/2),
+		Hop:       testHop,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.SetQueryFactory(plan.Factory(rt))
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+	s, err := Start(rt, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rs []Result
+	for r := range s.Results() {
+		if r.Err != nil {
+			t.Fatalf("window %d failed: %v", r.Window, r.Err)
+		}
+		rs = append(rs, r)
+	}
+	if len(rs) != plan.Windows {
+		t.Fatalf("streamed %d windows, want %d", len(rs), plan.Windows)
+	}
+	return rs
 }
 
 // TestLiveContinuousStream runs the whole subsystem end-to-end in one
@@ -230,26 +267,10 @@ func TestLiveContinuousStream(t *testing.T) {
 		Spec:    protocol.Query{Kind: agg.Count, Hq: 0, DHat: dHat, Params: agg.Params{Vectors: 64, Bits: 32}},
 		Windows: 4,
 		Seed:    7,
-		Static:  churn.Schedule{{H: 3, T: 1}},
+		Static:  churn.Timeline{{H: 3, T: 1}},
 		Source:  churn.Uniform{N: hosts, Remove: 8},
 	}
-	ln := node.NewLiveNetwork(g, values, testHop)
-	s, err := Live(ln, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Stop()
-
-	var rs []Result
-	for r := range s.Results() {
-		if r.Err != nil {
-			t.Fatalf("window %d failed: %v", r.Window, r.Err)
-		}
-		rs = append(rs, r)
-	}
-	if len(rs) != plan.Windows {
-		t.Fatalf("streamed %d windows, want %d", len(rs), plan.Windows)
-	}
+	rs := runOnEngine(t, plan, g, values)
 	for i, r := range rs {
 		if r.Window != i {
 			t.Fatalf("window %d arrived at position %d: results must stream in window order", r.Window, i)

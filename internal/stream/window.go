@@ -1,16 +1,16 @@
-// Package stream is the continuous-query subsystem: it runs §4.2
-// windowed queries natively on the live engine (node.Runtime over any
-// transport), where internal/continuous runs them only under the
-// deterministic event loop. A continuous query with id Q and window
-// length W ≥ 2·D̂ is executed as a deterministic family of engine
-// sub-queries: window k is the ordinary engine query WindowID(Q, k), so
-// every process of a sharded fleet lazily materializes identical
-// per-window protocol instances, FM coin tosses, and churn-schedule
-// slices from the shared seed, the continuous query's id, and the window
-// index alone — the same no-coordination discipline the engine already
-// uses for one-shot queries, extended in time. Nothing about the stream
-// crosses the wire: workers need no notion of "continuous" beyond a
-// factory that recognizes window ids.
+// Package stream is the one definition of a continuous query (§4.2). A
+// long-running aggregate cannot be judged as a single query — over a long
+// [0, t] the stable set H_C empties out in any churning network — so a
+// Plan re-runs a valid one-shot WILDFIRE query once per window of length
+// W ≥ 2·D̂ and judges every window against its own H_C/H_U. Window k of
+// continuous query Q is the ordinary query WindowID(Q, k): every process
+// of a sharded fleet lazily materializes identical per-window protocol
+// instances, FM coin tosses, and membership slices from the shared seed,
+// the continuous query's id, and the window index alone — the same
+// no-coordination discipline the engine uses for one-shot queries,
+// extended in time. Nothing about the stream crosses the wire: workers
+// need no notion of "continuous" beyond a factory that recognizes window
+// ids (Plan.Factory).
 //
 // Dynamism is expressed once, on the stream's absolute clock: an
 // operator-named event timeline and/or a generated churn.Source spanning
@@ -18,12 +18,17 @@
 // absolute tick t, departure or join, lands in window ⌊t/W⌋ at tick
 // t mod W of that window's own clock, hosts absent when a window opens
 // enter it dead at tick 0, and a join mid-window brings its host alive
-// on the window sub-query's own clock — so the engine enforces each
-// window's membership locally while the oracle (oracle.ComputeInterval)
-// judges the window against its own H_C/H_U, whose population grows
-// across windows when arrivals outpace departures. Results stream to the
-// caller in window order with per-window §6.3 cost counters
-// (stream.Stream, stream.Results).
+// on the window sub-query's own clock — so each window's membership is
+// enforced locally while the oracle (oracle.ComputeInterval) judges the
+// window against its own H_C/H_U, whose population grows across windows
+// when arrivals outpace departures.
+//
+// A Plan has two executors, sharing the window family, the seeds, the
+// slices and Bounds. Start drives it on a live node.Runtime over any
+// transport: the timer heap opens window k at stream tick k·W and Results
+// stream to the caller in window order with per-window §6.3 cost
+// counters. RunSim runs it on the deterministic event loop, one fresh
+// sim.Network per window — what the public validity facade calls.
 package stream
 
 import (

@@ -38,9 +38,8 @@ import "validity/internal/graph"
 // QueryID identifies one in-flight query across the whole fleet. The node
 // runtime multiplexes many concurrent queries over one transport: every
 // frame is stamped with the query it belongs to, and the receiving process
-// demultiplexes it to that query's protocol instance. ID 0 is reserved for
-// the runtime's default (single-query) face; engine-issued queries use
-// IDs ≥ 1.
+// demultiplexes it to that query's protocol instance. Queries use IDs ≥ 1;
+// the runtime drops anything lower as an unknown query.
 type QueryID int64
 
 // Message is one protocol payload in flight between two hosts. Query

@@ -438,8 +438,8 @@ func (n *Network) Query(cfg QueryConfig) (*Result, error) {
 	}
 	if !sched.Index().InitialMember(q.Hq) {
 		// A query is issued AT h_q at time 0; a host that has not arrived
-		// yet cannot issue it (the continuous and stream paths reject the
-		// same misconfiguration).
+		// yet cannot issue it (a continuous stream.Plan rejects the same
+		// misconfiguration).
 		return nil, fmt.Errorf("validity: querying host %d scheduled as a late joiner; it must be present when the query is issued", q.Hq)
 	}
 	sched.Apply(nw)
