@@ -155,19 +155,18 @@ func NewPartial(k Kind, v int64, p Params, rng *rand.Rand) Partial {
 	case Max:
 		return &scalarPartial{kind: Max, val: v}
 	case Count:
-		s := fm.NewSketch(p.Vectors, p.Bits)
-		s.AddDistinct(rng)
-		return &countPartial{sk: s}
+		c := &countPartial{sk: fm.MakeSketch(p.Vectors, p.Bits)}
+		c.sk.AddDistinct(rng)
+		return c
 	case Sum:
-		s := fm.NewSketch(p.Vectors, p.Bits)
-		s.AddN(rng, v)
-		return &sumPartial{sk: s}
+		s := &sumPartial{sk: fm.MakeSketch(p.Vectors, p.Bits)}
+		s.sk.AddN(rng, v)
+		return s
 	case Avg:
-		sum := fm.NewSketch(p.Vectors, p.Bits)
-		sum.AddN(rng, v)
-		cnt := fm.NewSketch(p.Vectors, p.Bits)
-		cnt.AddDistinct(rng)
-		return &avgPartial{sum: sum, cnt: cnt}
+		a := &avgPartial{sum: fm.MakeSketch(p.Vectors, p.Bits), cnt: fm.MakeSketch(p.Vectors, p.Bits)}
+		a.sum.AddN(rng, v)
+		a.cnt.AddDistinct(rng)
+		return a
 	default:
 		panic(fmt.Sprintf("agg: unknown kind %d", int(k)))
 	}
@@ -215,74 +214,74 @@ func (s *scalarPartial) Equal(other Partial) bool {
 
 func (s *scalarPartial) Result() float64 { return float64(s.val) }
 
+// ScalarValue returns a min/max partial's value exactly; Result's float64
+// rounds beyond 2^53, which the wire format must not.
+func ScalarValue(p Partial) (int64, bool) {
+	s, ok := p.(*scalarPartial)
+	if !ok {
+		return 0, false
+	}
+	return s.val, true
+}
+
+// The sketch-backed partials hold their sketches by value: a partial and
+// its vectors are two objects, so a clone is two allocations.
+
 // countPartial carries an FM count sketch.
-type countPartial struct{ sk *fm.Sketch }
+type countPartial struct{ sk fm.Sketch }
 
 func (c *countPartial) Combine(other Partial) bool {
 	o, ok := other.(*countPartial)
 	if !ok {
 		panic("agg: combining mismatched partials")
 	}
-	if c.sk.Covers(o.sk) {
-		return false
-	}
-	c.sk.Or(o.sk)
-	return true
+	return orInto(&c.sk, &o.sk)
 }
 
-func (c *countPartial) Clone() Partial { return &countPartial{sk: c.sk.Clone()} }
+func (c *countPartial) Clone() Partial { return &countPartial{sk: c.sk.Copy()} }
 
 func (c *countPartial) Dominates(other Partial) bool {
 	o, ok := other.(*countPartial)
-	return ok && c.sk.Covers(o.sk)
+	return ok && c.sk.Covers(&o.sk)
 }
 
 func (c *countPartial) Equal(other Partial) bool {
 	o, ok := other.(*countPartial)
-	return ok && c.sk.Equal(o.sk)
+	return ok && c.sk.Equal(&o.sk)
 }
 
 func (c *countPartial) Result() float64 { return c.sk.Estimate() }
 
-// Sketch exposes the underlying sketch (for validity checking).
-func (c *countPartial) Sketch() *fm.Sketch { return c.sk }
-
 // sumPartial carries an FM sum sketch.
-type sumPartial struct{ sk *fm.Sketch }
+type sumPartial struct{ sk fm.Sketch }
 
 func (s *sumPartial) Combine(other Partial) bool {
 	o, ok := other.(*sumPartial)
 	if !ok {
 		panic("agg: combining mismatched partials")
 	}
-	if s.sk.Covers(o.sk) {
-		return false
-	}
-	s.sk.Or(o.sk)
-	return true
+	return orInto(&s.sk, &o.sk)
 }
 
-func (s *sumPartial) Clone() Partial { return &sumPartial{sk: s.sk.Clone()} }
+func (s *sumPartial) Clone() Partial { return &sumPartial{sk: s.sk.Copy()} }
 
 func (s *sumPartial) Dominates(other Partial) bool {
 	o, ok := other.(*sumPartial)
-	return ok && s.sk.Covers(o.sk)
+	return ok && s.sk.Covers(&o.sk)
 }
 
 func (s *sumPartial) Equal(other Partial) bool {
 	o, ok := other.(*sumPartial)
-	return ok && s.sk.Equal(o.sk)
+	return ok && s.sk.Equal(&o.sk)
 }
 
 func (s *sumPartial) Result() float64 { return s.sk.Estimate() }
 
-func (s *sumPartial) Sketch() *fm.Sketch { return s.sk }
-
 // avgPartial is a (sum, count) sketch pair; avg = sum/count (§5, Thm 5.3's
 // "average" class).
 type avgPartial struct {
-	sum *fm.Sketch
-	cnt *fm.Sketch
+	sum fm.Sketch
+	cnt fm.Sketch
 }
 
 func (a *avgPartial) Combine(other Partial) bool {
@@ -290,30 +289,22 @@ func (a *avgPartial) Combine(other Partial) bool {
 	if !ok {
 		panic("agg: combining mismatched partials")
 	}
-	changed := false
-	if !a.sum.Covers(o.sum) {
-		a.sum.Or(o.sum)
-		changed = true
-	}
-	if !a.cnt.Covers(o.cnt) {
-		a.cnt.Or(o.cnt)
-		changed = true
-	}
-	return changed
+	sum, cnt := orInto(&a.sum, &o.sum), orInto(&a.cnt, &o.cnt)
+	return sum || cnt
 }
 
 func (a *avgPartial) Clone() Partial {
-	return &avgPartial{sum: a.sum.Clone(), cnt: a.cnt.Clone()}
+	return &avgPartial{sum: a.sum.Copy(), cnt: a.cnt.Copy()}
 }
 
 func (a *avgPartial) Dominates(other Partial) bool {
 	o, ok := other.(*avgPartial)
-	return ok && a.sum.Covers(o.sum) && a.cnt.Covers(o.cnt)
+	return ok && a.sum.Covers(&o.sum) && a.cnt.Covers(&o.cnt)
 }
 
 func (a *avgPartial) Equal(other Partial) bool {
 	o, ok := other.(*avgPartial)
-	return ok && a.sum.Equal(o.sum) && a.cnt.Equal(o.cnt)
+	return ok && a.sum.Equal(&o.sum) && a.cnt.Equal(&o.cnt)
 }
 
 func (a *avgPartial) Result() float64 {
@@ -324,33 +315,41 @@ func (a *avgPartial) Result() float64 {
 	return a.sum.Estimate() / c
 }
 
-// PartialFromSketches reconstructs a sketch-backed partial from raw FM
-// sketches (one for count/sum, [sum, count] for avg) — the decoding half
-// of the wire format. The sketches are adopted, not copied.
-func PartialFromSketches(k Kind, sks []*fm.Sketch) (Partial, error) {
-	switch k {
-	case Count:
-		if len(sks) != 1 {
-			return nil, fmt.Errorf("agg: count partial needs 1 sketch, got %d", len(sks))
-		}
-		return &countPartial{sk: sks[0]}, nil
-	case Sum:
-		if len(sks) != 1 {
-			return nil, fmt.Errorf("agg: sum partial needs 1 sketch, got %d", len(sks))
-		}
-		return &sumPartial{sk: sks[0]}, nil
-	case Avg:
-		if len(sks) != 2 {
-			return nil, fmt.Errorf("agg: avg partial needs 2 sketches, got %d", len(sks))
-		}
-		return &avgPartial{sum: sks[0], cnt: sks[1]}, nil
+// orInto merges src into dst and reports whether dst changed.
+func orInto(dst, src *fm.Sketch) bool {
+	if dst.Covers(src) {
+		return false
 	}
-	return nil, fmt.Errorf("agg: kind %v is not sketch-backed", k)
+	dst.Or(src)
+	return true
 }
 
-// KindOf reports the aggregate kind a partial was built for. The node
-// engine uses it to frame partials as wire envelopes when accounting
-// per-query bytes on the wire.
+// PartialFromSketches builds a sketch-backed partial around raw FM
+// sketches (one for count/sum, sum then count for avg) — the decoding half
+// of the wire format. The sketches' storage is adopted, not copied.
+func PartialFromSketches(k Kind, sks ...fm.Sketch) (Partial, error) {
+	if !k.DuplicateSensitive() {
+		return nil, fmt.Errorf("agg: kind %v is not sketch-backed", k)
+	}
+	want := 1
+	if k == Avg {
+		want = 2
+	}
+	if len(sks) != want {
+		return nil, fmt.Errorf("agg: %v partial needs %d sketches, got %d", k, want, len(sks))
+	}
+	switch k {
+	case Count:
+		return &countPartial{sk: sks[0]}, nil
+	case Sum:
+		return &sumPartial{sk: sks[0]}, nil
+	default:
+		return &avgPartial{sum: sks[0], cnt: sks[1]}, nil
+	}
+}
+
+// KindOf reports the aggregate kind a partial was built for; the payload
+// codecs need it to encode a partial.
 func KindOf(p Partial) (Kind, bool) {
 	switch v := p.(type) {
 	case *scalarPartial:
@@ -366,12 +365,6 @@ func KindOf(p Partial) (Kind, bool) {
 	}
 }
 
-// Sketcher is implemented by sketch-backed partials; the oracle uses it
-// for sketch-level validity checks.
-type Sketcher interface {
-	Sketch() *fm.Sketch
-}
-
 // WireSketches returns the sketches carried by p without allocating: a is
 // the sole sketch for count/sum and the sum sketch for avg, b the avg
 // count sketch (nil otherwise). Both nil for scalar partials. The wire
@@ -380,11 +373,11 @@ type Sketcher interface {
 func WireSketches(p Partial) (a, b *fm.Sketch) {
 	switch v := p.(type) {
 	case *countPartial:
-		return v.sk, nil
+		return &v.sk, nil
 	case *sumPartial:
-		return v.sk, nil
+		return &v.sk, nil
 	case *avgPartial:
-		return v.sum, v.cnt
+		return &v.sum, &v.cnt
 	}
 	return nil, nil
 }
@@ -392,14 +385,11 @@ func WireSketches(p Partial) (a, b *fm.Sketch) {
 // Sketches returns the FM sketches carried by p: one for count/sum, two
 // (sum, count) for avg, none for scalars.
 func Sketches(p Partial) []*fm.Sketch {
-	switch v := p.(type) {
-	case *countPartial:
-		return []*fm.Sketch{v.sk}
-	case *sumPartial:
-		return []*fm.Sketch{v.sk}
-	case *avgPartial:
-		return []*fm.Sketch{v.sum, v.cnt}
-	default:
-		return nil
+	switch a, b := WireSketches(p); {
+	case b != nil:
+		return []*fm.Sketch{a, b}
+	case a != nil:
+		return []*fm.Sketch{a}
 	}
+	return nil
 }

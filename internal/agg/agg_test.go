@@ -148,7 +148,7 @@ func TestAvgPartial(t *testing.T) {
 func TestAvgEmptyResultZero(t *testing.T) {
 	// An avg partial always contains at least its own host in real runs;
 	// check the division guard directly with empty sketches.
-	a := &avgPartial{sum: fm.NewSketch(8, 32), cnt: fm.NewSketch(8, 32)}
+	a := &avgPartial{sum: fm.MakeSketch(8, 32), cnt: fm.MakeSketch(8, 32)}
 	if a.Result() != 0 {
 		t.Fatal("avg with empty count should be 0")
 	}
@@ -302,19 +302,19 @@ func TestDominates(t *testing.T) {
 }
 
 func TestPartialFromSketchesErrors(t *testing.T) {
-	if _, err := PartialFromSketches(Min, nil); err == nil {
+	if _, err := PartialFromSketches(Min); err == nil {
 		t.Fatal("scalar kind accepted")
 	}
-	if _, err := PartialFromSketches(Count, nil); err == nil {
+	if _, err := PartialFromSketches(Count); err == nil {
 		t.Fatal("count with 0 sketches accepted")
 	}
-	if _, err := PartialFromSketches(Sum, []*fm.Sketch{fm.NewSketch(4, 32), fm.NewSketch(4, 32)}); err == nil {
+	if _, err := PartialFromSketches(Sum, fm.MakeSketch(4, 32), fm.MakeSketch(4, 32)); err == nil {
 		t.Fatal("sum with 2 sketches accepted")
 	}
-	if _, err := PartialFromSketches(Avg, []*fm.Sketch{fm.NewSketch(4, 32)}); err == nil {
+	if _, err := PartialFromSketches(Avg, fm.MakeSketch(4, 32)); err == nil {
 		t.Fatal("avg with 1 sketch accepted")
 	}
-	p, err := PartialFromSketches(Avg, []*fm.Sketch{fm.NewSketch(4, 32), fm.NewSketch(4, 32)})
+	p, err := PartialFromSketches(Avg, fm.MakeSketch(4, 32), fm.MakeSketch(4, 32))
 	if err != nil || p == nil {
 		t.Fatal("valid avg reconstruction failed")
 	}

@@ -631,6 +631,7 @@ func Run(cfg *Config) error {
 		}
 		tcp := transport.NewTCP(addrs)
 		tcp.Obs = reg
+		tcp.Log = logger
 		tcp.FlushWindow = cfg.FlushWindow
 		tr = tcp
 	}

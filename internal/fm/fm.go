@@ -27,6 +27,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 )
 
 // Phi is the Flajolet–Martin bias correction constant: E[2^z] ≈ φ·m.
@@ -40,36 +41,75 @@ const DefaultVectors = 8
 // O(log |V|) and notes 32 bits suffice unless |H| > 2^32 (§5.2).
 const DefaultBits = 32
 
-// Sketch is an FM synopsis: c bit-vectors of up to 64 bits each.
+// Sketch is an FM synopsis: c bit-vectors of up to 64 bits each, stored at
+// their declared width. Vectors of at most 32 bits are packed into 32-bit
+// lanes, two per word (vector i sits in word i/2, the odd one in the high
+// half; an odd c leaves the top lane zero for good); wider vectors take a
+// word each. Or, Equal, Covers and Copy are loops over whole words either
+// way, and the little-endian image of the words is the wire form
+// (AppendWords, ReadWords).
 type Sketch struct {
-	vecs []uint64
-	bits int
+	words   []uint64
+	c, bits int32
 }
 
-// NewSketch returns an empty sketch with c vectors of `bits` bits
-// (1 ≤ bits ≤ 64).
-func NewSketch(c, bits int) *Sketch {
+// MakeSketch returns an empty sketch with c vectors of `bits` bits
+// (1 ≤ bits ≤ 64) by value, for holders that embed it.
+func MakeSketch(c, bits int) Sketch {
 	if c < 1 {
 		panic("fm: need at least one vector")
 	}
 	if bits < 1 || bits > 64 {
 		panic(fmt.Sprintf("fm: bits must be in [1,64], got %d", bits))
 	}
-	return &Sketch{vecs: make([]uint64, c), bits: bits}
+	n := c
+	if bits <= 32 {
+		n = (c + 1) / 2
+	}
+	return Sketch{words: make([]uint64, n), c: int32(c), bits: int32(bits)}
+}
+
+// NewSketch is MakeSketch on the heap.
+func NewSketch(c, bits int) *Sketch {
+	s := MakeSketch(c, bits)
+	return &s
 }
 
 // NewDefaultSketch returns a sketch with the paper's default parameters.
 func NewDefaultSketch() *Sketch { return NewSketch(DefaultVectors, DefaultBits) }
 
 // Vectors returns c, the number of bit-vectors.
-func (s *Sketch) Vectors() int { return len(s.vecs) }
+func (s *Sketch) Vectors() int { return int(s.c) }
 
 // Bits returns the length of each bit-vector.
-func (s *Sketch) Bits() int { return s.bits }
+func (s *Sketch) Bits() int { return int(s.bits) }
+
+// Copy returns a deep copy by value.
+func (s *Sketch) Copy() Sketch {
+	return Sketch{words: append([]uint64(nil), s.words...), c: s.c, bits: s.bits}
+}
 
 // Clone returns a deep copy.
 func (s *Sketch) Clone() *Sketch {
-	return &Sketch{vecs: append([]uint64(nil), s.vecs...), bits: s.bits}
+	c := s.Copy()
+	return &c
+}
+
+// or merges the bits of v into vector i.
+func (s *Sketch) or(i int, v uint64) {
+	if s.bits <= 32 {
+		s.words[i>>1] |= v << (uint(i&1) << 5)
+	} else {
+		s.words[i] |= v
+	}
+}
+
+// lane returns vector i, zero-extended.
+func (s *Sketch) lane(i int) uint64 {
+	if s.bits <= 32 {
+		return uint64(uint32(s.words[i>>1] >> (uint(i&1) << 5)))
+	}
+	return s.words[i]
 }
 
 // geometricBit draws the index of the last Tail before the first Head in a
@@ -88,8 +128,8 @@ func geometricBit(rng *rand.Rand, width int) int {
 // AddDistinct inserts one element assumed distinct from all others (each
 // host "pretends to have an element distinct from other hosts", §5.2).
 func (s *Sketch) AddDistinct(rng *rand.Rand) {
-	for i := range s.vecs {
-		s.vecs[i] |= 1 << geometricBit(rng, s.bits)
+	for i := 0; i < int(s.c); i++ {
+		s.or(i, 1<<geometricBit(rng, int(s.bits)))
 	}
 }
 
@@ -120,48 +160,46 @@ func (s *Sketch) AddN(rng *rand.Rand, n int64) {
 // where the dependence is negligible for large n; the property test
 // TestSumFastPathMatchesExact quantifies this.
 func (s *Sketch) addNFast(rng *rand.Rand, n int64) {
-	for i := range s.vecs {
-		for b := 0; b < s.bits; b++ {
-			if s.vecs[i]&(1<<b) != 0 {
+	width := int(s.bits)
+	for i := 0; i < int(s.c); i++ {
+		had, add := s.lane(i), uint64(0)
+		for b := 0; b < width; b++ {
+			if had&(1<<b) != 0 {
 				continue
 			}
 			var p float64
-			if b == s.bits-1 {
+			if b == width-1 {
 				p = math.Pow(2, -float64(b)) // tail mass 2^{-b}
 			} else {
 				p = math.Pow(2, -float64(b+1))
 			}
 			q := -math.Expm1(float64(n) * math.Log1p(-p)) // 1-(1-p)^n
 			if rng.Float64() < q {
-				s.vecs[i] |= 1 << b
+				add |= 1 << b
 			}
 		}
+		s.or(i, add)
 	}
 }
+
+// sameShape reports whether the two sketches have identical dimensions.
+func (s *Sketch) sameShape(other *Sketch) bool { return s.c == other.c && s.bits == other.bits }
 
 // Or merges other into s (bitwise OR per vector). Both sketches must have
 // identical dimensions.
 func (s *Sketch) Or(other *Sketch) {
-	if len(s.vecs) != len(other.vecs) || s.bits != other.bits {
+	if !s.sameShape(other) {
 		panic(fmt.Sprintf("fm: OR of mismatched sketches (%d/%d vs %d/%d)",
-			len(s.vecs), s.bits, len(other.vecs), other.bits))
+			s.c, s.bits, other.c, other.bits))
 	}
-	for i := range s.vecs {
-		s.vecs[i] |= other.vecs[i]
+	for i, w := range other.words {
+		s.words[i] |= w
 	}
 }
 
 // Equal reports whether two sketches have identical bit content.
 func (s *Sketch) Equal(other *Sketch) bool {
-	if len(s.vecs) != len(other.vecs) || s.bits != other.bits {
-		return false
-	}
-	for i := range s.vecs {
-		if s.vecs[i] != other.vecs[i] {
-			return false
-		}
-	}
-	return true
+	return s.sameShape(other) && slices.Equal(s.words, other.words)
 }
 
 // Covers reports whether every bit set in other is also set in s; used to
@@ -169,70 +207,99 @@ func (s *Sketch) Equal(other *Sketch) bool {
 // must cover the OR of all H_C sketches and be covered by the OR of all
 // H_U sketches).
 func (s *Sketch) Covers(other *Sketch) bool {
-	if len(s.vecs) != len(other.vecs) || s.bits != other.bits {
+	if !s.sameShape(other) {
 		return false
 	}
-	for i := range s.vecs {
-		if other.vecs[i]&^s.vecs[i] != 0 {
+	for i, w := range other.words {
+		if w&^s.words[i] != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// lowestZero returns z_i: the index of the lowest 0 bit in vector i (equal
-// to bits if the vector is saturated).
-func (s *Sketch) lowestZero(i int) int {
-	z := bits.TrailingZeros64(^s.vecs[i])
-	if z > s.bits {
-		z = s.bits
-	}
-	return z
-}
-
 // Estimate returns the FM cardinality estimate 2^z̄/φ, or 0 for an empty
-// sketch.
+// sketch. z_i is the index of the lowest 0 bit of vector i (equal to bits
+// if the vector is saturated).
 func (s *Sketch) Estimate() float64 {
-	sum := 0.0
-	empty := true
-	for i := range s.vecs {
-		if s.vecs[i] != 0 {
-			empty = false
+	sum, union, width := 0, uint64(0), int(s.bits)
+	for _, w := range s.words {
+		union |= w
+		if width <= 32 { // two lanes; an odd sketch's zero padding lane adds 0
+			sum += min(bits.TrailingZeros32(^uint32(w)), width) + min(bits.TrailingZeros32(^uint32(w>>32)), width)
+		} else {
+			sum += min(bits.TrailingZeros64(^w), width)
 		}
-		sum += float64(s.lowestZero(i))
 	}
-	if empty {
+	if union == 0 {
 		return 0
 	}
-	z := sum / float64(len(s.vecs))
+	z := float64(sum) / float64(s.c)
 	return math.Pow(2, z) / Phi
 }
 
 // String summarizes the sketch.
 func (s *Sketch) String() string {
-	return fmt.Sprintf("fm.Sketch{c=%d bits=%d est=%.1f}", len(s.vecs), s.bits, s.Estimate())
+	return fmt.Sprintf("fm.Sketch{c=%d bits=%d est=%.1f}", s.c, s.bits, s.Estimate())
 }
 
-// Words exposes the raw vectors (for serialization); the returned slice is
-// a copy.
-func (s *Sketch) Words() []uint64 { return append([]uint64(nil), s.vecs...) }
+// WireSize is the wire length of a c×bits sketch, the number of bytes
+// AppendWords appends: one lane — 4 or 8 bytes — per vector, fixed per
+// (c, bits).
+func WireSize(c, bits int) int {
+	if bits <= 32 {
+		return 4 * c
+	}
+	return 8 * c
+}
 
-// AppendWords appends the raw vectors to buf in little-endian order and
-// returns the extended slice — the allocation-free twin of Words for
-// encoders on the send hot path (internal/wire), which must not copy the
-// vector slice per frame.
+// AppendWords appends the sketch's wire form — the little-endian image of
+// its words, without an odd sketch's padding lane — to buf and returns the
+// extended slice. It allocates nothing when buf has room: encoders on the
+// send hot path (internal/wire) must not copy the vectors per frame.
 func (s *Sketch) AppendWords(buf []byte) []byte {
-	for _, w := range s.vecs {
+	n := WireSize(int(s.c), int(s.bits))
+	for _, w := range s.words[:n/8] {
 		buf = binary.LittleEndian.AppendUint64(buf, w)
+	}
+	if n%8 != 0 {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(s.words[n/8]))
 	}
 	return buf
 }
 
-// FromWords reconstructs a sketch from raw vectors.
-func FromWords(words []uint64, bitsPerVec int) *Sketch {
-	sk := NewSketch(len(words), bitsPerVec)
-	copy(sk.vecs, words)
-	return sk
+// ReadWords is AppendWords' inverse: it builds a c×bits sketch whose words
+// are filled straight from body, which must be exactly WireSize(c, bits)
+// bytes. A vector with a bit at or above the declared width is an error:
+// no sketch this package builds has one, and OR-ed into a host's state it
+// would break Equal and Covers there for good.
+func ReadWords(c, bits int, body []byte) (Sketch, error) {
+	if c < 1 || bits < 1 || bits > 64 {
+		return Sketch{}, fmt.Errorf("fm: invalid sketch dimensions %d/%d", c, bits)
+	}
+	if len(body) != WireSize(c, bits) {
+		return Sketch{}, fmt.Errorf("fm: sketch body is %d bytes, want %d", len(body), WireSize(c, bits))
+	}
+	s := MakeSketch(c, bits)
+	full := len(body) / 8
+	for i := range s.words[:full] {
+		s.words[i] = binary.LittleEndian.Uint64(body[8*i:])
+	}
+	if len(body)%8 != 0 {
+		s.words[full] = uint64(binary.LittleEndian.Uint32(body[8*full:]))
+	}
+	// high has the bits no vector may use, in every lane of a word.
+	high := ^uint64(0) << bits
+	if bits <= 32 {
+		lane := uint64(math.MaxUint32) >> bits << bits
+		high = lane | lane<<32
+	}
+	for _, w := range s.words {
+		if w&high != 0 {
+			return Sketch{}, fmt.Errorf("fm: vector has bits set at or above its width %d", bits)
+		}
+	}
+	return s, nil
 }
 
 // CountSet builds the count synopsis for a set of m distinct elements in

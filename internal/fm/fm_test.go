@@ -264,15 +264,21 @@ func TestAddNZeroAndNegative(t *testing.T) {
 func TestWordsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	a := CountSet(300, 8, 32, rng)
-	b := FromWords(a.Words(), 32)
-	if !a.Equal(b) {
-		t.Fatal("Words/FromWords round trip failed")
+	wire := a.AppendWords(nil)
+	if len(wire) != WireSize(8, 32) || len(wire) != 8*4 {
+		t.Fatalf("wire form is %d bytes, WireSize %d, want 32", len(wire), WireSize(8, 32))
 	}
-	// Words returns a copy.
-	w := a.Words()
-	w[0] = ^uint64(0)
-	if a.Equal(FromWords(w, 32)) {
-		t.Fatal("Words did not return a copy")
+	b, err := ReadWords(8, 32, wire)
+	if err != nil || !a.Equal(&b) {
+		t.Fatalf("AppendWords/ReadWords round trip failed: %v", err)
+	}
+	// ReadWords fills its own storage: the sketch must not alias the body.
+	wire[0] ^= 0xFF
+	if !a.Equal(&b) {
+		t.Fatal("ReadWords aliased its input")
+	}
+	if _, err := ReadWords(8, 32, wire[:31]); err == nil {
+		t.Fatal("short body accepted")
 	}
 }
 

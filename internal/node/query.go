@@ -206,7 +206,7 @@ func (rt *Runtime) queryForErr(id QueryID, create bool) (*queryState, bool, erro
 			// Tombstones must not leak either: compact them onto the ring
 			// after the grace window, so an unbounded stream of failing (or
 			// hostile unknown) ids cannot grow the demux map forever.
-			rt.scheduleEntry(&timerEntry{
+			rt.scheduleEntry(timerEntry{
 				when: time.Now().Add(retireGrace),
 				kind: tkCompact,
 				qs:   qs,
@@ -412,7 +412,7 @@ func (qs *queryState) armClock(rt *Runtime) {
 					if e.Kind == churn.Join {
 						kind = tkQueryJoin
 					}
-					rt.scheduleEntry(&timerEntry{
+					rt.scheduleEntry(timerEntry{
 						when: t.Add(time.Duration(e.T) * rt.hop),
 						kind: kind,
 						h:    h,
@@ -513,7 +513,7 @@ func (b *queryBackend) SetTimer(h graph.HostID, at sim.Time, tag, chain int) {
 	if delay <= 0 {
 		delay = b.rt.hop / 4
 	}
-	b.rt.scheduleEntry(&timerEntry{
+	b.rt.scheduleEntry(timerEntry{
 		when:  time.Now().Add(delay),
 		kind:  tkTimer,
 		h:     h,
@@ -524,7 +524,7 @@ func (b *queryBackend) SetTimer(h graph.HostID, at sim.Time, tag, chain int) {
 }
 
 // payloadWireSize is the canonical on-wire cost of a payload: the exact
-// version-2 transport frame size (length prefix + header + payload body)
+// version-3 transport frame size (length prefix + header + payload body)
 // where a payload codec is registered, zero otherwise (payloads outside
 // the wire format). This is byte-for-byte what the TCP transport writes,
 // so the §6.3 accounting charges the cost we actually pay — the chan

@@ -86,7 +86,7 @@ func (rt *Runtime) armQuiesce(qs *queryState, t time.Time) {
 	qs.qmu.Lock()
 	qs.qActSince = t
 	qs.qmu.Unlock()
-	rt.scheduleEntry(&timerEntry{
+	rt.scheduleEntry(timerEntry{
 		when: t.Add(rt.quiesceInterval(qs.deadline)),
 		kind: tkQuiesce,
 		qs:   qs,
@@ -134,7 +134,7 @@ func (rt *Runtime) quiesceCheck(qs *queryState) {
 	if ann := qs.quiesceStep(rt, now); ann != nil {
 		go rt.sendQuiesce(qs, *ann)
 	}
-	rt.scheduleEntry(&timerEntry{
+	rt.scheduleEntry(timerEntry{
 		when: now.Add(rt.quiesceInterval(qs.deadline)),
 		kind: tkQuiesce,
 		qs:   qs,

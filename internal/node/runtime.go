@@ -296,6 +296,7 @@ type Runtime struct {
 	// Timer heap shared by all hosts and queries; see timer.go.
 	tmu       sync.Mutex
 	theap     timerHeap
+	tfree     []*timerEntry // fired entries awaiting reuse (scheduleEntry)
 	timerSeq  uint64
 	timerWake chan struct{}
 

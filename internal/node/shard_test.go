@@ -220,7 +220,7 @@ func TestDispatchCongestionDoesNotBlockTimers(t *testing.T) {
 	}
 
 	// The other shard's timer must fire while shard 0 is wedged.
-	rt.scheduleEntry(&timerEntry{when: time.Now().Add(hop), kind: tkTimer, h: 1, qs: qs, tag: 7})
+	rt.scheduleEntry(timerEntry{when: time.Now().Add(hop), kind: tkTimer, h: 1, qs: qs, tag: 7})
 	select {
 	case tag := <-fired:
 		if tag != 7 {

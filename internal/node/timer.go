@@ -78,11 +78,20 @@ func (q *timerHeap) Pop() any {
 	return e
 }
 
-// scheduleEntry adds e to the heap, waking the timer loop only when e is
+// scheduleEntry adds v to the heap, waking the timer loop only when it is
 // the new earliest entry and so shortens the current sleep: the loop is
 // already timed for the old head, which any later entry leaves in place.
-func (rt *Runtime) scheduleEntry(e *timerEntry) {
+// The heap's entries cycle through a freelist (the loop returns what it
+// fired), so a steady stream of protocol timers allocates nothing.
+func (rt *Runtime) scheduleEntry(v timerEntry) {
 	rt.tmu.Lock()
+	var e *timerEntry
+	if n := len(rt.tfree); n > 0 {
+		e, rt.tfree = rt.tfree[n-1], rt.tfree[:n-1]
+	} else {
+		e = new(timerEntry)
+	}
+	*e = v
 	e.seq = rt.timerSeq
 	rt.timerSeq++
 	heap.Push(&rt.theap, e)
@@ -111,14 +120,15 @@ func (rt *Runtime) scheduleRetire(qs *queryState) {
 		return // deadline-less (handler-only) instances never retire
 	}
 	retireAt := time.Now().Add(2*time.Duration(qs.deadline)*rt.hop + retireGrace)
-	rt.scheduleEntry(&timerEntry{when: retireAt, kind: tkRetire, qs: qs})
-	rt.scheduleEntry(&timerEntry{when: retireAt.Add(retireGrace), kind: tkCompact, qs: qs})
+	rt.scheduleEntry(timerEntry{when: retireAt, kind: tkRetire, qs: qs})
+	rt.scheduleEntry(timerEntry{when: retireAt.Add(retireGrace), kind: tkCompact, qs: qs})
 }
 
 // timerLoop drains the heap: it sleeps until the earliest entry is due,
 // fires everything due, and re-sleeps. scheduleEntry wakes it early when a
 // new entry preempts the current earliest. One timer is re-armed every
-// pass, and the batch of due entries reuses one slice.
+// pass, the batch of due entries reuses one slice, and the entries of the
+// last batch go back on the freelist at the next lock.
 func (rt *Runtime) timerLoop() {
 	defer rt.wg.Done()
 	timer := time.NewTimer(time.Hour)
@@ -126,6 +136,8 @@ func (rt *Runtime) timerLoop() {
 	var due []*timerEntry
 	for {
 		rt.tmu.Lock()
+		rt.tfree = append(rt.tfree, due...)
+		due = due[:0]
 		now := time.Now()
 		for len(rt.theap) > 0 && !rt.theap[0].when.After(now) {
 			due = append(due, heap.Pop(&rt.theap).(*timerEntry))
@@ -138,9 +150,8 @@ func (rt *Runtime) timerLoop() {
 
 		for _, e := range due {
 			rt.fireTimer(e)
+			*e = timerEntry{} // a fired entry must not pin its query while it waits for reuse
 		}
-		clear(due) // fired entries must not stay pinned by the batch slice
-		due = due[:0]
 
 		// An empty heap sleeps until the next push wakes it; the timer may
 		// still be armed from an earlier pass, but nobody listens to it.
@@ -204,5 +215,5 @@ func (rt *Runtime) fireTimer(e *timerEntry) {
 // fn runs on its own goroutine and may block; a runtime that stops before
 // the entry fires drops it.
 func (rt *Runtime) After(d time.Duration, fn func()) {
-	rt.scheduleEntry(&timerEntry{when: time.Now().Add(d), kind: tkFunc, fn: fn})
+	rt.scheduleEntry(timerEntry{when: time.Now().Add(d), kind: tkFunc, fn: fn})
 }

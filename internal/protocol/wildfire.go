@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"slices"
+
 	"validity/internal/agg"
 	"validity/internal/graph"
 	"validity/internal/sim"
@@ -124,19 +126,21 @@ type wfHost struct {
 	dist    int // hops from h_q along the activation path
 	partial agg.Partial
 	initial agg.Partial // own contribution, frozen at activation
-	// snap is the latest immutable copy of partial (see snapshot). Every
-	// partial a host hands out or retains besides `partial` itself — snap,
-	// initial, message payloads, lastSent and lastRecv entries — is never
-	// mutated again, which is what lets hosts share them freely, across
-	// goroutines on the in-process transport included.
-	snap agg.Partial
-	// lastSent[n] is the partial most recently sent to neighbor n;
-	// a neighbor already holding our exact state is skipped on flush.
-	lastSent map[graph.HostID]agg.Partial
-	// lastRecv[n] is the partial most recently received from neighbor n;
-	// a neighbor whose known state dominates ours is skipped on flush
-	// (it already holds everything we could tell it).
-	lastRecv map[graph.HostID]agg.Partial
+	// version stamps partial's state: 1 at activation, +1 exactly when
+	// Combine reports a change. Partials only grow: equal stamps, equal state.
+	version uint32
+	// snap is the immutable copy of partial taken at version snapAt (see
+	// snapshot). Every partial a host hands out or retains besides `partial`
+	// itself — snap, initial, message payloads, lastRecv entries — is never
+	// mutated again, so hosts share them freely, across goroutines too.
+	snap   agg.Partial
+	snapAt uint32
+	// Both indexed like ctx.Neighbors(). lastSent[i]: the version of our
+	// state neighbor i is known to hold (0: none); one that holds the
+	// current version is skipped on flush. lastRecv[i]: the partial last
+	// received from i; if it dominates ours, i is skipped too.
+	lastSent []uint32
+	lastRecv []agg.Partial
 	dirty    bool
 	flushing bool // a flush timer is pending for the current tick
 }
@@ -147,21 +151,15 @@ func (h *wfHost) limit() sim.Time {
 	if !h.w.EarlyDeadline || !h.active {
 		return full
 	}
-	early := sim.Time(2*h.w.Query.DHat - h.dist + 1)
-	if early > full {
-		return full
-	}
-	return early
+	return min(full, sim.Time(2*h.w.Query.DHat-h.dist+1))
 }
 
 // snapshot returns an immutable copy of the current partial, cloning only
-// when the partial changed since the last one was taken: one snapshot
-// serves every message and lastSent entry of a flush, and the reply a
-// freshly activated host owes its activator at the end of the tick
-// re-sends the one its forwarded broadcast carried.
+// when it changed since the last one: one snapshot serves every message of
+// a flush, and a fresh host's end-of-tick reply re-sends its broadcast's.
 func (h *wfHost) snapshot() agg.Partial {
-	if !h.snap.Equal(h.partial) {
-		h.snap = h.partial.Clone()
+	if h.snapAt != h.version {
+		h.snap, h.snapAt = h.partial.Clone(), h.version
 	}
 	return h.snap
 }
@@ -186,34 +184,38 @@ func (h *wfHost) activate(ctx *sim.Context, dist int, incoming agg.Partial) {
 	}
 	h.partial = agg.NewPartial(h.w.Query.Kind, value, h.w.Query.Params, ctx.Rand())
 	h.initial = h.partial.Clone()
-	h.snap = h.initial // still the whole state unless incoming adds to it
-	h.lastSent = make(map[graph.HostID]agg.Partial, ctx.Degree())
-	h.lastRecv = make(map[graph.HostID]agg.Partial, ctx.Degree())
-	if incoming != nil {
-		h.partial.Combine(incoming)
+	h.snap, h.snapAt, h.version = h.initial, 1, 1 // the whole state, unless incoming adds to it
+	h.lastSent = make([]uint32, ctx.Degree())
+	h.lastRecv = make([]agg.Partial, ctx.Degree())
+	if incoming != nil && h.partial.Combine(incoming) {
+		h.version++
 	}
 }
 
 func (h *wfHost) noteSentToAll(ctx *sim.Context, skip graph.HostID) {
-	snapshot := h.snapshot()
-	for _, n := range ctx.Neighbors() {
-		if n == skip {
-			continue
+	for i, n := range ctx.Neighbors() {
+		if n != skip {
+			h.lastSent[i] = h.version
 		}
-		h.lastSent[n] = snapshot
 	}
 }
 
 func (h *wfHost) Receive(ctx *sim.Context, msg sim.Message) {
+	// from indexes ctx.Neighbors(); a frame from anywhere else did not
+	// travel an edge of G (§3.1) and is not this protocol's.
+	from := slices.Index(ctx.Neighbors(), msg.From)
+	if from < 0 {
+		return
+	}
 	switch m := msg.Payload.(type) {
 	case wfBroadcast:
-		h.onBroadcast(ctx, msg.From, m)
+		h.onBroadcast(ctx, from, msg.From, m)
 	case wfConverge:
-		h.onConverge(ctx, msg.From, m.A)
+		h.onConverge(ctx, from, m.A)
 	}
 }
 
-func (h *wfHost) onBroadcast(ctx *sim.Context, from graph.HostID, m wfBroadcast) {
+func (h *wfHost) onBroadcast(ctx *sim.Context, from int, sender graph.HostID, m wfBroadcast) {
 	if h.active {
 		// Fig. 3: an active host drops the Broadcast message — but the
 		// piggybacked partial is still convergecast information (§5.1).
@@ -228,19 +230,19 @@ func (h *wfHost) onBroadcast(ctx *sim.Context, from graph.HostID, m wfBroadcast)
 	h.lastRecv[from] = m.A
 	// Forward the query with our partial piggybacked (the first
 	// convergecast message rides on the broadcast, footnote 4).
-	ctx.SendAllExcept(from, wfBroadcast{Hop: h.dist + 1, A: h.snapshot()})
-	h.noteSentToAll(ctx, from)
+	ctx.SendAllExcept(sender, wfBroadcast{Hop: h.dist + 1, A: h.snapshot()})
+	h.noteSentToAll(ctx, sender)
 	// If combining changed anything relative to what the sender already
 	// knows, the end-of-tick flush will reply to the sender (Example 5.1:
 	// x sends A_x back to w; y skips because A_y equals what w sent).
 	if !h.partial.Equal(m.A) {
 		h.markDirty(ctx)
 	} else {
-		h.lastSent[from] = m.A // sender already holds this state
+		h.lastSent[from] = h.version // sender already holds this state
 	}
 }
 
-func (h *wfHost) onConverge(ctx *sim.Context, from graph.HostID, a agg.Partial) {
+func (h *wfHost) onConverge(ctx *sim.Context, from int, a agg.Partial) {
 	if !h.active {
 		return // cannot hold a partial before activation
 	}
@@ -250,10 +252,12 @@ func (h *wfHost) onConverge(ctx *sim.Context, from graph.HostID, a agg.Partial) 
 	}
 	h.lastRecv[from] = a
 	changed := h.partial.Combine(a)
+	if changed {
+		h.version++
+	}
 	same := h.partial.Equal(a)
 	if same {
-		// The sender holds exactly our state now; no need to update it.
-		h.lastSent[from] = a
+		h.lastSent[from] = h.version // the sender holds exactly our state now
 	}
 	// Reflood on change — and when we learned nothing but the sender lags
 	// behind (Fig. 4's else-branch), schedule the catch-up reply with the
@@ -296,20 +300,16 @@ func (h *wfHost) Timer(ctx *sim.Context, tag int) {
 	// The snapshot is taken — and boxed into its message — on the first
 	// neighbor that actually needs it; a flush that suppresses every
 	// neighbor allocates nothing.
-	var snapshot agg.Partial
 	var msg any
-	for _, n := range ctx.Neighbors() {
-		if prev, ok := h.lastSent[n]; ok && prev.Equal(h.partial) {
+	for i, n := range ctx.Neighbors() {
+		// §5.1: skip a neighbor that holds this state, or provably a superset.
+		if known := h.lastRecv[i]; h.lastSent[i] == h.version || known != nil && known.Dominates(h.partial) {
 			continue
 		}
-		if known, ok := h.lastRecv[n]; ok && known.Dominates(h.partial) {
-			continue // the neighbor provably holds a superset already
-		}
 		if msg == nil {
-			snapshot = h.snapshot()
-			msg = wfConverge{A: snapshot}
+			msg = wfConverge{A: h.snapshot()}
 		}
 		ctx.Send(n, msg)
-		h.lastSent[n] = snapshot
+		h.lastSent[i] = h.version
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // The node runtime (internal/node) carries protocol messages over
-// pluggable transports; the TCP transport ships them as version-2 wire
+// pluggable transports; the TCP transport ships them as version-3 wire
 // frames, which need every concrete message type bound to an explicit
 // payload tag and codec here. The tags are pinned — they are the wire
 // format, and reordering this block would break cross-version fleets.
@@ -33,6 +33,7 @@ import (
 //	gsPair:       sum f64 | weight f64
 //
 // "partial?" is internal/wire's partial encoding, present iff has = 1.
+// Every Decode copies what it keeps out of the body (wire.PayloadCodec).
 const (
 	tagWfBroadcast  uint8 = 1
 	tagWfConverge   uint8 = 2

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"validity/internal/agg"
+	"validity/internal/fm"
 	"validity/internal/wire"
 )
 
@@ -33,6 +34,7 @@ func allMessages(tb testing.TB) []any {
 		rrBroadcast{},
 		rrReport{},
 		gsPair{Sum: 3.25, Weight: 0.5},
+		wfBroadcast{Hop: 2, A: agg.NewPartial(agg.Avg, 7, codecParams(), rng)},
 		// Not a protocol message: the quiescence control frame rides the
 		// same framing, so it belongs in the same round-trip, hostile-body,
 		// and fuzz coverage.
@@ -73,9 +75,17 @@ func TestWireCodecRoundTrip(t *testing.T) {
 
 // TestWireCodecSizeExact checks FrameSize against the encoder for every
 // message type: the node's §6.3 bytes-on-wire accounting uses FrameSize
-// and must charge exactly what TCP writes.
+// and must charge exactly what TCP writes. The sketch carriers are also
+// held to their version-3 sizes: eight 32-bit vectors cost 32 bytes.
 func TestWireCodecSizeExact(t *testing.T) {
-	for _, msg := range allMessages(t) {
+	const sketch = 3 + 8*4 // kind, vectors, bits, then one 4-byte lane per vector
+	want := map[int]int{   // index in allMessages → frame bytes
+		1:  wire.FrameOverhead + 4 + 1 + sketch,       // wfBroadcast, count
+		3:  wire.FrameOverhead + 1 + sketch + 8*4,     // wfConverge, avg: two sketches
+		9:  wire.FrameOverhead + 1 + sketch,           // dagReport, sum
+		15: wire.FrameOverhead + 4 + 1 + sketch + 8*4, // wfBroadcast, avg
+	}
+	for i, msg := range allMessages(t) {
 		buf, err := wire.AppendFrame(nil, wire.Frame{From: 1, To: 2, Query: 1, Payload: msg})
 		if err != nil {
 			t.Fatalf("%T: %v", msg, err)
@@ -87,6 +97,50 @@ func TestWireCodecSizeExact(t *testing.T) {
 		if n != len(buf) {
 			t.Fatalf("%T: FrameSize %d, encoded %d", msg, n, len(buf))
 		}
+		if w, ok := want[i]; ok && n != w {
+			t.Fatalf("message %d (%T): %d bytes on the wire, want %d", i, msg, n, w)
+		}
+	}
+}
+
+// TestWildfireFrameGoldenBytes pins one whole COUNT wfConverge frame at
+// version 3, beside wire's TestFrameGoldenBytes for the header: the body
+// is the has-partial flag, the partial header, and four vectors as four
+// little-endian 32-bit lanes — the image of the sketch's two words.
+func TestWildfireFrameGoldenBytes(t *testing.T) {
+	sk, err := fm.ReadWords(4, 32, []byte{
+		0x07, 0, 0, 0, 0x01, 0, 0, 0x80, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := agg.PartialFromSketches(agg.Count, sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := wire.AppendFrame(nil, wire.Frame{From: 1, To: 2, Query: 5, Chain: 3, Payload: wfConverge{A: p}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{
+		0, 0, 0, 44, // length prefix, BE: 24-byte header + 20-byte body
+		0x7A, 0xDA, 3, tagWfConverge, // magic LE, version, payload tag
+		1, 0, 0, 0, 2, 0, 0, 0, // from, to
+		5, 0, 0, 0, 0, 0, 0, 0, // query
+		3, 0, 0, 0, // chain
+		1,        // has partial
+		3, 4, 32, // count, 4 vectors, 32 bits
+		0x07, 0, 0, 0, // vector 0: bits 0–2
+		0x01, 0, 0, 0x80, // vector 1: bits 0 and 31
+		0xFF, 0xFF, 0xFF, 0xFF, // vector 2: saturated
+		0, 0, 0, 0, // vector 3: empty
+	}
+	if !bytes.Equal(buf, want) {
+		t.Fatalf("frame bytes\n got %v\nwant %v", buf, want)
+	}
+	got, err := wire.DecodeFrameBody(want[4:])
+	if err != nil || !got.Payload.(wfConverge).A.Equal(p) {
+		t.Fatalf("the golden frame does not decode to the partial it was built from: %v", err)
 	}
 }
 
@@ -104,11 +158,39 @@ func TestWireCodecRejectsMalformedBodies(t *testing.T) {
 			t.Errorf("%T: accepted a body with a trailing byte", msg)
 		}
 	}
+	for name, body := range hostileBodies(t) {
+		if _, err := wire.DecodeFrameBody(body); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// hostileBodies are wfConverge frame bodies no version-3 encoder writes:
+// a count partial laid out the version-2 way (8 bytes per 32-bit vector,
+// the high half of one of them set — what used to decode and then poison
+// Equal and Covers wherever it was OR-ed in), and a 31-bit vector with
+// bit 31 set.
+func hostileBodies(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	buf, err := wire.AppendFrame(nil, wire.Frame{From: 1, To: 2, Query: 7, Chain: 1, Payload: wfConverge{}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	header := buf[4 : 4+wire.FrameHeaderSize]
+	body := func(partial ...byte) []byte {
+		return append(append(append([]byte(nil), header...), 1), partial...)
+	}
+	return map[string][]byte{
+		"version-2 layout, bits 32–63 of a 32-bit vector set": body(3, 2, 32,
+			1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 2, 0, 0, 0, 0, 0, 0, 0),
+		"bit 31 of a 31-bit vector": body(3, 2, 31, 1, 0, 0, 0, 0, 0, 0, 0x80),
+	}
 }
 
 // FuzzDecodeFrameBody runs the frame decoder with all protocol codecs
-// registered, over seeds of every valid message plus truncations. Any
-// panic on hostile input fails the run.
+// registered, over seeds of every valid message plus truncations and the
+// hostile bodies. Any panic on hostile input fails the run, and so does a
+// frame that decodes but re-encodes to other bytes than it came from.
 func FuzzDecodeFrameBody(f *testing.F) {
 	for _, msg := range allMessages(f) {
 		buf, err := wire.AppendFrame(nil, wire.Frame{From: 1, To: 2, Query: 7, Chain: 1, Payload: msg})
@@ -119,14 +201,23 @@ func FuzzDecodeFrameBody(f *testing.F) {
 		f.Add(buf[4 : 4+len(buf[4:])/2])
 	}
 	f.Add([]byte{})
+	for _, body := range hostileBodies(f) {
+		f.Add(body)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := wire.DecodeFrameBody(data)
-		if err == nil {
-			// A frame the decoder accepts must re-encode; the codec may
-			// not produce messages it cannot itself serialize.
-			if _, err := wire.AppendFrame(nil, fr); err != nil {
-				t.Fatalf("decoded frame does not re-encode: %v", err)
-			}
+		if err != nil {
+			return
+		}
+		// A frame the decoder accepts is one the encoder writes: the codec
+		// may not produce messages it cannot itself serialize, nor accept
+		// a second spelling of one it can.
+		buf, err := wire.AppendFrame(nil, fr)
+		if err != nil {
+			t.Fatalf("decoded frame does not re-encode: %v", err)
+		}
+		if !bytes.Equal(buf[4:], data) {
+			t.Fatalf("decoded frame re-encodes differently\n  in %x\n out %x", data, buf[4:])
 		}
 	})
 }

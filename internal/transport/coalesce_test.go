@@ -128,3 +128,27 @@ func TestWireFrameEncodeAllocFree(t *testing.T) {
 		t.Fatalf("AppendFrame allocates %.1f times per frame, want 0", allocs)
 	}
 }
+
+// TestWireFrameDecodeAllocs pins the receive half: decoding a
+// sketch-carrying frame allocates the boxed message, the partial and the
+// partial's vector storage — the vectors are read straight into the
+// storage the partial keeps — and nothing else.
+func TestWireFrameDecodeAllocs(t *testing.T) {
+	msg := benchMessage()
+	buf, err := wire.AppendFrame(nil, wire.Frame{From: msg.From, To: msg.To, Query: 42, Chain: 1, Payload: msg.Payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sink wire.Frame
+	allocs := testing.AllocsPerRun(500, func() {
+		if sink, err = wire.DecodeFrameBody(buf[4:]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("DecodeFrameBody allocates %.1f times per sketch frame, want 3", allocs)
+	}
+	if !sink.Payload.(sketchPayload).A.Equal(msg.Payload.(sketchPayload).A) {
+		t.Fatal("decoded partial differs")
+	}
+}

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"log/slog"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,7 +18,7 @@ import (
 )
 
 // maxFrame bounds one wire frame. Protocol messages are a few hundred
-// bytes (an FM partial is vectors×8 bytes plus a small envelope); anything
+// bytes (an FM partial is vectors×4 bytes plus a small header); anything
 // near this limit is a corrupt or hostile stream.
 const maxFrame = 1 << 24
 
@@ -27,7 +29,7 @@ const defaultMaxBatch = 128
 
 // TCP is the cross-process Transport: hosts are assigned to addresses, and
 // every process serves the hosts whose address it listens on. Frames are
-// internal/wire version-2 binary frames — a 4-byte big-endian length
+// internal/wire version-3 binary frames — a 4-byte big-endian length
 // prefix followed by a fixed 24-byte header (magic, version, payload tag,
 // from, to, query, chain) and the payload body of the tag's registered
 // codec. The QueryID in every header lets one long-running fleet carry
@@ -88,6 +90,10 @@ type TCP struct {
 	// write failure). Nil leaves the transport uninstrumented (every
 	// update is one nil branch).
 	Obs *obs.Registry
+	// Log, when set before Open, receives the transport's warnings (an
+	// inbound connection dropped for an undecodable frame); nil means
+	// slog.Default().
+	Log *slog.Logger
 
 	// met holds the pre-registered counters, built once in Open; its
 	// per-peer maps are read-only afterwards, so writers touch no lock for
@@ -114,6 +120,7 @@ type tcpMetrics struct {
 	dialBackoffs *obs.Counter
 	framesIn     *obs.Counter
 	bytesIn      *obs.Counter
+	undecodable  *obs.Counter
 	batchFlushes *obs.Counter
 	framesPerWr  *obs.Histogram
 	framesDrop   *obs.Counter
@@ -148,6 +155,7 @@ func (t *TCP) initMetrics() {
 		dialBackoffs: reg.Counter("transport_dial_backoffs_total", "Backoff sleeps between failed dial attempts."),
 		framesIn:     reg.Counter("transport_frames_in_total", "Frames decoded off inbound connections."),
 		bytesIn:      reg.Counter("transport_bytes_in_total", "Wire bytes read off inbound connections (length prefix included)."),
+		undecodable:  reg.Counter("transport_frames_undecodable_total", "Inbound frames that failed to decode (bad version, tag or body); each drops its connection."),
 		batchFlushes: reg.Counter("transport_batch_flushes_total", "Coalesced batch writes flushed to peers."),
 		framesPerWr:  reg.Histogram("transport_frames_per_write", "Frames packed into one connection write.", batchBuckets),
 		framesDrop:   reg.Counter("transport_frames_dropped_total", "Outbound frames dropped after a failed write and failed retry."),
@@ -286,6 +294,7 @@ func (t *TCP) readLoop(c net.Conn) {
 	// out of it without a syscall each.
 	br := bufio.NewReaderSize(c, 64<<10)
 	var lenBuf [4]byte
+	var body []byte // one buffer per connection: payload codecs never alias it
 	for {
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			return
@@ -294,13 +303,22 @@ func (t *TCP) readLoop(c net.Conn) {
 		if n == 0 || n > maxFrame {
 			return
 		}
-		body := make([]byte, n)
+		body = slices.Grow(body[:0], int(n))[:n]
 		if _, err := io.ReadFull(br, body); err != nil {
 			return
 		}
 		f, err := wire.DecodeFrameBody(body)
 		if err != nil {
-			return // corrupt or hostile stream: drop the connection
+			// Corrupt or hostile stream, or a peer on another build: drop
+			// the connection, but not without a trace — a fleet that mixes
+			// wire versions would otherwise just go quiet.
+			t.met.undecodable.Inc()
+			log := t.Log
+			if log == nil {
+				log = slog.Default()
+			}
+			log.Warn("transport: dropping connection on undecodable frame", "peer", c.RemoteAddr().String(), "err", err)
+			return
 		}
 		t.met.framesIn.Inc()
 		t.met.bytesIn.Add(int64(n) + 4)

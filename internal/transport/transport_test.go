@@ -1,15 +1,21 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"log/slog"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"validity/internal/agg"
 	"validity/internal/graph"
+	"validity/internal/obs"
+	"validity/internal/wire"
 )
 
 // sketchPayload exercises the wire path the protocols rely on: an
@@ -186,6 +192,90 @@ func TestTCPLoopbackRoundTrip(t *testing.T) {
 	back := ca.waitFor(t, 1, 2*time.Second)
 	if !back[0].Payload.(sketchPayload).A.Equal(p) {
 		t.Fatal("echoed partial corrupted")
+	}
+}
+
+// lockedBuffer is a log sink the read loop's goroutine and the test share.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// A frame the decoder rejects — here a hand-built version-2 frame, what a
+// peer on an older build would send — drops its connection as before, but
+// is counted and logged once, so a fleet mixing wire versions does not
+// just go quiet; later connections are unaffected.
+func TestTCPUndecodableFrameCountedAndLogged(t *testing.T) {
+	ports := freeAddrs(t, 2)
+	a, b := NewTCP(ports), NewTCP(ports)
+	reg, logs := obs.NewRegistry(), &lockedBuffer{}
+	b.Obs, b.Log = reg, obs.NewLogger(logs, slog.LevelWarn)
+	var cb collector
+	if err := a.Bind(0, func(Message) {}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Bind(1, cb.recv); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Open(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Open(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close(); b.Close() })
+
+	old, err := wire.AppendFrame(nil, wire.Frame{From: 0, To: 1, Query: 1, Chain: 1, Payload: "from an old build"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old[4+2] = 2 // the version byte, after the length prefix and the magic
+	c, err := net.Dial("tcp", ports[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// Two frames in one write: the connection is dropped at the first, so
+	// the second is never decoded, counted or logged.
+	if _, err := c.Write(append(old, old...)); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read on the offending connection = %v, want EOF: the receiver must drop it", err)
+	}
+	undecodable := reg.Counter("transport_frames_undecodable_total", "")
+	if got := undecodable.Value(); got != 1 {
+		t.Fatalf("transport_frames_undecodable_total = %d, want 1", got)
+	}
+	if got := strings.Count(logs.String(), "unsupported frame version 2"); got != 1 {
+		t.Fatalf("decode error logged %d times, want once:\n%s", got, logs.String())
+	}
+	if !strings.Contains(logs.String(), "level=WARN") {
+		t.Fatalf("not logged at warn:\n%s", logs.String())
+	}
+
+	if err := a.Send(Message{From: 0, To: 1, Query: 1, Chain: 1, Payload: "from this build"}); err != nil {
+		t.Fatal(err)
+	}
+	got := cb.waitFor(t, 1, 2*time.Second)
+	if len(got) != 1 || got[0].Payload != "from this build" {
+		t.Fatalf("delivered %+v, want only the version-3 frame", got)
+	}
+	if got := undecodable.Value(); got != 1 {
+		t.Fatalf("transport_frames_undecodable_total = %d after a good frame, want 1", got)
 	}
 }
 

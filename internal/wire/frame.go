@@ -8,7 +8,7 @@ import (
 	"validity/internal/graph"
 )
 
-// The transport frame (wire version 2): the unit one connection write
+// The transport frame (wire version 3): the unit one connection write
 // carries. The 4-byte big-endian length prefix counts everything after
 // itself — a 24-byte fixed header followed by the payload body owned by
 // the payload tag's codec. See the package doc for the field table.
@@ -53,7 +53,10 @@ type PayloadCodec struct {
 	Append func(buf []byte, payload any) ([]byte, error)
 	// Size is Append's growth in bytes, computed without encoding.
 	Size func(payload any) (int, error)
-	// Decode rebuilds the payload from exactly the body bytes.
+	// Decode rebuilds the payload from exactly the body bytes. It must
+	// not alias body: the payload outlives the call (WILDFIRE retains
+	// received partials for the rest of the query) and the TCP read loop
+	// overwrites body with the connection's next frame.
 	Decode func(body []byte) (any, error)
 }
 

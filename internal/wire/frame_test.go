@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -15,14 +16,44 @@ import (
 // wire), so the frame tests register their own codec in the reserved test
 // tag space — exercising exactly the registration path out-of-tree
 // payloads use.
-const frameTestTag = TagReservedBase + 15 // 255
+const (
+	frameTestTag   = TagReservedBase + 15 // 255: plain strings
+	partialTestTag = TagReservedBase + 14 // 254: partialPayload
+)
+
+// partialPayload is the smallest message that carries a partial: the body
+// is the partial's encoding and nothing else.
+type partialPayload struct{ A agg.Partial }
 
 func init() {
 	RegisterTagger(func(payload any) (uint8, bool) {
-		if _, ok := payload.(string); ok {
+		switch payload.(type) {
+		case string:
 			return frameTestTag, true
+		case partialPayload:
+			return partialTestTag, true
 		}
 		return 0, false
+	})
+	RegisterPayload(partialTestTag, PayloadCodec{
+		Name: "frame-test-partial",
+		Append: func(buf []byte, payload any) ([]byte, error) {
+			p := payload.(partialPayload).A
+			k, _ := agg.KindOf(p)
+			return AppendPartial(buf, k, p)
+		},
+		Size: func(payload any) (int, error) {
+			p := payload.(partialPayload).A
+			k, _ := agg.KindOf(p)
+			return PartialSize(k, p)
+		},
+		Decode: func(body []byte) (any, error) {
+			p, _, n, err := DecodePartial(body)
+			if err == nil && n != len(body) {
+				err = fmt.Errorf("%d trailing bytes after partial", len(body)-n)
+			}
+			return partialPayload{p}, err
+		},
 	})
 	RegisterPayload(frameTestTag, PayloadCodec{
 		Name: "frame-test-string",
@@ -34,7 +65,7 @@ func init() {
 	})
 }
 
-// TestFrameGoldenBytes pins the version-2 layout byte for byte: the frame
+// TestFrameGoldenBytes pins the version-3 layout byte for byte: the frame
 // format is an interchange contract, and an accidental field reorder must
 // fail loudly, not just round-trip differently.
 func TestFrameGoldenBytes(t *testing.T) {
@@ -51,7 +82,7 @@ func TestFrameGoldenBytes(t *testing.T) {
 	want := []byte{
 		0, 0, 0, 26, // length prefix, BE: 24-byte header + 2-byte payload
 		0x7A, 0xDA, // magic, LE
-		2,            // version
+		3,            // version
 		frameTestTag, // payload tag
 		1, 0, 0, 0,   // from, LE
 		2, 0, 0, 0, // to, LE
@@ -174,25 +205,21 @@ func TestDecodeFrameBodyErrors(t *testing.T) {
 	}
 }
 
-// Property (satellite): Size and SizeOf agree with Encode's actual output
-// for generated envelopes, with and without partials.
+// Property: FrameSize — what the node charges per sent message — agrees
+// with the encoder's actual output for generated partials of every kind,
+// AVG's two sketches included, at 32-bit and at 64-bit lanes.
 func TestQuickSizeMatchesEncode(t *testing.T) {
 	kinds := []agg.Kind{agg.Min, agg.Max, agg.Count, agg.Sum, agg.Avg}
-	f := func(seed int64, hop uint16, pick uint8, bare bool) bool {
-		e := Envelope{Kind: MsgBroadcast, Hop: hop}
-		if !bare {
-			k := kinds[int(pick)%len(kinds)]
-			rng := rand.New(rand.NewSource(seed))
-			e.Partial = agg.NewPartial(k, int64(pick)+1, params(), rng)
-			e.AggKind = k
-		}
-		buf, err := Encode(e)
+	f := func(seed int64, pick, vectors, bits uint8) bool {
+		k := kinds[int(pick)%len(kinds)]
+		ps := agg.Params{Vectors: int(vectors)%255 + 1, Bits: int(bits)%64 + 1}
+		payload := partialPayload{agg.NewPartial(k, int64(pick)+1, ps, rand.New(rand.NewSource(seed)))}
+		buf, err := AppendFrame(nil, Frame{From: 1, To: 2, Query: seed, Payload: payload})
 		if err != nil {
 			return false
 		}
-		n1, err1 := SizeOf(e)
-		n2, err2 := Size(e)
-		return err1 == nil && err2 == nil && n1 == len(buf) && n2 == len(buf)
+		n, err := FrameSize(payload)
+		return err == nil && n == len(buf)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

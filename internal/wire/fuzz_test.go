@@ -1,63 +1,73 @@
 package wire
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
 	"validity/internal/agg"
 )
 
-// Seed corpus for the envelope decoders: valid encodings of every message
-// kind with and without partials, plus every truncation of one of them —
-// the hostile inputs a broken peer is most likely to produce.
-func envelopeSeeds(tb testing.TB) [][]byte {
+// frameSeeds is the seed corpus for the frame decoder: a valid frame body
+// for every payload the package's own codecs carry — both test codecs, the
+// quiescence announce, a partial of every kind — then every truncation of
+// each (the hostile input a broken peer is most likely to produce), a
+// version-2 frame, and the non-canonical sketches.
+func frameSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(7))
+	payloads := []any{"hello", Quiesce{Epoch: 2, Activity: 5, Quiet: true}}
+	for _, k := range []agg.Kind{agg.Min, agg.Max, agg.Count, agg.Sum, agg.Avg} {
+		payloads = append(payloads, partialPayload{agg.NewPartial(k, 42, params(), rng)})
+	}
 	var seeds [][]byte
-	add := func(e Envelope) {
-		buf, err := Encode(e)
+	for _, payload := range payloads {
+		buf, err := AppendFrame(nil, Frame{From: 1, To: 2, Query: 7, Chain: 1, Payload: payload})
 		if err != nil {
 			tb.Fatal(err)
 		}
-		seeds = append(seeds, buf)
+		body := buf[4:]
+		for i := 0; i <= len(body); i++ {
+			seeds = append(seeds, body[:i])
+		}
 	}
-	add(Envelope{Kind: MsgBroadcast, Hop: 3})
-	add(Envelope{Kind: MsgConverge})
-	for _, k := range []agg.Kind{agg.Min, agg.Max, agg.Count, agg.Sum, agg.Avg} {
-		add(Envelope{
-			Kind:    MsgConverge,
-			Partial: agg.NewPartial(k, 42, params(), rng),
-			AggKind: k,
-		})
-	}
-	full := seeds[len(seeds)-1]
-	for i := range full {
-		seeds = append(seeds, full[:i])
+	header := seeds[len(seeds)-1][:FrameHeaderSize]
+	v2 := append([]byte(nil), seeds[len(seeds)-1]...)
+	v2[2] = 2
+	seeds = append(seeds, v2)
+	for _, hostile := range hostileSketches() {
+		seeds = append(seeds, append(append([]byte(nil), header...), hostile...))
 	}
 	return seeds
 }
 
-// FuzzDecode feeds arbitrary bytes to the envelope decoder. Hostile input
+// FuzzDecode feeds arbitrary bytes to the frame decoder. Hostile input
 // must come back as an error — never a panic, and never an allocation
-// sized from unvalidated lengths.
+// sized from unvalidated lengths — and anything that decodes must
+// re-encode to the bytes it came from: the format has one encoding per
+// frame, so a decoder that accepts a second one is accepting something no
+// peer of this build sent.
 func FuzzDecode(f *testing.F) {
-	for _, s := range envelopeSeeds(f) {
+	for _, s := range frameSeeds(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := Decode(data)
-		if err == nil {
-			// Anything that decodes must re-encode: the codec may not
-			// accept envelopes it cannot itself produce.
-			if _, err := Encode(e); err != nil {
-				t.Fatalf("decoded envelope does not re-encode: %v", err)
-			}
+		fr, err := DecodeFrameBody(data)
+		if err != nil {
+			return
+		}
+		buf, err := AppendFrame(nil, fr)
+		if err != nil {
+			t.Fatalf("decoded frame does not re-encode: %v", err)
+		}
+		if !bytes.Equal(buf[4:], data) {
+			t.Fatalf("decoded frame re-encodes differently\n  in %x\n out %x", data, buf[4:])
 		}
 	})
 }
 
-// FuzzDecodePartial covers the partial-only decoder used by snapshot
-// restore, where the payload arrives without an envelope header.
+// FuzzDecodePartial covers the partial decoder on its own, where the
+// bytes arrive without a frame around them and may run past the partial.
 func FuzzDecodePartial(f *testing.F) {
 	rng := rand.New(rand.NewSource(8))
 	for _, k := range []agg.Kind{agg.Min, agg.Count, agg.Avg} {
@@ -69,7 +79,20 @@ func FuzzDecodePartial(f *testing.F) {
 		f.Add(buf[:len(buf)/2])
 	}
 	f.Add([]byte{})
+	for _, hostile := range hostileSketches() {
+		f.Add(hostile)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _, _, _ = DecodePartial(data)
+		p, k, n, err := DecodePartial(data)
+		if err != nil {
+			return
+		}
+		buf, err := AppendPartial(nil, k, p)
+		if err != nil {
+			t.Fatalf("decoded partial does not re-encode: %v", err)
+		}
+		if !bytes.Equal(buf, data[:n]) {
+			t.Fatalf("decoded partial re-encodes differently\n  in %x\n out %x", data[:n], buf)
+		}
 	})
 }

@@ -1,20 +1,19 @@
 // Package wire defines the binary encoding for everything the protocols
-// put on the network: partial aggregates (scalars and FM sketches), the
-// protocol message envelopes, and — since wire version 2 — the full
-// transport frame the TCP transport ships. The simulator passes Go values
-// directly, but a real deployment of WILDFIRE ships bytes; this package is
-// the boundary where the paper's "small fixed-size messages" claim (§4.4,
-// §6.3) becomes checkable — SizeOf/FrameSize report the exact on-wire cost
-// of every message, and the encoding round-trips through encoding/binary
-// with no reflection.
+// put on the network: partial aggregates (scalars and FM sketches) and the
+// transport frame the TCP transport ships them in. The simulator passes Go
+// values directly, but a real deployment of WILDFIRE ships bytes; this
+// package is the boundary where the paper's "small fixed-size messages"
+// claim (§4.4, §6.3) becomes checkable — PartialSize/FrameSize report the
+// exact on-wire cost of every message, and the encoding round-trips
+// through encoding/binary with no reflection.
 //
-// Frame layout, version 2 (the unit one conn.Write carries; length prefix
+// Frame layout, version 3 (the unit one conn.Write carries; length prefix
 // big-endian, everything after it little-endian unless noted):
 //
 //	offset  size  field
 //	0       4     length   u32 BE — bytes that follow (header + payload)
 //	4       2     magic    u16    — 0xDA7A
-//	6       1     version  u8     — Version (2)
+//	6       1     version  u8     — Version (3)
 //	7       1     tag      u8     — payload tag (RegisterPayload)
 //	8       4     from     u32    — sending host id
 //	12      4     to       u32    — destination host id
@@ -24,10 +23,9 @@
 //
 // Payload tags 1–239 belong to protocol messages (internal/protocol
 // registers its codecs in package init); 240–255 are reserved for
-// out-of-tree payloads such as test harness messages. Explicit tags
-// replace gob interface registration: decode is a table lookup, not a
-// reflection walk, and encode appends into a caller-owned buffer so a
-// steady-state send allocates nothing.
+// out-of-tree payloads such as test harness messages. Decode is a table
+// lookup, not a reflection walk, and encode appends into a caller-owned
+// buffer so a steady-state send allocates nothing.
 //
 // Control frames share the same framing. The one control tag so far is
 // the quiescence announce (QuiesceTag, 239 — control tags grow downward
@@ -43,12 +41,20 @@
 // a busy re-announce, so the issuer's early-read path only trusts the
 // highest epoch seen per process. See internal/node's quiesce tracker.
 //
-// Envelope/partial layout (version-2 bodies, unchanged from version 1):
+// Partial layout, version 3. An FM vector travels at its declared width:
+// one lane per vector, 4 bytes when bits ≤ 32 and 8 otherwise, so a
+// partial's size is fixed by (kind, vectors, bits) and never by content.
+// A sketch body is the little-endian image of fm.Sketch's words; bits at
+// or above the declared width must be zero, and there is exactly one
+// encoding of every partial.
 //
-//	envelope: magic u16 | version u8 | kind u8 | hop u16 | has u8 | partial?
 //	scalar partial:  aggKind u8 | value i64
-//	sketch partial:  aggKind u8 | vectors u8 | bits u8 | vectors × u64
-//	avg partial:     aggKind u8 | vectors u8 | bits u8 | 2 × vectors × u64
+//	sketch partial:  aggKind u8 | vectors u8 | bits u8 | vectors × lane
+//	avg partial:     aggKind u8 | vectors u8 | bits u8 | 2 × vectors × lane
+//
+// Version 2 shipped every vector as 8 bytes; its frames are rejected by
+// the version check, so the processes of one fleet must run the same
+// build.
 package wire
 
 import (
@@ -62,33 +68,9 @@ import (
 // Magic identifies a validity-protocol frame.
 const Magic uint16 = 0xDA7A
 
-// Version is the current wire version. Version 2 added the transport
-// frame (explicit payload tags, host/query/chain header) on top of the
-// version-1 envelope and partial bodies, which are unchanged.
-const Version uint8 = 2
-
-// MsgKind tags the envelope body.
-type MsgKind uint8
-
-// Message kinds carried on the wire.
-const (
-	MsgBroadcast MsgKind = iota + 1
-	MsgConverge
-	MsgReport
-)
-
-func (k MsgKind) String() string {
-	switch k {
-	case MsgBroadcast:
-		return "broadcast"
-	case MsgConverge:
-		return "converge"
-	case MsgReport:
-		return "report"
-	default:
-		return fmt.Sprintf("MsgKind(%d)", uint8(k))
-	}
-}
+// Version is the current wire version: 3 ships FM vectors at their
+// declared width (see the package comment); 2 shipped them as 8-byte words.
+const Version uint8 = 3
 
 // partial wire tags mirror agg.Kind but are pinned explicitly so that the
 // wire format never shifts if the enum is reordered.
@@ -139,43 +121,38 @@ func AppendPartial(buf []byte, k agg.Kind, p agg.Partial) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf = append(buf, tag)
 	switch k {
 	case agg.Min, agg.Max:
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(p.Result())))
-		return buf, nil
-	case agg.Count, agg.Sum, agg.Avg:
+		v, ok := agg.ScalarValue(p)
+		if !ok {
+			return nil, fmt.Errorf("wire: %v partial carries no scalar", k)
+		}
+		return binary.LittleEndian.AppendUint64(append(buf, tag), uint64(v)), nil
+	default:
 		a, b, err := wireSketches(k, p)
 		if err != nil {
 			return nil, err
 		}
-		buf = append(buf, uint8(a.Vectors()), uint8(a.Bits()))
+		buf = append(buf, tag, uint8(a.Vectors()), uint8(a.Bits()))
 		buf = a.AppendWords(buf)
 		if b != nil {
 			buf = b.AppendWords(buf)
 		}
 		return buf, nil
 	}
-	return nil, fmt.Errorf("wire: unencodable kind %v", k)
 }
-
-// PartialSize is AppendPartial's output length, computed arithmetically
-// without encoding — the payload codecs use it to size frames on the send
-// hot path.
-func PartialSize(k agg.Kind, p agg.Partial) (int, error) { return partialSize(k, p) }
 
 // wireSketches fetches and validates the sketches of a sketch partial
 // without allocating: the shared front half of AppendPartial and
-// partialSize, so encoding and arithmetic sizing can never disagree on
+// PartialSize, so encoding and arithmetic sizing can never disagree on
 // what is representable.
 func wireSketches(k agg.Kind, p agg.Partial) (a, b *fm.Sketch, err error) {
 	a, b = agg.WireSketches(p)
-	if a == nil {
-		return nil, nil, fmt.Errorf("wire: %v partial carries no sketches", k)
+	if a == nil || (b != nil) != (k == agg.Avg) {
+		return nil, nil, fmt.Errorf("wire: partial %T is not a %v partial", p, k)
 	}
-	if a.Vectors() > 255 || a.Bits() > 64 {
-		return nil, nil, fmt.Errorf("wire: sketch dimensions %d/%d exceed wire limits",
-			a.Vectors(), a.Bits())
+	if a.Vectors() > 255 {
+		return nil, nil, fmt.Errorf("wire: %d vectors exceed the wire limit of 255", a.Vectors())
 	}
 	if b != nil && (b.Vectors() != a.Vectors() || b.Bits() != a.Bits()) {
 		return nil, nil, fmt.Errorf("wire: mismatched sketch dimensions within partial")
@@ -183,8 +160,10 @@ func wireSketches(k agg.Kind, p agg.Partial) (a, b *fm.Sketch, err error) {
 	return a, b, nil
 }
 
-// partialSize is AppendPartial's output length, computed arithmetically.
-func partialSize(k agg.Kind, p agg.Partial) (int, error) {
+// PartialSize is AppendPartial's output length, computed arithmetically
+// without encoding — the payload codecs use it to size frames on the send
+// hot path.
+func PartialSize(k agg.Kind, p agg.Partial) (int, error) {
 	switch k {
 	case agg.Min, agg.Max:
 		return 1 + 8, nil // tag + i64 value
@@ -193,19 +172,18 @@ func partialSize(k agg.Kind, p agg.Partial) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		nSketches := 1
+		n := fm.WireSize(a.Vectors(), a.Bits())
 		if b != nil {
-			nSketches = 2
+			n *= 2
 		}
-		// tag + vectors + bits header, then the sketch words.
-		return 3 + 8*nSketches*a.Vectors(), nil
+		return 3 + n, nil // tag + vectors + bits header, then the lanes
 	}
 	return 0, fmt.Errorf("wire: unencodable kind %v", k)
 }
 
 // DecodePartial decodes a partial from buf, returning the partial, its
-// kind and the number of bytes consumed. Scalar partials are
-// reconstructed directly; sketch partials are rebuilt from their words.
+// kind and the number of bytes consumed. A sketch's vectors are read
+// straight into the storage the partial keeps.
 func DecodePartial(buf []byte) (agg.Partial, agg.Kind, int, error) {
 	if len(buf) < 1 {
 		return nil, 0, 0, fmt.Errorf("wire: empty partial")
@@ -214,131 +192,40 @@ func DecodePartial(buf []byte) (agg.Partial, agg.Kind, int, error) {
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	switch k {
-	case agg.Min, agg.Max:
+	if k == agg.Min || k == agg.Max {
 		if len(buf) < 9 {
 			return nil, 0, 0, fmt.Errorf("wire: truncated scalar partial")
 		}
 		v := int64(binary.LittleEndian.Uint64(buf[1:9]))
 		// Reconstruct through the public constructor: a scalar partial's
 		// state is exactly its value.
-		p := agg.NewPartial(k, v, agg.Params{Vectors: 1, Bits: 1}, nil)
-		return p, k, 9, nil
-	case agg.Count, agg.Sum, agg.Avg:
-		if len(buf) < 3 {
-			return nil, 0, 0, fmt.Errorf("wire: truncated sketch header")
+		return agg.NewPartial(k, v, agg.Params{}, nil), k, 9, nil
+	}
+	if len(buf) < 3 {
+		return nil, 0, 0, fmt.Errorf("wire: truncated sketch header")
+	}
+	vectors, bits := int(buf[1]), int(buf[2])
+	if vectors < 1 || bits < 1 || bits > 64 {
+		return nil, 0, 0, fmt.Errorf("wire: invalid sketch dimensions %d/%d", vectors, bits)
+	}
+	n := 1 // sketches in the partial
+	if k == agg.Avg {
+		n = 2
+	}
+	size := fm.WireSize(vectors, bits)
+	need := 3 + n*size
+	if len(buf) < need {
+		return nil, 0, 0, fmt.Errorf("wire: truncated sketch body (%d < %d)", len(buf), need)
+	}
+	var sks [2]fm.Sketch
+	for i := range sks[:n] {
+		if sks[i], err = fm.ReadWords(vectors, bits, buf[3+i*size:3+(i+1)*size]); err != nil {
+			return nil, 0, 0, fmt.Errorf("wire: %w", err)
 		}
-		vectors, bits := int(buf[1]), int(buf[2])
-		if vectors < 1 || bits < 1 || bits > 64 {
-			return nil, 0, 0, fmt.Errorf("wire: invalid sketch dimensions %d/%d", vectors, bits)
-		}
-		nSketches := 1
-		if k == agg.Avg {
-			nSketches = 2
-		}
-		need := 3 + 8*vectors*nSketches
-		if len(buf) < need {
-			return nil, 0, 0, fmt.Errorf("wire: truncated sketch body (%d < %d)", len(buf), need)
-		}
-		sks := make([]*fm.Sketch, nSketches)
-		off := 3
-		for i := range sks {
-			words := make([]uint64, vectors)
-			for w := range words {
-				words[w] = binary.LittleEndian.Uint64(buf[off : off+8])
-				off += 8
-			}
-			sks[i] = fm.FromWords(words, bits)
-		}
-		p, err := agg.PartialFromSketches(k, sks)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return p, k, need, nil
 	}
-	return nil, 0, 0, fmt.Errorf("wire: unreachable kind %v", k)
-}
-
-// Envelope is a decoded protocol frame.
-type Envelope struct {
-	Kind MsgKind
-	// Hop is meaningful for broadcast frames (sender distance + 1).
-	Hop uint16
-	// Partial is the piggybacked partial aggregate, nil for frames
-	// without one.
-	Partial agg.Partial
-	// AggKind is the aggregate kind of Partial when present.
-	AggKind agg.Kind
-}
-
-// Encode serializes an envelope.
-func Encode(e Envelope) ([]byte, error) {
-	buf := make([]byte, 0, 64)
-	buf = binary.LittleEndian.AppendUint16(buf, Magic)
-	buf = append(buf, Version, uint8(e.Kind))
-	buf = binary.LittleEndian.AppendUint16(buf, e.Hop)
-	if e.Partial == nil {
-		buf = append(buf, 0)
-		return buf, nil
-	}
-	buf = append(buf, 1)
-	return AppendPartial(buf, e.AggKind, e.Partial)
-}
-
-// Decode parses an envelope produced by Encode.
-func Decode(buf []byte) (Envelope, error) {
-	var e Envelope
-	if len(buf) < 7 {
-		return e, fmt.Errorf("wire: frame too short (%d bytes)", len(buf))
-	}
-	if binary.LittleEndian.Uint16(buf[0:2]) != Magic {
-		return e, fmt.Errorf("wire: bad magic %#x", binary.LittleEndian.Uint16(buf[0:2]))
-	}
-	if buf[2] != Version {
-		return e, fmt.Errorf("wire: unsupported version %d", buf[2])
-	}
-	e.Kind = MsgKind(buf[3])
-	switch e.Kind {
-	case MsgBroadcast, MsgConverge, MsgReport:
-	default:
-		return e, fmt.Errorf("wire: unknown message kind %d", buf[3])
-	}
-	e.Hop = binary.LittleEndian.Uint16(buf[4:6])
-	hasPartial := buf[6]
-	if hasPartial == 0 {
-		return e, nil
-	}
-	p, k, _, err := DecodePartial(buf[7:])
+	p, err := agg.PartialFromSketches(k, sks[:n]...)
 	if err != nil {
-		return e, err
+		return nil, 0, 0, err
 	}
-	e.Partial = p
-	e.AggKind = k
-	return e, nil
-}
-
-// Size returns the encoded size of an envelope (convenience for cost
-// accounting); it delegates to SizeOf's arithmetic path rather than
-// paying a throwaway Encode.
-func Size(e Envelope) (int, error) { return SizeOf(e) }
-
-// envelopeHeaderSize is Encode's fixed prefix: magic (2), version (1),
-// kind (1), hop (2), has-partial flag (1).
-const envelopeHeaderSize = 7
-
-// SizeOf computes Encode's output length arithmetically, without
-// encoding. The node engine charges every sent payload its on-wire size,
-// so this sits on the runtime's hot path where Size's throwaway encode
-// would eat into the per-hop budget δ.
-func SizeOf(e Envelope) (int, error) {
-	if e.Partial == nil {
-		return envelopeHeaderSize, nil
-	}
-	// partialSize mirrors AppendPartial's validation: a size must only be
-	// reported for envelopes the encoding can actually represent.
-	n, err := partialSize(e.AggKind, e.Partial)
-	if err != nil {
-		return 0, err
-	}
-	return envelopeHeaderSize + n, nil
+	return p, k, need, nil
 }

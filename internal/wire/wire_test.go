@@ -60,65 +60,6 @@ func TestSketchRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEnvelopeRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	p := agg.NewPartial(agg.Count, 1, params(), rng)
-	e := Envelope{Kind: MsgBroadcast, Hop: 7, Partial: p, AggKind: agg.Count}
-	buf, err := Encode(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Kind != MsgBroadcast || got.Hop != 7 || got.AggKind != agg.Count {
-		t.Fatalf("envelope fields: %+v", got)
-	}
-	if !got.Partial.Equal(p) {
-		t.Fatal("partial mismatch")
-	}
-}
-
-func TestEnvelopeWithoutPartial(t *testing.T) {
-	e := Envelope{Kind: MsgReport, Hop: 0}
-	buf, err := Encode(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Partial != nil || got.Kind != MsgReport {
-		t.Fatalf("got %+v", got)
-	}
-}
-
-func TestDecodeErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	p := agg.NewPartial(agg.Sum, 5, params(), rng)
-	good, err := Encode(Envelope{Kind: MsgConverge, Partial: p, AggKind: agg.Sum})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := map[string][]byte{
-		"empty":       {},
-		"short":       good[:4],
-		"bad magic":   append([]byte{0, 0}, good[2:]...),
-		"bad version": append(append([]byte{}, good[:2]...), append([]byte{99}, good[3:]...)...),
-		"bad kind":    append(append([]byte{}, good[:3]...), append([]byte{77}, good[4:]...)...),
-		"truncated":   good[:len(good)-5],
-		"empty body":  good[:7],
-		"bad agg tag": func() []byte { b := append([]byte{}, good...); b[7] = 99; return b }(),
-	}
-	for name, buf := range cases {
-		if _, err := Decode(buf); err == nil {
-			t.Errorf("%s: decode accepted corrupt frame", name)
-		}
-	}
-}
-
 func TestDecodePartialErrors(t *testing.T) {
 	if _, _, _, err := DecodePartial(nil); err == nil {
 		t.Fatal("empty partial accepted")
@@ -137,6 +78,31 @@ func TestDecodePartialErrors(t *testing.T) {
 	}
 	if _, _, _, err := DecodePartial([]byte{3, 4, 32, 0}); err == nil {
 		t.Fatal("truncated sketch body accepted")
+	}
+	for name, buf := range hostileSketches() {
+		if p, _, _, err := DecodePartial(buf); err == nil {
+			t.Errorf("%s accepted: decoded to %v", name, p.Result())
+		}
+	}
+	// The same bodies with the offending bits inside the width decode.
+	if _, _, n, err := DecodePartial([]byte{3, 1, 31, 0xFF, 0xFF, 0xFF, 0x7F}); err != nil || n != 7 {
+		t.Fatalf("a full 31-bit vector: n=%d err=%v", n, err)
+	}
+}
+
+// hostileSketches are sketch partials no encoder produces: a vector with
+// bits set at or above its declared width. Version 2 decoded them, and the
+// stray bits then made Equal and Covers lie at every host they were OR-ed
+// into. Shared by the error test and the fuzz seed corpus.
+func hostileSketches() map[string][]byte {
+	return map[string][]byte{
+		"bits=31 count, bit 31 set":          {3, 1, 31, 0, 0, 0, 0x80},
+		"bits=8 sum, bit 8 of vector 2 set":  {4, 2, 8, 1, 0, 0, 0, 0, 1, 0, 0},
+		"bits=1 count, bit 1 set":            {3, 1, 1, 2, 0, 0, 0},
+		"bits=33 count, bit 33 set":          {3, 1, 33, 0, 0, 0, 0, 2, 0, 0, 0},
+		"bits=63 count, bit 63 set":          {3, 1, 63, 0, 0, 0, 0, 0, 0, 0, 0x80},
+		"bits=16 avg, count sketch bit 16":   {5, 1, 16, 1, 0, 0, 0, 0, 0, 1, 0},
+		"bits=12 count, third vector bit 12": {3, 3, 12, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0x10, 0, 0},
 	}
 }
 
@@ -164,28 +130,28 @@ func TestCombineAfterRoundTrip(t *testing.T) {
 }
 
 // Property: encoding is deterministic and parse-back stable for random
-// sketch contents.
-func TestQuickEnvelopeRoundTrip(t *testing.T) {
-	f := func(seed int64, hop uint16, n uint8) bool {
+// sketch contents, and a decoded partial re-encodes to the same bytes.
+func TestQuickPartialRoundTrip(t *testing.T) {
+	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := agg.NewPartial(agg.Avg, int64(n)+1, params(), rng)
 		for i := 0; i < int(n%16); i++ {
 			p.Combine(agg.NewPartial(agg.Avg, int64(i+1), params(), rng))
 		}
-		e := Envelope{Kind: MsgConverge, Hop: hop, Partial: p, AggKind: agg.Avg}
-		buf1, err := Encode(e)
+		buf1, err := AppendPartial(nil, agg.Avg, p)
 		if err != nil {
 			return false
 		}
-		buf2, _ := Encode(e)
+		buf2, _ := AppendPartial(nil, agg.Avg, p)
 		if string(buf1) != string(buf2) {
 			return false
 		}
-		got, err := Decode(buf1)
-		if err != nil {
+		got, k, used, err := DecodePartial(buf1)
+		if err != nil || k != agg.Avg || used != len(buf1) || !got.Equal(p) {
 			return false
 		}
-		return got.Hop == hop && got.Partial.Equal(p)
+		buf3, err := AppendPartial(nil, k, got)
+		return err == nil && string(buf3) == string(buf1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -202,67 +168,60 @@ func TestMessageSizeSmallAndFixed(t *testing.T) {
 		for j := 0; j < i*10; j++ {
 			p.Combine(agg.NewPartial(agg.Count, 1, params(), rng))
 		}
-		n, err := Size(Envelope{Kind: MsgConverge, Partial: p, AggKind: agg.Count})
+		n, err := PartialSize(agg.Count, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sizes[n] = true
-		if n > 100 {
-			t.Fatalf("count frame %d bytes; paper expects small fixed-size messages", n)
+		if n != 3+8*4 {
+			t.Fatalf("count partial is %d bytes, want 35: eight 32-bit vectors at their declared width", n)
 		}
 	}
 	if len(sizes) != 1 {
-		t.Fatalf("count frames vary in size: %v (must be fixed-size)", sizes)
+		t.Fatalf("count partials vary in size: %v (must be fixed-size)", sizes)
 	}
 }
 
-func TestMsgKindString(t *testing.T) {
-	for _, k := range []MsgKind{MsgBroadcast, MsgConverge, MsgReport} {
-		if k.String() == "" {
-			t.Fatal("empty kind name")
-		}
-	}
-	if MsgKind(99).String() == "" {
-		t.Fatal("unknown kind should still stringify")
-	}
-}
-
+// PartialSize is arithmetic; it must agree with what AppendPartial writes
+// for every kind, and every sketch kind must cost its lanes and no more.
 func TestSizeOfMatchesEncode(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	envs := []Envelope{
-		{Kind: MsgBroadcast, Hop: 3},
-		{Kind: MsgReport},
-	}
-	for _, k := range []agg.Kind{agg.Min, agg.Max, agg.Count, agg.Sum, agg.Avg} {
-		envs = append(envs, Envelope{
-			Kind:    MsgConverge,
-			Partial: agg.NewPartial(k, 42, params(), rng),
-			AggKind: k,
-		})
-	}
-	for _, e := range envs {
-		buf, err := Encode(e)
+	want := map[agg.Kind]int{agg.Min: 9, agg.Max: 9, agg.Count: 3 + 32, agg.Sum: 3 + 32, agg.Avg: 3 + 64}
+	for k, size := range want {
+		p := agg.NewPartial(k, 42, params(), rng)
+		buf, err := AppendPartial(nil, k, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := SizeOf(e)
+		n, err := PartialSize(k, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n != len(buf) {
-			t.Fatalf("SizeOf(%v/%v) = %d, Encode produced %d bytes", e.Kind, e.AggKind, n, len(buf))
+		if n != len(buf) || n != size {
+			t.Fatalf("PartialSize(%v) = %d, AppendPartial wrote %d bytes, want %d", k, n, len(buf), size)
 		}
+	}
+	// Vectors wider than 32 bits take an 8-byte lane each.
+	wide := agg.NewPartial(agg.Count, 1, agg.Params{Vectors: 5, Bits: 40}, rng)
+	if n, err := PartialSize(agg.Count, wide); err != nil || n != 3+5*8 {
+		t.Fatalf("PartialSize of five 40-bit vectors = %d (%v), want 43", n, err)
 	}
 }
 
 func TestSizeOfRejectsUnencodable(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	big := agg.NewPartial(agg.Count, 1, agg.Params{Vectors: 300, Bits: 32}, rng)
-	e := Envelope{Kind: MsgConverge, Partial: big, AggKind: agg.Count}
-	if _, err := Encode(e); err == nil {
-		t.Fatal("Encode accepted 300 vectors")
+	if _, err := AppendPartial(nil, agg.Count, big); err == nil {
+		t.Fatal("AppendPartial accepted 300 vectors")
 	}
-	if _, err := SizeOf(e); err == nil {
-		t.Fatal("SizeOf reported a size for an envelope Encode rejects")
+	if _, err := PartialSize(agg.Count, big); err == nil {
+		t.Fatal("PartialSize reported a size for a partial AppendPartial rejects")
+	}
+	avg := agg.NewPartial(agg.Avg, 1, params(), rng)
+	if _, err := AppendPartial(nil, agg.Count, avg); err == nil {
+		t.Fatal("AppendPartial wrote an avg partial under the count tag")
+	}
+	if _, err := AppendPartial(nil, agg.Min, avg); err == nil {
+		t.Fatal("AppendPartial wrote a sketch partial as a scalar")
 	}
 }
