@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"validity/internal/obs"
 )
 
 // runtimePeaks samples the two process-health numbers the sharded engine
@@ -55,6 +57,8 @@ func (p *runtimePeaks) stop() (int, uint64) {
 // in seconds, and the goroutine peak must be O(shards + constant) — a
 // regression back to goroutine-per-host (or to goroutine-per-in-flight-
 // send in the chan transport) blows the bound by two orders of magnitude.
+// State is bounded the same way: every answered query is retired by the
+// time the stream ends, none is left waiting out a timer.
 // Skipped under the race detector: the fleet size is calibrated for
 // native execution, and the shard scheduler's serialization is already
 // race-checked at small scale by internal/node's property tests.
@@ -88,6 +92,7 @@ func TestScaleSmoke2K(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Out = &out
+	cfg.Obs = obs.NewRegistry()
 	if err := Run(cfg); err != nil {
 		t.Fatalf("2K-host stream failed: %v\n%s", err, out.String())
 	}
@@ -120,6 +125,13 @@ func TestScaleSmoke2K(t *testing.T) {
 	const heapCap = 256 << 20
 	if peakHeap > heapCap {
 		t.Fatalf("peak heap-inuse %d bytes exceeds %d for %d hosts", peakHeap, heapCap, hosts)
+	}
+	// Bounded state beside bounded goroutines: a query's 2K handlers go
+	// when its answer is read, not a timer later, so the stream leaves
+	// behind exactly as many retirements as answers and nothing unretired.
+	count := func(name string) int64 { return cfg.Obs.Counter(name, "").Value() }
+	if inst, ret := count("node_queries_instantiated_total"), count("node_queries_retired_total"); ret != int64(len(lines)) || inst != ret {
+		t.Fatalf("%d queries answered, %d instantiated, %d retired: answered queries still hold state", len(lines), inst, ret)
 	}
 	t.Logf("2K-host smoke: peak %d goroutines (bound %d), peak heap %.1f MB", peakG, bound, float64(peakHeap)/(1<<20))
 }

@@ -98,7 +98,18 @@ func (rt *Runtime) AwaitBracket(deadline sim.Time) (floor, settle, hardCap time.
 // it can never race in-flight handler callbacks. The returned latency-
 // relevant guarantee is the point: one-shot and per-window answer times
 // reflect actual convergence, not the worst-case bound.
+//
+// The read that returns — early or at the cap — is terminal: in the paper
+// the query is over once h_q declares, so the answer is frozen into the
+// query and its protocol state released on the spot, here and (Done) on
+// every worker process of the roster. QueryResult, QueryStats and a second
+// AwaitQueryResult keep answering from the frozen value and the counters
+// until compaction, one grace later.
 func (rt *Runtime) AwaitQueryResult(id QueryID, h graph.HostID, floor, settle, hardCap time.Duration) (float64, bool, error) {
+	qs := rt.lookupQuery(id)
+	if qs != nil && qs.answer.Load() != nil {
+		return rt.QueryResult(id, h) // answered before: the frozen value
+	}
 	start := time.Now()
 	hard := start.Add(hardCap)
 	if settle <= 0 {
@@ -118,7 +129,6 @@ func (rt *Runtime) AwaitQueryResult(id QueryID, h graph.HostID, floor, settle, h
 	if maxPoll < basePoll {
 		maxPoll = basePoll
 	}
-	qs := rt.lookupQuery(id)
 	// The quiesce fast path's own floor: never below the caller's floor
 	// when that is already shorter (streams pass lag-adjusted floors).
 	qFloor := rt.quiesceFloor(qs)
@@ -154,6 +164,7 @@ func (rt *Runtime) AwaitQueryResult(id QueryID, h graph.HostID, floor, settle, h
 						}
 						rt.trace.Record(int64(id), obs.EvEarlyRead, -1, qs.tickNow(rt), detail)
 					}
+					rt.answered(id, v, true)
 					return v, true, nil
 				}
 				// No declared result yet (or a transient read failure):
@@ -181,5 +192,21 @@ func (rt *Runtime) AwaitQueryResult(id QueryID, h graph.HostID, floor, settle, h
 		}
 	}
 	rt.met.deadlineReads.Inc()
-	return rt.QueryResult(id, h)
+	v, ok, err := rt.QueryResult(id, h)
+	if err == nil {
+		rt.answered(id, v, ok)
+	}
+	return v, ok, err
+}
+
+// answered makes a read of query id terminal: the answer is frozen into
+// the query before its protocol state goes, so no reader ever finds
+// neither, and the worker processes are told the query is over.
+func (rt *Runtime) answered(id QueryID, v float64, ok bool) {
+	qs := rt.lookupQuery(id)
+	if qs == nil || !qs.answer.CompareAndSwap(nil, &answer{v, ok}) {
+		return
+	}
+	rt.release(qs, "answered")
+	rt.announceDone(qs)
 }

@@ -6,6 +6,7 @@ import (
 
 	"validity/internal/agg"
 	"validity/internal/graph"
+	"validity/internal/obs"
 	"validity/internal/protocol"
 	"validity/internal/topology"
 	"validity/internal/transport"
@@ -29,6 +30,8 @@ func newWildfireEngine(t *testing.T, hosts int, hop time.Duration) (*Runtime, pr
 		Values:    values,
 		Transport: transport.NewChannel(hosts, hop/2),
 		Hop:       hop,
+		Obs:       obs.NewRegistry(),
+		Trace:     obs.NewTracer(0, 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -43,19 +46,53 @@ func newWildfireEngine(t *testing.T, hosts int, hop time.Duration) (*Runtime, pr
 	return rt, spec
 }
 
+// capRead is one side of a twin comparison: it issues query id on twin —
+// a second runtime built exactly like the one under test — and reads it
+// at hardCap with the early paths shut (floor = hardCap), the way the old
+// sleep-out-the-deadline path did. An early read releases its query, so
+// "nothing changed it through the deadline" can only be asked of a twin.
+// The returned function waits for the read.
+func capRead(t *testing.T, twin *Runtime, id QueryID, hq graph.HostID, hardCap time.Duration) func() float64 {
+	t.Helper()
+	if _, err := twin.StartQuery(id); err != nil {
+		t.Fatal(err)
+	}
+	type read struct {
+		v   float64
+		ok  bool
+		err error
+	}
+	done := make(chan read, 1)
+	go func() {
+		v, ok, err := twin.AwaitQueryResult(id, hq, hardCap, time.Millisecond, hardCap)
+		done <- read{v, ok, err}
+	}()
+	return func() float64 {
+		t.Helper()
+		r := <-done
+		if r.err != nil || !r.ok {
+			t.Fatalf("twin's cap read failed: ok=%v err=%v", r.ok, r.err)
+		}
+		return r.v
+	}
+}
+
 // TestAwaitQueryResultConvergesEarly pins the adaptive-read satellite: on
 // a quiet single-process fleet the result is read at quiescence, well
 // before the hard cap, never before the floor, and it matches what the
-// old sleep-out-the-deadline read would have returned.
+// old sleep-out-the-deadline read returns on a twin fleet.
 func TestAwaitQueryResultConvergesEarly(t *testing.T) {
 	hop := raceSlowdown * 5 * time.Millisecond
 	rt, spec := newWildfireEngine(t, 30, hop)
+	twin, _ := newWildfireEngine(t, 30, hop)
+	floor := time.Duration(spec.DHat+2) * hop
+	settle := 2 * hop
+	deadline := 2*time.Duration(spec.DHat)*hop + 10*hop
+	cap := deadline + 5*time.Second
+	late := capRead(t, twin, 1, spec.Hq, deadline)
 	if _, err := rt.StartQuery(1); err != nil {
 		t.Fatal(err)
 	}
-	floor := time.Duration(spec.DHat+2) * hop
-	settle := 2 * hop
-	cap := 2*time.Duration(spec.DHat)*hop + 10*hop + 5*time.Second
 
 	start := time.Now()
 	v, ok, err := rt.AwaitQueryResult(1, spec.Hq, floor, settle, cap)
@@ -69,14 +106,9 @@ func TestAwaitQueryResultConvergesEarly(t *testing.T) {
 	if elapsed >= cap/2 {
 		t.Fatalf("result took %v of a %v cap; quiescence polling never bit", elapsed, cap)
 	}
-	// The early read must be the converged value: nothing may change it
-	// between quiescence and the protocol deadline.
-	time.Sleep(2 * time.Duration(spec.DHat) * hop)
-	late, ok, err := rt.QueryResult(1, spec.Hq)
-	if err != nil || !ok {
-		t.Fatalf("late read failed: %v", err)
-	}
-	if late != v {
+	// The early read must be the converged value: what the twin, left
+	// running to the protocol deadline, declares there.
+	if late := late(); late != v {
 		t.Fatalf("early read %v differs from deadline read %v; quiescence declared too soon", v, late)
 	}
 }

@@ -32,23 +32,19 @@ func (c *coinSource) Int63() int64   { return int64(c.pcg.Uint64() >> 1) }
 // Seed implements rand.Source; nothing reseeds a coin stream.
 func (c *coinSource) Seed(seed int64) { c.pcg.Seed(uint64(seed), 0) }
 
-// BuildInstance materializes p's per-host handlers for rt's local hosts,
-// each wrapped with the host's own coin source derived from seed — the
-// standard QueryFactory body. Protocols build their handlers in
-// Install(*sim.Network), so a scratch event-loop network over the same
-// graph is used purely as a handler factory; it is never run.
+// BuildInstance materializes p's handlers for the hosts rt serves, and for
+// those only, each wrapped with the host's own coin source derived from
+// seed — the standard QueryFactory body. A query's protocol state on a
+// process is O(local hosts): p is validated against G once, and nothing is
+// built for a host another process serves, so on a process that does not
+// serve h_q the instance's Protocol.Result() reports no result.
 func BuildInstance(rt *Runtime, p protocol.Protocol, seed int64) (*QueryInstance, error) {
-	scratch := sim.NewNetwork(sim.Config{Graph: rt.Graph(), Seed: seed})
-	if err := p.Install(scratch); err != nil {
+	if err := p.Init(rt.g); err != nil {
 		return nil, err
 	}
-	hs := make([]sim.Handler, rt.Graph().Len())
-	for h := range hs {
-		id := graph.HostID(h)
-		if !rt.Local(id) {
-			continue
-		}
-		hs[h] = WithRand(scratch.Handler(id), rand.New(newCoinSource(seed, id)))
+	hs := make([]sim.Handler, rt.g.Len())
+	for _, h := range rt.localHosts {
+		hs[h] = WithRand(p.NewHost(h), rand.New(newCoinSource(seed, h)))
 	}
 	return &QueryInstance{Protocol: p, Handlers: hs, Deadline: p.Deadline()}, nil
 }

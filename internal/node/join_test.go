@@ -221,7 +221,7 @@ func TestDropRetiredFoldsOnce(t *testing.T) {
 	if qs == nil {
 		t.Fatal("query 1 has no state")
 	}
-	rt.retire(qs)
+	rt.retire(qs, "timer")
 
 	// Straggler before compaction: serialized against the (not yet run)
 	// fold, lands on the query's own counter.

@@ -24,14 +24,16 @@ type QueryInstance struct {
 	Protocol protocol.Protocol
 	// Handlers[h] is host h's state machine (nil for non-local hosts).
 	Handlers []sim.Handler
-	// Deadline is the query's termination time 2·D̂ in δ ticks; the engine
-	// retires the query's state well after it has passed.
+	// Deadline is the query's termination time 2·D̂ in δ ticks. A query
+	// retires when it is answered; one nobody reads retires on a timer well
+	// after the deadline has passed.
 	Deadline sim.Time
 	// Origin is the query's issuing host h_q. Factories must set it for
 	// cross-process quiescence to engage: worker processes send their
-	// quiet announces to the process serving Origin, and a process that
-	// serves Origin itself never announces. With quiescence disabled (or
-	// no roster) the field is inert.
+	// quiet announces to the process serving Origin and retire the query
+	// on that process's Done, and a process that serves Origin itself
+	// never announces. With quiescence disabled (or no roster) the field
+	// is inert.
 	Origin graph.HostID
 	// Churn is the query's membership timeline, in ticks of this query's
 	// own clock: from a Leave tick on, host h is dead for this query —
@@ -98,10 +100,15 @@ func (rt *Runtime) StartQuery(id QueryID) (*QueryInstance, error) {
 
 // QueryResult reads query id's declared result at host h, executing the
 // read on h's shard worker so it cannot race in-flight handler callbacks.
+// Once AwaitQueryResult has answered the query its protocol state is gone
+// and the answer it froze is served instead, until compaction.
 func (rt *Runtime) QueryResult(id QueryID, h graph.HostID) (float64, bool, error) {
 	qs := rt.lookupQuery(id)
 	if qs == nil {
 		return 0, false, fmt.Errorf("node: query %d has no protocol instance here", id)
+	}
+	if a := qs.answer.Load(); a != nil {
+		return a.v, a.ok, nil
 	}
 	inst := qs.inst.Load()
 	if inst == nil || inst.Protocol == nil {
@@ -220,37 +227,63 @@ func (rt *Runtime) queryForErr(id QueryID, create bool) (*queryState, bool, erro
 }
 
 // retire marks qs dead to the dispatcher, drops the protocol instance —
-// which pins every host's protocol state, so results must be read before
-// the deadline-plus-grace window closes — and hands each host's shard
+// which pins every host's protocol state — and hands each host's shard
 // worker the job of dropping the host's handler reference, so nothing is
 // freed while an in-flight callback could still touch it. Stats counters
-// survive retirement.
-func (rt *Runtime) retire(qs *queryState) {
-	qs.retired.Store(true)
+// and a frozen answer survive retirement. Of its three callers — why is
+// "answered" at the issuer's read, "done" on a worker told so, "timer" at
+// the tkRetire backstop — the first wins and the rest are no-ops, so a
+// query is counted, traced and fanned out once; it reports whether this
+// call was the one.
+func (rt *Runtime) retire(qs *queryState, why string) bool {
+	if !qs.retired.CompareAndSwap(false, true) {
+		return false
+	}
 	qs.inst.Store(nil)
 	rt.met.retired.Inc()
 	if rt.trace != nil {
-		rt.trace.Record(int64(qs.id), obs.EvRetired, -1, qs.tickNow(rt), "")
+		rt.trace.Record(int64(qs.id), obs.EvRetired, -1, qs.tickNow(rt), why)
 	}
 	for _, h := range rt.localHosts {
 		rt.dispatch(h, item{kind: itemRetire, qs: qs})
 	}
+	return true
 }
 
-// retireGrace is wall-clock slack past twice the query deadline before
-// state is retired: late frames within it still count as (dropped)
-// traffic, after it they are indistinguishable from a new query's id being
-// recycled, which the engine does not allow.
+// release retires a query the moment it is over — h_q has declared (§3.1:
+// nothing is owed after that) — instead of at the tkRetire backstop, and
+// re-arms compaction one grace out from now, so live state and the
+// admission cap track queries in flight. The entries scheduleRetire armed
+// still fire later and find nothing left to do.
+func (rt *Runtime) release(qs *queryState, why string) {
+	if rt.retire(qs, why) {
+		rt.scheduleEntry(timerEntry{when: time.Now().Add(retireGrace), kind: tkCompact, qs: qs})
+	}
+}
+
+// retireGrace is wall-clock slack before retired state is forgotten: past
+// twice the query deadline before the backstop retires a query nobody
+// read, and between any retirement and compaction. Late frames within it
+// still count as (dropped) traffic, after it they are indistinguishable
+// from a new query's id being recycled, which the engine does not allow.
 const retireGrace = 2 * time.Second
+
+// answer is the terminal read AwaitQueryResult froze into the query.
+type answer struct {
+	v  float64
+	ok bool
+}
 
 // queryState is the engine's per-query bookkeeping: handlers, clock, and
 // §6.3 counters.
 type queryState struct {
 	id QueryID
 	// inst pins the protocol object (and through it every host's state)
-	// until retirement clears it, after which results are no longer
-	// readable and the GC can reclaim the query's protocol state.
+	// until retirement clears it and the GC can reclaim the query's
+	// protocol state; from then on the only result readable is answer, set
+	// (before inst clears) when the retirement was AwaitQueryResult's.
 	inst     atomic.Pointer[QueryInstance]
+	answer   atomic.Pointer[answer]
 	handlers []sim.Handler
 	be       *queryBackend
 	deadline sim.Time

@@ -33,6 +33,14 @@ import (
 // final. The unchanged hard cap remains the soundness backstop: a lost
 // or never-sent announce only costs latency, never correctness.
 //
+// The plane also carries the one frame that flows the other way: when
+// AwaitQueryResult answers a query, the issuer sends every peer process a
+// Done, and a worker retires the query on it instead of holding its state
+// (and re-arming its announce check) until the timer backstop. Only the
+// process serving the query's origin is believed, a Done for a query the
+// worker does not hold builds nothing, and a lost one just leaves the
+// backstop to do the retiring.
+//
 // Quiesce frames are control plane, not protocol traffic: they bypass
 // the per-query demux (no instance is ever built for them), are not
 // charged to the query's §6.3 message/byte cost, and do not touch the
@@ -132,7 +140,7 @@ func (rt *Runtime) quiesceCheck(qs *queryState) {
 	}
 	now := time.Now()
 	if ann := qs.quiesceStep(rt, now); ann != nil {
-		go rt.sendQuiesce(qs, *ann)
+		go rt.sendQuiesce(qs, qs.origin, *ann)
 	}
 	rt.scheduleEntry(timerEntry{
 		when: now.Add(rt.quiesceInterval(qs.deadline)),
@@ -141,15 +149,16 @@ func (rt *Runtime) quiesceCheck(qs *queryState) {
 	})
 }
 
-// sendQuiesce ships one announce to the query's issuing process. The
-// From host only identifies this process to the issuer's roster (any
-// local host works — the roster maps them all to this process); a dead
-// or unroutable source just drops the announce, which costs the fast
-// path, never correctness.
-func (rt *Runtime) sendQuiesce(qs *queryState, q wire.Quiesce) {
+// sendQuiesce ships one control frame to the process serving host to: an
+// announce to the query's issuing process, or the issuer's Done to a
+// worker. The From host only identifies this process to the receiver's
+// roster (any local host works — the roster maps them all to this
+// process); a dead or unroutable source just drops the frame, which
+// costs the fast path or an early retirement, never correctness.
+func (rt *Runtime) sendQuiesce(qs *queryState, to graph.HostID, q wire.Quiesce) {
 	err := rt.tr.Send(transport.Message{
 		From:    rt.localHosts[0],
-		To:      qs.origin,
+		To:      to,
 		Query:   qs.id,
 		Payload: q,
 	})
@@ -159,16 +168,45 @@ func (rt *Runtime) sendQuiesce(qs *queryState, q wire.Quiesce) {
 	rt.met.quiesceSent.Inc()
 	if rt.trace != nil {
 		detail := "announce-busy"
-		if q.Quiet {
+		switch {
+		case q.Done:
+			detail = "done"
+		case q.Quiet:
 			detail = "announce-quiet"
 		}
-		rt.trace.Record(int64(qs.id), obs.EvQuiesce, int(qs.origin), qs.tickNow(rt), detail)
+		rt.trace.Record(int64(qs.id), obs.EvQuiesce, int(to), qs.tickNow(rt), detail)
 	}
 }
 
-// handleQuiesce is the issuer side: recvFunc routes wire.Quiesce frames
+// announceDone tells every peer process that qs is answered. Sends may
+// block on a congested or vanished peer, so they leave the caller — who
+// has an answer to return — on their own goroutine.
+func (rt *Runtime) announceDone(qs *queryState) {
+	if !rt.quiesce {
+		return
+	}
+	go func() {
+		for _, h := range rt.remoteHosts {
+			rt.sendQuiesce(qs, h, wire.Quiesce{Done: true})
+		}
+	}()
+}
+
+// handleDone is the worker side of a Done: release the query if this
+// process holds it and the frame comes from the process serving the
+// query's origin — the only one entitled to call it over.
+func (rt *Runtime) handleDone(m transport.Message) {
+	qs := rt.lookupQuery(m.Query)
+	if qs == nil || !rt.quiesceAnnouncer(qs) || rt.procOf[m.From] != rt.procOf[qs.origin] {
+		return
+	}
+	rt.release(qs, "done")
+}
+
+// handleQuiesce receives the plane's frames: recvFunc routes wire.Quiesce
 // here before the per-query demux, so a hostile or stray control frame
-// can never instantiate a query. The report lands in the query's
+// can never instantiate a query. A Done goes to handleDone; anything else
+// is an announce for the issuer side. The report lands in the query's
 // per-process table under the epoch supersession rule — a claim below
 // the highest epoch seen from that process is stale and ignored; at
 // equal or higher epoch the last write wins (the transports deliver one
@@ -176,6 +214,10 @@ func (rt *Runtime) sendQuiesce(qs *queryState, q wire.Quiesce) {
 func (rt *Runtime) handleQuiesce(m transport.Message, q wire.Quiesce) {
 	rt.met.quiesceRecv.Inc()
 	if !rt.quiesce || m.From < 0 || int(m.From) >= len(rt.procOf) {
+		return
+	}
+	if q.Done {
+		rt.handleDone(m)
 		return
 	}
 	qs := rt.lookupQuery(m.Query)
@@ -188,7 +230,7 @@ func (rt *Runtime) handleQuiesce(m transport.Message, q wire.Quiesce) {
 	stale := seen && q.Epoch < cur.epoch
 	if !stale {
 		if qs.peerQuiet == nil {
-			qs.peerQuiet = make(map[int32]quiesceReport, len(rt.remoteProcs))
+			qs.peerQuiet = make(map[int32]quiesceReport, len(rt.remoteHosts))
 		}
 		qs.peerQuiet[proc] = quiesceReport{epoch: q.Epoch, act: q.Activity, quiet: q.Quiet}
 	}
@@ -213,11 +255,11 @@ func (rt *Runtime) remoteQuiet(qs *queryState) bool {
 	}
 	qs.qmu.Lock()
 	defer qs.qmu.Unlock()
-	if len(qs.peerQuiet) < len(rt.remoteProcs) {
+	if len(qs.peerQuiet) < len(rt.remoteHosts) {
 		return false
 	}
-	for _, p := range rt.remoteProcs {
-		if r, ok := qs.peerQuiet[p]; !ok || !r.quiet {
+	for _, h := range rt.remoteHosts {
+		if r, ok := qs.peerQuiet[rt.procOf[h]]; !ok || !r.quiet {
 			return false
 		}
 	}
@@ -236,20 +278,22 @@ func (rt *Runtime) quiesceFloor(qs *queryState) time.Duration {
 	return time.Duration(qs.deadline/2+2) * rt.hop
 }
 
-// rosterProcs derives the per-host process partition facts New needs
-// from a Config roster.
-func buildRoster(roster []int, n int, local []bool, localHosts []graph.HostID) (procOf []int32, self int32, remote []int32, err error) {
+// buildRoster derives the per-host process partition facts New needs
+// from a Config roster: the host→process map, and one host of each
+// distinct peer process — who owes the issuer an announce, and where a
+// peer's control frames are addressed.
+func buildRoster(roster []int, n int, local []bool, localHosts []graph.HostID) (procOf []int32, remoteHosts []graph.HostID, err error) {
 	if len(roster) != n {
-		return nil, 0, nil, fmt.Errorf("node: roster has %d entries for %d hosts", len(roster), n)
+		return nil, nil, fmt.Errorf("node: roster has %d entries for %d hosts", len(roster), n)
 	}
 	procOf = make([]int32, n)
 	for h, p := range roster {
 		if p < 0 {
-			return nil, 0, nil, fmt.Errorf("node: roster maps host %d to negative process %d", h, p)
+			return nil, nil, fmt.Errorf("node: roster maps host %d to negative process %d", h, p)
 		}
 		procOf[h] = int32(p)
 	}
-	self = procOf[localHosts[0]]
+	self := procOf[localHosts[0]]
 	seen := make(map[int32]bool)
 	for h := 0; h < n; h++ {
 		if local[h] {
@@ -257,8 +301,8 @@ func buildRoster(roster []int, n int, local []bool, localHosts []graph.HostID) (
 		}
 		if p := procOf[h]; p != self && !seen[p] {
 			seen[p] = true
-			remote = append(remote, p)
+			remoteHosts = append(remoteHosts, graph.HostID(h))
 		}
 	}
-	return procOf, self, remote, nil
+	return procOf, remoteHosts, nil
 }

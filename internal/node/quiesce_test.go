@@ -106,14 +106,20 @@ func quiesceIssuerState(t *testing.T, hop time.Duration) (*Runtime, *queryState)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst := &QueryInstance{Handlers: make([]sim.Handler, 8), Deadline: 24, Origin: 0}
-	qs := newQueryState(rt, 1, inst, inst.Deadline)
+	return rt, holdQuery(rt, 1, 0)
+}
+
+// holdQuery registers a handler-less query with the given origin in rt's
+// demux by hand, as an instantiation would have, with no traffic flowing.
+func holdQuery(rt *Runtime, id QueryID, origin graph.HostID) *queryState {
+	inst := &QueryInstance{Handlers: make([]sim.Handler, rt.g.Len()), Deadline: 24, Origin: origin}
+	qs := newQueryState(rt, id, inst, inst.Deadline)
 	e := &queryEntry{qs: qs}
 	e.once.Do(func() {})
 	rt.mu.Lock()
-	rt.queries[1] = e
+	rt.queries[id] = e
 	rt.mu.Unlock()
-	return rt, qs
+	return qs
 }
 
 // TestQuiesceSupersession pins the issuer-side epoch rule: a busy
@@ -232,6 +238,11 @@ func TestAwaitQuiesceDeadPeerFallsBackToFloor(t *testing.T) {
 func TestAwaitQuiesceEarlyRead(t *testing.T) {
 	hop := raceSlowdown * 3 * time.Millisecond
 	rt, spec := newShardedWildfire(t, hop)
+	twin, _ := newShardedWildfire(t, hop)
+	deadline := 2 * sim.Time(spec.DHat)
+	floor := rt.ResultFloor(deadline)
+	// The twin hears from no peer and reads at the protocol deadline.
+	late := capRead(t, twin, 2, spec.Hq, floor+2*hop)
 	if _, err := rt.StartQuery(2); err != nil {
 		t.Fatal(err)
 	}
@@ -239,8 +250,6 @@ func TestAwaitQuiesceEarlyRead(t *testing.T) {
 	rt.handleQuiesce(transport.Message{From: 7, To: 0, Query: 2},
 		wire.Quiesce{Epoch: 0, Activity: 1, Quiet: true})
 
-	deadline := 2 * sim.Time(spec.DHat)
-	floor := rt.ResultFloor(deadline)
 	start := time.Now()
 	v, ok, err := rt.AwaitQueryResult(2, spec.Hq, floor, 2*hop, floor+20*hop)
 	elapsed := time.Since(start)
@@ -257,11 +266,9 @@ func TestAwaitQuiesceEarlyRead(t *testing.T) {
 	if v != 10 {
 		t.Fatalf("min = %v, want 10 over the served hosts", v)
 	}
-	// The early read must already be final: nothing may change it through
-	// the protocol deadline.
-	time.Sleep(time.Duration(deadline)*hop - elapsed + 2*hop)
-	late, ok, err := rt.QueryResult(2, spec.Hq)
-	if err != nil || !ok || late != v {
-		t.Fatalf("deadline read (%v, %v, %v) differs from early read %v", late, ok, err, v)
+	// The early read must already be final: what the twin declares at the
+	// protocol deadline.
+	if late := late(); late != v {
+		t.Fatalf("deadline read %v differs from early read %v", late, v)
 	}
 }

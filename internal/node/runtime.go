@@ -16,10 +16,12 @@
 // monotonic clock (armed at that query's first traffic in this process)
 // and its own §6.3 cost accounting, so per-answer validity deadlines stay
 // individually checkable while the fleet amortizes its infrastructure
-// across queries. Query state is retired after the deadline has safely
-// passed, and a live-query admission cap (Config.MaxLiveQueries) rejects
-// new instantiations once the fleet saturates, so overload degrades into
-// counted rejections instead of unbounded state.
+// across queries. Query state lives as long as the query: it is retired
+// when the answer is read (on the workers, when the issuer says so), with
+// a timer well past the deadline as the backstop, and a live-query
+// admission cap (Config.MaxLiveQueries) rejects new instantiations once
+// the fleet saturates, so overload degrades into counted rejections
+// instead of unbounded state.
 //
 // The mapping to the paper's model (§3.1–3.2): each peer is a host of G,
 // Kill is an end-user switching the application off mid-query, and the
@@ -168,16 +170,20 @@ type Config struct {
 	// compacted) state at once; instantiation beyond it — StartQuery or a
 	// frame's first contact — is rejected and counted
 	// (engine_queries_rejected_total), so a saturated fleet degrades into
-	// predictable rejections instead of growing state. Zero applies
+	// predictable rejections instead of growing state. An answered query
+	// compacts one grace (2 s) after its answer, so the cap bounds the
+	// queries in flight plus those answered within the last grace, not
+	// everything issued within twice a deadline. Zero applies
 	// DefaultMaxLiveQueries; negative disables the cap.
 	MaxLiveQueries int
 	// Quiesce enables the cross-process quiescence control plane (see
 	// quiesce.go): worker processes announce per-query silence to the
 	// query's issuing process, whose AwaitQueryResult may then return at
 	// true global quiescence instead of sleeping out the sharded
-	// worst-case floor. It engages only together with a Roster and a
-	// positive Hop, and only when some hosts are actually remote; an
-	// all-local runtime already reads at one sweep.
+	// worst-case floor, and which tells them when the query is answered
+	// so they drop its state too. It engages only together with a Roster
+	// and a positive Hop, and only when some hosts are actually remote;
+	// an all-local runtime already reads at one sweep.
 	Quiesce bool
 	// Roster maps every host to the index of the process serving it —
 	// the same partition on every process of the fleet (validityd
@@ -267,14 +273,13 @@ type Runtime struct {
 	maxLive int // admission cap; -1 = unlimited
 
 	// Cross-process quiescence (quiesce.go): procOf is the host→process
-	// roster, selfProc this process's own index, remoteProcs the
-	// distinct peer processes serving at least one host. quiesce is true
-	// only when the protocol is enabled and some hosts are remote — an
-	// all-local runtime has nobody to hear from.
+	// roster, remoteHosts one host of each distinct peer process (where
+	// its control frames go). quiesce is true only when the protocol is
+	// enabled and some hosts are remote — an all-local runtime has nobody
+	// to hear from.
 	quiesce     bool
 	procOf      []int32
-	selfProc    int32
-	remoteProcs []int32
+	remoteHosts []graph.HostID
 
 	// alive[h] is false once local host h was Kill'd. Atomic, outside
 	// rt.mu: every callback and every send checks it.
@@ -388,12 +393,12 @@ func New(cfg Config) (*Runtime, error) {
 		rt.maxLive = cfg.MaxLiveQueries
 	}
 	if cfg.Quiesce && cfg.Roster != nil && cfg.Hop > 0 && len(rt.localHosts) > 0 {
-		procOf, self, remote, err := buildRoster(cfg.Roster, n, rt.local, rt.localHosts)
+		var err error
+		rt.procOf, rt.remoteHosts, err = buildRoster(cfg.Roster, n, rt.local, rt.localHosts)
 		if err != nil {
 			return nil, err
 		}
-		rt.procOf, rt.selfProc, rt.remoteProcs = procOf, self, remote
-		rt.quiesce = len(remote) > 0
+		rt.quiesce = len(rt.remoteHosts) > 0
 	}
 	rt.initObs(cfg.Obs, cfg.Trace)
 	return rt, nil

@@ -109,8 +109,9 @@ func (rt *Runtime) wakeTimer() {
 	}
 }
 
-// scheduleRetire arms query-state retirement and, one more grace later,
-// compaction. Twice the deadline in wall clock plus grace leaves the
+// scheduleRetire arms the backstop: query-state retirement and, one more
+// grace later, compaction, for a query no answer (release) and no Done
+// retires first. Twice the deadline in wall clock plus grace leaves the
 // issuing process ample room to read the result and straggler frames to
 // be counted before the protocol state is dropped; the extra compaction
 // window keeps the counters readable for late reporting before they
@@ -193,7 +194,7 @@ func (rt *Runtime) fireTimer(e *timerEntry) {
 		}
 		rt.dispatch(e.h, item{kind: itemStart, qs: e.qs})
 	case tkRetire:
-		rt.retire(e.qs)
+		rt.retire(e.qs, "timer")
 	case tkCompact:
 		rt.compact(e.qs)
 	case tkFunc:

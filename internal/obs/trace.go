@@ -25,7 +25,8 @@ const (
 	EvFrameDrop
 	// EvAnswered: the issuing process read the query's declared result.
 	EvAnswered
-	// EvRetired: the engine retired the query's protocol state.
+	// EvRetired: the engine retired the query's protocol state; Detail
+	// says on what — "answered", "done" (the issuer said so), "timer".
 	EvRetired
 	// EvCompacted: the query's counters were folded to a ring summary.
 	EvCompacted

@@ -38,26 +38,26 @@ func (a *AllReport) Name() string { return "allreport" }
 // Deadline implements Protocol.
 func (a *AllReport) Deadline() sim.Time { return a.Query.Deadline() }
 
-// Install implements Protocol.
-func (a *AllReport) Install(nw *sim.Network) error {
-	if err := a.Query.Validate(nw.Graph()); err != nil {
-		return err
-	}
-	n := nw.Graph().Len()
-	a.hosts = make([]*arHost, n)
-	for i := 0; i < n; i++ {
-		h := &arHost{a: a, isHq: graph.HostID(i) == a.Query.Hq, parent: graph.None}
-		a.hosts[i] = h
-		nw.SetHandler(graph.HostID(i), h)
-	}
-	return nil
+// Init implements Protocol.
+func (a *AllReport) Init(g *graph.Graph) error {
+	a.hosts = make([]*arHost, g.Len())
+	return a.Query.Validate(g)
 }
+
+// NewHost implements Protocol.
+func (a *AllReport) NewHost(h graph.HostID) sim.Handler {
+	a.hosts[h] = &arHost{a: a, isHq: h == a.Query.Hq, parent: graph.None}
+	return a.hosts[h]
+}
+
+// Install implements Protocol.
+func (a *AllReport) Install(nw *sim.Network) error { return install(a, nw) }
 
 // Result implements Protocol: q(M) over the values received at h_q
 // (including h_q's own).
 func (a *AllReport) Result() (float64, bool) {
 	hq := a.hosts[a.Query.Hq]
-	if !hq.started {
+	if hq == nil || !hq.started {
 		return 0, false
 	}
 	return agg.Exact(a.Query.Kind, hq.collected), true

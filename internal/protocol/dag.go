@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"fmt"
+	"slices"
 
 	"validity/internal/agg"
 	"validity/internal/graph"
@@ -35,28 +36,28 @@ func (d *DAG) Name() string { return fmt.Sprintf("dag(k=%d)", d.K) }
 // Deadline implements Protocol.
 func (d *DAG) Deadline() sim.Time { return d.Query.Deadline() }
 
-// Install implements Protocol.
-func (d *DAG) Install(nw *sim.Network) error {
-	if err := d.Query.Validate(nw.Graph()); err != nil {
-		return err
-	}
+// Init implements Protocol.
+func (d *DAG) Init(g *graph.Graph) error {
 	if d.K < 1 {
 		return fmt.Errorf("protocol: DAG needs k ≥ 1, got %d", d.K)
 	}
-	n := nw.Graph().Len()
-	d.hosts = make([]*dagHost, n)
-	for i := 0; i < n; i++ {
-		h := &dagHost{d: d, isHq: graph.HostID(i) == d.Query.Hq}
-		d.hosts[i] = h
-		nw.SetHandler(graph.HostID(i), h)
-	}
-	return nil
+	d.hosts = make([]*dagHost, g.Len())
+	return d.Query.Validate(g)
 }
+
+// NewHost implements Protocol.
+func (d *DAG) NewHost(h graph.HostID) sim.Handler {
+	d.hosts[h] = &dagHost{d: d, isHq: h == d.Query.Hq}
+	return d.hosts[h]
+}
+
+// Install implements Protocol.
+func (d *DAG) Install(nw *sim.Network) error { return install(d, nw) }
 
 // Result implements Protocol.
 func (d *DAG) Result() (float64, bool) {
 	hq := d.hosts[d.Query.Hq]
-	if !hq.active || hq.partial == nil {
+	if hq == nil || !hq.active || hq.partial == nil {
 		return 0, false
 	}
 	return hq.partial.Result(), true
@@ -127,18 +128,9 @@ func (h *dagHost) onBroadcast(ctx *sim.Context, from graph.HostID, m dagBroadcas
 	}
 	// An additional parent candidate: the sender sits at depth m.Level−1;
 	// accept it if that is strictly above us and we have parent budget.
-	if m.Level-1 < h.level && len(h.parents) < h.d.K && !h.hasParent(from) {
+	if m.Level-1 < h.level && len(h.parents) < h.d.K && !slices.Contains(h.parents, from) {
 		h.parents = append(h.parents, from)
 	}
-}
-
-func (h *dagHost) hasParent(p graph.HostID) bool {
-	for _, x := range h.parents {
-		if x == p {
-			return true
-		}
-	}
-	return false
 }
 
 func (h *dagHost) Timer(ctx *sim.Context, tag int) {

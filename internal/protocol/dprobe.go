@@ -39,13 +39,19 @@ func (d *DiameterProbe) Name() string { return "diameterprobe" }
 // Deadline implements Protocol.
 func (d *DiameterProbe) Deadline() sim.Time { return sim.Time(2 * d.Cap) }
 
-// Install implements Protocol.
-func (d *DiameterProbe) Install(nw *sim.Network) error {
+// Init implements Protocol.
+func (d *DiameterProbe) Init(g *graph.Graph) error {
 	q := Query{Kind: agg.Max, Hq: d.Hq, DHat: d.Cap, Params: agg.DefaultParams()}
 	d.wf = NewWildfire(q)
 	d.wf.ValueFn = func(h graph.HostID, dist int) int64 { return int64(dist) }
-	return d.wf.Install(nw)
+	return d.wf.Init(g)
 }
+
+// NewHost implements Protocol.
+func (d *DiameterProbe) NewHost(h graph.HostID) sim.Handler { return d.wf.NewHost(h) }
+
+// Install implements Protocol.
+func (d *DiameterProbe) Install(nw *sim.Network) error { return install(d, nw) }
 
 // Result implements Protocol: the observed eccentricity of h_q.
 func (d *DiameterProbe) Result() (float64, bool) {

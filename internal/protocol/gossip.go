@@ -43,8 +43,8 @@ func (g *Gossip) Name() string { return "gossip" }
 // Deadline implements Protocol.
 func (g *Gossip) Deadline() sim.Time { return sim.Time(g.Rounds + 1) }
 
-// Install implements Protocol.
-func (g *Gossip) Install(nw *sim.Network) error {
+// Init implements Protocol.
+func (g *Gossip) Init(gr *graph.Graph) error {
 	switch g.Query.Kind {
 	case agg.Avg, agg.Count, agg.Sum:
 	default:
@@ -53,18 +53,18 @@ func (g *Gossip) Install(nw *sim.Network) error {
 	if g.Rounds < 1 {
 		return fmt.Errorf("protocol: gossip needs ≥ 1 round, got %d", g.Rounds)
 	}
-	if err := g.Query.Validate(nw.Graph()); err != nil {
-		return err
-	}
-	n := nw.Graph().Len()
-	g.hosts = make([]*gsHost, n)
-	for i := 0; i < n; i++ {
-		h := &gsHost{g: g, isHq: graph.HostID(i) == g.Query.Hq}
-		g.hosts[i] = h
-		nw.SetHandler(graph.HostID(i), h)
-	}
-	return nil
+	g.hosts = make([]*gsHost, gr.Len())
+	return g.Query.Validate(gr)
 }
+
+// NewHost implements Protocol.
+func (g *Gossip) NewHost(h graph.HostID) sim.Handler {
+	g.hosts[h] = &gsHost{g: g, isHq: h == g.Query.Hq}
+	return g.hosts[h]
+}
+
+// Install implements Protocol.
+func (g *Gossip) Install(nw *sim.Network) error { return install(g, nw) }
 
 // Result implements Protocol. For Avg it is sum/weight at h_q; for Count,
 // weight mass is seeded only at h_q so every host's value/weight ratio
@@ -73,11 +73,7 @@ func (g *Gossip) Result() (float64, bool) {
 	if g.hosts == nil {
 		return 0, false
 	}
-	hq := g.hosts[g.Query.Hq]
-	if hq == nil || !hq.started || hq.weight == 0 {
-		return 0, false
-	}
-	return hq.sum / hq.weight, true
+	return g.HostEstimate(g.Query.Hq)
 }
 
 // HostEstimate returns host h's current local estimate (gossip's defining

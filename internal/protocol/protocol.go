@@ -20,7 +20,9 @@
 //     p to estimate network size within (1±ε) with probability 1−ζ.
 //
 // Every protocol implements the Protocol interface: Install handlers on a
-// sim.Network, Run the network until Deadline, then read Result.
+// sim.Network, Run the network until Deadline, then read Result. The live
+// engine skips Install and mints handlers one host at a time (Init, then
+// NewHost for the hosts a process serves).
 package protocol
 
 import (
@@ -67,6 +69,11 @@ func (q Query) Validate(g *graph.Graph) error {
 type Protocol interface {
 	// Name identifies the protocol in tables and logs.
 	Name() string
+	// Init validates the configuration against g, once, before any NewHost.
+	Init(g *graph.Graph) error
+	// NewHost creates host h's handler. A process serving part of G calls
+	// it for its own hosts only, and only the one serving h_q has a Result.
+	NewHost(h graph.HostID) sim.Handler
 	// Install creates and registers a handler on every host of nw.
 	Install(nw *sim.Network) error
 	// Deadline is the time the querying host declares its result.
@@ -74,6 +81,18 @@ type Protocol interface {
 	// Result returns the value declared at h_q; ok is false if the
 	// protocol never produced one (e.g. h_q failed).
 	Result() (v float64, ok bool)
+}
+
+// install is every protocol's Install: Init, then NewHost per host of nw.
+func install(p Protocol, nw *sim.Network) error {
+	g := nw.Graph()
+	if err := p.Init(g); err != nil {
+		return err
+	}
+	for h := graph.HostID(0); int(h) < g.Len(); h++ {
+		nw.SetHandler(h, p.NewHost(h))
+	}
+	return nil
 }
 
 // Run is a convenience helper: install p on nw, run to p's deadline, and

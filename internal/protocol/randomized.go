@@ -48,28 +48,28 @@ func (r *RandomizedReport) Name() string { return "randomizedreport" }
 // Deadline implements Protocol.
 func (r *RandomizedReport) Deadline() sim.Time { return r.Query.Deadline() }
 
-// Install implements Protocol.
-func (r *RandomizedReport) Install(nw *sim.Network) error {
-	if err := r.Query.Validate(nw.Graph()); err != nil {
-		return err
-	}
+// Init implements Protocol.
+func (r *RandomizedReport) Init(g *graph.Graph) error {
 	if r.P <= 0 || r.P > 1 {
 		return fmt.Errorf("protocol: report probability %v outside (0,1]", r.P)
 	}
-	n := nw.Graph().Len()
-	r.hosts = make([]*rrHost, n)
-	for i := 0; i < n; i++ {
-		h := &rrHost{r: r, isHq: graph.HostID(i) == r.Query.Hq, parent: graph.None}
-		r.hosts[i] = h
-		nw.SetHandler(graph.HostID(i), h)
-	}
-	return nil
+	r.hosts = make([]*rrHost, g.Len())
+	return r.Query.Validate(g)
 }
+
+// NewHost implements Protocol.
+func (r *RandomizedReport) NewHost(h graph.HostID) sim.Handler {
+	r.hosts[h] = &rrHost{r: r, isHq: h == r.Query.Hq, parent: graph.None}
+	return r.hosts[h]
+}
+
+// Install implements Protocol.
+func (r *RandomizedReport) Install(nw *sim.Network) error { return install(r, nw) }
 
 // Result implements Protocol: the size estimate |M|/p.
 func (r *RandomizedReport) Result() (float64, bool) {
 	hq := r.hosts[r.Query.Hq]
-	if !hq.started {
+	if hq == nil || !hq.started {
 		return 0, false
 	}
 	return float64(hq.reports) / r.P, true

@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"slices"
+
 	"validity/internal/agg"
 	"validity/internal/graph"
 	"validity/internal/sim"
@@ -41,30 +43,31 @@ func (a *ReliableAllReport) Name() string { return "reliable-allreport" }
 // Deadline implements Protocol.
 func (a *ReliableAllReport) Deadline() sim.Time { return a.Query.Deadline() }
 
-// Install implements Protocol.
-func (a *ReliableAllReport) Install(nw *sim.Network) error {
-	if err := a.Query.Validate(nw.Graph()); err != nil {
-		return err
-	}
+// Init implements Protocol.
+func (a *ReliableAllReport) Init(g *graph.Graph) error {
 	if a.Thb < 1 {
 		a.Thb = 2
 	}
-	n := nw.Graph().Len()
-	a.hosts = make([]*rarHost, n)
-	for i := 0; i < n; i++ {
-		h := &rarHost{
-			a:       a,
-			isHq:    graph.HostID(i) == a.Query.Hq,
-			parent:  graph.None,
-			relayed: make(map[graph.HostID]bool),
-			seen:    make(map[graph.HostID]bool),
-		}
-		h.monitor = sim.NewHeartbeatMonitor(h, a.Thb)
-		a.hosts[i] = h
-		nw.SetHandler(graph.HostID(i), h.monitor)
-	}
-	return nil
+	a.hosts = make([]*rarHost, g.Len())
+	return a.Query.Validate(g)
 }
+
+// NewHost implements Protocol.
+func (a *ReliableAllReport) NewHost(id graph.HostID) sim.Handler {
+	h := &rarHost{
+		a:       a,
+		isHq:    id == a.Query.Hq,
+		parent:  graph.None,
+		relayed: make(map[graph.HostID]bool),
+		seen:    make(map[graph.HostID]bool),
+	}
+	h.monitor = sim.NewHeartbeatMonitor(h, a.Thb)
+	a.hosts[id] = h
+	return h.monitor
+}
+
+// Install implements Protocol.
+func (a *ReliableAllReport) Install(nw *sim.Network) error { return install(a, nw) }
 
 // Result implements Protocol: q(M) over distinct origins received at h_q.
 func (a *ReliableAllReport) Result() (float64, bool) {
@@ -72,7 +75,7 @@ func (a *ReliableAllReport) Result() (float64, bool) {
 		return 0, false
 	}
 	hq := a.hosts[a.Query.Hq]
-	if !hq.started {
+	if hq == nil || !hq.started {
 		return 0, false
 	}
 	return agg.Exact(a.Query.Kind, hq.collected), true
@@ -137,7 +140,7 @@ func (h *rarHost) Receive(ctx *sim.Context, msg sim.Message) {
 			return
 		}
 		// Additional broadcast copies reveal alternate parents.
-		if msg.From != h.parent && !h.hasCandidate(msg.From) {
+		if msg.From != h.parent && !slices.Contains(h.candidates, msg.From) {
 			h.candidates = append(h.candidates, msg.From)
 		}
 	case arReport:
@@ -154,15 +157,6 @@ func (h *rarHost) Receive(ctx *sim.Context, msg sim.Message) {
 			ctx.Send(h.parent, m)
 		}
 	}
-}
-
-func (h *rarHost) hasCandidate(n graph.HostID) bool {
-	for _, c := range h.candidates {
-		if c == n {
-			return true
-		}
-	}
-	return false
 }
 
 func (h *rarHost) Timer(ctx *sim.Context, tag int) {

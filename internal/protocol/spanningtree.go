@@ -31,25 +31,25 @@ func (s *SpanningTree) Name() string { return "spanningtree" }
 // Deadline implements Protocol.
 func (s *SpanningTree) Deadline() sim.Time { return s.Query.Deadline() }
 
-// Install implements Protocol.
-func (s *SpanningTree) Install(nw *sim.Network) error {
-	if err := s.Query.Validate(nw.Graph()); err != nil {
-		return err
-	}
-	n := nw.Graph().Len()
-	s.hosts = make([]*stHost, n)
-	for i := 0; i < n; i++ {
-		h := &stHost{s: s, isHq: graph.HostID(i) == s.Query.Hq, parent: graph.None}
-		s.hosts[i] = h
-		nw.SetHandler(graph.HostID(i), h)
-	}
-	return nil
+// Init implements Protocol.
+func (s *SpanningTree) Init(g *graph.Graph) error {
+	s.hosts = make([]*stHost, g.Len())
+	return s.Query.Validate(g)
 }
+
+// NewHost implements Protocol.
+func (s *SpanningTree) NewHost(h graph.HostID) sim.Handler {
+	s.hosts[h] = &stHost{s: s, isHq: h == s.Query.Hq, parent: graph.None}
+	return s.hosts[h]
+}
+
+// Install implements Protocol.
+func (s *SpanningTree) Install(nw *sim.Network) error { return install(s, nw) }
 
 // Result implements Protocol.
 func (s *SpanningTree) Result() (float64, bool) {
 	hq := s.hosts[s.Query.Hq]
-	if !hq.active {
+	if hq == nil || !hq.active {
 		return 0, false
 	}
 	return hq.partial.Result(s.Query.Kind), true

@@ -56,33 +56,32 @@ func (w *Wildfire) Name() string { return "wildfire" }
 // Deadline implements Protocol.
 func (w *Wildfire) Deadline() sim.Time { return w.Query.Deadline() }
 
-// Install implements Protocol.
-func (w *Wildfire) Install(nw *sim.Network) error {
-	if err := w.Query.Validate(nw.Graph()); err != nil {
-		return err
-	}
-	n := nw.Graph().Len()
-	w.hosts = make([]*wfHost, n)
-	for i := 0; i < n; i++ {
-		h := &wfHost{w: w, isHq: graph.HostID(i) == w.Query.Hq}
-		w.hosts[i] = h
-		nw.SetHandler(graph.HostID(i), h)
-	}
-	return nil
+// Init implements Protocol.
+func (w *Wildfire) Init(g *graph.Graph) error {
+	w.hosts = make([]*wfHost, g.Len())
+	return w.Query.Validate(g)
 }
+
+// NewHost implements Protocol.
+func (w *Wildfire) NewHost(h graph.HostID) sim.Handler {
+	w.hosts[h] = &wfHost{w: w, isHq: h == w.Query.Hq}
+	return w.hosts[h]
+}
+
+// Install implements Protocol.
+func (w *Wildfire) Install(nw *sim.Network) error { return install(w, nw) }
 
 // Result implements Protocol: the partial aggregate at h_q at the
 // deadline.
 func (w *Wildfire) Result() (float64, bool) {
-	hq := w.hosts[w.Query.Hq]
-	if hq == nil || !hq.active || hq.partial == nil {
-		return 0, false
+	if p := w.Partial(); p != nil {
+		return p.Result(), true
 	}
-	return hq.partial.Result(), true
+	return 0, false
 }
 
-// Partial exposes h_q's final partial aggregate (the oracle uses its
-// sketches for sketch-level validity verification).
+// Partial exposes h_q's final partial aggregate for the oracle's sketch-
+// level validity check; nil until h_q is active, and where it is not served.
 func (w *Wildfire) Partial() agg.Partial {
 	hq := w.hosts[w.Query.Hq]
 	if hq == nil {
@@ -90,12 +89,6 @@ func (w *Wildfire) Partial() agg.Partial {
 	}
 	return hq.partial
 }
-
-// HostPartial exposes any host's final partial (tests use it).
-func (w *Wildfire) HostPartial(h graph.HostID) agg.Partial { return w.hosts[h].partial }
-
-// HostActive reports whether host h ever became active.
-func (w *Wildfire) HostActive(h graph.HostID) bool { return w.hosts[h].active }
 
 // HostInitial returns the partial aggregate host h held the instant it
 // became active, before combining anything — its own contribution to the
@@ -119,6 +112,9 @@ type wfConverge struct {
 
 const wfTagFlush = 3
 
+// wfHost is one host's state for one query, minted only on the process
+// that serves the host. What it keeps per neighbor is a version stamp,
+// never a partial: a received partial is garbage once Receive returns.
 type wfHost struct {
 	w       *Wildfire
 	isHq    bool
@@ -131,16 +127,16 @@ type wfHost struct {
 	version uint32
 	// snap is the immutable copy of partial taken at version snapAt (see
 	// snapshot). Every partial a host hands out or retains besides `partial`
-	// itself — snap, initial, message payloads, lastRecv entries — is never
-	// mutated again, so hosts share them freely, across goroutines too.
+	// itself — snap, initial, message payloads — is never mutated again, so
+	// hosts share them freely, across goroutines too.
 	snap   agg.Partial
 	snapAt uint32
-	// Both indexed like ctx.Neighbors(). lastSent[i]: the version of our
-	// state neighbor i is known to hold (0: none); one that holds the
-	// current version is skipped on flush. lastRecv[i]: the partial last
-	// received from i; if it dominates ours, i is skipped too.
+	// lastSent[i], indexed like ctx.Neighbors(): the version of our state
+	// neighbor i is known to hold (0: none), because we sent it or because
+	// what i sent equalled it; one that holds the current version is skipped
+	// on flush. Partials only grow, so i's partial covers ours only if it
+	// equalled ours at receipt and nothing changed since: the stamp says so.
 	lastSent []uint32
-	lastRecv []agg.Partial
 	dirty    bool
 	flushing bool // a flush timer is pending for the current tick
 }
@@ -186,7 +182,6 @@ func (h *wfHost) activate(ctx *sim.Context, dist int, incoming agg.Partial) {
 	h.initial = h.partial.Clone()
 	h.snap, h.snapAt, h.version = h.initial, 1, 1 // the whole state, unless incoming adds to it
 	h.lastSent = make([]uint32, ctx.Degree())
-	h.lastRecv = make([]agg.Partial, ctx.Degree())
 	if incoming != nil && h.partial.Combine(incoming) {
 		h.version++
 	}
@@ -227,7 +222,6 @@ func (h *wfHost) onBroadcast(ctx *sim.Context, from int, sender graph.HostID, m 
 		return
 	}
 	h.activate(ctx, m.Hop, m.A)
-	h.lastRecv[from] = m.A
 	// Forward the query with our partial piggybacked (the first
 	// convergecast message rides on the broadcast, footnote 4).
 	ctx.SendAllExcept(sender, wfBroadcast{Hop: h.dist + 1, A: h.snapshot()})
@@ -250,7 +244,6 @@ func (h *wfHost) onConverge(ctx *sim.Context, from int, a agg.Partial) {
 	if ctx.Now() > h.limit() {
 		return
 	}
-	h.lastRecv[from] = a
 	changed := h.partial.Combine(a)
 	if changed {
 		h.version++
@@ -302,9 +295,8 @@ func (h *wfHost) Timer(ctx *sim.Context, tag int) {
 	// neighbor allocates nothing.
 	var msg any
 	for i, n := range ctx.Neighbors() {
-		// §5.1: skip a neighbor that holds this state, or provably a superset.
-		if known := h.lastRecv[i]; h.lastSent[i] == h.version || known != nil && known.Dominates(h.partial) {
-			continue
+		if h.lastSent[i] == h.version {
+			continue // §5.1: the neighbor already holds this state
 		}
 		if msg == nil {
 			msg = wfConverge{A: h.snapshot()}

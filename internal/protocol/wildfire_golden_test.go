@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"validity/internal/agg"
@@ -27,7 +28,10 @@ var wildfireGolden = map[string]string{
 	"avg/wireless":         "result=86.672355 sent=1749 maxproc=115 time=13",
 }
 
-func TestWildfireDifferentialGolden(t *testing.T) {
+// goldenScenarios hands run each golden row's installed-but-not-yet-run
+// WILDFIRE and its network, then runs it and holds the outcome against the
+// row.
+func goldenScenarios(t *testing.T, prepare func(name string, w *Wildfire, nw *sim.Network)) {
 	g := topology.NewRandom(200, 5, 23)
 	vals := zipfval.Default(23).Values(g.Len())
 	tl := churn.Timeline{
@@ -42,9 +46,15 @@ func TestWildfireDifferentialGolden(t *testing.T) {
 			q := Query{Kind: kind, Hq: 0, DHat: 10, Params: agg.Params{Vectors: 16, Bits: 32}}
 			nw := sim.NewNetwork(sim.Config{Graph: g, Medium: medium, Seed: 23, Values: vals})
 			tl.Apply(nw)
-			v, st, err := Run(NewWildfire(q), nw)
-			if err != nil {
+			w := NewWildfire(q)
+			if err := w.Install(nw); err != nil {
 				t.Fatalf("%s: %v", name, err)
+			}
+			prepare(name, w, nw)
+			st := nw.Run(w.Deadline())
+			v, ok := w.Result()
+			if !ok {
+				t.Fatalf("%s: no result declared", name)
 			}
 			got := fmt.Sprintf("result=%.9g sent=%d maxproc=%d time=%d",
 				v, st.MessagesSent, st.MaxComputation(), st.TimeCost)
@@ -53,6 +63,87 @@ func TestWildfireDifferentialGolden(t *testing.T) {
 			}
 		}
 	}
+}
+
+func TestWildfireDifferentialGolden(t *testing.T) {
+	goldenScenarios(t, func(string, *Wildfire, *sim.Network) {})
+}
+
+// shadowHost runs a wfHost unchanged while keeping, beside it, the state
+// of the suppression rule wildfire.go used to carry: the partial last
+// received from each neighbor, skipped on flush when it dominates ours.
+type shadowHost struct {
+	*wfHost
+	t         *testing.T
+	name      string
+	lastRecv  []agg.Partial // indexed like ctx.Neighbors(), as lastSent is
+	flushes   *int          // (host, neighbor, flush) decisions compared
+	dominated *int          // of those, skips the old rule took through Dominates
+}
+
+func (s *shadowHost) Receive(ctx *sim.Context, msg sim.Message) {
+	var a agg.Partial
+	switch m := msg.Payload.(type) {
+	case wfBroadcast:
+		a = m.A
+	case wfConverge:
+		a = m.A
+	}
+	// The old rule stored a where the host took it in: on the activating
+	// broadcast, and on anything an active host combines before its limit.
+	wasActive := s.active
+	inTime := wasActive && ctx.Now() <= s.limit()
+	s.wfHost.Receive(ctx, msg)
+	from := slices.Index(ctx.Neighbors(), msg.From)
+	if from < 0 || a == nil {
+		return
+	}
+	if inTime || !wasActive && s.active {
+		if s.lastRecv == nil {
+			s.lastRecv = make([]agg.Partial, ctx.Degree())
+		}
+		s.lastRecv[from] = a
+	}
+}
+
+func (s *shadowHost) Timer(ctx *sim.Context, tag int) {
+	if tag == wfTagFlush && s.dirty && s.active && ctx.Now() <= s.limit() {
+		for i, n := range ctx.Neighbors() {
+			stamp := s.lastSent[i] == s.version
+			dominates := s.lastRecv != nil && s.lastRecv[i] != nil && s.lastRecv[i].Dominates(s.partial)
+			if dominates {
+				*s.dominated++
+			}
+			if old := stamp || dominates; old != stamp {
+				s.t.Errorf("%s: host %d, neighbor %d, tick %d: lastRecv rule skips=%v, stamp rule skips=%v",
+					s.name, ctx.Self(), n, ctx.Now(), old, stamp)
+			}
+			*s.flushes++
+		}
+	}
+	s.wfHost.Timer(ctx, tag)
+}
+
+// TestWildfireStampRuleShadowsLastRecv replays the golden scenarios with
+// the deleted rule kept alive here, in the test: on every flush of every
+// host it asks, per neighbor, whether "the partial last received from it
+// dominates ours" would have skipped a send the version stamp does not.
+// Partials only grow, so it never may — a received partial dominates the
+// current one exactly when it equalled it at receipt and nothing changed
+// since, which is what the stamp records.
+func TestWildfireStampRuleShadowsLastRecv(t *testing.T) {
+	var flushes, dominated int
+	goldenScenarios(t, func(name string, w *Wildfire, nw *sim.Network) {
+		for h, host := range w.hosts {
+			nw.SetHandler(graph.HostID(h), &shadowHost{
+				wfHost: host, t: t, name: name, flushes: &flushes, dominated: &dominated,
+			})
+		}
+	})
+	if flushes == 0 || dominated == 0 {
+		t.Fatalf("compared %d flush decisions, %d of them Dominates skips: the shadow rule never ran", flushes, dominated)
+	}
+	t.Logf("%d (host, neighbor, flush) decisions agree; Dominates would have skipped %d, each already stamped", flushes, dominated)
 }
 
 // sinkBackend lets a test drive one host's callbacks by hand: sends are
@@ -71,8 +162,7 @@ func (b *sinkBackend) SetTimer(graph.HostID, sim.Time, int, int) {}
 // TestWildfireRoundAllocations pins the garbage of one WILDFIRE round at
 // a host — Receive, then the end-of-tick flush — for the shapes a round
 // takes. Snapshots are shared, so the only allocations left are the one
-// clone of a partial that changed and the one boxed message per flush; a
-// received partial is retained as is.
+// clone of a partial that changed and the one boxed message per flush.
 func TestWildfireRoundAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are pinned for uninstrumented builds")

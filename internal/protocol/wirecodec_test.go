@@ -35,10 +35,12 @@ func allMessages(tb testing.TB) []any {
 		rrReport{},
 		gsPair{Sum: 3.25, Weight: 0.5},
 		wfBroadcast{Hop: 2, A: agg.NewPartial(agg.Avg, 7, codecParams(), rng)},
-		// Not a protocol message: the quiescence control frame rides the
-		// same framing, so it belongs in the same round-trip, hostile-body,
-		// and fuzz coverage.
+		// Not protocol messages: the quiescence control frames — a
+		// worker's announce, the issuer's Done — ride the same framing, so
+		// they belong in the same round-trip, hostile-body, and fuzz
+		// coverage.
 		wire.Quiesce{Epoch: 2, Activity: 5, Quiet: true},
+		wire.Quiesce{Done: true},
 	}
 }
 

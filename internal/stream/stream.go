@@ -48,7 +48,7 @@ type Results <-chan Result
 // the window's own oracle bounds, and delivers Results in window order.
 // Workers run no Stream — their window instances materialize from the
 // Plan's factory on first contact, and the engine's ordinary retirement
-// reclaims each window's state after its deadline.
+// reclaims each window's state when the collector has read its answer.
 type Stream struct {
 	rt     *node.Runtime
 	plan   *Plan

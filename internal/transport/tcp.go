@@ -430,6 +430,7 @@ type peerWriter struct {
 
 	mu    sync.Mutex
 	queue []*outFrame
+	spare []*outFrame // the array behind the batch take handed out last
 
 	framesOut *obs.Counter
 	bytesOut  *obs.Counter
@@ -446,6 +447,9 @@ func (w *peerWriter) enqueue(fr *outFrame) {
 }
 
 // take removes up to max frames from the queue (all of them if max ≤ 0).
+// The batch is the caller's until its next take: the queue and the batch
+// swap between two retained arrays, so a steady stream of sends regrows
+// neither.
 func (w *peerWriter) take(max int) []*outFrame {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -457,7 +461,7 @@ func (w *peerWriter) take(max int) []*outFrame {
 		n = max
 	}
 	batch := w.queue[:n:n]
-	w.queue = append([]*outFrame(nil), w.queue[n:]...)
+	w.queue, w.spare = append(w.spare[:0], w.queue[n:]...), w.queue[:0]
 	return batch
 }
 

@@ -10,13 +10,13 @@ import (
 
 // frameSeeds is the seed corpus for the frame decoder: a valid frame body
 // for every payload the package's own codecs carry — both test codecs, the
-// quiescence announce, a partial of every kind — then every truncation of
+// quiescence announce and Done, a partial of every kind — then every truncation of
 // each (the hostile input a broken peer is most likely to produce), a
 // version-2 frame, and the non-canonical sketches.
 func frameSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(7))
-	payloads := []any{"hello", Quiesce{Epoch: 2, Activity: 5, Quiet: true}}
+	payloads := []any{"hello", Quiesce{Epoch: 2, Activity: 5, Quiet: true}, Quiesce{Done: true}}
 	for _, k := range []agg.Kind{agg.Min, agg.Max, agg.Count, agg.Sum, agg.Avg} {
 		payloads = append(payloads, partialPayload{agg.NewPartial(k, 42, params(), rng)})
 	}

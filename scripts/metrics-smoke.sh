@@ -32,12 +32,14 @@ trap cleanup EXIT
 
 # --- act 1: in-process stream, single-process endpoints ---
 
-# A stream long enough to scrape mid-run: 8 queries at concurrency 1
-# over 60 hosts runs for a few seconds at -hop 5ms. Port 0 dodges
+# A stream long enough to scrape mid-run: 24 queries at concurrency 1
+# over 60 hosts run for three to four seconds at -hop 10ms (reads return
+# at convergence, ~15 hops; 8 queries at 5ms were over in 0.6 s, before
+# a scrape that lost a few polls could connect). Port 0 dodges
 # collisions; the bound address arrives on the slog stderr line.
 "$BIN" -transport chan -topology random -hosts 60 -seed 23 \
-    -agg count,min -hq 0,7 -hop 5ms \
-    -query -queries 8 -concurrency 1 \
+    -agg count,min -hq 0,7 -hop 10ms \
+    -query -queries 24 -concurrency 1 \
     -metrics 127.0.0.1:0 >"$OUT" 2>"$LOG" &
 PID=$!
 PIDS="$PIDS $PID"
@@ -74,13 +76,20 @@ for family in \
     fi
 done
 
+# Only the "live" key is asserted, not an entry under it: an answered
+# query compacts off the live set 2 s after its answer, so a scrape can
+# find the set empty — and an empty set still prints the key.
 DQ=$(curl -fsS "http://$ADDR/debug/queries")
 if ! printf '%s\n' "$DQ" | grep -Fq '"live"'; then
     echo "metrics-smoke: /debug/queries returned no query snapshot" >&2
     exit 1
 fi
 
-wait "$PID"
+if ! wait "$PID"; then
+    echo "metrics-smoke: act 1 validityd failed" >&2
+    cat "$OUT" "$LOG" >&2
+    exit 1
+fi
 PIDS=""
 echo "metrics-smoke: act 1 ok (scraped $ADDR mid-run)"
 
