@@ -27,8 +27,9 @@ ci: build vet fmt-check race scale-smoke metrics-smoke fuzz-smoke
 
 # scale-smoke answers a short query stream over a 2,048-host in-process
 # fleet and asserts the goroutine peak stays O(shards), not O(hosts) —
-# the bounded gate for the host-sharded scheduler — and that every
-# answered query's state is retired by the time the stream ends. Native (no -race): the
+# the bounded gate for the host-sharded scheduler — that every answered
+# query's state is retired by the time the stream ends, and that no read
+# fell to the deadline cap. Native (no -race): the
 # fleet size is calibrated for real execution speed, and the shard
 # serialization invariant is race-checked at small scale by the node
 # package's property tests, which `race` already runs.

@@ -126,10 +126,6 @@ type Partial interface {
 	Clone() Partial
 	// Equal reports whether two partials hold identical state.
 	Equal(other Partial) bool
-	// Dominates reports whether the receiver already subsumes other:
-	// combining other into the receiver would change nothing. WILDFIRE
-	// skips sending to neighbors known to dominate the sender's state.
-	Dominates(other Partial) bool
 	// Result converts the partial into the query answer.
 	Result() float64
 }
@@ -196,17 +192,6 @@ func (s *scalarPartial) Combine(other Partial) bool {
 
 func (s *scalarPartial) Clone() Partial { c := *s; return &c }
 
-func (s *scalarPartial) Dominates(other Partial) bool {
-	o, ok := other.(*scalarPartial)
-	if !ok || o.kind != s.kind {
-		return false
-	}
-	if s.kind == Min {
-		return s.val <= o.val
-	}
-	return s.val >= o.val
-}
-
 func (s *scalarPartial) Equal(other Partial) bool {
 	o, ok := other.(*scalarPartial)
 	return ok && o.kind == s.kind && o.val == s.val
@@ -240,11 +225,6 @@ func (c *countPartial) Combine(other Partial) bool {
 
 func (c *countPartial) Clone() Partial { return &countPartial{sk: c.sk.Copy()} }
 
-func (c *countPartial) Dominates(other Partial) bool {
-	o, ok := other.(*countPartial)
-	return ok && c.sk.Covers(&o.sk)
-}
-
 func (c *countPartial) Equal(other Partial) bool {
 	o, ok := other.(*countPartial)
 	return ok && c.sk.Equal(&o.sk)
@@ -264,11 +244,6 @@ func (s *sumPartial) Combine(other Partial) bool {
 }
 
 func (s *sumPartial) Clone() Partial { return &sumPartial{sk: s.sk.Copy()} }
-
-func (s *sumPartial) Dominates(other Partial) bool {
-	o, ok := other.(*sumPartial)
-	return ok && s.sk.Covers(&o.sk)
-}
 
 func (s *sumPartial) Equal(other Partial) bool {
 	o, ok := other.(*sumPartial)
@@ -295,11 +270,6 @@ func (a *avgPartial) Combine(other Partial) bool {
 
 func (a *avgPartial) Clone() Partial {
 	return &avgPartial{sum: a.sum.Copy(), cnt: a.cnt.Copy()}
-}
-
-func (a *avgPartial) Dominates(other Partial) bool {
-	o, ok := other.(*avgPartial)
-	return ok && a.sum.Covers(&o.sum) && a.cnt.Covers(&o.cnt)
 }
 
 func (a *avgPartial) Equal(other Partial) bool {

@@ -264,43 +264,6 @@ func TestExactAvgFractional(t *testing.T) {
 	}
 }
 
-func TestDominates(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	// Scalars: min dominates smaller-or-equal, max larger-or-equal.
-	min5 := NewPartial(Min, 5, params(), rng)
-	min9 := NewPartial(Min, 9, params(), rng)
-	if !min5.Dominates(min9) || min9.Dominates(min5) {
-		t.Fatal("min domination wrong")
-	}
-	if !min5.Dominates(min5.Clone()) {
-		t.Fatal("domination not reflexive")
-	}
-	max9 := NewPartial(Max, 9, params(), rng)
-	max5 := NewPartial(Max, 5, params(), rng)
-	if !max9.Dominates(max5) || max5.Dominates(max9) {
-		t.Fatal("max domination wrong")
-	}
-	if min5.Dominates(max5) || max5.Dominates(min5) {
-		t.Fatal("cross-kind domination must be false")
-	}
-	// Sketches: after combining, the accumulator dominates its inputs.
-	for _, k := range []Kind{Count, Sum, Avg} {
-		a := NewPartial(k, 3, params(), rng)
-		b := NewPartial(k, 7, params(), rng)
-		acc := a.Clone()
-		acc.Combine(b)
-		if !acc.Dominates(a) || !acc.Dominates(b) {
-			t.Fatalf("%v: combined partial must dominate inputs", k)
-		}
-		if b.Dominates(acc) && !b.Equal(acc) {
-			t.Fatalf("%v: input dominates strictly larger accumulator", k)
-		}
-		if a.Dominates(NewPartial(Min, 1, params(), rng)) {
-			t.Fatalf("%v: cross-kind domination must be false", k)
-		}
-	}
-}
-
 func TestPartialFromSketchesErrors(t *testing.T) {
 	if _, err := PartialFromSketches(Min); err == nil {
 		t.Fatal("scalar kind accepted")

@@ -853,12 +853,12 @@ func runQueryStream(cfg *Config, rt *node.Runtime, g *graph.Graph, values []int6
 				mu.Unlock()
 				return
 			}
-			// Adaptive result read: after the runtime's sound floor (one
-			// broadcast sweep in process, the protocol deadline when the
-			// fleet is sharded), local quiescence ends the wait — the
-			// answer is in hand when the query converges, not when the
-			// worst-case budget expires. The old sleep-out-the-deadline
-			// budget stays as the hard cap.
+			// Adaptive result read: in process the wait ends when nothing
+			// of the query is outstanding; on a sharded fleet, after the
+			// protocol deadline or the peers' quiet claims, when local
+			// traffic has settled — the answer is in hand when the query
+			// converges, not when the worst-case budget expires. The old
+			// sleep-out-the-deadline budget stays as the hard cap.
 			floor, settle, hardCap := rt.AwaitBracket(spec.Deadline())
 			v, ok, err := rt.AwaitQueryResult(id, spec.Hq, floor, settle, hardCap)
 			if err == nil && !ok {
@@ -882,7 +882,7 @@ func runQueryStream(cfg *Config, rt *node.Runtime, g *graph.Graph, values []int6
 				tracer.Record(int64(id), obs.EvAnswered, -1, int64(lat/cfg.Hop), "")
 			}
 			if threshold := slowThreshold(cfg, time.Duration(spec.Deadline())*cfg.Hop); lat > threshold {
-				logSlowQuery(logger, tracer, coll, id, lat, threshold)
+				logSlowQuery(logger, rt, coll, id, lat, threshold)
 			}
 			// Each query is judged against its own H_C/H_U: the oracle is
 			// handed the query's own schedule on the query's own clock.

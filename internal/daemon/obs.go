@@ -99,11 +99,19 @@ func slowThreshold(cfg *Config, deadline time.Duration) time.Duration {
 // the process it came from; peers that fail to answer are warned about
 // individually and the rest still merge. Without a collector (or when no
 // peer contributed an event) it falls back to the local ring — the dump
-// degrades, it never goes silent.
-func logSlowQuery(logger *slog.Logger, tracer *obs.Tracer, coll *fleet.Collector,
+// degrades, it never goes silent. The headline carries the query's
+// outstanding local work: a read that fell to the cap says what it was
+// still waiting on.
+func logSlowQuery(logger *slog.Logger, rt *node.Runtime, coll *fleet.Collector,
 	id node.QueryID, lat, threshold time.Duration) {
+	var inflight int64
+	for _, s := range rt.QuerySnapshots() {
+		if s.Query == id {
+			inflight = s.Inflight
+		}
+	}
 	logger.Warn("slow query", "query", int64(id),
-		"lat_ms", lat.Milliseconds(), "threshold_ms", threshold.Milliseconds())
+		"lat_ms", lat.Milliseconds(), "threshold_ms", threshold.Milliseconds(), "inflight", inflight)
 	if coll != nil {
 		peers := coll.QueryTrace(context.Background(), int64(id))
 		for _, p := range peers {
@@ -122,7 +130,7 @@ func logSlowQuery(logger *slog.Logger, tracer *obs.Tracer, coll *fleet.Collector
 			return
 		}
 	}
-	for _, ev := range tracer.Events(int64(id)) {
+	for _, ev := range rt.Trace().Events(int64(id)) {
 		logger.Warn("slow query trace", "query", int64(id),
 			"event", ev.KindName, "host", ev.Host, "tick", ev.Tick, "chain", ev.Chain,
 			"count", ev.Count, "detail", ev.Detail,

@@ -431,8 +431,8 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := log.String()
-	if !strings.Contains(got, `msg="slow query"`) {
-		t.Fatalf("no slow-query warn line in log:\n%s", got)
+	if !strings.Contains(got, `msg="slow query"`) || !strings.Contains(got, "inflight=0") {
+		t.Fatalf("no slow-query warn line with the query's outstanding work in log:\n%s", got)
 	}
 	if !strings.Contains(got, `msg="slow query trace"`) || !strings.Contains(got, "event=issued") {
 		t.Fatalf("slow-query dump missing the trace ring (want an event=issued entry):\n%s", got)

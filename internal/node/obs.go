@@ -153,11 +153,14 @@ func (rt *Runtime) traceDrop(qs *queryState, h graph.HostID, chain int, reason s
 
 // QuerySnapshot is one live query's state for /debug/queries: the §6.3
 // counters with the per-host computation array collapsed to its maximum,
-// plus the query's current tick and retirement flag.
+// plus the query's current tick, retirement flag and outstanding local
+// work (queryState.inflight) — what a read that fell to the cap was still
+// waiting on.
 type QuerySnapshot struct {
 	Query             QueryID `json:"query"`
 	Retired           bool    `json:"retired"`
 	Tick              int64   `json:"tick"`
+	Inflight          int64   `json:"inflight"`
 	MessagesSent      int64   `json:"messages_sent"`
 	BytesOnWire       int64   `json:"bytes_on_wire"`
 	MessagesDelivered int64   `json:"messages_delivered"`
@@ -185,6 +188,7 @@ func (rt *Runtime) QuerySnapshots() []QuerySnapshot {
 			Query:             qs.id,
 			Retired:           qs.retired.Load(),
 			Tick:              qs.tickNow(rt),
+			Inflight:          qs.inflight.Load(),
 			MessagesSent:      s.MessagesSent,
 			BytesOnWire:       s.BytesOnWire,
 			MessagesDelivered: s.MessagesDelivered,

@@ -92,6 +92,9 @@ func (rt *Runtime) StartQuery(id QueryID) (*QueryInstance, error) {
 	if rt.trace != nil {
 		rt.trace.Record(int64(id), obs.EvIssued, -1, 0, "")
 	}
+	// The whole fan-out goes on the books before the first Start can come
+	// off them, or a fast shard would read zero halfway through the loop.
+	qs.inflight.Add(int64(len(rt.localHosts)))
 	for _, h := range rt.localHosts {
 		rt.enqueue(h, item{kind: itemStart, qs: qs})
 	}
@@ -216,7 +219,7 @@ func (rt *Runtime) queryForErr(id QueryID, create bool) (*queryState, bool, erro
 			rt.scheduleEntry(timerEntry{
 				when: time.Now().Add(retireGrace),
 				kind: tkCompact,
-				qs:   qs,
+				id:   id,
 			})
 		}
 	})
@@ -257,7 +260,7 @@ func (rt *Runtime) retire(qs *queryState, why string) bool {
 // still fire later and find nothing left to do.
 func (rt *Runtime) release(qs *queryState, why string) {
 	if rt.retire(qs, why) {
-		rt.scheduleEntry(timerEntry{when: time.Now().Add(retireGrace), kind: tkCompact, qs: qs})
+		rt.scheduleEntry(timerEntry{when: time.Now().Add(retireGrace), kind: tkCompact, id: qs.id})
 	}
 }
 
@@ -330,6 +333,19 @@ type queryState struct {
 	qActSince  time.Time
 	peerQuiet  map[int32]quiesceReport
 
+	// inflight counts the query's outstanding work in this process: frames
+	// addressed to a local host and not yet consumed, protocol timers armed
+	// and not yet fired, Starts queued and not yet run. Every item goes on
+	// before it can be seen and comes off only after the callback consuming
+	// it has returned (or on the drop path that swallows it), so whatever a
+	// handler sends or arms is on the books before its own receipt comes off
+	// — the counter cannot pass through zero while work remains. idle closes
+	// at the first return to zero; on a runtime serving every host that is
+	// the protocol's termination, and AwaitQueryResult blocks on it.
+	inflight atomic.Int64
+	idle     chan struct{}
+	idleOnce sync.Once
+
 	retired   atomic.Bool
 	sent      atomic.Int64
 	bytes     atomic.Int64
@@ -346,6 +362,7 @@ func newQueryState(rt *Runtime, id QueryID, inst *QueryInstance, deadline sim.Ti
 		handlers:  make([]sim.Handler, n),
 		deadline:  deadline,
 		origin:    -1,
+		idle:      make(chan struct{}),
 		started:   make([]bool, n),
 		processed: make([]int64, n),
 	}
@@ -385,6 +402,13 @@ func newQueryState(rt *Runtime, id QueryID, inst *QueryInstance, deadline sim.Ti
 	}
 	qs.be = &queryBackend{rt: rt, qs: qs}
 	return qs
+}
+
+// workDone takes one consumed (or swallowed) item off the books.
+func (qs *queryState) workDone() {
+	if qs.inflight.Add(-1) == 0 {
+		qs.idleOnce.Do(func() { close(qs.idle) })
+	}
 }
 
 // hostDead reports whether h has departed on this query's membership
@@ -449,7 +473,7 @@ func (qs *queryState) armClock(rt *Runtime) {
 						when: t.Add(time.Duration(e.T) * rt.hop),
 						kind: kind,
 						h:    h,
-						qs:   qs,
+						id:   qs.id,
 					})
 				}
 			}
@@ -522,11 +546,28 @@ func (b *queryBackend) Send(from, to graph.HostID, payload any, chain int) {
 	qs.bytes.Add(size)
 	rt.met.sent.Inc()
 	rt.met.bytesOut.Add(size)
+	toLocal := rt.Local(to)
+	if toLocal {
+		if !rt.aliveHost(to) {
+			// The transport swallows a frame to a Kill'd host without a word;
+			// counted here, sent = delivered + dropped holds for it too. A
+			// kill landing after this check still vanishes in the transport,
+			// and the frame stays on the books: the read falls to the cap.
+			qs.dropped.Add(1)
+			rt.met.dropHostDead.Inc()
+			rt.traceDrop(qs, to, chain, dropHostDead)
+			return
+		}
+		qs.inflight.Add(1)
+	}
 	err := rt.tr.Send(transport.Message{From: from, To: to, Query: qs.id, Chain: chain, Payload: payload})
 	if err != nil {
 		qs.dropped.Add(1)
 		rt.met.dropSendErr.Inc()
 		rt.traceDrop(qs, from, chain, dropSendErr)
+		if toLocal {
+			qs.workDone()
+		}
 	}
 }
 
@@ -546,6 +587,7 @@ func (b *queryBackend) SetTimer(h graph.HostID, at sim.Time, tag, chain int) {
 	if delay <= 0 {
 		delay = b.rt.hop / 4
 	}
+	b.qs.inflight.Add(1)
 	b.rt.scheduleEntry(timerEntry{
 		when:  time.Now().Add(delay),
 		kind:  tkTimer,

@@ -14,12 +14,16 @@ import (
 // Cross-process quiescence: the control plane that lets a sharded fleet
 // answer before the full 2·D̂δ deadline.
 //
+// A runtime serving every host of G needs none of this: its read is
+// counted (await.go) — every outstanding frame, timer and Start of a query
+// is on one counter in the one process there is. A sharded runtime cannot
+// count what another process still owes, so its read is timed, and
 // ResultFloor's sharded case exists because local silence cannot witness
 // remote progress — a worker still materializing its instances looks, in
 // the issuer's counters, exactly like a converged fleet. This file turns
 // that absence of evidence into positive evidence: every worker process
 // watches each query's local activity counter (sends + deliveries +
-// drops, the same monotone signal AwaitQueryResult polls), and once the
+// drops, the same monotone signal the timed read polls), and once the
 // counter has held still past one broadcast sweep (D̂/2 ticks — the
 // longest a partial change anywhere takes to reflood through this
 // process) it sends a wire.Quiesce control frame to the query's issuing
@@ -267,9 +271,8 @@ func (rt *Runtime) remoteQuiet(qs *queryState) bool {
 }
 
 // quiesceFloor is the earliest elapsed time at which a quiesce-backed
-// early read is considered: the all-local floor — one broadcast sweep
-// plus margin — because with every peer process affirmatively quiet the
-// sharded fleet's counters are as trustworthy as a single process's.
+// early read is considered: one broadcast sweep plus margin — the silence
+// every peer process has affirmatively claimed by then.
 // Returns -1 when the fast path is unavailable for this query.
 func (rt *Runtime) quiesceFloor(qs *queryState) time.Duration {
 	if qs == nil || !rt.quiesce || qs.deadline <= 0 {

@@ -183,7 +183,7 @@ type Config struct {
 	// worst-case floor, and which tells them when the query is answered
 	// so they drop its state too. It engages only together with a Roster
 	// and a positive Hop, and only when some hosts are actually remote;
-	// an all-local runtime already reads at one sweep.
+	// an all-local runtime counts its outstanding work and waits on nobody.
 	Quiesce bool
 	// Roster maps every host to the index of the process serving it —
 	// the same partition on every process of the fleet (validityd
@@ -417,8 +417,11 @@ func (rt *Runtime) Shards() int { return len(rt.shards) }
 // runtime's own backing array: callers must treat it as read-only.
 func (rt *Runtime) Values() []int64 { return rt.values }
 
-// Local reports whether h is served by this runtime.
-func (rt *Runtime) Local(h graph.HostID) bool { return rt.local[h] }
+// Local reports whether h is served by this runtime. An id outside G —
+// one may come off the wire — is served nowhere.
+func (rt *Runtime) Local(h graph.HostID) bool {
+	return h >= 0 && int(h) < len(rt.local) && rt.local[h]
+}
 
 // Start binds every local host on the transport, opens it, and launches
 // the shard workers plus the timer loop.
@@ -481,10 +484,16 @@ func (rt *Runtime) recvFunc(h graph.HostID) transport.RecvFunc {
 			rt.met.dropUnknown.Inc()
 			return
 		}
+		if !rt.Local(m.From) {
+			// A frame off another process joins the books on arrival; one a
+			// local host sent has been on them since its Send.
+			qs.inflight.Add(1)
+		}
 		if qs.retired.Load() {
 			// Serialized with compaction: the drop is folded exactly once
 			// whether it lands before or after the counters collapse.
 			rt.dropRetired(qs)
+			qs.workDone()
 			return
 		}
 		rt.enqueue(h, item{kind: itemMsg, qs: qs, msg: m})
@@ -584,17 +593,25 @@ func (rt *Runtime) shardLoop(s *shard) {
 
 // runItem executes one host callback with ctx, the calling worker's
 // reusable context; must only be called from the shard worker owning it.h.
+// A Start, frame or timer comes off the query's books only here, after its
+// callback has returned.
 func (rt *Runtime) runItem(it item, ctx *sim.Context) {
-	h := it.h
 	switch it.kind {
 	case itemFunc:
 		it.fn() // runs even on a dead host: state reads stay safe
-		return
 	case itemRetire:
-		it.qs.handlers[h] = nil
-		return
+		it.qs.handlers[it.h] = nil
+	default:
+		rt.runCallback(it, ctx)
+		it.qs.workDone()
 	}
-	qs := it.qs
+}
+
+// runCallback runs the handler callback of a Start, frame or timer item —
+// or counts the frame dropped, when the query or the host no longer takes
+// it.
+func (rt *Runtime) runCallback(it item, ctx *sim.Context) {
+	h, qs := it.h, it.qs
 	// Retirement is checked before host liveness so that EVERY
 	// retired-query drop — including one at a Kill'd host — goes
 	// through dropRetired's serialization with compact; a lock-free
@@ -635,6 +652,13 @@ func (rt *Runtime) runItem(it item, ctx *sim.Context) {
 	}
 	hd := qs.handlers[h]
 	if hd == nil {
+		// The instance has no handler for this host: nobody to hand the
+		// frame to.
+		if it.kind == itemMsg {
+			qs.dropped.Add(1)
+			rt.met.dropUnknown.Inc()
+			rt.traceDrop(qs, h, it.msg.Chain, dropUnknown)
+		}
 		return
 	}
 	switch it.kind {

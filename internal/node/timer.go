@@ -45,13 +45,20 @@ const (
 	tkQuiesce
 )
 
-// timerEntry is one scheduled firing.
+// timerEntry is one scheduled firing. Only a protocol timer (and a quiesce
+// check) holds its query by pointer: it is part of the query's outstanding
+// work and fires within the deadline. Membership transitions and the
+// retire/compact backstop are armed up to 2·deadline + 2·grace ahead, long
+// after an answered query was released, so they name it by id and resolve
+// it when they fire — a miss means compacted, nothing left to do — and the
+// heap never keeps a released query's state reachable.
 type timerEntry struct {
 	when  time.Time
 	seq   uint64
 	kind  timerKind
 	h     graph.HostID
 	qs    *queryState
+	id    QueryID
 	tag   int
 	chain int
 	fn    func()
@@ -121,8 +128,8 @@ func (rt *Runtime) scheduleRetire(qs *queryState) {
 		return // deadline-less (handler-only) instances never retire
 	}
 	retireAt := time.Now().Add(2*time.Duration(qs.deadline)*rt.hop + retireGrace)
-	rt.scheduleEntry(timerEntry{when: retireAt, kind: tkRetire, qs: qs})
-	rt.scheduleEntry(timerEntry{when: retireAt.Add(retireGrace), kind: tkCompact, qs: qs})
+	rt.scheduleEntry(timerEntry{when: retireAt, kind: tkRetire, id: qs.id})
+	rt.scheduleEntry(timerEntry{when: retireAt.Add(retireGrace), kind: tkCompact, id: qs.id})
 }
 
 // timerLoop drains the heap: it sleeps until the earliest entry is due,
@@ -171,16 +178,22 @@ func (rt *Runtime) timerLoop() {
 }
 
 func (rt *Runtime) fireTimer(e *timerEntry) {
+	qs := e.qs
+	if qs == nil && e.id != 0 {
+		if qs = rt.lookupQuery(e.id); qs == nil {
+			return // compacted since the entry was armed
+		}
+	}
 	switch e.kind {
 	case tkTimer:
 		// dispatch, not enqueue: the loop must not block behind one
 		// congested shard while other shards' timers are due.
 		rt.met.timersFired.Inc()
-		rt.dispatch(e.h, item{kind: itemTimer, qs: e.qs, tag: e.tag, chain: e.chain})
+		rt.dispatch(e.h, item{kind: itemTimer, qs: qs, tag: e.tag, chain: e.chain})
 	case tkQueryDead:
-		e.qs.markDead(e.h)
+		qs.markDead(e.h)
 		if rt.trace != nil {
-			rt.trace.Record(int64(e.qs.id), obs.EvChurnLeave, int(e.h), e.qs.tickNow(rt), "")
+			rt.trace.Record(int64(qs.id), obs.EvChurnLeave, int(e.h), qs.tickNow(rt), "")
 		}
 	case tkQueryJoin:
 		// Un-suppress first, then hand the host's shard a Start item:
@@ -188,15 +201,16 @@ func (rt *Runtime) fireTimer(e *timerEntry) {
 		// host lived before) reduces to the un-suppression alone, while a
 		// late joiner's handler starts now — the same lazy
 		// instantiate-on-first-contact path worker shards already run.
-		e.qs.markAlive(e.h)
+		qs.markAlive(e.h)
 		if rt.trace != nil {
-			rt.trace.Record(int64(e.qs.id), obs.EvChurnJoin, int(e.h), e.qs.tickNow(rt), "")
+			rt.trace.Record(int64(qs.id), obs.EvChurnJoin, int(e.h), qs.tickNow(rt), "")
 		}
-		rt.dispatch(e.h, item{kind: itemStart, qs: e.qs})
+		qs.inflight.Add(1)
+		rt.dispatch(e.h, item{kind: itemStart, qs: qs})
 	case tkRetire:
-		rt.retire(e.qs, "timer")
+		rt.retire(qs, "timer")
 	case tkCompact:
-		rt.compact(e.qs)
+		rt.compact(qs)
 	case tkFunc:
 		// Own goroutine: the closure may block (StartQuery enqueues into
 		// shard queues under back-pressure) and the loop must keep firing
@@ -206,7 +220,7 @@ func (rt *Runtime) fireTimer(e *timerEntry) {
 		// Inline: the check is a few atomic loads, and any resulting
 		// transport send — the only part that can block — is spawned on
 		// its own goroutine inside.
-		rt.quiesceCheck(e.qs)
+		rt.quiesceCheck(qs)
 	}
 }
 

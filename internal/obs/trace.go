@@ -35,7 +35,8 @@ const (
 	// announce-quiet/announce-busy from peer-quiet/peer-busy.
 	EvQuiesce
 	// EvEarlyRead: AwaitQueryResult returned before the hard deadline
-	// cap; Detail says which early path fired (settle or quiesce).
+	// cap; Detail says which early path fired (counted, settle or
+	// quiesce).
 	EvEarlyRead
 )
 

@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
 	"validity/internal/agg"
@@ -67,83 +66,6 @@ func goldenScenarios(t *testing.T, prepare func(name string, w *Wildfire, nw *si
 
 func TestWildfireDifferentialGolden(t *testing.T) {
 	goldenScenarios(t, func(string, *Wildfire, *sim.Network) {})
-}
-
-// shadowHost runs a wfHost unchanged while keeping, beside it, the state
-// of the suppression rule wildfire.go used to carry: the partial last
-// received from each neighbor, skipped on flush when it dominates ours.
-type shadowHost struct {
-	*wfHost
-	t         *testing.T
-	name      string
-	lastRecv  []agg.Partial // indexed like ctx.Neighbors(), as lastSent is
-	flushes   *int          // (host, neighbor, flush) decisions compared
-	dominated *int          // of those, skips the old rule took through Dominates
-}
-
-func (s *shadowHost) Receive(ctx *sim.Context, msg sim.Message) {
-	var a agg.Partial
-	switch m := msg.Payload.(type) {
-	case wfBroadcast:
-		a = m.A
-	case wfConverge:
-		a = m.A
-	}
-	// The old rule stored a where the host took it in: on the activating
-	// broadcast, and on anything an active host combines before its limit.
-	wasActive := s.active
-	inTime := wasActive && ctx.Now() <= s.limit()
-	s.wfHost.Receive(ctx, msg)
-	from := slices.Index(ctx.Neighbors(), msg.From)
-	if from < 0 || a == nil {
-		return
-	}
-	if inTime || !wasActive && s.active {
-		if s.lastRecv == nil {
-			s.lastRecv = make([]agg.Partial, ctx.Degree())
-		}
-		s.lastRecv[from] = a
-	}
-}
-
-func (s *shadowHost) Timer(ctx *sim.Context, tag int) {
-	if tag == wfTagFlush && s.dirty && s.active && ctx.Now() <= s.limit() {
-		for i, n := range ctx.Neighbors() {
-			stamp := s.lastSent[i] == s.version
-			dominates := s.lastRecv != nil && s.lastRecv[i] != nil && s.lastRecv[i].Dominates(s.partial)
-			if dominates {
-				*s.dominated++
-			}
-			if old := stamp || dominates; old != stamp {
-				s.t.Errorf("%s: host %d, neighbor %d, tick %d: lastRecv rule skips=%v, stamp rule skips=%v",
-					s.name, ctx.Self(), n, ctx.Now(), old, stamp)
-			}
-			*s.flushes++
-		}
-	}
-	s.wfHost.Timer(ctx, tag)
-}
-
-// TestWildfireStampRuleShadowsLastRecv replays the golden scenarios with
-// the deleted rule kept alive here, in the test: on every flush of every
-// host it asks, per neighbor, whether "the partial last received from it
-// dominates ours" would have skipped a send the version stamp does not.
-// Partials only grow, so it never may — a received partial dominates the
-// current one exactly when it equalled it at receipt and nothing changed
-// since, which is what the stamp records.
-func TestWildfireStampRuleShadowsLastRecv(t *testing.T) {
-	var flushes, dominated int
-	goldenScenarios(t, func(name string, w *Wildfire, nw *sim.Network) {
-		for h, host := range w.hosts {
-			nw.SetHandler(graph.HostID(h), &shadowHost{
-				wfHost: host, t: t, name: name, flushes: &flushes, dominated: &dominated,
-			})
-		}
-	})
-	if flushes == 0 || dominated == 0 {
-		t.Fatalf("compared %d flush decisions, %d of them Dominates skips: the shadow rule never ran", flushes, dominated)
-	}
-	t.Logf("%d (host, neighbor, flush) decisions agree; Dominates would have skipped %d, each already stamped", flushes, dominated)
 }
 
 // sinkBackend lets a test drive one host's callbacks by hand: sends are

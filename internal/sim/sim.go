@@ -439,7 +439,7 @@ func (c *Context) Value() int64 {
 }
 
 // Neighbors returns this host's neighbor list (alive or not: a host cannot
-// instantly observe neighbor failures, it only learns via heartbeats).
+// observe neighbor failures, only their silence).
 func (c *Context) Neighbors() []graph.HostID { return c.graph().Neighbors(c.host) }
 
 // Degree returns the number of neighbors.

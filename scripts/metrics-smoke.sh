@@ -32,14 +32,15 @@ trap cleanup EXIT
 
 # --- act 1: in-process stream, single-process endpoints ---
 
-# A stream long enough to scrape mid-run: 24 queries at concurrency 1
-# over 60 hosts run for three to four seconds at -hop 10ms (reads return
-# at convergence, ~15 hops; 8 queries at 5ms were over in 0.6 s, before
-# a scrape that lost a few polls could connect). Port 0 dodges
-# collisions; the bound address arrives on the slog stderr line.
+# A stream long enough to scrape mid-run: 80 queries at concurrency 1
+# over 60 hosts run for about four seconds at -hop 10ms (an in-process
+# read returns the moment the flood has drained, ~5 hops; 24 queries
+# were over in 1.2 s, before a scrape that lost a few polls could
+# connect). Port 0 dodges collisions; the bound address arrives on the
+# slog stderr line.
 "$BIN" -transport chan -topology random -hosts 60 -seed 23 \
     -agg count,min -hq 0,7 -hop 10ms \
-    -query -queries 24 -concurrency 1 \
+    -query -queries 80 -concurrency 1 \
     -metrics 127.0.0.1:0 >"$OUT" 2>"$LOG" &
 PID=$!
 PIDS="$PIDS $PID"
