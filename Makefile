@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race ci fmt fmt-check demo bench benchdiff loc metrics-smoke fuzz-smoke scale-smoke
+.PHONY: all build vet test race ci fmt fmt-check demo bench benchdiff loc metrics-smoke fuzz-smoke scale-smoke repro-smoke
 
 all: ci
 
@@ -22,8 +22,9 @@ race:
 # suite under the race detector (the node runtime and transports are
 # concurrent code; plain `go test` would let scheduling bugs through),
 # smoke-test the built binary's metrics endpoint end to end, and give the
-# wire decoders a short hostile-input fuzz pass.
-ci: build vet fmt-check race scale-smoke metrics-smoke fuzz-smoke
+# wire decoders a short hostile-input fuzz pass, and hold the figures to
+# byte-identical output run to run.
+ci: build vet fmt-check race scale-smoke metrics-smoke fuzz-smoke repro-smoke
 
 # scale-smoke answers a short query stream over a 2,048-host in-process
 # fleet and asserts the goroutine peak stays O(shards), not O(hosts) —
@@ -35,6 +36,15 @@ ci: build vet fmt-check race scale-smoke metrics-smoke fuzz-smoke
 # package's property tests, which `race` already runs.
 scale-smoke:
 	$(GO) test ./internal/daemon -run '^TestScaleSmoke2K$$' -count=1 -v
+
+# repro-smoke holds the event loop to its contract: every experiment of
+# the built validitybench, run twice from one seed, prints the same bytes.
+repro-smoke:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) build -o $$d/validitybench ./cmd/validitybench && \
+	$$d/validitybench -all -scale 0.03 -trials 2 > $$d/a.txt && \
+	$$d/validitybench -all -scale 0.03 -trials 2 > $$d/b.txt && \
+	cmp $$d/a.txt $$d/b.txt && echo "repro-smoke: validitybench -all byte-identical run to run"
 
 # metrics-smoke gates the observability surface of the built binaries,
 # not just the packages: act 1 boots one validityd with -metrics on and

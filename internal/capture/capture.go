@@ -23,8 +23,10 @@ package capture
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"validity/internal/graph"
@@ -182,9 +184,16 @@ func NewPopulation(n int, rng *rand.Rand) *Population {
 // Size returns the current |H_t|.
 func (p *Population) Size() int { return len(p.alive) }
 
+// sortedIDs lists the alive hosts in id order: map iteration order varies
+// between runs, and drawing from the RNG in that order would break seeded
+// reproducibility.
+func (p *Population) sortedIDs() []graph.HostID {
+	return slices.Sorted(maps.Keys(p.alive))
+}
+
 // Advance applies one churn interval.
 func (p *Population) Advance(leaveProb float64, joins int) {
-	for h := range p.alive {
+	for _, h := range p.sortedIDs() {
 		if p.rng.Float64() < leaveProb {
 			delete(p.alive, h)
 		}
@@ -201,13 +210,7 @@ func (p *Population) Alive(h graph.HostID) bool { return p.alive[h] }
 // Sample implements Sampler: s uniform draws without replacement (or the
 // whole population if s exceeds it).
 func (p *Population) Sample(s int) []graph.HostID {
-	ids := make([]graph.HostID, 0, len(p.alive))
-	for h := range p.alive {
-		ids = append(ids, h)
-	}
-	// Sort before shuffling: map iteration order varies between runs and
-	// would break seeded reproducibility.
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := p.sortedIDs()
 	p.rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 	if s > len(ids) {
 		s = len(ids)

@@ -3,6 +3,7 @@ package capture
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -157,6 +158,23 @@ func TestPopulationAdvance(t *testing.T) {
 	// Sample on an empty population returns nothing.
 	if got := pop.Sample(10); len(got) != 0 {
 		t.Fatalf("empty population sampled %d hosts", len(got))
+	}
+}
+
+// Which hosts leave must depend on the seed alone, not on map iteration
+// order: two populations from one seed walk the same trail.
+func TestPopulationReproducibleFromSeed(t *testing.T) {
+	a := NewPopulation(300, rand.New(rand.NewSource(11)))
+	b := NewPopulation(300, rand.New(rand.NewSource(11)))
+	for step := 1; step <= 5; step++ {
+		a.Advance(0.1, 30)
+		b.Advance(0.1, 30)
+		if a.Size() != b.Size() {
+			t.Fatalf("step %d: sizes %d and %d from one seed", step, a.Size(), b.Size())
+		}
+		if sa, sb := a.Sample(20), b.Sample(20); !slices.Equal(sa, sb) {
+			t.Fatalf("step %d: samples differ from one seed:\n%v\n%v", step, sa, sb)
+		}
 	}
 }
 

@@ -22,7 +22,7 @@ type HostID int32
 const None HostID = -1
 
 // Graph is an undirected graph over dense host IDs. The zero value is an
-// empty graph; use New or NewWithCapacity to preallocate.
+// empty graph; use New for one with hosts.
 type Graph struct {
 	adj   [][]HostID
 	edges int
@@ -31,17 +31,6 @@ type Graph struct {
 // New returns a graph with n hosts and no edges.
 func New(n int) *Graph {
 	return &Graph{adj: make([][]HostID, n)}
-}
-
-// NewWithCapacity returns a graph with n hosts, preallocating per-host
-// adjacency storage for approximately avgDegree neighbors.
-func NewWithCapacity(n, avgDegree int) *Graph {
-	g := &Graph{adj: make([][]HostID, n)}
-	if avgDegree > 0 {
-		backing := make([]HostID, 0, n*avgDegree)
-		_ = backing // adjacency slices grow independently; hint only.
-	}
-	return g
 }
 
 // Len returns the number of hosts.

@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,6 +25,10 @@ type QueryInstance struct {
 	Protocol protocol.Protocol
 	// Handlers[h] is host h's state machine (nil for non-local hosts).
 	Handlers []sim.Handler
+	// Seed is what the query's hosts derive their coin streams from
+	// (sim.NewCoins of Seed and the host): QuerySeed of the fleet's seed and
+	// the query id, identical at every process.
+	Seed int64
 	// Deadline is the query's termination time 2·D̂ in δ ticks. A query
 	// retires when it is answered; one nobody reads retires on a timer well
 	// after the deadline has passed.
@@ -64,9 +69,9 @@ func (rt *Runtime) SetQueryFactory(f QueryFactory) {
 	rt.mu.Unlock()
 }
 
-// QuerySeed derives the per-query RNG seed from the fleet's shared seed.
-// It depends only on (shared, id), so every process builds identical FM
-// coin tosses for a host regardless of which process serves it.
+// QuerySeed derives the per-query coin seed from the fleet's shared seed.
+// It depends only on (shared, id), so every process tosses identical FM
+// coins for a host regardless of which process serves it.
 func QuerySeed(shared int64, id QueryID) int64 {
 	return shared ^ (int64(id)+1)*0x2545F4914F6CDD1D
 }
@@ -288,6 +293,10 @@ type queryState struct {
 	inst     atomic.Pointer[QueryInstance]
 	answer   atomic.Pointer[answer]
 	handlers []sim.Handler
+	// coins[h] is host h's coin stream, made on h's shard worker at the
+	// host's first toss and dropped with its handler.
+	coins    []*rand.Rand
+	seed     int64
 	be       *queryBackend
 	deadline sim.Time
 
@@ -360,6 +369,7 @@ func newQueryState(rt *Runtime, id QueryID, inst *QueryInstance, deadline sim.Ti
 	qs := &queryState{
 		id:        id,
 		handlers:  make([]sim.Handler, n),
+		coins:     make([]*rand.Rand, n),
 		deadline:  deadline,
 		origin:    -1,
 		idle:      make(chan struct{}),
@@ -368,6 +378,7 @@ func newQueryState(rt *Runtime, id QueryID, inst *QueryInstance, deadline sim.Ti
 	}
 	if inst != nil {
 		qs.inst.Store(inst)
+		qs.seed = inst.Seed
 		if inst.Origin >= 0 && int(inst.Origin) < n {
 			qs.origin = inst.Origin
 		}
@@ -508,9 +519,9 @@ func (qs *queryState) snapshot() Stats {
 // --- sim.Backend, one per query ------------------------------------------
 
 // queryBackend implements sim.Backend for one query on one runtime: its
-// Now is the query clock, its Send stamps frames with the QueryID and
-// feeds the query's cost counters, and its SetTimer goes through the
-// runtime's shared timer heap.
+// Now is the query clock, its Rand the query's per-host coin streams, its
+// Send stamps frames with the QueryID and feeds the query's cost counters,
+// and its SetTimer goes through the runtime's shared timer heap.
 type queryBackend struct {
 	rt *Runtime
 	qs *queryState
@@ -531,6 +542,27 @@ func (b *queryBackend) Value(h graph.HostID) int64 { return b.rt.values[h] }
 
 // Graph implements sim.Backend.
 func (b *queryBackend) Graph() *graph.Graph { return b.rt.g }
+
+// Medium implements sim.Backend: a transport frame has one destination.
+func (b *queryBackend) Medium() sim.Medium { return sim.MediumPointToPoint }
+
+// Rand implements sim.Backend. All callbacks of h run on h's one shard
+// worker, so its slot and its unsynchronized stream have a single user.
+func (b *queryBackend) Rand(h graph.HostID) *rand.Rand {
+	if b.qs.coins[h] == nil {
+		b.qs.coins[h] = sim.NewCoins(b.qs.seed, h)
+	}
+	return b.qs.coins[h]
+}
+
+// SendAll implements sim.Backend: one Send per neighbor.
+func (b *queryBackend) SendAll(from, skip graph.HostID, payload any, chain int) {
+	for _, to := range b.rt.g.Neighbors(from) {
+		if to != skip {
+			b.Send(from, to, payload, chain)
+		}
+	}
+}
 
 // Send implements sim.Backend: the message goes to the transport stamped
 // with the query id, and is delivered if the destination is alive at

@@ -113,7 +113,7 @@ func (rt *Runtime) compact(qs *queryState) {
 	}
 	snap := qs.snapshot()
 	delete(rt.queries, qs.id)
-	rt.retiredTotal.merge(snap)
+	mergeStats(&rt.retiredTotal, snap)
 	rt.retired.push(summarize(qs.id, snap))
 	rt.met.compacted.Inc()
 	if rt.trace != nil {

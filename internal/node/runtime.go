@@ -10,9 +10,10 @@
 // The runtime is a query engine: one long-running fleet multiplexes many
 // concurrent queries. Every transport frame carries a QueryID, and each
 // process demultiplexes frames to per-query protocol instances — lazily
-// built on first contact from a registered QueryFactory, seeded per
-// (query, host) so a sharded fleet builds identical FM coin tosses for a
-// host no matter which process serves it. Each query gets its own
+// built on first contact from a registered QueryFactory; a host's FM coins
+// derive from (query seed, host) alone (sim.NewCoins), so a sharded fleet
+// and the event loop toss identical coins for a host no matter where it
+// runs. Each query gets its own
 // monotonic clock (armed at that query's first traffic in this process)
 // and its own §6.3 cost accounting, so per-answer validity deadlines stay
 // individually checkable while the fleet amortizes its infrastructure
@@ -54,7 +55,6 @@ package node
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	gort "runtime"
 	"sync"
 	"sync/atomic"
@@ -107,7 +107,7 @@ const (
 	itemMsg
 	itemTimer
 	itemFunc   // run an arbitrary closure on the host's shard worker (Do)
-	itemRetire // drop the host's handler for a retired query
+	itemRetire // drop the host's handler and coins for a retired query
 )
 
 // shard is one worker's slice of the runtime: a bounded queue of host
@@ -205,43 +205,19 @@ type Config struct {
 	Trace *obs.Tracer
 }
 
-// Stats aggregates the §6.3 cost measures observed by this runtime for
-// one query (QueryStats) or summed over all queries (Stats). In a
-// multi-process deployment each process sees its own share; totals are the
-// sum over processes (messages, bytes) and max over hosts (computation,
-// time).
-type Stats struct {
-	// MessagesSent counts sends issued by local hosts.
-	MessagesSent int64
-	// BytesOnWire is the exact internal/wire transport-frame size of
-	// every sent payload — byte-for-byte what the TCP transport writes
-	// (zero for payloads outside the wire format).
-	BytesOnWire int64
-	// MessagesDelivered counts callbacks delivered to alive local hosts.
-	MessagesDelivered int64
-	// MessagesDropped counts messages lost at a dead local host, a failed
-	// transport send, or a retired query.
-	MessagesDropped int64
-	// PerHostProcessed[h] is the computation cost of local host h
-	// (zero for hosts served elsewhere).
-	PerHostProcessed []int64
-	// TimeCost is the longest causal chain observed at a local host.
-	TimeCost int
-}
+// Stats is the one §6.3 record (sim.Stats), as this runtime observed it for
+// one query (QueryStats) or summed over all queries (Stats). Sends,
+// deliveries, drops, per-host computation and the longest causal chain are
+// those of local hosts (zero for hosts served elsewhere); BytesOnWire is
+// byte-for-byte what the TCP transport writes for every sent payload (zero
+// for payloads outside the wire format); PerTickSent and FinishTime are the
+// event loop's and stay zero. In a multi-process deployment each process
+// sees its own share; totals are the sum over processes (messages, bytes)
+// and max over hosts (computation, time).
+type Stats = sim.Stats
 
-// MaxComputation returns the maximum per-host computation cost.
-func (s *Stats) MaxComputation() int64 {
-	var max int64
-	for _, c := range s.PerHostProcessed {
-		if c > max {
-			max = c
-		}
-	}
-	return max
-}
-
-// merge folds o into s (sums counters, maxes the time cost).
-func (s *Stats) merge(o Stats) {
+// mergeStats folds o into s (sums counters, maxes the time cost).
+func mergeStats(s *Stats, o Stats) {
 	s.MessagesSent += o.MessagesSent
 	s.BytesOnWire += o.BytesOnWire
 	s.MessagesDelivered += o.MessagesDelivered
@@ -600,7 +576,7 @@ func (rt *Runtime) runItem(it item, ctx *sim.Context) {
 	case itemFunc:
 		it.fn() // runs even on a dead host: state reads stay safe
 	case itemRetire:
-		it.qs.handlers[it.h] = nil
+		it.qs.handlers[it.h], it.qs.coins[it.h] = nil, nil
 	default:
 		rt.runCallback(it, ctx)
 		it.qs.workDone()
@@ -755,10 +731,10 @@ func (rt *Runtime) Stats() Stats {
 			qss = append(qss, e.qs)
 		}
 	}
-	total.merge(rt.retiredTotal)
+	mergeStats(&total, rt.retiredTotal)
 	rt.mu.Unlock()
 	for _, qs := range qss {
-		total.merge(qs.snapshot())
+		mergeStats(&total, qs.snapshot())
 	}
 	return total
 }
@@ -785,36 +761,4 @@ func (rt *Runtime) QueryStats(id QueryID) (Stats, bool) {
 		}, true
 	}
 	return qs.snapshot(), true
-}
-
-// --- handler helpers -----------------------------------------------------
-
-// WithRand wraps hd so that every callback context carries rng, set in
-// place on the worker's reused context. Live backends have no shared
-// deterministic RNG (sim.Context.Rand returns nil there), but FM-sketch
-// partials need coin tosses at activation; the runtime serializes all
-// callbacks of a host on one shard worker, so an unsynchronized per-host
-// source is safe.
-func WithRand(hd sim.Handler, rng *rand.Rand) sim.Handler {
-	return &randHandler{inner: hd, rng: rng}
-}
-
-type randHandler struct {
-	inner sim.Handler
-	rng   *rand.Rand
-}
-
-func (r *randHandler) Start(ctx *sim.Context) {
-	ctx.SetRand(r.rng)
-	r.inner.Start(ctx)
-}
-
-func (r *randHandler) Receive(ctx *sim.Context, msg sim.Message) {
-	ctx.SetRand(r.rng)
-	r.inner.Receive(ctx, msg)
-}
-
-func (r *randHandler) Timer(ctx *sim.Context, tag int) {
-	ctx.SetRand(r.rng)
-	r.inner.Timer(ctx, tag)
 }

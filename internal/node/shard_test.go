@@ -3,7 +3,6 @@ package node
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,21 +22,18 @@ import (
 //
 // It also pins the reused-context contract: a shard worker hands every
 // callback the same sim.Context, re-targeted, so for the whole of a
-// callback the context must name this host and carry this host's RNG —
-// rng for a host installed through WithRand, nil for a bare handler even
-// when the worker's previous callback served a wrapped host.
+// callback the context must name this host (its coin stream follows from
+// that: the backend keys it by the context's host).
 type orderProbe struct {
 	h    graph.HostID
-	rng  *rand.Rand
 	busy atomic.Bool
 	next int
 	errs chan string
 }
 
 func (p *orderProbe) checkContext(ctx *sim.Context, when string) {
-	if ctx.Self() != p.h || ctx.Rand() != p.rng {
-		p.errs <- fmt.Sprintf("host %d: %s the callback the context names host %d (own rng: %v)",
-			p.h, when, ctx.Self(), ctx.Rand() == p.rng)
+	if ctx.Self() != p.h {
+		p.errs <- fmt.Sprintf("host %d: %s the callback the context names host %d", p.h, when, ctx.Self())
 	}
 }
 
@@ -63,10 +59,9 @@ func (p *orderProbe) Timer(ctx *sim.Context, tag int) {}
 // message stream from its own producer goroutine. Every host must see its
 // stream strictly in order with no concurrent callbacks (the plain `next`
 // counter doubles as a race-detector tripwire) through a context that is
-// its own for the duration of each callback (every other host carries a
-// per-host RNG, so a worker alternates between wrapped and bare
-// handlers), and a final Do per host — which serializes behind the host's
-// queued callbacks — must observe the complete stream.
+// its own for the duration of each callback, and a final Do per host —
+// which serializes behind the host's queued callbacks — must observe the
+// complete stream.
 func TestShardSerializationProperty(t *testing.T) {
 	const (
 		hosts   = 16
@@ -93,15 +88,7 @@ func TestShardSerializationProperty(t *testing.T) {
 	handlers := make([]sim.Handler, hosts)
 	for h := 0; h < hosts; h++ {
 		p := &orderProbe{h: graph.HostID(h), errs: errs}
-		probes[h] = p
-		// Hosts h and h+nshards share a worker: wrapping h/nshards's odd
-		// ones makes every worker serve both kinds.
-		if (h/nshards)%2 == 1 {
-			p.rng = rand.New(rand.NewSource(int64(h)))
-			handlers[h] = WithRand(p, p.rng)
-		} else {
-			handlers[h] = p
-		}
+		probes[h], handlers[h] = p, p
 	}
 	startHandlers(t, rt, handlers)
 	defer rt.Stop()

@@ -7,12 +7,16 @@
 // networks, under which one transmission reaches every alive neighbor at
 // the cost of a single message (§5.3).
 //
-// The simulator is deterministic: all randomness comes from the caller's
-// seeded rand.Rand, and events at equal times are processed in a fixed
-// order (by sequence number). Determinism is what makes the paper's figures
-// reproducible byte for byte; the goroutine-per-peer runtime that executes
-// the same Handlers on real concurrent peers and real transports lives in
-// internal/node and plugs in through the Backend interface below.
+// The simulator is deterministic: all randomness is the per-host coin
+// streams derived from Config.Seed (NewCoins), and events at equal times are
+// processed in a fixed order (by sequence number). Determinism is what makes
+// the paper's figures reproducible byte for byte.
+//
+// Handlers act through a Context, and a Context is one call deep over a
+// Backend. Network is the deterministic Backend; the host-sharded runtime
+// that executes the same Handlers on real concurrent peers and real
+// transports (internal/node) is the other, and both derive a host's coins
+// the same way, so one seed gives one estimate on either.
 //
 // Cost accounting follows §6.3 exactly:
 //
@@ -144,6 +148,10 @@ type Stats struct {
 	TimeCost int
 	// FinishTime is the virtual time at which the run stopped.
 	FinishTime Time
+	// BytesOnWire is the internal/wire frame size of every sent payload,
+	// counted by backends that put frames on a wire (internal/node); the
+	// event loop serializes nothing and leaves it zero.
+	BytesOnWire int64
 }
 
 // MaxComputation returns the maximum per-host computation cost.
@@ -157,23 +165,14 @@ func (s *Stats) MaxComputation() int64 {
 	return max
 }
 
-// ComputationHistogram returns, for each observed per-host message count,
-// the number of hosts that processed exactly that many messages (Fig. 12).
-// Hosts that processed zero messages are included.
-func (s *Stats) ComputationHistogram() map[int64]int {
-	h := make(map[int64]int)
-	for _, c := range s.PerHostProcessed {
-		h[c]++
-	}
-	return h
-}
-
 // Network is one simulation instance: a topology, per-host handler state,
-// scheduled churn, and the event loop.
+// scheduled churn, and the event loop. It is the deterministic Backend.
 type Network struct {
 	g        *graph.Graph
 	medium   Medium
-	rng      *rand.Rand
+	seed     int64
+	coins    []*rand.Rand // coins[h] is host h's stream, made at first use
+	ctx      Context      // the one Context, re-targeted per callback
 	handlers []Handler
 	alive    []bool
 	joined   []bool // false until join time (joiners); initial hosts true
@@ -190,8 +189,8 @@ type Network struct {
 type Config struct {
 	Graph  *graph.Graph
 	Medium Medium
-	// Seed seeds the simulation's private RNG (used by handlers through
-	// Context.Rand). Handlers needing independent streams can derive them.
+	// Seed is what every host's coin stream (Context.Rand) derives from,
+	// together with the host's id.
 	Seed int64
 	// Values are per-host attribute values; len must equal Graph.Len().
 	// If nil, all values are zero.
@@ -211,7 +210,8 @@ func NewNetwork(cfg Config) *Network {
 	nw := &Network{
 		g:        cfg.Graph,
 		medium:   cfg.Medium,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		seed:     cfg.Seed,
+		coins:    make([]*rand.Rand, n),
 		handlers: make([]Handler, n),
 		alive:    make([]bool, n),
 		joined:   make([]bool, n),
@@ -236,11 +236,6 @@ func (nw *Network) Stats() *Stats { return &nw.stats }
 
 // Alive reports whether host h is currently alive.
 func (nw *Network) Alive(h graph.HostID) bool { return nw.alive[h] }
-
-// AlivePredicate returns a graph.Alive view of current liveness.
-func (nw *Network) AlivePredicate() graph.Alive {
-	return func(h graph.HostID) bool { return nw.alive[h] }
-}
 
 // Value returns the attribute value of host h.
 func (nw *Network) Value(h graph.HostID) int64 { return nw.values[h] }
@@ -285,8 +280,7 @@ func (nw *Network) push(e *event) {
 func (nw *Network) Run(until Time) *Stats {
 	for h := 0; h < nw.g.Len(); h++ {
 		if nw.alive[h] && nw.handlers[h] != nil {
-			ctx := nw.ctx(graph.HostID(h), 0)
-			nw.handlers[h].Start(ctx)
+			nw.handlers[h].Start(nw.at(graph.HostID(h), 0))
 		}
 	}
 	for nw.queue.Len() > 0 {
@@ -321,7 +315,7 @@ func (nw *Network) dispatch(e *event) {
 			// host lifetime, exactly as under the live engine.
 			nw.joined[e.host] = true
 			if hd := nw.handlers[e.host]; hd != nil {
-				hd.Start(nw.ctx(e.host, 0))
+				hd.Start(nw.at(e.host, 0))
 			}
 		}
 	case evDeliver:
@@ -338,23 +332,26 @@ func (nw *Network) dispatch(e *event) {
 			nw.OnDeliver(nw.now, e.msg)
 		}
 		if hd := nw.handlers[e.msg.To]; hd != nil {
-			hd.Receive(nw.ctx(e.msg.To, e.msg.chain), e.msg)
+			hd.Receive(nw.at(e.msg.To, e.msg.chain), e.msg)
 		}
 	case evTimer:
 		if !nw.alive[e.host] {
 			return
 		}
 		if hd := nw.handlers[e.host]; hd != nil {
-			hd.Timer(nw.ctx(e.host, e.chain), e.tag)
+			hd.Timer(nw.at(e.host, e.chain), e.tag)
 		}
 	}
 }
 
-func (nw *Network) ctx(h graph.HostID, chain int) *Context {
-	return &Context{nw: nw, host: h, chain: chain}
+// at re-targets the network's one Context for the next callback. Callbacks
+// never nest in the event loop, so one is enough.
+func (nw *Network) at(h graph.HostID, chain int) *Context {
+	nw.ctx.Reset(nw, h, chain)
+	return &nw.ctx
 }
 
-// recordSend updates the per-tick trace for a message sent now.
+// recordSent updates the per-tick trace for messages sent now.
 func (nw *Network) recordSent(count int64) {
 	nw.stats.MessagesSent += count
 	t := int(nw.now)
@@ -364,14 +361,63 @@ func (nw *Network) recordSent(count int64) {
 	nw.stats.PerTickSent[t] += count
 }
 
-// Backend is the execution substrate behind a Context when handlers run
-// outside the deterministic event loop: something that can deliver
-// messages, schedule timers, and answer environment queries for real
-// concurrent peers. internal/node implements it over pluggable transports
-// (in-process channels, TCP); the event-driven Network does not use it.
+// Medium implements Backend.
+func (nw *Network) Medium() Medium { return nw.medium }
+
+// Rand implements Backend: host h's own coin stream, derived from
+// (Config.Seed, h) at first use, so what a host draws does not depend on
+// who drew before it.
+func (nw *Network) Rand(h graph.HostID) *rand.Rand {
+	if nw.coins[h] == nil {
+		nw.coins[h] = NewCoins(nw.seed, h)
+	}
+	return nw.coins[h]
+}
+
+// Send implements Backend: the message arrives after δ = 1 tick if the
+// destination is then alive.
+func (nw *Network) Send(from, to graph.HostID, payload any, chain int) {
+	nw.recordSent(1)
+	nw.deliverNext(from, to, payload, chain)
+}
+
+// SendAll implements Backend. Under MediumPointToPoint it costs one message
+// per neighbor reached; under MediumWireless one message total (§5.3).
+func (nw *Network) SendAll(from, skip graph.HostID, payload any, chain int) {
+	count := int64(0)
+	for _, to := range nw.g.Neighbors(from) {
+		if to == skip {
+			continue
+		}
+		count++
+		nw.deliverNext(from, to, payload, chain)
+	}
+	if count == 0 {
+		return
+	}
+	if nw.medium == MediumWireless {
+		count = 1
+	}
+	nw.recordSent(count)
+}
+
+func (nw *Network) deliverNext(from, to graph.HostID, payload any, chain int) {
+	nw.push(&event{t: nw.now + 1, kind: evDeliver, msg: Message{From: from, To: to, Payload: payload, chain: chain}})
+}
+
+// SetTimer implements Backend. Timers on failed hosts never fire.
+func (nw *Network) SetTimer(h graph.HostID, at Time, tag, chain int) {
+	nw.push(&event{t: at, kind: evTimer, host: h, tag: tag, chain: chain})
+}
+
+// Backend is the execution substrate behind a Context: something that can
+// deliver messages, schedule timers, toss a host's coins and answer
+// environment queries. Network implements it on virtual ticks;
+// internal/node implements it per query for real concurrent peers over
+// pluggable transports (in-process channels, TCP).
 //
-// Time is still measured in ticks of δ — a Backend maps ticks to wall
-// clock however it realizes the per-hop bound.
+// Time is measured in ticks of δ — a Backend maps ticks to wall clock
+// however it realizes the per-hop bound.
 type Backend interface {
 	// Now returns the current virtual time in δ ticks.
 	Now() Time
@@ -379,107 +425,78 @@ type Backend interface {
 	Value(h graph.HostID) int64
 	// Graph returns the topology.
 	Graph() *graph.Graph
+	// Medium reports how a SendAll is charged.
+	Medium() Medium
+	// Rand returns host h's coin stream. Every backend derives it from its
+	// seed and h alone (NewCoins), and it is only ever drawn from inside
+	// h's own callbacks.
+	Rand(h graph.HostID) *rand.Rand
 	// Send transmits payload from one host to another with the given
 	// causal depth; delivery happens only if the destination is alive at
 	// arrival (§3.2).
 	Send(from, to graph.HostID, payload any, chain int)
+	// SendAll transmits payload from one host to each of its neighbors but
+	// skip (graph.None skips nobody), charged according to Medium.
+	SendAll(from, skip graph.HostID, payload any, chain int)
 	// SetTimer schedules Timer(tag) on h at absolute tick `at`, carrying
 	// the causal depth of the scheduling callback.
 	SetTimer(h graph.HostID, at Time, tag, chain int)
 }
 
-// Context is the capability a handler uses to act on the network. Exactly
-// one of nw (event-driven backend) or be (live runtime backend) is set.
+// Context is the capability a handler uses to act on the network: a host,
+// the causal depth of the callback in progress, and the Backend both act
+// on.
 //
 // A Context is valid only for the duration of the callback it was passed
-// to, and on live backends that contract is load-bearing: a runtime owns
-// one Context per worker goroutine and re-targets it (Reset, SetRand) for
-// every callback it runs, so a handler that retained the pointer would
-// later act as whichever host that worker serves next. Handlers must copy
-// out what they need (Self, Now, ...) and never store the Context itself.
+// to, and that contract is load-bearing: a backend owns one Context per
+// executing goroutine (the event loop's one, a runtime's one per shard
+// worker) and re-targets it with Reset for every callback it runs, so a
+// handler that retained the pointer would later act as whichever host runs
+// next. Handlers must copy out what they need (Self, Now, ...) and never
+// store the Context itself.
 type Context struct {
-	nw    *Network
 	be    Backend
 	host  graph.HostID
 	chain int
-	rng   *rand.Rand // per-host source on live backends, see SetRand
 }
 
 // Reset re-targets c at host h executing on b with the given causal chain
-// depth and no RNG — the state a fresh callback starts from. Runtimes call
-// it on their worker's one Context before every handler callback.
+// depth — the state a fresh callback starts from. Backends call it on
+// their one Context before every handler callback.
 func (c *Context) Reset(b Backend, h graph.HostID, chain int) {
 	*c = Context{be: b, host: h, chain: chain}
 }
-
-// SetRand makes Rand() yield r until the next Reset. Live backends have no
-// shared deterministic RNG, so runtimes executing handlers on one install
-// the callback host's own source this way (node.WithRand).
-func (c *Context) SetRand(r *rand.Rand) { c.rng = r }
 
 // Self returns the host this context belongs to.
 func (c *Context) Self() graph.HostID { return c.host }
 
 // Now returns the current virtual time (elapsed hop units on a live
 // backend).
-func (c *Context) Now() Time {
-	if c.be != nil {
-		return c.be.Now()
-	}
-	return c.nw.now
-}
+func (c *Context) Now() Time { return c.be.Now() }
 
 // Value returns this host's attribute value, generated on receipt of the
 // query in the ad-hoc model (§3.1); here it is preassigned per run.
-func (c *Context) Value() int64 {
-	if c.be != nil {
-		return c.be.Value(c.host)
-	}
-	return c.nw.values[c.host]
-}
+func (c *Context) Value() int64 { return c.be.Value(c.host) }
 
 // Neighbors returns this host's neighbor list (alive or not: a host cannot
 // observe neighbor failures, only their silence).
-func (c *Context) Neighbors() []graph.HostID { return c.graph().Neighbors(c.host) }
+func (c *Context) Neighbors() []graph.HostID { return c.be.Graph().Neighbors(c.host) }
 
 // Degree returns the number of neighbors.
-func (c *Context) Degree() int { return c.graph().Degree(c.host) }
+func (c *Context) Degree() int { return c.be.Graph().Degree(c.host) }
 
-func (c *Context) graph() *graph.Graph {
-	if c.be != nil {
-		return c.be.Graph()
-	}
-	return c.nw.g
-}
+// Rand returns this host's own coin stream, deterministic per (seed, host)
+// on every backend (§5.2: each host tosses its own coins).
+func (c *Context) Rand() *rand.Rand { return c.be.Rand(c.host) }
 
-// Rand returns the simulation RNG (deterministic per seed), or the
-// SetRand override if set. Live backends have no shared RNG; handlers
-// running there must be given one via SetRand, otherwise Rand returns
-// nil.
-func (c *Context) Rand() *rand.Rand {
-	if c.rng != nil {
-		return c.rng
-	}
-	if c.be != nil {
-		return nil
-	}
-	return c.nw.rng
-}
-
-// Send transmits payload to a single neighbor; it arrives after δ = 1 tick
-// if the destination is then alive. Sending to a non-neighbor panics:
-// messages can only travel along edges of G (§3.1).
+// Send transmits payload to a single neighbor; it arrives within δ if the
+// destination is then alive. Sending to a non-neighbor panics: messages can
+// only travel along edges of G (§3.1).
 func (c *Context) Send(to graph.HostID, payload any) {
-	if !c.graph().HasEdge(c.host, to) {
+	if !c.be.Graph().HasEdge(c.host, to) {
 		panic(fmt.Sprintf("sim: host %d sending to non-neighbor %d", c.host, to))
 	}
-	if c.be != nil {
-		c.be.Send(c.host, to, payload, c.chain+1)
-		return
-	}
-	msg := Message{From: c.host, To: to, Payload: payload, chain: c.chain + 1}
-	c.nw.recordSent(1)
-	c.nw.push(&event{t: c.nw.now + 1, kind: evDeliver, msg: msg})
+	c.be.Send(c.host, to, payload, c.chain+1)
 }
 
 // SendAll transmits payload to every neighbor. Under MediumPointToPoint it
@@ -487,39 +504,14 @@ func (c *Context) Send(to graph.HostID, payload any) {
 // message total (§5.3). Delivery per neighbor still depends on that
 // neighbor being alive at arrival time.
 func (c *Context) SendAll(payload any) {
-	c.sendMany(graph.None, payload)
+	c.be.SendAll(c.host, graph.None, payload, c.chain+1)
 }
 
 // SendAllExcept is SendAll skipping one neighbor (e.g. the host the
 // triggering message came from). Under the wireless medium it still costs
 // one message.
 func (c *Context) SendAllExcept(skip graph.HostID, payload any) {
-	c.sendMany(skip, payload)
-}
-
-func (c *Context) sendMany(skip graph.HostID, payload any) {
-	ns := c.graph().Neighbors(c.host)
-	count := 0
-	for _, to := range ns {
-		if to == skip {
-			continue
-		}
-		count++
-		if c.be != nil {
-			c.be.Send(c.host, to, payload, c.chain+1)
-			continue
-		}
-		msg := Message{From: c.host, To: to, Payload: payload, chain: c.chain + 1}
-		c.nw.push(&event{t: c.nw.now + 1, kind: evDeliver, msg: msg})
-	}
-	if count == 0 || c.be != nil {
-		return
-	}
-	if c.nw.medium == MediumWireless {
-		c.nw.recordSent(1)
-	} else {
-		c.nw.recordSent(int64(count))
-	}
+	c.be.SendAll(c.host, skip, payload, c.chain+1)
 }
 
 // SetTimer schedules Timer(tag) on this host at absolute time t. Timers on
@@ -529,19 +521,8 @@ func (c *Context) sendMany(skip graph.HostID, payload any) {
 // A timer set while processing a message continues that message's causal
 // chain, so batched sends triggered by timers keep honest time-cost
 // accounting.
-func (c *Context) SetTimer(t Time, tag int) {
-	if c.be != nil {
-		c.be.SetTimer(c.host, t, tag, c.chain)
-		return
-	}
-	c.nw.push(&event{t: t, kind: evTimer, host: c.host, tag: tag, chain: c.chain})
-}
+func (c *Context) SetTimer(t Time, tag int) { c.be.SetTimer(c.host, t, tag, c.chain) }
 
-// Medium reports the configured transmission medium (always point-to-point
-// on live backends).
-func (c *Context) Medium() Medium {
-	if c.be != nil {
-		return MediumPointToPoint
-	}
-	return c.nw.medium
-}
+// Medium reports the transmission medium (always point-to-point on live
+// backends).
+func (c *Context) Medium() Medium { return c.be.Medium() }

@@ -59,13 +59,7 @@ func RunSim(p *Plan, g *graph.Graph, values []int64, medium sim.Medium, slack fl
 			HU:     len(b.HU),
 			Slack:  slack,
 			Valid:  b.ValidFactor(v, slack),
-			Stats: node.Stats{
-				MessagesSent:      st.MessagesSent,
-				MessagesDelivered: st.MessagesDelivered,
-				MessagesDropped:   st.MessagesDropped,
-				PerHostProcessed:  st.PerHostProcessed,
-				TimeCost:          st.TimeCost,
-			},
+			Stats:  *st,
 		})
 	}
 	return out, nil

@@ -243,9 +243,10 @@ func TestRunSimCountWindowsValidWithinFactor(t *testing.T) {
 // TestSimAndEngineAgree runs one static plan through both executors: the
 // event loop (RunSim) and a live chan runtime (Start). Membership changes
 // sit on window boundaries, so what each window can see does not depend
-// on how wall-clock hops interleave, and the exact aggregates must match
-// window for window — as must the bound sets, which both read off the
-// same Plan.Bounds.
+// on how wall-clock hops interleave, and the answers must match window
+// for window, bit for bit — the exact aggregates, and the FM estimates
+// too, since both executors derive a host's coins from (window seed, host)
+// alone — as must the bound sets, which both read off the same Plan.Bounds.
 func TestSimAndEngineAgree(t *testing.T) {
 	const hosts = 40
 	g := topology.Generate(topology.Random, hosts, 7)
@@ -260,7 +261,7 @@ func TestSimAndEngineAgree(t *testing.T) {
 	const lo, hi = graph.HostID(1), graph.HostID(hosts - 1)
 	dHat := g.Diameter(nil) + 2
 	w := sim.Time(2 * dHat)
-	for _, kind := range []agg.Kind{agg.Min, agg.Max} {
+	for _, kind := range []agg.Kind{agg.Min, agg.Max, agg.Count, agg.Sum, agg.Avg} {
 		plan := func() *Plan {
 			return &Plan{
 				Query:   1,
