@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race ci fmt fmt-check demo bench benchdiff loc metrics-smoke fuzz-smoke scale-smoke repro-smoke
+.PHONY: all build vet test race ci fmt fmt-check demo bench benchdiff loc test-only-exports metrics-smoke fuzz-smoke scale-smoke repro-smoke
 
 all: ci
 
@@ -106,3 +106,9 @@ benchdiff:
 loc:
 	@echo src_loc $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l) \
 	     test_loc $$(find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)
+
+# test-only-exports lists exported funcs and methods under internal/ that
+# only tests still mention — where a subtraction pass starts. Report-only,
+# not part of ci.
+test-only-exports:
+	@./scripts/test-only-exports.sh

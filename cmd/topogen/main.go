@@ -7,13 +7,11 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
 
-	"validity/internal/graph"
 	"validity/internal/obs"
 	"validity/internal/topology"
 )
@@ -43,12 +41,10 @@ func main() {
 	g := topology.Generate(kind, *hosts, *seed)
 
 	if *edges {
-		w := bufio.NewWriter(os.Stdout)
-		defer w.Flush()
-		g.Edges(func(a, b graph.HostID) bool {
-			fmt.Fprintf(w, "%d %d\n", a, b)
-			return true
-		})
+		if err := topology.WriteEdgeList(os.Stdout, g); err != nil {
+			logger.Error("topogen failed", "err", err)
+			os.Exit(1)
+		}
 		return
 	}
 

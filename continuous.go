@@ -6,6 +6,7 @@ import (
 	"validity/internal/agg"
 	"validity/internal/churn"
 	"validity/internal/graph"
+	"validity/internal/oracle"
 	"validity/internal/protocol"
 	"validity/internal/sim"
 	"validity/internal/stream"
@@ -113,7 +114,7 @@ func (n *Network) ContinuousQuery(cfg ContinuousConfig) ([]WindowResult, error) 
 	if n.wireless {
 		medium = sim.MediumWireless
 	}
-	rs, err := stream.RunSim(plan, n.g, n.values, medium, fmFactor(vectors))
+	rs, err := stream.RunSim(plan, n.g, n.values, medium, oracle.FMSlack(kind, vectors))
 	if err != nil {
 		return nil, err
 	}

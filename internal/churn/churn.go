@@ -89,20 +89,6 @@ func (tl Timeline) Apply(nw *sim.Network) {
 	}
 }
 
-// Failed returns the set of hosts whose first departure is at or before
-// t. It scans the whole timeline; callers probing liveness in a loop
-// should build an Index once instead (and, with joins in play, ask
-// AliveAt — a departed host may have returned).
-func (tl Timeline) Failed(t sim.Time) map[graph.HostID]bool {
-	m := make(map[graph.HostID]bool)
-	for _, e := range tl {
-		if e.Kind == Leave && e.T <= t {
-			m[e.H] = true
-		}
-	}
-	return m
-}
-
 // FailTime returns the first departure time of h, or -1 if h never
 // leaves. It is an O(n) scan; callers probing many hosts should build an
 // Index once.
@@ -153,23 +139,14 @@ func UniformRemoval(n, r int, protect graph.HostID, t0, tn sim.Time, rng *rand.R
 	return out
 }
 
-// ExponentialSessions draws, for every host except protect, an
-// exponentially distributed lifetime with the given mean and schedules the
-// host's departure at that time if it falls within [0, horizon]. Hosts
-// whose lifetime exceeds the horizon never fail. This models the memoryless
-// "every host has the same probability of leaving at each instant"
-// assumption of §5.4. It is SessionTimeline without rebirth.
-func ExponentialSessions(n int, protect graph.HostID, mean float64, horizon sim.Time, rng *rand.Rand) Timeline {
-	return SessionTimeline(n, protect, mean, 0, horizon, rng)
-}
-
 // SessionTimeline is the session model with arrivals: every host except
 // protect alternates exponentially distributed uptimes (mean `mean`
 // ticks) and, when rejoin > 0, exponentially distributed downtimes (mean
 // `rejoin` ticks) after which it returns — the leave/join/leave session
-// cycles of a real P2P population. rejoin = 0 reproduces
-// ExponentialSessions exactly: one lifetime per host, departures only.
-// Events past the horizon are not emitted.
+// cycles of a real P2P population. rejoin = 0 is departures only: one
+// lifetime per host, scheduled if it falls within [0, horizon] — the
+// memoryless "every host has the same probability of leaving at each
+// instant" assumption of §5.4. Events past the horizon are not emitted.
 func SessionTimeline(n int, protect graph.HostID, mean, rejoin float64, horizon sim.Time, rng *rand.Rand) Timeline {
 	if mean <= 0 {
 		panic("churn: mean lifetime must be positive")

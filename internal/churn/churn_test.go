@@ -72,10 +72,6 @@ func TestUniformRemovalPanics(t *testing.T) {
 
 func TestScheduleHelpers(t *testing.T) {
 	s := Timeline{{H: 3, T: 10}, {H: 5, T: 20}}
-	failed := s.Failed(15)
-	if !failed[3] || failed[5] {
-		t.Fatalf("Failed(15) = %v", failed)
-	}
 	if s.FailTime(3) != 10 || s.FailTime(5) != 20 || s.FailTime(9) != -1 {
 		t.Fatal("FailTime wrong")
 	}
@@ -100,7 +96,7 @@ func TestExponentialSessions(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	const n = 10000
 	const mean = 100.0
-	s := ExponentialSessions(n, 0, mean, 1000, rng)
+	s := SessionTimeline(n, 0, mean, 0, 1000, rng)
 	for _, f := range s {
 		if f.H == 0 {
 			t.Fatal("protected host scheduled")
@@ -132,5 +128,5 @@ func TestExponentialSessionsPanics(t *testing.T) {
 			t.Fatal("expected panic for non-positive mean")
 		}
 	}()
-	ExponentialSessions(10, 0, 0, 100, rand.New(rand.NewSource(1)))
+	SessionTimeline(10, 0, 0, 0, 100, rand.New(rand.NewSource(1)))
 }

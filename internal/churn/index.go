@@ -21,9 +21,9 @@ type span struct {
 // presence spans for O(sessions) liveness probes, the normalized
 // transition list each consumer replays (the engine schedules a timer
 // per transition, the simulator an event), and the first-departure map
-// the departures-only callers still use. The plain Timeline methods
-// (Failed, FailTime) scan the whole slice on every call, which is fine
-// for one-shot reporting but quadratic when a loop probes every host —
+// the departures-only callers still use. The plain Timeline.FailTime
+// scans the whole slice on every call, which is fine for one-shot
+// reporting but quadratic when a loop probes every host —
 // the oracle, the continuous-query plan, and the engine's per-query
 // membership tables all go through an Index instead.
 //
@@ -36,7 +36,6 @@ type span struct {
 // ties at one tick order Leave before Join — the event loop's evFail <
 // evJoin ordering — so a leave/join pair at one tick nets to presence.
 type Index struct {
-	sorted Timeline // all events time-sorted (stable), for FailedBy
 	spans  map[graph.HostID][]span
 	events map[graph.HostID]Timeline // normalized per-host transitions
 	first  map[graph.HostID]sim.Time // first departure (FailTime)
@@ -48,15 +47,15 @@ type Index struct {
 // retained.
 func (tl Timeline) Index() *Index {
 	ix := &Index{
-		sorted: append(Timeline(nil), tl...),
 		spans:  make(map[graph.HostID][]span),
 		events: make(map[graph.HostID]Timeline),
 		first:  make(map[graph.HostID]sim.Time),
 		late:   make(map[graph.HostID]bool),
 	}
-	sort.SliceStable(ix.sorted, func(i, j int) bool { return ix.sorted[i].T < ix.sorted[j].T })
+	sorted := append(Timeline(nil), tl...)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].T < sorted[j].T })
 	perHost := make(map[graph.HostID]Timeline)
-	for _, e := range ix.sorted {
+	for _, e := range sorted {
 		perHost[e.H] = append(perHost[e.H], e)
 		if e.Kind == Leave {
 			if _, ok := ix.first[e.H]; !ok {
@@ -156,9 +155,6 @@ func (ix *Index) AliveAt(h graph.HostID, t sim.Time) bool {
 	return false
 }
 
-// Alive is AliveAt under its departures-only name.
-func (ix *Index) Alive(h graph.HostID, t sim.Time) bool { return ix.AliveAt(h, t) }
-
 // AliveDuring reports whether h is a member at some instant of
 // [start, end] — the per-host predicate behind H_U: arrivals inside the
 // interval count even though the host was absent when it opened.
@@ -197,25 +193,4 @@ func (ix *Index) PresentThroughout(h graph.HostID, start, end sim.Time) bool {
 // one-shot queries.
 func (ix *Index) Survives(h graph.HostID, horizon sim.Time) bool {
 	return ix.PresentThroughout(h, 0, horizon)
-}
-
-// FailedBy returns the hosts whose first departure is at or before t, in
-// departure order. The prefix scan over the sorted slice costs
-// O(answer), not O(timeline).
-func (ix *Index) FailedBy(t sim.Time) []graph.HostID {
-	var out []graph.HostID
-	seen := make(map[graph.HostID]bool)
-	for _, e := range ix.sorted {
-		if e.T > t {
-			break
-		}
-		if e.Kind != Leave {
-			continue
-		}
-		if !seen[e.H] {
-			seen[e.H] = true
-			out = append(out, e.H)
-		}
-	}
-	return out
 }

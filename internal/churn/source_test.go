@@ -130,8 +130,8 @@ func TestIndexMatchesScheduleScans(t *testing.T) {
 		}
 		for _, tt := range []sim.Time{0, 5, 10, 29, 30, 31} {
 			wantAlive := want < 0 || want > tt
-			if got := ix.Alive(h, tt); got != wantAlive {
-				t.Fatalf("Index.Alive(%d, %d) = %t, want %t", h, tt, got, wantAlive)
+			if got := ix.AliveAt(h, tt); got != wantAlive {
+				t.Fatalf("Index.AliveAt(%d, %d) = %t, want %t", h, tt, got, wantAlive)
 			}
 			if got := ix.Survives(h, tt); got != wantAlive {
 				t.Fatalf("Index.Survives(%d, %d) = %t, want %t", h, tt, got, wantAlive)
@@ -140,19 +140,6 @@ func TestIndexMatchesScheduleScans(t *testing.T) {
 	}
 	if ix.Len() != 3 {
 		t.Fatalf("Index.Len = %d, want 3 distinct hosts", ix.Len())
-	}
-	failed := ix.FailedBy(10)
-	if len(failed) != 3 || failed[0] != 7 { // 7 fails first at t=5
-		t.Fatalf("FailedBy(10) = %v, want [7 3 9] in failure order", failed)
-	}
-	m := s.Failed(10)
-	if len(m) != len(failed) {
-		t.Fatalf("FailedBy(10) = %v disagrees with Timeline.Failed = %v", failed, m)
-	}
-	for _, h := range failed {
-		if !m[h] {
-			t.Fatalf("host %d in FailedBy but not Timeline.Failed", h)
-		}
 	}
 }
 

@@ -169,13 +169,6 @@ type Config struct {
 	// engine_queries_rejected_total.
 	MaxLiveQueries int
 
-	// FlushWindow is the TCP transport's write-coalescing linger: how long
-	// a peer's writer goroutine waits for more frames before flushing one
-	// batched write. Zero (the default) coalesces only opportunistically,
-	// adding no latency; positive values must stay under δ/2 (half of Hop)
-	// so batching never eats the per-hop bound the protocols assume.
-	FlushWindow time.Duration
-
 	// RunFor bounds a non-query process's lifetime (0 = serve forever).
 	RunFor time.Duration
 
@@ -243,7 +236,6 @@ func Flags(fs *flag.FlagSet) *Config {
 	fs.StringVar(&cfg.Churn, "churn", "", "per-query churn model: rate=R[,window=W], model=sessions,mean=M[,join=D][,window=W], model=burst,hosts=A-B,at=T, or trace=FILE (ticks on each query's clock)")
 	fs.IntVar(&cfg.Shards, "shards", 0, "engine worker goroutines sharding the local hosts (0 = one per CPU)")
 	fs.IntVar(&cfg.MaxLiveQueries, "max-live-queries", 0, "admission cap on queries with live state per process (0 = engine default, <0 = unlimited)")
-	fs.DurationVar(&cfg.FlushWindow, "flush-window", 0, "tcp write-coalescing linger per peer (0 = flush immediately; must be < hop/2)")
 	fs.DurationVar(&cfg.RunFor, "run-for", 0, "serving lifetime of a non-query process (0 = forever)")
 	fs.StringVar(&cfg.Metrics, "metrics", "", "serve /metrics, /debug/queries, /debug/snapshot, /debug/trace, and /debug/pprof/ on this address (e.g. 127.0.0.1:7190; port 0 picks one)")
 	fs.StringVar(&cfg.Fleet, "fleet", "", "every fleet member's -metrics address (host:port or name=host:port, comma-separated): serves /metrics/fleet and merges slow-query traces across processes")
@@ -304,20 +296,6 @@ func validate(cfg *Config) error {
 		}
 		if cfg.Window < 0 {
 			return fmt.Errorf("daemon: -window must be ≥ 0 ticks, got %d", cfg.Window)
-		}
-	}
-	if cfg.FlushWindow != 0 {
-		if cfg.Transport != "tcp" {
-			return fmt.Errorf("daemon: -flush-window applies only to -transport tcp (chan never batches writes)")
-		}
-		if cfg.FlushWindow < 0 {
-			return fmt.Errorf("daemon: -flush-window must be ≥ 0, got %v", cfg.FlushWindow)
-		}
-		if cfg.FlushWindow >= cfg.Hop/2 {
-			// The flush linger is added latency on every remote hop; at
-			// δ/2 and beyond it alone would consume the processing
-			// headroom the per-hop bound δ reserves.
-			return fmt.Errorf("daemon: -flush-window %v must stay under half of -hop (%v)", cfg.FlushWindow, cfg.Hop)
 		}
 	}
 	if cfg.Shards < 0 {
@@ -632,7 +610,6 @@ func Run(cfg *Config) error {
 		tcp := transport.NewTCP(addrs)
 		tcp.Obs = reg
 		tcp.Log = logger
-		tcp.FlushWindow = cfg.FlushWindow
 		tr = tcp
 	}
 
@@ -734,7 +711,11 @@ func Run(cfg *Config) error {
 		}
 		defer stop()
 	}
-	logger.Debug("engine started", "hosts", len(localOrAll(local, n)), "of", n,
+	served := n
+	if local != nil {
+		served = len(local)
+	}
+	logger.Debug("engine started", "hosts", served, "of", n,
 		"transport", cfg.Transport, "hop", cfg.Hop.String())
 
 	if !cfg.Query {
@@ -743,7 +724,7 @@ func Run(cfg *Config) error {
 			lifetime = "for " + cfg.RunFor.String()
 		}
 		fmt.Fprintf(out, "validityd: serving %d/%d hosts over %s %s\n",
-			len(localOrAll(local, n)), n, cfg.Transport, lifetime)
+			served, n, cfg.Transport, lifetime)
 		if cfg.RunFor > 0 {
 			time.Sleep(cfg.RunFor)
 		} else {
@@ -917,15 +898,4 @@ func runQueryStream(cfg *Config, rt *node.Runtime, g *graph.Graph, values []int6
 		return fmt.Errorf("daemon: %d of %d queries judged invalid", cfg.Queries-valid, cfg.Queries)
 	}
 	return nil
-}
-
-func localOrAll(local []graph.HostID, n int) []graph.HostID {
-	if local != nil {
-		return local
-	}
-	all := make([]graph.HostID, n)
-	for i := range all {
-		all[i] = graph.HostID(i)
-	}
-	return all
 }

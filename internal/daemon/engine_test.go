@@ -32,9 +32,6 @@ func TestConflictingFlagsRejected(t *testing.T) {
 		{"late-joiner querying host", []string{"-query", "-hq", "0", "-kill", "+0@5"}, "late joiner"},
 		{"churn without survivors", []string{"-query", "-hosts", "60", "-churn", "rate=60"}, "churn"},
 		{"sessions churn without mean", []string{"-query", "-churn", "model=sessions"}, "churn"},
-		{"flush-window under chan", []string{"-flush-window", "1ms"}, "-flush-window"},
-		{"flush-window eats the hop bound", []string{"-transport", "tcp",
-			"-peers", "0-99=127.0.0.1:1", "-serve", "0-99", "-flush-window", "10ms"}, "-flush-window"},
 		{"fleet without metrics or query", []string{"-fleet", "127.0.0.1:9101"}, "-fleet"},
 		{"malformed fleet entry", []string{"-query", "-fleet", "noport"}, "-fleet"},
 	}
@@ -117,9 +114,6 @@ func TestConcurrentTCPQueryStream(t *testing.T) {
 		// fleet runs with the slack a deployment would configure.
 		"-dhat", "12",
 		"-hop", testHop.String(),
-		// A positive write-coalescing window, well under hop/2: the e2e
-		// must produce byte-identical result lines with batching on.
-		"-flush-window", "1ms",
 	}
 
 	// Workers serve indefinitely (no -run-for): the engine, not a

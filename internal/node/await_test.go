@@ -67,9 +67,16 @@ func (d declared) Result() (float64, bool) { return 42, d.ok }
 // query runs the handlers build returns for it and declares 42.
 func newFabricatedEngine(t *testing.T, g *graph.Graph, hop time.Duration, build func(QueryID) *QueryInstance) *Runtime {
 	t.Helper()
+	return newFabricatedEngineOver(t, g, transport.NewChannel(g.Len(), hop/2), hop, build)
+}
+
+// newFabricatedEngineOver is newFabricatedEngine over a transport of the
+// caller's choosing — a slower pipe than the δ/2 default, say.
+func newFabricatedEngineOver(t *testing.T, g *graph.Graph, tr transport.Transport, hop time.Duration, build func(QueryID) *QueryInstance) *Runtime {
+	t.Helper()
 	rt, err := New(Config{
 		Graph:     g,
-		Transport: transport.NewChannel(g.Len(), hop/2),
+		Transport: tr,
 		Hop:       hop,
 		Obs:       obs.NewRegistry(),
 		Trace:     obs.NewTracer(0, 0),
@@ -310,73 +317,45 @@ func TestLateJoinDoesNotHoldTheRead(t *testing.T) {
 	}
 }
 
-// killer sends one frame to host 1 from Start and, for query 1, switches
-// host 1 off while that frame is in flight.
-type killer struct {
-	rt   *Runtime
-	kill bool
-}
-
-func (k killer) Start(ctx *sim.Context) {
-	ctx.Send(1, "ping")
-	if k.kill {
-		k.rt.Kill(1)
-	}
-}
-func (killer) Receive(*sim.Context, sim.Message) {}
-func (killer) Timer(*sim.Context, int)           {}
-
 // TestLocalFrameAccounting pins sent = delivered + dropped for frames to a
-// local host, which the counted read stands on. A frame to a host already
-// Kill'd (query 2) and one to a host the instance has no handler for (on a
-// second engine) are counted dropped, and the read stays early.
-// The residual race — the kill lands after Send's check, and the transport
-// swallows the frame without a word (query 1) — leaves that frame on the
-// books for good, which may only cost time: the read falls to the cap.
+// local host, which the counted read stands on: whatever swallows a frame
+// takes it off the books, so the read is early, never at the cap. One frame
+// is in flight — on a pipe four hops long — when its destination's Leave
+// lands at tick 1; the other goes to a host the instance has no handler for.
 func TestLocalFrameAccounting(t *testing.T) {
 	hop := raceSlowdown * 5 * time.Millisecond
-	var rt *Runtime
-	rt = newFabricatedEngine(t, line(2), hop, func(id QueryID) *QueryInstance {
-		return &QueryInstance{Handlers: []sim.Handler{killer{rt: rt, kill: id == 1}, &payloadRecorder{}}}
+	leaveInFlight := newFabricatedEngineOver(t, line(2), transport.NewChannel(2, 4*hop), hop, func(QueryID) *QueryInstance {
+		return &QueryInstance{
+			Handlers: []sim.Handler{&pinger{to: 1}, &payloadRecorder{}},
+			Churn:    churn.Timeline{{H: 1, T: 1}},
+		}
 	})
 	noHandler := newFabricatedEngine(t, line(2), hop, func(QueryID) *QueryInstance {
-		return &QueryInstance{Handlers: []sim.Handler{killer{}, nil}}
+		return &QueryInstance{Handlers: []sim.Handler{&pinger{to: 1}, nil}}
 	})
-	cap := 10 * hop
-
-	if _, err := rt.StartQuery(1); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if _, ok, err := rt.AwaitQueryResult(1, 0, 0, 0, cap); err != nil || !ok {
-		t.Fatalf("query 1: await failed: ok=%v err=%v", ok, err)
-	}
-	if elapsed := time.Since(start); elapsed < cap {
-		t.Fatalf("query 1 read after %v with a frame unaccounted for, want the %v cap", elapsed, cap)
-	}
-	if n := rt.lookupQuery(1).inflight.Load(); n != 1 {
-		t.Fatalf("query 1 has %d items outstanding, want the one swallowed frame", n)
-	}
 
 	for _, c := range []struct {
 		name   string
 		rt     *Runtime
 		reason *obs.Counter
 	}{
-		{"killed destination", rt, rt.met.dropHostDead},
+		{"leave in flight", leaveInFlight, leaveInFlight.met.dropQueryDead},
 		{"no handler", noHandler, noHandler.met.dropUnknown},
 	} {
-		if _, err := c.rt.StartQuery(2); err != nil {
+		if _, err := c.rt.StartQuery(1); err != nil {
 			t.Fatal(err)
 		}
 		start := time.Now()
-		if _, ok, err := c.rt.AwaitQueryResult(2, 0, 0, 0, time.Minute); err != nil || !ok {
+		if _, ok, err := c.rt.AwaitQueryResult(1, 0, 0, 0, time.Minute); err != nil || !ok {
 			t.Fatalf("%s: await failed: ok=%v err=%v", c.name, ok, err)
 		}
 		if elapsed := time.Since(start); elapsed > 30*time.Second {
 			t.Fatalf("%s: read after %v, the dropped frame stayed on the books", c.name, elapsed)
 		}
-		st, _ := c.rt.QueryStats(2)
+		if n := c.rt.lookupQuery(1).inflight.Load(); n != 0 {
+			t.Fatalf("%s: %d items outstanding after the read, want 0", c.name, n)
+		}
+		st, _ := c.rt.QueryStats(1)
 		if st.MessagesSent != 1 || st.MessagesDropped != 1 || st.MessagesDelivered != 0 {
 			t.Fatalf("%s: sent/delivered/dropped = %d/%d/%d, want 1/0/1",
 				c.name, st.MessagesSent, st.MessagesDelivered, st.MessagesDropped)

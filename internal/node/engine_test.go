@@ -205,6 +205,12 @@ func TestConcurrentQueriesOneRuntime(t *testing.T) {
 	}
 	waitQuery(dHat, hop)
 
+	// A host outside G is served nowhere: an error, not an index panic.
+	for _, h := range []graph.HostID{-1, graph.HostID(g.Len())} {
+		if _, _, err := rt.QueryResult(1, h); err == nil {
+			t.Fatalf("QueryResult at host %d, outside G, returned no error", h)
+		}
+	}
 	for _, id := range []QueryID{1, 2} {
 		q := spec(id)
 		v, ok, err := rt.QueryResult(id, q.Hq)

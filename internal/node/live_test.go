@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"validity/internal/churn"
 	"validity/internal/graph"
 	"validity/internal/sim"
 	"validity/internal/transport"
@@ -26,9 +27,14 @@ func chanRuntime(t testing.TB, g *graph.Graph, values []int64, hop time.Duration
 // retired), Start, and StartQuery(1), which runs every handler's Start.
 func startHandlers(t testing.TB, rt *Runtime, hs []sim.Handler) {
 	t.Helper()
-	rt.SetQueryFactory(func(QueryID) (*QueryInstance, error) {
-		return &QueryInstance{Handlers: hs}, nil
-	})
+	startInstance(t, rt, &QueryInstance{Handlers: hs})
+}
+
+// startInstance is startHandlers for an instance that carries more than
+// handlers — a membership timeline, say.
+func startInstance(t testing.TB, rt *Runtime, inst *QueryInstance) {
+	t.Helper()
+	rt.SetQueryFactory(func(QueryID) (*QueryInstance, error) { return inst, nil })
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -126,12 +132,12 @@ func TestRuntimeKillBlocksPropagation(t *testing.T) {
 	g := line(4)
 	rt := chanRuntime(t, g, nil, 2*time.Millisecond)
 	hs, handlers := echoes(g)
-	rt.Kill(1) // dead before start: token can never pass host 1
-	startHandlers(t, rt, handlers)
+	// Gone at tick 0, never a member: the token can never pass host 1.
+	startInstance(t, rt, &QueryInstance{Handlers: handlers, Churn: churn.Timeline{{H: 1, T: 0}}})
 	time.Sleep(100 * time.Millisecond)
 	rt.Stop()
 	if hs[2].sawToken() || hs[3].sawToken() {
-		t.Fatal("token crossed a killed host")
+		t.Fatal("token crossed a departed host")
 	}
 }
 

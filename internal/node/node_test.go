@@ -82,10 +82,10 @@ func TestRuntimeWildfireCountUnderKill(t *testing.T) {
 	// (§3.2 departures; h_q itself is protected as in the experiments).
 	var sched churn.Timeline
 	for h := graph.HostID(1); int(h) <= n/10; h++ {
-		rt.Kill(h)
 		sched = append(sched, churn.Event{H: h, T: 0})
 	}
-	startHandlers(t, rt, inst.Handlers)
+	inst.Churn = sched
+	startInstance(t, rt, inst)
 	waitQuery(dHat, testHop)
 	rt.Stop()
 

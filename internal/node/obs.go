@@ -21,7 +21,6 @@ import (
 // Detail strings of EvFrameDrop trace events. Static strings: recording
 // them allocates nothing.
 const (
-	dropHostDead  = "host-dead"          // delivery to a Kill'd host
 	dropQueryDead = "query-dead"         // host departed on this query's timeline
 	dropRetired   = "retired"            // straggler frame for a retired query
 	dropUnknown   = "unknown-query"      // no factory (or invalid id) for the frame
@@ -36,7 +35,6 @@ type runtimeMetrics struct {
 	delivered     *obs.Counter
 	sent          *obs.Counter
 	bytesOut      *obs.Counter
-	dropHostDead  *obs.Counter
 	dropQueryDead *obs.Counter
 	dropRetired   *obs.Counter
 	dropUnknown   *obs.Counter
@@ -67,7 +65,6 @@ func (rt *Runtime) initObs(reg *obs.Registry, tracer *obs.Tracer) {
 		delivered:     reg.Counter("node_messages_delivered_total", "Messages delivered to alive local handlers (§6.3)."),
 		sent:          reg.Counter("node_messages_sent_total", "Messages sent by local hosts (§6.3)."),
 		bytesOut:      reg.Counter("node_bytes_sent_total", "Canonical wire bytes of sent payloads (§6.3)."),
-		dropHostDead:  reg.Counter(drops, dropsHelp, "reason="+dropHostDead),
 		dropQueryDead: reg.Counter(drops, dropsHelp, "reason="+dropQueryDead),
 		dropRetired:   reg.Counter(drops, dropsHelp, "reason="+dropRetired),
 		dropUnknown:   reg.Counter(drops, dropsHelp, "reason="+dropUnknown),

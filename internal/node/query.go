@@ -49,8 +49,9 @@ type QueryInstance struct {
 	// like first contact. Factories must derive it deterministically from
 	// the shared seed and the query id (churn.Source + churn.QuerySeed),
 	// so every process enforces the identical timeline with no churn
-	// coordination on the wire. Runtime.Kill remains the degenerate
-	// all-queries case.
+	// coordination on the wire. It is the only record of a host's
+	// liveness the runtime keeps: a host switched off for good is a Leave
+	// at tick 0 on every query's timeline.
 	Churn churn.Timeline
 }
 
@@ -569,7 +570,7 @@ func (b *queryBackend) SendAll(from, skip graph.HostID, payload any, chain int) 
 // arrival.
 func (b *queryBackend) Send(from, to graph.HostID, payload any, chain int) {
 	rt, qs := b.rt, b.qs
-	if !rt.aliveHost(from) || qs.hostDead(from) {
+	if qs.hostDead(from) {
 		return // a departed host says nothing more (§3.2), per query here
 	}
 	qs.armClock(rt)
@@ -580,16 +581,6 @@ func (b *queryBackend) Send(from, to graph.HostID, payload any, chain int) {
 	rt.met.bytesOut.Add(size)
 	toLocal := rt.Local(to)
 	if toLocal {
-		if !rt.aliveHost(to) {
-			// The transport swallows a frame to a Kill'd host without a word;
-			// counted here, sent = delivered + dropped holds for it too. A
-			// kill landing after this check still vanishes in the transport,
-			// and the frame stays on the books: the read falls to the cap.
-			qs.dropped.Add(1)
-			rt.met.dropHostDead.Inc()
-			rt.traceDrop(qs, to, chain, dropHostDead)
-			return
-		}
 		qs.inflight.Add(1)
 	}
 	err := rt.tr.Send(transport.Message{From: from, To: to, Query: qs.id, Chain: chain, Payload: payload})

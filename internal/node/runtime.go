@@ -25,9 +25,11 @@
 // instead of unbounded state.
 //
 // The mapping to the paper's model (§3.1–3.2): each peer is a host of G,
-// Kill is an end-user switching the application off mid-query, and the
-// per-hop delay bound δ is a configured wall-clock duration Hop — timers
-// and deadlines expressed in ticks are realized as multiples of it.
+// and the per-hop delay bound δ is a configured wall-clock duration Hop —
+// timers and deadlines expressed in ticks are realized as multiples of it.
+// An end-user switching the application off is a Leave on the query's
+// membership timeline (QueryInstance.Churn; tick 0 = never a member), the
+// one place a host's liveness is recorded.
 //
 // Execution is host-sharded (§6 runs at 10,000 hosts; one goroutine and
 // one deep inbox channel per host would cost ~10K goroutines and
@@ -257,10 +259,6 @@ type Runtime struct {
 	procOf      []int32
 	remoteHosts []graph.HostID
 
-	// alive[h] is false once local host h was Kill'd. Atomic, outside
-	// rt.mu: every callback and every send checks it.
-	alive []atomic.Bool
-
 	mu      sync.Mutex
 	started bool
 	closed  bool
@@ -309,7 +307,6 @@ func New(cfg Config) (*Runtime, error) {
 		hop:          cfg.Hop,
 		local:        make([]bool, n),
 		shardOf:      make([]int32, n),
-		alive:        make([]atomic.Bool, n),
 		queries:      make(map[QueryID]*queryEntry),
 		retiredTotal: Stats{PerHostProcessed: make([]int64, n)},
 		quit:         make(chan struct{}),
@@ -332,7 +329,6 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	for h := range rt.local {
 		if rt.local[h] {
-			rt.alive[h].Store(true)
 			rt.localHosts = append(rt.localHosts, graph.HostID(h))
 		}
 	}
@@ -492,7 +488,7 @@ func (rt *Runtime) enqueue(h graph.HostID, it item) {
 // dispatch is enqueue for the timer loop: it never blocks the caller. A
 // full shard queue parks the item on the shard's overflow list, fed in
 // FIFO order by at most one drainer goroutine per congested shard, so one
-// slow shard cannot stall timers, kills, or retirements of every other
+// slow shard cannot stall timers, departures, or retirements of every other
 // shard, and a host's items still arrive in the order they fired.
 func (rt *Runtime) dispatch(h graph.HostID, it item) {
 	it.h = h
@@ -574,7 +570,7 @@ func (rt *Runtime) shardLoop(s *shard) {
 func (rt *Runtime) runItem(it item, ctx *sim.Context) {
 	switch it.kind {
 	case itemFunc:
-		it.fn() // runs even on a dead host: state reads stay safe
+		it.fn() // runs whatever the host's membership: state reads stay safe
 	case itemRetire:
 		it.qs.handlers[it.h], it.qs.coins[it.h] = nil, nil
 	default:
@@ -588,22 +584,14 @@ func (rt *Runtime) runItem(it item, ctx *sim.Context) {
 // it.
 func (rt *Runtime) runCallback(it item, ctx *sim.Context) {
 	h, qs := it.h, it.qs
-	// Retirement is checked before host liveness so that EVERY
-	// retired-query drop — including one at a Kill'd host — goes
+	// Retirement is checked before membership so that EVERY
+	// retired-query drop — including one at a departed host — goes
 	// through dropRetired's serialization with compact; a lock-free
 	// increment here could land after the compaction snapshot and
 	// be lost from the folded totals.
 	if qs.retired.Load() {
 		if it.kind == itemMsg {
 			rt.dropRetired(qs)
-		}
-		return
-	}
-	if !rt.aliveHost(h) {
-		if it.kind == itemMsg {
-			qs.dropped.Add(1)
-			rt.met.dropHostDead.Inc()
-			rt.traceDrop(qs, h, it.msg.Chain, dropHostDead)
 		}
 		return
 	}
@@ -661,31 +649,12 @@ func (rt *Runtime) runCallback(it item, ctx *sim.Context) {
 	}
 }
 
-func (rt *Runtime) aliveHost(h graph.HostID) bool { return rt.alive[h].Load() }
-
-// Kill switches local host h off mid-run (§3.2) for every query: it
-// processes nothing more, its timers never fire, and the transport drops
-// traffic to and from it. It is the degenerate all-queries case of the
-// membership layer — per-query departures ride QueryInstance.Churn and
-// never touch the transport. Killing a host served by another process is
-// that process's call to make; here it is a no-op.
-func (rt *Runtime) Kill(h graph.HostID) {
-	if !rt.local[h] {
-		return
-	}
-	rt.alive[h].Store(false)
-	rt.tr.Kill(h)
-}
-
-// Alive reports whether local host h is alive.
-func (rt *Runtime) Alive(h graph.HostID) bool { return rt.local[h] && rt.aliveHost(h) }
-
 // Do runs fn on the shard worker owning host h, serialized with every
 // callback of h, and returns once fn has completed. It is how callers
 // read protocol state (results, partials) of an in-flight query without
 // racing the handlers.
 func (rt *Runtime) Do(h graph.HostID, fn func()) error {
-	if !rt.local[h] {
+	if !rt.Local(h) {
 		return fmt.Errorf("node: host %d not served by this runtime", h)
 	}
 	done := make(chan struct{})

@@ -21,7 +21,7 @@ const (
 	// EvChurnJoin: a scheduled arrival was applied to a local host.
 	EvChurnJoin
 	// EvFrameDrop: a frame for this query was dropped; Detail carries the
-	// reason (host-dead, query-dead, retired, send-error).
+	// reason (query-dead, retired, unknown-query, send-error).
 	EvFrameDrop
 	// EvAnswered: the issuing process read the query's declared result.
 	EvAnswered

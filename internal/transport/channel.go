@@ -29,7 +29,6 @@ type Channel struct {
 
 	mu      sync.Mutex
 	recv    []RecvFunc
-	dead    []bool
 	closed  bool
 	pending deliveryRing
 	// wake nudges the scheduler when a send lands on an empty queue — the
@@ -94,7 +93,6 @@ func NewChannel(n int, delay time.Duration) *Channel {
 		n:     n,
 		delay: delay,
 		recv:  make([]RecvFunc, n),
-		dead:  make([]bool, n),
 		wake:  make(chan struct{}, 1),
 		quit:  make(chan struct{}),
 	}
@@ -118,9 +116,7 @@ func (c *Channel) Bind(h graph.HostID, recv RecvFunc) error {
 func (c *Channel) Open() error { return nil }
 
 // Send implements Transport: the message is delivered to the destination's
-// RecvFunc after the configured delay, provided the destination is still
-// alive at delivery time (a host that dies with messages in flight simply
-// never sees them, §3.2).
+// RecvFunc after the configured delay.
 func (c *Channel) Send(msg Message) error {
 	c.mu.Lock()
 	if c.closed {
@@ -152,8 +148,7 @@ func (c *Channel) start() {
 // schedule is the delivery scheduler: it sleeps until the queue head is
 // due, then delivers it. Due times are monotone in send order (all sends
 // share one delay and enqueue under c.mu), so plain FIFO order is also
-// earliest-deadline order. Liveness is re-checked at delivery time, so a
-// Kill with messages in flight still drops them.
+// earliest-deadline order.
 func (c *Channel) schedule() {
 	defer c.wg.Done()
 	timer := time.NewTimer(time.Hour)
@@ -188,34 +183,11 @@ func (c *Channel) schedule() {
 		}
 		d := c.pending.pop()
 		fn := c.recv[d.msg.To]
-		if c.dead[d.msg.To] {
-			fn = nil
-		}
 		c.mu.Unlock()
 		if fn != nil {
 			fn(d.msg)
 		}
 	}
-}
-
-// Kill implements Transport.
-func (c *Channel) Kill(h graph.HostID) {
-	if h < 0 || int(h) >= c.n {
-		return
-	}
-	c.mu.Lock()
-	c.dead[h] = true
-	c.mu.Unlock()
-}
-
-// Alive implements Transport.
-func (c *Channel) Alive(h graph.HostID) bool {
-	if h < 0 || int(h) >= c.n {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.recv[h] != nil && !c.dead[h]
 }
 
 // Close implements Transport.

@@ -3,8 +3,6 @@ package transport
 import (
 	"testing"
 	"time"
-
-	"validity/internal/graph"
 )
 
 // The ring must hand deliveries back in push order through both of its
@@ -118,39 +116,6 @@ func TestChannelDeliversInSendOrderAcrossBursts(t *testing.T) {
 				t.Fatalf("round %d: delivery %d carried %d, want %d", round, i, v, first+i)
 			}
 		}
-	}
-}
-
-// Liveness is checked at delivery time: frames already queued for a host
-// when it is killed are dropped, and the frames queued around them for
-// other hosts still arrive, in order.
-func TestChannelKillDropsFramesInFlight(t *testing.T) {
-	const n = 40
-	tr := NewChannel(3, 30*time.Millisecond)
-	defer tr.Close()
-	victim, survivor := newRecorder(-1), newRecorder(n-1)
-	if err := tr.Bind(1, victim.recv); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Bind(2, survivor.recv); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		for _, to := range []int{1, 2} {
-			if err := tr.Send(Message{From: 0, To: graph.HostID(to), Payload: i}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	tr.Kill(1) // every frame above is still in flight
-	survivor.wait(t)
-	// The survivor's last frame was queued behind every victim frame, so
-	// the scheduler has passed all of them.
-	if len(victim.got) != 0 {
-		t.Fatalf("killed host received %d in-flight frames", len(victim.got))
-	}
-	if len(survivor.got) != n {
-		t.Fatalf("survivor received %d frames, want %d", len(survivor.got), n)
 	}
 }
 

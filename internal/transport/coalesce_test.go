@@ -11,15 +11,16 @@ import (
 )
 
 // TestTCPWriteCoalescing checks the tentpole property of the writer
-// goroutines: a burst of sends to one peer is packed into far fewer
-// connection writes, and the batching metrics account for every frame.
+// goroutines: frames that queue for one peer while a write is in flight
+// are packed into the next connection write, and the batching metrics
+// account for every frame. The test plays the in-flight write itself, by
+// holding the connection's write lock while the burst queues.
 func TestTCPWriteCoalescing(t *testing.T) {
 	ports := freeAddrs(t, 2)
 	addrs := []string{ports[0], ports[1]}
 	a, b := NewTCP(addrs), NewTCP(addrs)
 	reg := obs.NewRegistry()
 	a.Obs = reg
-	a.FlushWindow = 10 * time.Millisecond
 	var ca, cb collector
 	if err := a.Bind(0, ca.recv); err != nil {
 		t.Fatal(err)
@@ -35,16 +36,29 @@ func TestTCPWriteCoalescing(t *testing.T) {
 	}
 	t.Cleanup(func() { a.Close(); b.Close() })
 
+	conn, err := a.conn(ports[1])
+	if err != nil {
+		t.Fatal(err)
+	}
 	const n = 48
+	conn.mu.Lock()
 	for i := 0; i < n; i++ {
 		if err := a.Send(Message{From: 0, To: 1, Chain: i, Payload: "burst"}); err != nil {
+			conn.mu.Unlock()
 			t.Fatal(err)
 		}
 	}
+	conn.mu.Unlock()
 	cb.waitFor(t, n, 5*time.Second)
 
+	// The writer counts a batch after its write returns, which the peer's
+	// read may beat.
+	out := reg.Counter("transport_frames_out_total", "", "peer="+ports[1])
+	for deadline := time.Now().Add(5 * time.Second); out.Value() < n && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	flushes := reg.Counter("transport_batch_flushes_total", "").Value()
-	framesOut := reg.Counter("transport_frames_out_total", "", "peer="+ports[1]).Value()
+	framesOut := out.Value()
 	dropped := reg.Counter("transport_frames_dropped_total", "").Value()
 	hist := reg.Histogram("transport_frames_per_write", "", batchBuckets)
 	if framesOut != n {
@@ -53,8 +67,10 @@ func TestTCPWriteCoalescing(t *testing.T) {
 	if dropped != 0 {
 		t.Fatalf("%d frames dropped", dropped)
 	}
-	if flushes == 0 || flushes >= n/2 {
-		t.Fatalf("flushes = %d for %d frames: writes are not coalescing", flushes, n)
+	// The writer was parked on the lock with whatever it had picked up by
+	// then; everything else went out in one more write.
+	if flushes < 1 || flushes > 2 {
+		t.Fatalf("flushes = %d for %d frames queued behind one write, want ≤ 2", flushes, n)
 	}
 	if hist.Count() != flushes {
 		t.Fatalf("frames_per_write observations = %d, flushes = %d", hist.Count(), flushes)

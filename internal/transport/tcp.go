@@ -22,10 +22,10 @@ import (
 // near this limit is a corrupt or hostile stream.
 const maxFrame = 1 << 24
 
-// defaultMaxBatch caps the frames one writer packs into a single
-// conn.Write: enough to amortize the syscall across a busy connection's
-// backlog, small enough that one flush never buffers unbounded memory.
-const defaultMaxBatch = 128
+// maxBatch caps the frames one writer packs into a single conn.Write:
+// enough to amortize the syscall across a busy connection's backlog, small
+// enough that one flush never buffers unbounded memory.
+const maxBatch = 128
 
 // TCP is the cross-process Transport: hosts are assigned to addresses, and
 // every process serves the hosts whose address it listens on. Frames are
@@ -42,12 +42,10 @@ const defaultMaxBatch = 128
 //
 // Sends do not write the socket directly: each connection has a writer
 // goroutine draining a per-peer queue, packing every frame queued at that
-// moment into one buffered write. FlushWindow > 0 additionally lets the
-// writer linger that long for stragglers before flushing — batching
-// compounds under -concurrency, since one connection already multiplexes
-// many queries' traffic. The default FlushWindow of 0 batches only
-// opportunistically (whatever queued while the previous write was in
-// flight), adding no latency.
+// moment — whatever arrived while the previous write was in flight — into
+// one buffered write, which adds no latency and compounds under
+// -concurrency, since one connection already multiplexes many queries'
+// traffic.
 //
 // Hosts that share an address short-circuit in process without touching a
 // socket, which is what makes sharding |H| hosts across a handful of OS
@@ -72,17 +70,6 @@ type TCP struct {
 	DialBackoff    time.Duration
 	DialBackoffMax time.Duration
 
-	// FlushWindow is how long a peer's writer lingers for more frames
-	// after picking up a batch before writing it out. Zero (the default)
-	// flushes immediately, coalescing only what queued while the previous
-	// write was in flight. A positive window trades that much added
-	// per-hop latency for fewer, larger writes, so it must stay well under
-	// half the engine's hop bound δ — the daemon's -flush-window flag
-	// enforces this. Set before Open.
-	FlushWindow time.Duration
-	// MaxBatch caps frames per write (0 = 128). Set before Open.
-	MaxBatch int
-
 	// Obs, when set before Open, receives the transport's wire metrics:
 	// dial attempts and backoff sleeps, inbound frames/bytes, outbound
 	// frames/bytes per peer address, and the write-coalescing figures
@@ -102,7 +89,6 @@ type TCP struct {
 
 	mu        sync.Mutex
 	recv      map[graph.HostID]RecvFunc
-	dead      map[graph.HostID]bool
 	listeners map[string]net.Listener
 	conns     map[string]*tcpConn
 	dialing   map[string]*sync.Mutex
@@ -213,7 +199,6 @@ func NewTCP(addrs []string) *TCP {
 		DialBackoff:    20 * time.Millisecond,
 		DialBackoffMax: 500 * time.Millisecond,
 		recv:           make(map[graph.HostID]RecvFunc),
-		dead:           make(map[graph.HostID]bool),
 		listeners:      make(map[string]net.Listener),
 		conns:          make(map[string]*tcpConn),
 		dialing:        make(map[string]*sync.Mutex),
@@ -333,11 +318,11 @@ func (t *TCP) readLoop(c net.Conn) {
 }
 
 // deliverLocal hands msg to the bound RecvFunc, dropping it if the
-// destination is not served here or has been killed.
+// destination is not served here or the transport has closed.
 func (t *TCP) deliverLocal(msg Message) {
 	t.mu.Lock()
 	fn := t.recv[msg.To]
-	if t.dead[msg.To] || t.closed {
+	if t.closed {
 		fn = nil
 	}
 	t.mu.Unlock()
@@ -361,10 +346,6 @@ func (t *TCP) Send(msg Message) error {
 	if t.closed {
 		t.mu.Unlock()
 		return fmt.Errorf("transport: send on closed transport")
-	}
-	if t.dead[msg.From] {
-		t.mu.Unlock()
-		return nil // a departed host says nothing more (§3.2)
 	}
 	_, local := t.recv[msg.To]
 	t.mu.Unlock()
@@ -421,8 +402,7 @@ func (t *TCP) writer(addr string) (*peerWriter, error) {
 }
 
 // peerWriter drains one peer's outbound queue, packing every frame queued
-// at pickup — plus, with FlushWindow > 0, stragglers arriving within the
-// window — into a single connection write.
+// at pickup into a single connection write.
 type peerWriter struct {
 	t    *TCP
 	addr string
@@ -446,19 +426,15 @@ func (w *peerWriter) enqueue(fr *outFrame) {
 	}
 }
 
-// take removes up to max frames from the queue (all of them if max ≤ 0).
-// The batch is the caller's until its next take: the queue and the batch
-// swap between two retained arrays, so a steady stream of sends regrows
-// neither.
-func (w *peerWriter) take(max int) []*outFrame {
+// take removes up to maxBatch frames from the queue. The batch is the
+// caller's until its next take: the queue and the batch swap between two
+// retained arrays, so a steady stream of sends regrows neither.
+func (w *peerWriter) take() []*outFrame {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	n := len(w.queue)
+	n := min(len(w.queue), maxBatch)
 	if n == 0 {
 		return nil
-	}
-	if max > 0 && n > max {
-		n = max
 	}
 	batch := w.queue[:n:n]
 	w.queue, w.spare = append(w.spare[:0], w.queue[n:]...), w.queue[:0]
@@ -468,10 +444,6 @@ func (w *peerWriter) take(max int) []*outFrame {
 func (w *peerWriter) loop() {
 	t := w.t
 	defer t.wg.Done()
-	maxBatch := t.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = defaultMaxBatch
-	}
 	var wbuf []byte // batch assembly buffer, reused across flushes
 	for {
 		select {
@@ -479,17 +451,8 @@ func (w *peerWriter) loop() {
 			return
 		case <-w.kick:
 		}
-		if t.FlushWindow > 0 {
-			// Linger once per wake-up: frames sent by other host
-			// goroutines within the window join this batch.
-			select {
-			case <-t.quit:
-				return
-			case <-time.After(t.FlushWindow):
-			}
-		}
 		for {
-			batch := w.take(maxBatch)
+			batch := w.take()
 			if len(batch) == 0 {
 				break
 			}
@@ -673,25 +636,6 @@ func (t *TCP) Warm() {
 			t.conn(addr) // cache on success; lazy dial retries on failure
 		}(addr)
 	}
-}
-
-// Kill implements Transport: local host h goes silent — inbound frames for
-// it are dropped from now on and its sends are swallowed. Kill is the
-// all-queries degenerate case of the engine's membership layer: a host
-// dead for only some queries stays transport-alive and the node runtime
-// filters per query.
-func (t *TCP) Kill(h graph.HostID) {
-	t.mu.Lock()
-	t.dead[h] = true
-	t.mu.Unlock()
-}
-
-// Alive implements Transport.
-func (t *TCP) Alive(h graph.HostID) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	_, bound := t.recv[h]
-	return bound && !t.dead[h]
 }
 
 // Close implements Transport.

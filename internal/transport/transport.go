@@ -2,9 +2,11 @@
 // runtime (internal/node) executes the paper's protocols on. Where
 // internal/sim realizes the §3.1 system model with a deterministic event
 // loop, a Transport realizes it with real concurrency: hosts are addressed
-// endpoints, sends are asynchronous, and delivery reaches only hosts that
-// are still alive — a killed host silently swallows everything addressed
-// to it, matching the fail-stop departures of §3.2.
+// endpoints and sends are asynchronous. A Transport is a pipe: it knows
+// which hosts are bound where, not which are members of a query — the
+// fail-stop departures of §3.2 live on each query's membership timeline
+// (node.QueryInstance.Churn), which the runtime enforces on both ends of
+// every frame.
 //
 // Two implementations are provided:
 //
@@ -64,12 +66,10 @@ type RecvFunc func(Message)
 // Transport moves Messages between hosts, possibly across processes.
 //
 // Lifecycle: Bind every locally-served host, then Open once to start
-// accepting traffic, then Send freely; Close tears everything down. Kill
-// switches one local host off mid-flight (§3.2): pending and future
-// deliveries to it are dropped, and the runtime stops accepting sends from
-// it. Kill of a non-local host is a no-op — a process can only switch off
-// its own peers; remote departures are observed as silence, exactly as in
-// the paper's model.
+// accepting traffic, then Send freely; Close tears everything down. Until
+// Close, every frame accepted for a host bound in this process reaches its
+// RecvFunc — the node runtime's counted read (sent = delivered + dropped)
+// rests on that.
 type Transport interface {
 	// Bind registers h as locally served and routes its inbound messages
 	// to recv. Binding the same host twice, or a host the transport does
@@ -79,15 +79,8 @@ type Transport interface {
 	// must not be called after Open.
 	Open() error
 	// Send delivers msg to its destination asynchronously. A returned
-	// error means the message is known lost (e.g. unreachable peer);
-	// silent drops at a dead destination are not errors.
+	// error means the message is known lost (e.g. unreachable peer).
 	Send(msg Message) error
-	// Kill switches local host h off: no further delivery to it, no
-	// further sends from it.
-	Kill(h graph.HostID)
-	// Alive reports whether local host h is bound and not killed.
-	// Non-local hosts report false.
-	Alive(h graph.HostID) bool
 	// Close releases all resources and stops delivery goroutines.
 	Close() error
 }

@@ -467,8 +467,9 @@ func (n *Network) Query(cfg QueryConfig) (*Result, error) {
 		res.Lower, res.Upper = b.LowerValue, b.UpperValue
 		res.HC, res.HU = len(b.HC), len(b.HU)
 		if kind.DuplicateSensitive() && cfg.Protocol != AllReport && cfg.Protocol != SpanningTree && cfg.Protocol != Gossip {
-			// FM estimates: validity within the Theorem 5.2 factor.
-			res.Valid = b.ValidFactor(v, fmFactor(vectors))
+			// FM estimates: validity within the estimator's slack, the one
+			// the daemon and the streams judge by.
+			res.Valid = b.ValidFactor(v, oracle.FMSlack(kind, vectors))
 		} else {
 			res.Valid = b.Valid(v, 1e-9)
 		}
@@ -483,15 +484,4 @@ func eventOf(f Failure) churn.Event {
 		kind = churn.Join
 	}
 	return churn.Event{H: graph.HostID(f.H), T: sim.Time(f.T), Kind: kind}
-}
-
-// fmFactor is the slack applied when judging FM-estimated results against
-// the oracle bounds: Theorem 5.2 gives a factor-c guarantee w.p. 1−2/c;
-// in practice estimates concentrate much tighter, so use a band that is
-// generous but still catches protocol bugs.
-func fmFactor(vectors int) float64 {
-	if vectors >= 16 {
-		return 4
-	}
-	return 6
 }
