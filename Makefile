@@ -58,14 +58,15 @@ metrics-smoke:
 
 # fuzz-smoke runs each wire-decoder fuzz target for a couple of seconds —
 # the frame decoder over wire's own codecs (FuzzDecode), the partial
-# decoder alone, and the frame decoder over every protocol codec: not a
-# soak, just enough mutation on top of the seed corpus to catch a decoder
-# that panics, over-allocates or accepts bytes its encoder would not write
-# before it ships.
+# decoder alone, the sketch reader under it, and the frame decoder over
+# every protocol codec: not a soak, just enough mutation on top of the seed
+# corpus to catch a decoder that panics, over-allocates or accepts bytes its
+# encoder would not write before it ships.
 # Longer runs: go test ./internal/wire -run '^$' -fuzz '^FuzzDecode$' -fuzztime 5m
 fuzz-smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 2s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodePartial$$' -fuzztime 2s
+	$(GO) test ./internal/fm -run '^$$' -fuzz '^FuzzReadPacked$$' -fuzztime 2s
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzDecodeFrameBody$$' -fuzztime 2s
 
 fmt:

@@ -46,8 +46,9 @@ const DefaultBits = 32
 // lanes, two per word (vector i sits in word i/2, the odd one in the high
 // half; an odd c leaves the top lane zero for good); wider vectors take a
 // word each. Or, Equal, Covers and Copy are loops over whole words either
-// way, and the little-endian image of the words is the wire form
-// (AppendWords, ReadWords).
+// way. On the wire a sketch is its occupied window alone — the bits
+// between the run of ones every vector starts with and the highest bit any
+// vector has set (AppendPacked, ReadPacked).
 type Sketch struct {
 	words   []uint64
 	c, bits int32
@@ -74,9 +75,6 @@ func NewSketch(c, bits int) *Sketch {
 	s := MakeSketch(c, bits)
 	return &s
 }
-
-// NewDefaultSketch returns a sketch with the paper's default parameters.
-func NewDefaultSketch() *Sketch { return NewSketch(DefaultVectors, DefaultBits) }
 
 // Vectors returns c, the number of bit-vectors.
 func (s *Sketch) Vectors() int { return int(s.c) }
@@ -243,63 +241,158 @@ func (s *Sketch) String() string {
 	return fmt.Sprintf("fm.Sketch{c=%d bits=%d est=%.1f}", s.c, s.bits, s.Estimate())
 }
 
-// WireSize is the wire length of a c×bits sketch, the number of bytes
-// AppendWords appends: one lane — 4 or 8 bytes — per vector, fixed per
-// (c, bits).
-func WireSize(c, bits int) int {
-	if bits <= 32 {
-		return 4 * c
+// window is the sketch's occupied bit range [lo, lo+width): lo is the
+// number of trailing ones of the AND of all vectors, lo+width the bit
+// length of their OR, so every vector is ones below it and zeros above and
+// no narrower window holds what differs between them.
+func (s *Sketch) window() (lo, width int) {
+	last := len(s.words) - 1
+	tail := s.words[last]
+	if s.bits <= 32 && s.c&1 == 1 {
+		tail |= tail << 32 // the padding lane of an odd sketch mirrors its mate
 	}
-	return 8 * c
+	or, and := tail, tail
+	for _, w := range s.words[:last] {
+		or, and = or|w, and&w
+	}
+	if s.bits <= 32 { // fold the two lanes
+		or, and = uint64(uint32(or|or>>32)), and&(and>>32)
+	}
+	lo = bits.TrailingZeros64(^and)
+	return lo, bits.Len64(or) - lo
 }
 
-// AppendWords appends the sketch's wire form — the little-endian image of
-// its words, without an odd sketch's padding lane — to buf and returns the
-// extended slice. It allocates nothing when buf has room: encoders on the
-// send hot path (internal/wire) must not copy the vectors per frame.
-func (s *Sketch) AppendWords(buf []byte) []byte {
-	n := WireSize(int(s.c), int(s.bits))
-	for _, w := range s.words[:n/8] {
-		buf = binary.LittleEndian.AppendUint64(buf, w)
+// PackedSize is the number of bytes AppendPacked appends: two for the
+// window, then width bits a vector — from 2 bytes (all vectors the same
+// run of ones, the empty sketch included) to 2 + ⌈c×bits/8⌉.
+func (s *Sketch) PackedSize() int {
+	_, width := s.window()
+	return 2 + (int(s.c)*width+7)/8
+}
+
+// AppendPacked appends the sketch's wire form to buf and returns the
+// extended slice:
+//
+//	lo u8 | width u8 | vectors × width bits
+//
+// Only the occupied window travels: bits [lo, lo+width) of each vector,
+// bit-packed LSB-first with vector 0 first and the last byte zero-padded.
+// It allocates nothing when buf has room: encoders on the send hot path
+// (internal/wire) must not copy the vectors per frame.
+func (s *Sketch) AppendPacked(buf []byte) []byte {
+	lo, width := s.window()
+	buf = append(buf, uint8(lo), uint8(width))
+	if width == 0 {
+		return buf
 	}
-	if n%8 != 0 {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(s.words[n/8]))
-	}
+	start, size := len(buf), (int(s.c)*width+7)/8
+	buf = slices.Grow(buf, size)[:start+size]
+	s.pack(buf[start:], uint(lo), uint(width))
 	return buf
 }
 
-// ReadWords is AppendWords' inverse: it builds a c×bits sketch whose words
-// are filled straight from body, which must be exactly WireSize(c, bits)
-// bytes. A vector with a bit at or above the declared width is an error:
-// no sketch this package builds has one, and OR-ed into a host's state it
-// would break Equal and Covers there for good.
-func ReadWords(c, bits int, body []byte) (Sketch, error) {
-	if c < 1 || bits < 1 || bits > 64 {
-		return Sketch{}, fmt.Errorf("fm: invalid sketch dimensions %d/%d", c, bits)
+// pack fills out, which is exactly long enough, with bits [lo, lo+w) of
+// every vector: two-lane words send their two vectors side by side, and an
+// odd sketch's last vector, like every vector wider than 32 bits, goes
+// alone. The &63 on the shift counts of the two-lane loops, here and in
+// unpack, push and pull, change nothing — fill < 64 always, and vectors of
+// at most 32 bits have lo and w ≤ 32 — but say so to the compiler, which
+// otherwise guards every shift on the path each frame takes.
+func (s *Sketch) pack(out []byte, lo, w uint) {
+	mask, acc, fill, pairs := uint64(1)<<w-1, uint64(0), uint(0), 0
+	if s.bits <= 32 {
+		pairs = int(s.c / 2)
 	}
-	if len(body) != WireSize(c, bits) {
-		return Sketch{}, fmt.Errorf("fm: sketch body is %d bytes, want %d", len(body), WireSize(c, bits))
+	for _, word := range s.words[:pairs] {
+		t := word >> (lo & 63)
+		out, acc, fill = push(out, acc, fill, t&mask|t>>32&mask<<(w&63), 2*w)
+	}
+	for _, word := range s.words[pairs:] {
+		out, acc, fill = push(out, acc, fill, word>>lo&mask, w)
+	}
+	for i := range out {
+		out[i] = byte(acc)
+		acc >>= 8
+	}
+}
+
+// push adds the low n ≤ 64 bits of v to a bit stream: acc holds the fill
+// (< 64) bits not yet written to out, and a v that takes it to 64 flushes
+// a word and leaves its own overflow behind.
+func push(out []byte, acc uint64, fill uint, v uint64, n uint) ([]byte, uint64, uint) {
+	acc |= v << (fill & 63)
+	if fill += n; fill >= 64 {
+		binary.LittleEndian.PutUint64(out, acc)
+		out, fill = out[8:], fill-64
+		acc = v >> (n - fill)
+	}
+	return out, acc, fill
+}
+
+// ReadPacked is AppendPacked's inverse: it reads one c×bits sketch from
+// the front of buf into storage of its own, refilling the bits below the
+// window with ones, and returns it with the number of bytes it took. Only
+// the bytes AppendPacked writes for that sketch are accepted. A window
+// that reaches past the declared width, is wider than what the vectors
+// occupy, or is followed by non-zero padding is an error: a bit at or above
+// the declared width, OR-ed into a host's state, would break Equal and
+// Covers there for good.
+func ReadPacked(c, bits int, buf []byte) (Sketch, int, error) {
+	if c < 1 || bits < 1 || bits > 64 {
+		return Sketch{}, 0, fmt.Errorf("fm: invalid sketch dimensions %d/%d", c, bits)
+	}
+	if len(buf) < 2 {
+		return Sketch{}, 0, fmt.Errorf("fm: truncated sketch window")
+	}
+	lo, width := int(buf[0]), int(buf[1])
+	if lo+width > bits {
+		return Sketch{}, 0, fmt.Errorf("fm: window [%d,%d) reaches past the vector width %d", lo, lo+width, bits)
+	}
+	size := 2 + (c*width+7)/8
+	if len(buf) < size {
+		return Sketch{}, 0, fmt.Errorf("fm: truncated sketch body (%d < %d)", len(buf), size)
 	}
 	s := MakeSketch(c, bits)
-	full := len(body) / 8
-	for i := range s.words[:full] {
-		s.words[i] = binary.LittleEndian.Uint64(body[8*i:])
+	if s.unpack(buf[2:size], uint(lo), uint(width)) != 0 {
+		return Sketch{}, 0, fmt.Errorf("fm: non-zero padding after the last vector")
 	}
-	if len(body)%8 != 0 {
-		s.words[full] = uint64(binary.LittleEndian.Uint32(body[8*full:]))
+	if l, w := s.window(); l != lo || w != width {
+		return Sketch{}, 0, fmt.Errorf("fm: window [%d,%d) is wider than the vectors' own [%d,%d)", lo, lo+width, l, l+w)
 	}
-	// high has the bits no vector may use, in every lane of a word.
-	high := ^uint64(0) << bits
-	if bits <= 32 {
-		lane := uint64(math.MaxUint32) >> bits << bits
-		high = lane | lane<<32
+	return s, size, nil
+}
+
+// unpack is pack's inverse on an empty sketch: every vector gets ones
+// below lo and the next w bits of in above them. It returns the bits of in
+// that follow the last vector's.
+func (s *Sketch) unpack(in []byte, lo, w uint) uint64 {
+	mask, ones := uint64(1)<<w-1, uint64(1)<<lo-1
+	acc, fill, v, pairs := uint64(0), uint(0), uint64(0), 0
+	if s.bits <= 32 {
+		pairs = int(s.c / 2)
 	}
-	for _, w := range s.words {
-		if w&high != 0 {
-			return Sketch{}, fmt.Errorf("fm: vector has bits set at or above its width %d", bits)
-		}
+	for i := range s.words[:pairs] {
+		in, acc, fill, v = pull(in, acc, fill, 2*w)
+		s.words[i] = (v&mask|v>>(w&63)&mask<<32)<<(lo&63) | ones | ones<<32
 	}
-	return s, nil
+	for i := pairs; i < len(s.words); i++ {
+		in, acc, fill, v = pull(in, acc, fill, w)
+		s.words[i] = v&mask<<lo | ones
+	}
+	return acc
+}
+
+// pull is push's inverse: acc holds the fill (< 64) bits loaded from in
+// and not yet taken; a take of n that needs more loads the next eight bytes
+// (the zero-extended tail, at the end of in). Bits of v above n are junk.
+func pull(in []byte, acc uint64, fill, n uint) ([]byte, uint64, uint, uint64) {
+	if fill >= n {
+		return in, acc >> (n & 63), fill - n, acc
+	}
+	var word [8]byte
+	in = in[copy(word[:], in):]
+	next := binary.LittleEndian.Uint64(word[:])
+	return in, next >> (n - fill), fill + 64 - n, acc | next<<(fill&63)
 }
 
 // CountSet builds the count synopsis for a set of m distinct elements in

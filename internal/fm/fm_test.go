@@ -1,6 +1,7 @@
 package fm
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -29,7 +30,7 @@ func TestNewSketchValidation(t *testing.T) {
 }
 
 func TestEmptySketchEstimateZero(t *testing.T) {
-	s := NewDefaultSketch()
+	s := NewSketch(DefaultVectors, DefaultBits)
 	if e := s.Estimate(); e != 0 {
 		t.Fatalf("empty sketch estimate = %v, want 0", e)
 	}
@@ -261,24 +262,91 @@ func TestAddNZeroAndNegative(t *testing.T) {
 	}
 }
 
-func TestWordsRoundTrip(t *testing.T) {
+// packedCases are the sketch shapes the wire form has to carry: what a
+// query ships at either fleet size, and the corners of the window.
+func packedCases() map[string]*Sketch {
 	rng := rand.New(rand.NewSource(10))
-	a := CountSet(300, 8, 32, rng)
-	wire := a.AppendWords(nil)
-	if len(wire) != WireSize(8, 32) || len(wire) != 8*4 {
-		t.Fatalf("wire form is %d bytes, WireSize %d, want 32", len(wire), WireSize(8, 32))
+	lanes := func(c, bits int, vecs ...uint64) *Sketch {
+		s := NewSketch(c, bits)
+		for i, v := range vecs {
+			s.or(i, v)
+		}
+		return s
 	}
-	b, err := ReadWords(8, 32, wire)
-	if err != nil || !a.Equal(&b) {
-		t.Fatalf("AppendWords/ReadWords round trip failed: %v", err)
+	return map[string]*Sketch{
+		"empty":                    NewSketch(8, 32),
+		"single insert":            CountSet(1, 8, 32, rng),
+		"60 hosts, c=64":           CountSet(60, 64, 32, rng),
+		"2K hosts, c=64":           CountSet(2048, 64, 32, rng),
+		"all vectors 0x1F":         lanes(4, 32, 0x1F, 0x1F, 0x1F, 0x1F),
+		"full width":               lanes(2, 32, 1<<31, 0),
+		"saturated":                lanes(3, 32, math.MaxUint32, math.MaxUint32, math.MaxUint32),
+		"odd c":                    CountSet(100, 7, 32, rng),
+		"one vector":               CountSet(100, 1, 32, rng),
+		"bits=40":                  CountSet(5000, 5, 40, rng),
+		"bits=64, full width":      lanes(3, 64, 1<<63, 0, 1),
+		"bits=64, saturated":       lanes(2, 64, math.MaxUint64, math.MaxUint64),
+		"bits=64, window above 32": lanes(2, 64, 1<<50-1, 1<<34-1),
+		"bits=8, sum of 5000":      SumSet([]int64{5000}, 9, 8, rng),
 	}
-	// ReadWords fills its own storage: the sketch must not alias the body.
-	wire[0] ^= 0xFF
-	if !a.Equal(&b) {
-		t.Fatal("ReadWords aliased its input")
+}
+
+func TestPackedRoundTrip(t *testing.T) {
+	windows := map[string][2]int{ // lo, width
+		"empty":                    {0, 0},
+		"all vectors 0x1F":         {5, 0},
+		"full width":               {0, 32},
+		"saturated":                {32, 0},
+		"bits=64, full width":      {0, 64},
+		"bits=64, saturated":       {64, 0},
+		"bits=64, window above 32": {34, 16},
 	}
-	if _, err := ReadWords(8, 32, wire[:31]); err == nil {
-		t.Fatal("short body accepted")
+	for name, a := range packedCases() {
+		wire := a.AppendPacked(nil)
+		c, width := a.Vectors(), a.Bits()
+		if len(wire) != a.PackedSize() || len(wire) > 2+(c*width+7)/8 {
+			t.Fatalf("%s: wire form is %d bytes, PackedSize %d, declared width %d+2", name, len(wire), a.PackedSize(), (c*width+7)/8)
+		}
+		if w, ok := windows[name]; ok && (int(wire[0]) != w[0] || int(wire[1]) != w[1]) {
+			t.Fatalf("%s: window lo=%d width=%d, want %v", name, wire[0], wire[1], w)
+		}
+		// A reader takes its sketch off the front of a longer buffer.
+		b, n, err := ReadPacked(c, width, append(wire, 0xEE))
+		if err != nil || n != len(wire) || !a.Equal(&b) {
+			t.Fatalf("%s: round trip: n=%d of %d, err=%v", name, n, len(wire), err)
+		}
+		if again := b.AppendPacked(nil); !bytes.Equal(again, wire) {
+			t.Fatalf("%s: re-encodes differently\n in %x\nout %x", name, wire, again)
+		}
+		// ReadPacked fills its own storage: the sketch must not alias the body.
+		for i := range wire {
+			wire[i] ^= 0xFF
+		}
+		if !a.Equal(&b) {
+			t.Fatalf("%s: ReadPacked aliased its input", name)
+		}
+	}
+	if n := CountSet(2048, 64, 32, rand.New(rand.NewSource(3))).PackedSize(); n > 4*64/2 {
+		t.Fatalf("a 2,048-host c=64 sketch packs to %d bytes, more than half its declared 256", n)
+	}
+}
+
+// Property: whatever was inserted, a sketch survives the wire bit for bit
+// and its wire form is the only one that decodes to it.
+func TestQuickPackedRoundTrip(t *testing.T) {
+	f := func(seed int64, c, width uint8, m uint16, add uint32) bool {
+		rng := rand.New(rand.NewSource(seed))
+		a := CountSet(int(m)%500, int(c)%255+1, int(width)%64+1, rng)
+		if seed&1 == 1 {
+			a.AddN(rng, int64(add))
+		}
+		wire := a.AppendPacked(nil)
+		b, n, err := ReadPacked(a.Vectors(), a.Bits(), wire)
+		return err == nil && n == len(wire) && n == a.PackedSize() && a.Equal(&b) &&
+			bytes.Equal(b.AppendPacked(nil), wire)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -298,7 +366,7 @@ func TestCloneIndependent(t *testing.T) {
 }
 
 func TestStringFormat(t *testing.T) {
-	s := NewDefaultSketch()
+	s := NewSketch(DefaultVectors, DefaultBits)
 	if s.String() == "" {
 		t.Fatal("empty String()")
 	}

@@ -2,7 +2,6 @@ package fm
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -86,15 +85,38 @@ func (r *refSketch) estimate() float64 {
 	return math.Pow(2, sum/float64(len(r.vecs))) / Phi
 }
 
-// wire is the version-3 sketch body: each vector little-endian at its
-// lane width.
+// wire is the sketch's wire form found the obvious way: the window by
+// looking at one bit of every vector at a time.
 func (r *refSketch) wire() []byte {
-	var buf []byte
+	every := func(b int) bool {
+		for _, v := range r.vecs {
+			if v>>b&1 == 0 {
+				return false
+			}
+		}
+		return true
+	}
+	lo, hi := 0, 0
 	for _, v := range r.vecs {
-		if r.bits <= 32 {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
-		} else {
-			buf = binary.LittleEndian.AppendUint64(buf, v)
+		hi = max(hi, bits.Len64(v))
+	}
+	for lo < hi && every(lo) {
+		lo++
+	}
+	return packBits(lo, hi-lo, r.vecs)
+}
+
+// packBits writes a window header and bits [lo, lo+width) of each vector
+// after it, one bit at a time — whether or not that window is the
+// vectors' own.
+func packBits(lo, width int, vecs []uint64) []byte {
+	buf := make([]byte, 2+(len(vecs)*width+7)/8)
+	buf[0], buf[1] = byte(lo), byte(width)
+	n := 0
+	for _, v := range vecs {
+		for b := lo; b < lo+width; b++ {
+			buf[2+n/8] |= byte(v>>b&1) << (n % 8)
+			n++
 		}
 	}
 	return buf
@@ -112,9 +134,8 @@ func agree(t *testing.T, what string, s *Sketch, r *refSketch) {
 	if got, want := s.Estimate(), r.estimate(); got != want {
 		t.Fatalf("%s: estimate %v, model %v", what, got, want)
 	}
-	size := WireSize(s.Vectors(), s.Bits())
-	if got, want := s.AppendWords(nil), r.wire(); !bytes.Equal(got, want) || len(got) != size {
-		t.Fatalf("%s: wire form (WireSize %d)\n got %x\nwant %x", what, size, got, want)
+	if got, want := s.AppendPacked(nil), r.wire(); !bytes.Equal(got, want) || len(got) != s.PackedSize() {
+		t.Fatalf("%s: wire form (PackedSize %d)\n got %x\nwant %x", what, s.PackedSize(), got, want)
 	}
 	if s.bits <= 32 && s.c%2 == 1 && s.words[len(s.words)-1]>>32 != 0 {
 		t.Fatalf("%s: padding lane of an odd sketch is not zero", what)
@@ -166,9 +187,9 @@ func TestLaneLayoutMatchesReferenceModel(t *testing.T) {
 				}
 				agree(t, "Or left its argument alone", sb, rb)
 
-				back, err := ReadWords(c, width, union.AppendWords(nil))
+				back, _, err := ReadPacked(c, width, union.AppendPacked(nil))
 				if err != nil {
-					t.Fatalf("ReadWords rejects AppendWords' output: %v", err)
+					t.Fatalf("ReadPacked rejects AppendPacked's output: %v", err)
 				}
 				agree(t, "wire round trip", &back, runion)
 				if !back.Equal(union) {
@@ -179,22 +200,61 @@ func TestLaneLayoutMatchesReferenceModel(t *testing.T) {
 	}
 }
 
-// A body with a bit at or above the declared width never decodes: for
-// every width that leaves room in its lane, setting any one such bit in
-// any lane is rejected, and every in-width bit is accepted.
-func TestReadWordsRejectsBitsAboveWidth(t *testing.T) {
-	for _, width := range []int{1, 8, 31, 32, 33, 63, 64} {
-		const c = 3 // odd: the last vector has no lane-mate on the wire
-		lane := WireSize(c, width) / c * 8
-		for v := 0; v < c; v++ {
-			for b := 0; b < lane; b++ {
-				body := make([]byte, WireSize(c, width))
-				body[v*lane/8+b/8] = 1 << (b % 8)
-				_, err := ReadWords(c, width, body)
-				if ok := b < width; ok != (err == nil) {
-					t.Fatalf("bits=%d: vector %d bit %d: err = %v", width, v, b, err)
+// Only the bytes AppendPacked writes decode. For every window a header can
+// name, vectors that occupy exactly that window are accepted iff it lies
+// inside the declared width — so no decoded vector has a bit at or above
+// it — and each way of writing the same vectors under a wider window, of
+// padding them, or of cutting them short is rejected.
+func TestReadPackedRejectsWhatAppendPackedNeverWrites(t *testing.T) {
+	const c = 3 // odd: the last vector has no lane-mate in storage
+	for _, bits := range []int{1, 8, 31, 32, 33, 63, 64} {
+		for lo := 0; lo <= bits+1; lo++ {
+			for width := 0; lo+width <= bits+1; width++ {
+				ones := uint64(1)<<lo - 1
+				vecs := []uint64{ones, ones, ones}
+				if width > 0 {
+					vecs[0] |= 1 << (lo + width - 1)        // the window's top bit, in one vector
+					vecs[1] |= (uint64(1)<<width - 2) << lo // bit lo clear in another
+				}
+				body := packBits(lo, width, vecs)
+				s, n, err := ReadPacked(c, bits, body)
+				if ok := lo+width <= bits; ok != (err == nil) {
+					t.Fatalf("bits=%d window [%d,%d): err = %v", bits, lo, lo+width, err)
+				}
+				if err != nil {
+					continue
+				}
+				for i, want := range vecs {
+					if s.lane(i) != want {
+						t.Fatalf("bits=%d window [%d,%d): vector %d = %#x, want %#x", bits, lo, lo+width, i, s.lane(i), want)
+					}
+				}
+				if n != len(body) || !bytes.Equal(s.AppendPacked(nil), body) {
+					t.Fatalf("bits=%d window [%d,%d): took %d of %d bytes, re-encodes to %x", bits, lo, lo+width, n, len(body), s.AppendPacked(nil))
+				}
+				hostile := map[string][]byte{"cut short": body[:len(body)-1]}
+				if lo > 0 {
+					hostile["window starts a bit early"] = packBits(lo-1, width+1, vecs)
+				}
+				if lo+width < bits {
+					hostile["window ends a bit late"] = packBits(lo, width+1, vecs)
+				}
+				if pad := (8 - c*width%8) % 8; pad > 0 {
+					padded := append([]byte(nil), body...)
+					padded[len(padded)-1] |= 0x80
+					hostile["padding bit set"] = padded
+				}
+				for name, h := range hostile {
+					if _, _, err := ReadPacked(c, bits, h); err == nil {
+						t.Fatalf("bits=%d window [%d,%d): %s (%x) accepted", bits, lo, lo+width, name, h)
+					}
 				}
 			}
+		}
+	}
+	for _, dims := range [][2]int{{0, 32}, {8, 0}, {8, 65}} {
+		if _, _, err := ReadPacked(dims[0], dims[1], []byte{0, 0}); err == nil {
+			t.Fatalf("a %d×%d sketch decoded", dims[0], dims[1])
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"validity/internal/agg"
 	"validity/internal/graph"
+	"validity/internal/obs"
 	"validity/internal/oracle"
 	"validity/internal/protocol"
 	"validity/internal/sim"
@@ -309,6 +310,86 @@ func TestLazyInstantiationAcrossShards(t *testing.T) {
 	stB, seen := rtB.QueryStats(1)
 	if !seen || stB.MessagesSent == 0 {
 		t.Fatalf("shard B never lazily instantiated query 1 (stats %+v)", stB)
+	}
+}
+
+// TestChargedBytesAreWrittenBytes pins the §6.3 byte accounting to the
+// socket: a sketch frame's size depends on what the sketch holds, so the
+// size the engine charges at send time and the size the transport encodes
+// later are two computations that must agree frame for frame. Two runtimes
+// over loopback TCP serve the two sides of a bipartite graph — every edge
+// crosses processes, nothing is delivered in memory — with the quiescence
+// plane off, so protocol frames are the only traffic; after a COUNT and an
+// AVG query, the bytes the transports wrote, the bytes the engines counted
+// and the queries' BytesOnWire are one number.
+func TestChargedBytesAreWrittenBytes(t *testing.T) {
+	const n, hop = 24, testHop
+	g := graph.New(n)
+	for l := 0; l < n/2; l++ {
+		for j := 0; j < 3; j++ {
+			g.AddEdge(graph.HostID(l), graph.HostID(n/2+(l+j)%(n/2)))
+		}
+	}
+	dHat := g.Diameter(nil) + 2
+	values := make([]int64, n)
+	for i := range values {
+		values[i] = int64(10 + i*i)
+	}
+	ports := freeAddrs(t, 2)
+	addrs := make([]string, n)
+	local := make([][]graph.HostID, 2)
+	for h := 0; h < n; h++ {
+		side := h / (n / 2)
+		addrs[h] = ports[side]
+		local[side] = append(local[side], graph.HostID(h))
+	}
+	var rts [2]*Runtime
+	var regs [2]*obs.Registry
+	for side := 1; side >= 0; side-- { // the worker listens before the issuer starts
+		tr, reg := transport.NewTCP(addrs), obs.NewRegistry()
+		tr.Obs = reg
+		rt, err := New(Config{Graph: g, Values: values, Transport: tr, Hop: hop, Local: local[side], Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.SetQueryFactory(func(id QueryID) (*QueryInstance, error) {
+			q := protocol.Query{Kind: agg.Count, Hq: 0, DHat: dHat, Params: fmParams}
+			if id == 2 {
+				q.Kind = agg.Avg
+			}
+			return BuildInstance(rt, protocol.NewWildfire(q), QuerySeed(43, id))
+		})
+		if err := rt.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Stop()
+		rts[side], regs[side] = rt, reg
+	}
+	for id := QueryID(1); id <= 2; id++ {
+		if _, err := rts[0].StartQuery(id); err != nil {
+			t.Fatal(err)
+		}
+		waitQuery(dHat, hop)
+		if _, ok, err := rts[0].QueryResult(id, 0); err != nil || !ok {
+			t.Fatalf("query %d declared no result (err=%v)", id, err)
+		}
+	}
+	// The transports count a batch once its write returns, so give the last
+	// flush a moment before holding the three sums against each other.
+	var written, counted, charged int64
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		written, counted, charged = 0, 0, 0
+		for side, reg := range regs {
+			written += reg.Counter("transport_bytes_out_total", "", "peer="+ports[1-side]).Value()
+			counted += reg.Counter("node_bytes_sent_total", "").Value()
+			charged += rts[side].Stats().BytesOnWire
+		}
+		if written == counted || time.Now().After(deadline) {
+			break
+		}
+	}
+	if charged == 0 || written != counted || counted != charged {
+		t.Fatalf("wrote %d bytes to the sockets, counted %d sent, charged the queries %d", written, counted, charged)
 	}
 }
 

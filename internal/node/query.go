@@ -622,7 +622,7 @@ func (b *queryBackend) SetTimer(h graph.HostID, at sim.Time, tag, chain int) {
 }
 
 // payloadWireSize is the canonical on-wire cost of a payload: the exact
-// version-3 transport frame size (length prefix + header + payload body)
+// version-4 transport frame size (length prefix + header + payload body)
 // where a payload codec is registered, zero otherwise (payloads outside
 // the wire format). This is byte-for-byte what the TCP transport writes,
 // so the §6.3 accounting charges the cost we actually pay — the chan

@@ -5,7 +5,7 @@ import (
 )
 
 // Several engine tests ship bare string payloads across the TCP transport
-// (tick pingers, demux probes); the version-3 wire frames need a codec
+// (tick pingers, demux probes); the version-4 wire frames need a codec
 // for them, registered in the reserved test tag space exactly as a test
 // harness outside the repo would.
 func init() {

@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"validity/internal/oracle"
 	"validity/internal/sim"
 	"validity/internal/topology"
+	"validity/internal/wire"
 )
 
 // Two communities joined by a single bridge host; killing the bridge
@@ -152,6 +155,54 @@ func TestWirelessGridValidityUnderChurn(t *testing.T) {
 		b := oracle.Compute(g, vals, 0, sched, q.Deadline(), agg.Max)
 		if !b.Valid(v, 0) {
 			t.Fatalf("seed %d: wireless max %v outside [%v,%v]", seed, v, b.LowerValue, b.UpperValue)
+		}
+	}
+}
+
+// A broadcast whose hop count is no path length in G — what a stale or
+// hostile frame can carry, the codec yields anything up to 2³²−1 — is
+// dropped before it activates anyone: taken as the host's distance it
+// would end the host's participation before it began (and at 2³²−1 its own
+// forward would not encode). The host activates on the next legitimate
+// broadcast instead and the answer stays inside the oracle's bounds.
+func TestWildfireDropsBroadcastWithImpossibleHop(t *testing.T) {
+	g := graph.New(4) // a line: 0 — 1 — 2 — 3, the maximum at the far end
+	for h := graph.HostID(0); h < 3; h++ {
+		g.AddEdge(h, h+1)
+	}
+	vals := []int64{5, 15, 1, 25}
+	q := Query{Kind: agg.Max, Hq: 0, DHat: 3, Params: params()}
+	b := oracle.Compute(g, vals, q.Hq, churn.Timeline{}, q.Deadline(), q.Kind)
+
+	// The 2³²−1 case comes off the wire, as a peer would deliver it.
+	frame, err := wire.AppendFrame(nil, wire.Frame{From: 3, To: 2, Query: 1, Payload: wfBroadcast{Hop: 1, A: agg.NewPartial(agg.Max, 0, q.Params, nil)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hop := frame[4+wire.FrameHeaderSize:][:4]
+	binary.LittleEndian.PutUint32(hop, math.MaxUint32)
+	decoded, err := wire.DecodeFrameBody(frame[4:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := []any{decoded.Payload}
+	for _, hop := range []int{0, -1, g.Len()} {
+		forged = append(forged, wfBroadcast{Hop: hop, A: agg.NewPartial(agg.Max, 0, q.Params, nil)})
+	}
+	for _, m := range forged {
+		w := NewWildfire(q)
+		nw := newNet(g, vals, 1)
+		if err := w.Install(nw); err != nil {
+			t.Fatal(err)
+		}
+		nw.Send(3, 2, m, 0) // reaches host 2 at t=1, a tick before the query does
+		nw.Run(w.Deadline())
+		v, ok := w.Result()
+		if !ok || !b.Valid(v, 0) {
+			t.Fatalf("hop %d: max = %v, outside the oracle's [%v,%v]", m.(wfBroadcast).Hop, v, b.LowerValue, b.UpperValue)
+		}
+		if h := w.hosts[2]; !h.active || h.dist != 2 {
+			t.Fatalf("hop %d: host 2 active=%v at distance %d, want activated by host 1's broadcast at 2", m.(wfBroadcast).Hop, h.active, h.dist)
 		}
 	}
 }

@@ -221,6 +221,12 @@ func (h *wfHost) onBroadcast(ctx *sim.Context, from int, sender graph.HostID, m 
 	if ctx.Now() >= sim.Time(2*h.w.Query.DHat) {
 		return
 	}
+	// Hop comes off the wire. One that is no path length in G is a stale
+	// or hostile frame's: as dist it would put limit() in the past and
+	// silence this host for the whole query.
+	if m.Hop < 1 || m.Hop >= len(h.w.hosts) {
+		return
+	}
 	h.activate(ctx, m.Hop, m.A)
 	// Forward the query with our partial piggybacked (the first
 	// convergecast message rides on the broadcast, footnote 4).

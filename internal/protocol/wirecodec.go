@@ -11,7 +11,7 @@ import (
 )
 
 // The node runtime (internal/node) carries protocol messages over
-// pluggable transports; the TCP transport ships them as version-3 wire
+// pluggable transports; the TCP transport ships them as version-4 wire
 // frames, which need every concrete message type bound to an explicit
 // payload tag and codec here. The tags are pinned — they are the wire
 // format, and reordering this block would break cross-version fleets.

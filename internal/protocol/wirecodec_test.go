@@ -78,14 +78,15 @@ func TestWireCodecRoundTrip(t *testing.T) {
 // TestWireCodecSizeExact checks FrameSize against the encoder for every
 // message type: the node's §6.3 bytes-on-wire accounting uses FrameSize
 // and must charge exactly what TCP writes. The sketch carriers are also
-// held to their version-3 sizes: eight 32-bit vectors cost 32 bytes.
+// held to their version-4 sizes: a one-host sketch of eight vectors costs
+// its window header and a byte per bit of window, never its declared 32.
 func TestWireCodecSizeExact(t *testing.T) {
-	const sketch = 3 + 8*4 // kind, vectors, bits, then one 4-byte lane per vector
-	want := map[int]int{   // index in allMessages → frame bytes
-		1:  wire.FrameOverhead + 4 + 1 + sketch,       // wfBroadcast, count
-		3:  wire.FrameOverhead + 1 + sketch + 8*4,     // wfConverge, avg: two sketches
-		9:  wire.FrameOverhead + 1 + sketch,           // dagReport, sum
-		15: wire.FrameOverhead + 4 + 1 + sketch + 8*4, // wfBroadcast, avg
+	const header = 3     // kind, vectors, bits; each window is lo, width, bits
+	want := map[int]int{ // index in allMessages → frame bytes
+		1:  wire.FrameOverhead + 4 + 1 + header + 2 + 6,         // wfBroadcast, count: bits [0,6)
+		3:  wire.FrameOverhead + 1 + header + 2 + 5 + 2 + 5,     // wfConverge, avg: sum [1,6), count [0,5)
+		9:  wire.FrameOverhead + 1 + header + 2 + 6,             // dagReport, sum of 13: bits [3,9)
+		15: wire.FrameOverhead + 4 + 1 + header + 2 + 2 + 2 + 5, // wfBroadcast, avg: sum [2,4), count [0,5)
 	}
 	for i, msg := range allMessages(t) {
 		buf, err := wire.AppendFrame(nil, wire.Frame{From: 1, To: 2, Query: 1, Payload: msg})
@@ -100,21 +101,26 @@ func TestWireCodecSizeExact(t *testing.T) {
 			t.Fatalf("%T: FrameSize %d, encoded %d", msg, n, len(buf))
 		}
 		if w, ok := want[i]; ok && n != w {
-			t.Fatalf("message %d (%T): %d bytes on the wire, want %d", i, msg, n, w)
+			t.Fatalf("message %d (%T): %d bytes on the wire, want %d\n%x", i, msg, n, w, buf[4+wire.FrameHeaderSize:])
 		}
 	}
 }
 
 // TestWildfireFrameGoldenBytes pins one whole COUNT wfConverge frame at
-// version 3, beside wire's TestFrameGoldenBytes for the header: the body
-// is the has-partial flag, the partial header, and four vectors as four
-// little-endian 32-bit lanes — the image of the sketch's two words.
+// version 4, beside wire's TestFrameGoldenBytes for the header: the body
+// is the has-partial flag, the partial header, and four vectors as their
+// window — every vector starts 0b11, none reaches past bit 6, so bits 2–6
+// of each travel, five bits a vector, LSB-first.
 func TestWildfireFrameGoldenBytes(t *testing.T) {
-	sk, err := fm.ReadWords(4, 32, []byte{
-		0x07, 0, 0, 0, 0x01, 0, 0, 0x80, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0,
-	})
-	if err != nil {
-		t.Fatal(err)
+	packed := []byte{
+		2, 5, // the window: lo, width
+		// vector 0 = 0b0010011 → 00100, vector 1 = 0b1000011 → 10000,
+		// vector 2 = 0b0000011 → 00000, vector 3 = 0b1111111 → 11111
+		0b000_00100, 0b1_00000_10, 0b0000_1111,
+	}
+	sk, n, err := fm.ReadPacked(4, 32, packed)
+	if err != nil || n != len(packed) {
+		t.Fatal(n, err)
 	}
 	p, err := agg.PartialFromSketches(agg.Count, sk)
 	if err != nil {
@@ -124,25 +130,24 @@ func TestWildfireFrameGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []byte{
-		0, 0, 0, 44, // length prefix, BE: 24-byte header + 20-byte body
-		0x7A, 0xDA, 3, tagWfConverge, // magic LE, version, payload tag
+	want := append([]byte{
+		0, 0, 0, 33, // length prefix, BE: 24-byte header + 9-byte body
+		0x7A, 0xDA, 4, tagWfConverge, // magic LE, version, payload tag
 		1, 0, 0, 0, 2, 0, 0, 0, // from, to
 		5, 0, 0, 0, 0, 0, 0, 0, // query
 		3, 0, 0, 0, // chain
 		1,        // has partial
 		3, 4, 32, // count, 4 vectors, 32 bits
-		0x07, 0, 0, 0, // vector 0: bits 0–2
-		0x01, 0, 0, 0x80, // vector 1: bits 0 and 31
-		0xFF, 0xFF, 0xFF, 0xFF, // vector 2: saturated
-		0, 0, 0, 0, // vector 3: empty
-	}
+	}, packed...)
 	if !bytes.Equal(buf, want) {
 		t.Fatalf("frame bytes\n got %v\nwant %v", buf, want)
 	}
 	got, err := wire.DecodeFrameBody(want[4:])
 	if err != nil || !got.Payload.(wfConverge).A.Equal(p) {
 		t.Fatalf("the golden frame does not decode to the partial it was built from: %v", err)
+	}
+	if est := p.Result(); est < 12.2 || est > 12.4 { // lowest zero bits 2, 2, 2, 7: 2^(13/4)/φ
+		t.Fatalf("the golden partial estimates %v, want 2^3.25/φ ≈ 12.3", est)
 	}
 }
 
@@ -167,11 +172,11 @@ func TestWireCodecRejectsMalformedBodies(t *testing.T) {
 	}
 }
 
-// hostileBodies are wfConverge frame bodies no version-3 encoder writes:
-// a count partial laid out the version-2 way (8 bytes per 32-bit vector,
-// the high half of one of them set — what used to decode and then poison
-// Equal and Covers wherever it was OR-ed in), and a 31-bit vector with
-// bit 31 set.
+// hostileBodies are wfConverge frame bodies no version-4 encoder writes:
+// a count partial laid out the version-3 way (four bytes a vector — read
+// as a window, its first two bytes leave the other six behind), and a
+// window that reaches one bit past its 31-bit vectors, which is what used
+// to decode and then poison Equal and Covers wherever it was OR-ed in.
 func hostileBodies(tb testing.TB) map[string][]byte {
 	tb.Helper()
 	buf, err := wire.AppendFrame(nil, wire.Frame{From: 1, To: 2, Query: 7, Chain: 1, Payload: wfConverge{}})
@@ -183,9 +188,8 @@ func hostileBodies(tb testing.TB) map[string][]byte {
 		return append(append(append([]byte(nil), header...), 1), partial...)
 	}
 	return map[string][]byte{
-		"version-2 layout, bits 32–63 of a 32-bit vector set": body(3, 2, 32,
-			1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 2, 0, 0, 0, 0, 0, 0, 0),
-		"bit 31 of a 31-bit vector": body(3, 2, 31, 1, 0, 0, 0, 0, 0, 0, 0x80),
+		"version-3 layout, vectors 0x1 and 0x3": body(3, 2, 32, 1, 0, 0, 0, 3, 0, 0, 0),
+		"window [0,32) of 31-bit vectors":       body(3, 2, 31, 0, 32, 0, 0, 0, 0x80, 1, 0, 0, 0),
 	}
 }
 

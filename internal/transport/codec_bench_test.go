@@ -8,7 +8,7 @@ import (
 	"validity/internal/wire"
 )
 
-// The benchmarks time the version-3 wire frames on the workload that
+// The benchmarks time the version-4 wire frames on the workload that
 // dominates a query: a broadcast-shaped message carrying a 64-vector FM
 // count partial.
 

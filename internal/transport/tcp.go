@@ -29,7 +29,7 @@ const maxBatch = 128
 
 // TCP is the cross-process Transport: hosts are assigned to addresses, and
 // every process serves the hosts whose address it listens on. Frames are
-// internal/wire version-3 binary frames — a 4-byte big-endian length
+// internal/wire version-4 binary frames — a 4-byte big-endian length
 // prefix followed by a fixed 24-byte header (magic, version, payload tag,
 // from, to, query, chain) and the payload body of the tag's registered
 // codec. The QueryID in every header lets one long-running fleet carry

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"log/slog"
 	"math/rand"
@@ -192,10 +193,11 @@ func (l *lockedBuffer) String() string {
 	return l.b.String()
 }
 
-// A frame the decoder rejects — here a hand-built version-2 frame, what a
-// peer on an older build would send — drops its connection as before, but
-// is counted and logged once, so a fleet mixing wire versions does not
-// just go quiet; later connections are unaffected.
+// A frame the decoder rejects — here hand-built version-2 and version-3
+// frames, what a peer on an older build would send — drops its connection
+// as before, but is counted and logged once, naming both versions so the
+// operator knows which process to upgrade: a fleet mixing wire versions
+// does not just go quiet; later connections are unaffected.
 func TestTCPUndecodableFrameCountedAndLogged(t *testing.T) {
 	ports := freeAddrs(t, 2)
 	a, b := NewTCP(ports), NewTCP(ports)
@@ -216,31 +218,34 @@ func TestTCPUndecodableFrameCountedAndLogged(t *testing.T) {
 	}
 	t.Cleanup(func() { a.Close(); b.Close() })
 
-	old, err := wire.AppendFrame(nil, wire.Frame{From: 0, To: 1, Query: 1, Chain: 1, Payload: "from an old build"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	old[4+2] = 2 // the version byte, after the length prefix and the magic
-	c, err := net.Dial("tcp", ports[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	// Two frames in one write: the connection is dropped at the first, so
-	// the second is never decoded, counted or logged.
-	if _, err := c.Write(append(old, old...)); err != nil {
-		t.Fatal(err)
-	}
-	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := c.Read(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("read on the offending connection = %v, want EOF: the receiver must drop it", err)
-	}
 	undecodable := reg.Counter("transport_frames_undecodable_total", "")
-	if got := undecodable.Value(); got != 1 {
-		t.Fatalf("transport_frames_undecodable_total = %d, want 1", got)
-	}
-	if got := strings.Count(logs.String(), "unsupported frame version 2"); got != 1 {
-		t.Fatalf("decode error logged %d times, want once:\n%s", got, logs.String())
+	for i, version := range []byte{2, 3} {
+		old, err := wire.AppendFrame(nil, wire.Frame{From: 0, To: 1, Query: 1, Chain: 1, Payload: "from an old build"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		old[4+2] = version // the version byte, after the length prefix and the magic
+		c, err := net.Dial("tcp", ports[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		// Two frames in one write: the connection is dropped at the first,
+		// so the second is never decoded, counted or logged.
+		if _, err := c.Write(append(old, old...)); err != nil {
+			t.Fatal(err)
+		}
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("read on the offending connection = %v, want EOF: the receiver must drop it", err)
+		}
+		if got := undecodable.Value(); got != int64(i+1) {
+			t.Fatalf("transport_frames_undecodable_total = %d after %d stale connections", got, i+1)
+		}
+		want := fmt.Sprintf("frame version %d, this build speaks %d", version, wire.Version)
+		if got := strings.Count(logs.String(), want); got != 1 {
+			t.Fatalf("%q logged %d times, want once:\n%s", want, got, logs.String())
+		}
 	}
 	if !strings.Contains(logs.String(), "level=WARN") {
 		t.Fatalf("not logged at warn:\n%s", logs.String())
@@ -251,10 +256,10 @@ func TestTCPUndecodableFrameCountedAndLogged(t *testing.T) {
 	}
 	got := cb.waitFor(t, 1, 2*time.Second)
 	if len(got) != 1 || got[0].Payload != "from this build" {
-		t.Fatalf("delivered %+v, want only the version-3 frame", got)
+		t.Fatalf("delivered %+v, want only this build's frame", got)
 	}
-	if got := undecodable.Value(); got != 1 {
-		t.Fatalf("transport_frames_undecodable_total = %d after a good frame, want 1", got)
+	if got := undecodable.Value(); got != 2 {
+		t.Fatalf("transport_frames_undecodable_total = %d after a good frame, want 2", got)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"validity/internal/wire"
 )
 
-// The TCP transport ships version-3 wire frames, so every payload type a
+// The TCP transport ships version-4 wire frames, so every payload type a
 // test puts on the wire needs a codec in the reserved test tag space
 // (≥ wire.TagReservedBase) — the live-path twin of what internal/protocol
 // registers for the real protocol messages.

@@ -8,7 +8,7 @@ import (
 	"validity/internal/graph"
 )
 
-// The transport frame (wire version 3): the unit one connection write
+// The transport frame (wire version 4): the unit one connection write
 // carries. The 4-byte big-endian length prefix counts everything after
 // itself — a 24-byte fixed header followed by the payload body owned by
 // the payload tag's codec. See the package doc for the field table.
@@ -167,7 +167,7 @@ func DecodeFrameBody(body []byte) (Frame, error) {
 		return f, fmt.Errorf("wire: bad frame magic %#x", binary.LittleEndian.Uint16(body[0:2]))
 	}
 	if body[2] != Version {
-		return f, fmt.Errorf("wire: unsupported frame version %d", body[2])
+		return f, fmt.Errorf("wire: frame version %d, this build speaks %d", body[2], Version)
 	}
 	tag := body[3]
 	codec := payloadCodecs[tag]

@@ -65,7 +65,7 @@ func init() {
 	})
 }
 
-// TestFrameGoldenBytes pins the version-3 layout byte for byte: the frame
+// TestFrameGoldenBytes pins the version-4 layout byte for byte: the frame
 // format is an interchange contract, and an accidental field reorder must
 // fail loudly, not just round-trip differently.
 func TestFrameGoldenBytes(t *testing.T) {
@@ -82,7 +82,7 @@ func TestFrameGoldenBytes(t *testing.T) {
 	want := []byte{
 		0, 0, 0, 26, // length prefix, BE: 24-byte header + 2-byte payload
 		0x7A, 0xDA, // magic, LE
-		3,            // version
+		4,            // version
 		frameTestTag, // payload tag
 		1, 0, 0, 0,   // from, LE
 		2, 0, 0, 0, // to, LE

@@ -10,15 +10,26 @@ import (
 
 // frameSeeds is the seed corpus for the frame decoder: a valid frame body
 // for every payload the package's own codecs carry — both test codecs, the
-// quiescence announce and Done, a partial of every kind — then every truncation of
-// each (the hostile input a broken peer is most likely to produce), a
-// version-2 frame, and the non-canonical sketches.
+// quiescence announce and Done, a partial of every kind, then sketches as
+// a fleet ships them (64 vectors, a few hundred hosts combined) and at
+// more than 32 bits — then every truncation of each (the hostile input a
+// broken peer is most likely to produce), a version-2 and a version-3
+// frame, and the non-canonical sketches.
 func frameSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(7))
 	payloads := []any{"hello", Quiesce{Epoch: 2, Activity: 5, Quiet: true}, Quiesce{Done: true}}
 	for _, k := range []agg.Kind{agg.Min, agg.Max, agg.Count, agg.Sum, agg.Avg} {
 		payloads = append(payloads, partialPayload{agg.NewPartial(k, 42, params(), rng)})
+	}
+	for _, ps := range []agg.Params{{Vectors: 64, Bits: 32}, {Vectors: 5, Bits: 40}} {
+		for _, k := range []agg.Kind{agg.Count, agg.Avg} {
+			p := agg.NewPartial(k, 42, ps, rng)
+			for i := 0; i < 300; i++ {
+				p.Combine(agg.NewPartial(k, int64(i), ps, rng))
+			}
+			payloads = append(payloads, partialPayload{p})
+		}
 	}
 	var seeds [][]byte
 	for _, payload := range payloads {
@@ -31,12 +42,14 @@ func frameSeeds(tb testing.TB) [][]byte {
 			seeds = append(seeds, body[:i])
 		}
 	}
-	header := seeds[len(seeds)-1][:FrameHeaderSize]
-	v2 := append([]byte(nil), seeds[len(seeds)-1]...)
-	v2[2] = 2
-	seeds = append(seeds, v2)
+	last := seeds[len(seeds)-1]
+	for _, old := range []byte{2, 3} {
+		stale := append([]byte(nil), last...)
+		stale[2] = old
+		seeds = append(seeds, stale)
+	}
 	for _, hostile := range hostileSketches() {
-		seeds = append(seeds, append(append([]byte(nil), header...), hostile...))
+		seeds = append(seeds, append(append([]byte(nil), last[:FrameHeaderSize]...), hostile...))
 	}
 	return seeds
 }

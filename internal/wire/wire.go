@@ -7,13 +7,13 @@
 // exact on-wire cost of every message, and the encoding round-trips
 // through encoding/binary with no reflection.
 //
-// Frame layout, version 3 (the unit one conn.Write carries; length prefix
+// Frame layout, version 4 (the unit one conn.Write carries; length prefix
 // big-endian, everything after it little-endian unless noted):
 //
 //	offset  size  field
 //	0       4     length   u32 BE — bytes that follow (header + payload)
 //	4       2     magic    u16    — 0xDA7A
-//	6       1     version  u8     — Version (3)
+//	6       1     version  u8     — Version (4)
 //	7       1     tag      u8     — payload tag (RegisterPayload)
 //	8       4     from     u32    — sending host id
 //	12      4     to       u32    — destination host id
@@ -41,20 +41,25 @@
 // a busy re-announce, so the issuer's early-read path only trusts the
 // highest epoch seen per process. See internal/node's quiesce tracker.
 //
-// Partial layout, version 3. An FM vector travels at its declared width:
-// one lane per vector, 4 bytes when bits ≤ 32 and 8 otherwise, so a
-// partial's size is fixed by (kind, vectors, bits) and never by content.
-// A sketch body is the little-endian image of fm.Sketch's words; bits at
-// or above the declared width must be zero, and there is exactly one
-// encoding of every partial.
+// Partial layout, version 4. An FM sketch travels as its occupied window:
+// the bits below lo are ones in every vector and the bits at or above
+// lo+width are zero in every vector, so only bits [lo, lo+width) of each
+// vector are sent, bit-packed LSB-first with vector 0 first and the last
+// byte zero-padded (fm.Sketch.AppendPacked). A partial's size therefore
+// depends on its content, within a bound its header fixes: a sketch takes
+// from 2 bytes to 2 + ⌈vectors × bits / 8⌉, and a 2,048-host COUNT at
+// vectors=64 about 80 where its declared width is 256. lo + width may not
+// exceed bits, the window must be the narrowest that holds the vectors and
+// the padding zero, so there is exactly one encoding of every partial.
 //
 //	scalar partial:  aggKind u8 | value i64
-//	sketch partial:  aggKind u8 | vectors u8 | bits u8 | vectors × lane
-//	avg partial:     aggKind u8 | vectors u8 | bits u8 | 2 × vectors × lane
+//	sketch partial:  aggKind u8 | vectors u8 | bits u8 | window
+//	avg partial:     aggKind u8 | vectors u8 | bits u8 | window (sum) | window (count)
+//	window:          lo u8 | width u8 | ⌈vectors × width / 8⌉ bytes
 //
-// Version 2 shipped every vector as 8 bytes; its frames are rejected by
-// the version check, so the processes of one fleet must run the same
-// build.
+// Version 3 shipped every vector at its declared width, 4 or 8 bytes; its
+// frames are rejected by the version check, as version 2's are, so the
+// processes of one fleet must run the same build.
 package wire
 
 import (
@@ -68,9 +73,10 @@ import (
 // Magic identifies a validity-protocol frame.
 const Magic uint16 = 0xDA7A
 
-// Version is the current wire version: 3 ships FM vectors at their
-// declared width (see the package comment); 2 shipped them as 8-byte words.
-const Version uint8 = 3
+// Version is the current wire version: 4 ships each FM sketch as its
+// occupied window (see the package comment); 3 shipped every vector at its
+// declared width.
+const Version uint8 = 4
 
 // partial wire tags mirror agg.Kind but are pinned explicitly so that the
 // wire format never shifts if the enum is reordered.
@@ -133,10 +139,9 @@ func AppendPartial(buf []byte, k agg.Kind, p agg.Partial) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		buf = append(buf, tag, uint8(a.Vectors()), uint8(a.Bits()))
-		buf = a.AppendWords(buf)
+		buf = a.AppendPacked(append(buf, tag, uint8(a.Vectors()), uint8(a.Bits())))
 		if b != nil {
-			buf = b.AppendWords(buf)
+			buf = b.AppendPacked(buf)
 		}
 		return buf, nil
 	}
@@ -160,9 +165,9 @@ func wireSketches(k agg.Kind, p agg.Partial) (a, b *fm.Sketch, err error) {
 	return a, b, nil
 }
 
-// PartialSize is AppendPartial's output length, computed arithmetically
-// without encoding — the payload codecs use it to size frames on the send
-// hot path.
+// PartialSize is AppendPartial's output length, computed from the
+// sketches' windows without encoding — the payload codecs use it to size
+// frames on the send hot path.
 func PartialSize(k agg.Kind, p agg.Partial) (int, error) {
 	switch k {
 	case agg.Min, agg.Max:
@@ -172,17 +177,17 @@ func PartialSize(k agg.Kind, p agg.Partial) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		n := fm.WireSize(a.Vectors(), a.Bits())
+		n := 3 + a.PackedSize() // tag + vectors + bits header, then the window
 		if b != nil {
-			n *= 2
+			n += b.PackedSize()
 		}
-		return 3 + n, nil // tag + vectors + bits header, then the lanes
+		return n, nil
 	}
 	return 0, fmt.Errorf("wire: unencodable kind %v", k)
 }
 
 // DecodePartial decodes a partial from buf, returning the partial, its
-// kind and the number of bytes consumed. A sketch's vectors are read
+// kind and the number of bytes consumed. A sketch's vectors are unpacked
 // straight into the storage the partial keeps.
 func DecodePartial(buf []byte) (agg.Partial, agg.Kind, int, error) {
 	if len(buf) < 1 {
@@ -204,28 +209,24 @@ func DecodePartial(buf []byte) (agg.Partial, agg.Kind, int, error) {
 	if len(buf) < 3 {
 		return nil, 0, 0, fmt.Errorf("wire: truncated sketch header")
 	}
-	vectors, bits := int(buf[1]), int(buf[2])
-	if vectors < 1 || bits < 1 || bits > 64 {
-		return nil, 0, 0, fmt.Errorf("wire: invalid sketch dimensions %d/%d", vectors, bits)
-	}
+	vectors, bits := int(buf[1]), int(buf[2]) // vetted by fm.ReadPacked
+
 	n := 1 // sketches in the partial
 	if k == agg.Avg {
 		n = 2
 	}
-	size := fm.WireSize(vectors, bits)
-	need := 3 + n*size
-	if len(buf) < need {
-		return nil, 0, 0, fmt.Errorf("wire: truncated sketch body (%d < %d)", len(buf), need)
-	}
+	used := 3
 	var sks [2]fm.Sketch
 	for i := range sks[:n] {
-		if sks[i], err = fm.ReadWords(vectors, bits, buf[3+i*size:3+(i+1)*size]); err != nil {
+		var size int
+		if sks[i], size, err = fm.ReadPacked(vectors, bits, buf[used:]); err != nil {
 			return nil, 0, 0, fmt.Errorf("wire: %w", err)
 		}
+		used += size
 	}
 	p, err := agg.PartialFromSketches(k, sks[:n]...)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	return p, k, need, nil
+	return p, k, used, nil
 }
