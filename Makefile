@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race ci fmt fmt-check demo bench benchdiff loc test-only-exports metrics-smoke fuzz-smoke scale-smoke repro-smoke
+.PHONY: all build vet test race ci fmt fmt-check demo bench benchdiff loc test-only-exports metrics-smoke fuzz-smoke scale-smoke repro-smoke alloc-smoke
 
 all: ci
 
@@ -21,10 +21,17 @@ race:
 # ci is the gate: compile everything, vet, enforce gofmt, run the full
 # suite under the race detector (the node runtime and transports are
 # concurrent code; plain `go test` would let scheduling bugs through),
-# smoke-test the built binary's metrics endpoint end to end, and give the
-# wire decoders a short hostile-input fuzz pass, and hold the figures to
-# byte-identical output run to run.
-ci: build vet fmt-check race scale-smoke metrics-smoke fuzz-smoke repro-smoke
+# smoke-test the built binary's metrics endpoint end to end, give the
+# wire decoders a short hostile-input fuzz pass, hold the figures to
+# byte-identical output run to run, and hold the hot paths' allocation
+# pins, which skip themselves under -race.
+ci: build vet fmt-check race scale-smoke metrics-smoke fuzz-smoke repro-smoke alloc-smoke
+
+# alloc-smoke runs every allocation pin natively: the race detector
+# allocates on its own and drops sync.Pool items at random, so under `race`
+# these tests skip themselves and nothing else would hold them.
+alloc-smoke:
+	$(GO) test -count=1 -run 'Alloc' ./internal/protocol ./internal/node ./internal/wire ./internal/obs ./internal/transport
 
 # scale-smoke answers a short query stream over a 2,048-host in-process
 # fleet and asserts the goroutine peak stays O(shards), not O(hosts) —

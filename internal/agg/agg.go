@@ -294,28 +294,60 @@ func orInto(dst, src *fm.Sketch) bool {
 	return true
 }
 
-// PartialFromSketches builds a sketch-backed partial around raw FM
-// sketches (one for count/sum, sum then count for avg) — the decoding half
-// of the wire format. The sketches' storage is adopted, not copied.
-func PartialFromSketches(k Kind, sks ...fm.Sketch) (Partial, error) {
-	if !k.DuplicateSensitive() {
-		return nil, fmt.Errorf("agg: kind %v is not sketch-backed", k)
-	}
-	want := 1
-	if k == Avg {
-		want = 2
-	}
-	if len(sks) != want {
-		return nil, fmt.Errorf("agg: %v partial needs %d sketches, got %d", k, want, len(sks))
-	}
+// Refill returns a partial of kind k for a decoder to fill: dst itself
+// when it is one already, a fresh one otherwise (dst nil included). A
+// scalar partial is set to v; a sketch partial ignores v, and its sketches
+// (WireSketches) keep whatever dimensions and bits they held until the
+// caller overwrites them in full — fm.ReadPacked and Sketch.CopyFrom both
+// reshape. Recycling partials this way, a receiver decodes without
+// allocating.
+func Refill(dst Partial, k Kind, v int64) Partial {
 	switch k {
+	case Min, Max:
+		if s, ok := dst.(*scalarPartial); ok {
+			*s = scalarPartial{kind: k, val: v}
+			return s
+		}
+		return &scalarPartial{kind: k, val: v}
 	case Count:
-		return &countPartial{sk: sks[0]}, nil
+		if c, ok := dst.(*countPartial); ok {
+			return c
+		}
+		return &countPartial{}
 	case Sum:
-		return &sumPartial{sk: sks[0]}, nil
+		if s, ok := dst.(*sumPartial); ok {
+			return s
+		}
+		return &sumPartial{}
+	case Avg:
+		if a, ok := dst.(*avgPartial); ok {
+			return a
+		}
+		return &avgPartial{}
 	default:
-		return &avgPartial{sum: sks[0], cnt: sks[1]}, nil
+		panic(fmt.Sprintf("agg: unknown kind %d", int(k)))
 	}
+}
+
+// Assign makes dst a deep copy of src and returns it: dst itself when it
+// is a partial of src's kind, whatever its sketch dimensions, and a fresh
+// one otherwise — the in-place Clone a recycled snapshot takes.
+func Assign(dst, src Partial) Partial {
+	k, ok := KindOf(src)
+	if !ok {
+		return src.Clone()
+	}
+	v, _ := ScalarValue(src)
+	p := Refill(dst, k, v)
+	pa, pb := WireSketches(p)
+	sa, sb := WireSketches(src)
+	if pa != nil {
+		pa.CopyFrom(sa)
+	}
+	if pb != nil {
+		pb.CopyFrom(sb)
+	}
+	return p
 }
 
 // KindOf reports the aggregate kind a partial was built for; the payload
@@ -355,8 +387,8 @@ func Conforms(p Partial, k Kind, params Params) bool {
 // WireSketches returns the sketches carried by p without allocating: a is
 // the sole sketch for count/sum and the sum sketch for avg, b the avg
 // count sketch (nil otherwise). Both nil for scalar partials. The wire
-// encoder sits on the send hot path of every host goroutine, where
-// Sketches' per-call slice would be the only allocation of a send.
+// codec reaches a partial's sketches through it on the send and the
+// receive hot paths, where a per-call slice would be the only allocation.
 func WireSketches(p Partial) (a, b *fm.Sketch) {
 	switch v := p.(type) {
 	case *countPartial:
@@ -367,16 +399,4 @@ func WireSketches(p Partial) (a, b *fm.Sketch) {
 		return &v.sum, &v.cnt
 	}
 	return nil, nil
-}
-
-// Sketches returns the FM sketches carried by p: one for count/sum, two
-// (sum, count) for avg, none for scalars.
-func Sketches(p Partial) []*fm.Sketch {
-	switch a, b := WireSketches(p); {
-	case b != nil:
-		return []*fm.Sketch{a, b}
-	case a != nil:
-		return []*fm.Sketch{a}
-	}
-	return nil
 }

@@ -236,18 +236,19 @@ func TestQuickSketchCombineOrderIndependent(t *testing.T) {
 
 func TestSketchesAccessor(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	if Sketches(NewPartial(Min, 1, params(), rng)) != nil {
-		t.Fatal("scalar partial should expose no sketches")
+	for k, want := range map[Kind]int{Min: 0, Max: 0, Count: 1, Sum: 1, Avg: 2} {
+		a, b := WireSketches(NewPartial(k, 1, params(), rng))
+		if got := btoi(a != nil) + btoi(b != nil); got != want || a == nil && b != nil {
+			t.Fatalf("%v partial exposes sketches (%v, %v), want %d", k, a, b, want)
+		}
 	}
-	if len(Sketches(NewPartial(Count, 1, params(), rng))) != 1 {
-		t.Fatal("count partial should expose one sketch")
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
 	}
-	if len(Sketches(NewPartial(Sum, 1, params(), rng))) != 1 {
-		t.Fatal("sum partial should expose one sketch")
-	}
-	if len(Sketches(NewPartial(Avg, 1, params(), rng))) != 2 {
-		t.Fatal("avg partial should expose two sketches")
-	}
+	return 0
 }
 
 func TestDefaultParams(t *testing.T) {
@@ -264,22 +265,45 @@ func TestExactAvgFractional(t *testing.T) {
 	}
 }
 
-func TestPartialFromSketchesErrors(t *testing.T) {
-	if _, err := PartialFromSketches(Min); err == nil {
-		t.Fatal("scalar kind accepted")
+// Assign copies src into dst's storage whenever dst is of src's kind —
+// whatever its sketch dimensions, every bit of it set — or is the other
+// scalar kind, and into a fresh partial otherwise; either way the result
+// equals src and shares nothing with it.
+func TestAssign(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	kinds := []Kind{Min, Max, Count, Sum, Avg}
+	dirty := func(k Kind) Partial {
+		p := NewPartial(k, 1<<40, Params{Vectors: 67, Bits: 64}, rng)
+		a, b := WireSketches(p)
+		for _, sk := range [...]*fm.Sketch{a, b} {
+			if sk != nil {
+				sk.AddN(rng, 1<<62)
+			}
+		}
+		return p
 	}
-	if _, err := PartialFromSketches(Count); err == nil {
-		t.Fatal("count with 0 sketches accepted")
-	}
-	if _, err := PartialFromSketches(Sum, fm.MakeSketch(4, 32), fm.MakeSketch(4, 32)); err == nil {
-		t.Fatal("sum with 2 sketches accepted")
-	}
-	if _, err := PartialFromSketches(Avg, fm.MakeSketch(4, 32)); err == nil {
-		t.Fatal("avg with 1 sketch accepted")
-	}
-	p, err := PartialFromSketches(Avg, fm.MakeSketch(4, 32), fm.MakeSketch(4, 32))
-	if err != nil || p == nil {
-		t.Fatal("valid avg reconstruction failed")
+	for _, k := range kinds {
+		src := NewPartial(k, 42, params(), rng)
+		want := src.Clone()
+		for _, other := range kinds {
+			dst := dirty(other)
+			got := Assign(dst, src)
+			reuse := other == k || !k.DuplicateSensitive() && !other.DuplicateSensitive()
+			if (got == dst) != reuse {
+				t.Errorf("Assign(%v partial, %v): reused dst = %t, want %t", other, k, got == dst, reuse)
+			}
+			if !got.Equal(src) || !Conforms(got, k, params()) {
+				t.Errorf("Assign(%v partial, %v) does not equal its source", other, k)
+			}
+			got.Combine(NewPartial(k, -1, params(), rng))
+			got.Combine(NewPartial(k, 1000, params(), rng))
+			if !src.Equal(want) {
+				t.Fatalf("Assign(%v partial, %v) shares state with its source", other, k)
+			}
+		}
+		if got := Assign(nil, src); !got.Equal(src) {
+			t.Errorf("Assign(nil, %v) does not equal its source", k)
+		}
 	}
 }
 

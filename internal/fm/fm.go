@@ -63,11 +63,27 @@ func MakeSketch(c, bits int) Sketch {
 	if bits < 1 || bits > 64 {
 		panic(fmt.Sprintf("fm: bits must be in [1,64], got %d", bits))
 	}
-	n := c
+	return Sketch{words: make([]uint64, numWords(c, bits)), c: int32(c), bits: int32(bits)}
+}
+
+// numWords is the storage of a c×bits sketch: two vectors a word up to 32
+// bits, one above.
+func numWords(c, bits int) int {
 	if bits <= 32 {
-		n = (c + 1) / 2
+		return (c + 1) / 2
 	}
-	return Sketch{words: make([]uint64, n), c: int32(c), bits: int32(bits)}
+	return c
+}
+
+// reshape gives s the dimensions c×bits, on the storage it has when that
+// is large enough; what the words hold is left for the caller to overwrite.
+func (s *Sketch) reshape(c, bits int) {
+	if n := numWords(c, bits); cap(s.words) >= n {
+		s.words = s.words[:n]
+	} else {
+		s.words = make([]uint64, n)
+	}
+	s.c, s.bits = int32(c), int32(bits)
 }
 
 // NewSketch is MakeSketch on the heap.
@@ -91,6 +107,14 @@ func (s *Sketch) Copy() Sketch {
 func (s *Sketch) Clone() *Sketch {
 	c := s.Copy()
 	return &c
+}
+
+// CopyFrom makes s a deep copy of src, dimensions included, in the storage
+// s already has when it is large enough: a recycled sketch takes another's
+// state without allocating.
+func (s *Sketch) CopyFrom(src *Sketch) {
+	s.reshape(int(src.c), int(src.bits))
+	copy(s.words, src.words)
 }
 
 // or merges the bits of v into vector i.
@@ -330,41 +354,45 @@ func push(out []byte, acc uint64, fill uint, v uint64, n uint) ([]byte, uint64, 
 }
 
 // ReadPacked is AppendPacked's inverse: it reads one c×bits sketch from
-// the front of buf into storage of its own, refilling the bits below the
-// window with ones, and returns it with the number of bytes it took. Only
+// the front of buf into dst, refilling the bits below the window with
+// ones, and returns the number of bytes it took. dst is reshaped to c×bits
+// on the storage it has when that is large enough and every word is
+// overwritten, so whatever it held before — other dimensions, any bits —
+// does not show through; on an error what it holds is unspecified. Only
 // the bytes AppendPacked writes for that sketch are accepted. A window
 // that reaches past the declared width, is wider than what the vectors
 // occupy, or is followed by non-zero padding is an error: a bit at or above
 // the declared width, OR-ed into a host's state, would break Equal and
 // Covers there for good.
-func ReadPacked(c, bits int, buf []byte) (Sketch, int, error) {
+func ReadPacked(dst *Sketch, c, bits int, buf []byte) (int, error) {
 	if c < 1 || bits < 1 || bits > 64 {
-		return Sketch{}, 0, fmt.Errorf("fm: invalid sketch dimensions %d/%d", c, bits)
+		return 0, fmt.Errorf("fm: invalid sketch dimensions %d/%d", c, bits)
 	}
 	if len(buf) < 2 {
-		return Sketch{}, 0, fmt.Errorf("fm: truncated sketch window")
+		return 0, fmt.Errorf("fm: truncated sketch window")
 	}
 	lo, width := int(buf[0]), int(buf[1])
 	if lo+width > bits {
-		return Sketch{}, 0, fmt.Errorf("fm: window [%d,%d) reaches past the vector width %d", lo, lo+width, bits)
+		return 0, fmt.Errorf("fm: window [%d,%d) reaches past the vector width %d", lo, lo+width, bits)
 	}
 	size := 2 + (c*width+7)/8
 	if len(buf) < size {
-		return Sketch{}, 0, fmt.Errorf("fm: truncated sketch body (%d < %d)", len(buf), size)
+		return 0, fmt.Errorf("fm: truncated sketch body (%d < %d)", len(buf), size)
 	}
-	s := MakeSketch(c, bits)
-	if s.unpack(buf[2:size], uint(lo), uint(width)) != 0 {
-		return Sketch{}, 0, fmt.Errorf("fm: non-zero padding after the last vector")
+	dst.reshape(c, bits)
+	if dst.unpack(buf[2:size], uint(lo), uint(width)) != 0 {
+		return 0, fmt.Errorf("fm: non-zero padding after the last vector")
 	}
-	if l, w := s.window(); l != lo || w != width {
-		return Sketch{}, 0, fmt.Errorf("fm: window [%d,%d) is wider than the vectors' own [%d,%d)", lo, lo+width, l, l+w)
+	if l, w := dst.window(); l != lo || w != width {
+		return 0, fmt.Errorf("fm: window [%d,%d) is wider than the vectors' own [%d,%d)", lo, lo+width, l, l+w)
 	}
-	return s, size, nil
+	return size, nil
 }
 
-// unpack is pack's inverse on an empty sketch: every vector gets ones
-// below lo and the next w bits of in above them. It returns the bits of in
-// that follow the last vector's.
+// unpack is pack's inverse: every vector gets ones below lo and the next w
+// bits of in above them, every word is written whole (an odd sketch's
+// padding lane zero), and it returns the bits of in that follow the last
+// vector's.
 func (s *Sketch) unpack(in []byte, lo, w uint) uint64 {
 	mask, ones := uint64(1)<<w-1, uint64(1)<<lo-1
 	acc, fill, v, pairs := uint64(0), uint(0), uint64(0), 0

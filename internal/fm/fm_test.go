@@ -311,7 +311,8 @@ func TestPackedRoundTrip(t *testing.T) {
 			t.Fatalf("%s: window lo=%d width=%d, want %v", name, wire[0], wire[1], w)
 		}
 		// A reader takes its sketch off the front of a longer buffer.
-		b, n, err := ReadPacked(c, width, append(wire, 0xEE))
+		var b Sketch
+		n, err := ReadPacked(&b, c, width, append(wire, 0xEE))
 		if err != nil || n != len(wire) || !a.Equal(&b) {
 			t.Fatalf("%s: round trip: n=%d of %d, err=%v", name, n, len(wire), err)
 		}
@@ -341,7 +342,8 @@ func TestQuickPackedRoundTrip(t *testing.T) {
 			a.AddN(rng, int64(add))
 		}
 		wire := a.AppendPacked(nil)
-		b, n, err := ReadPacked(a.Vectors(), a.Bits(), wire)
+		var b Sketch
+		n, err := ReadPacked(&b, a.Vectors(), a.Bits(), wire)
 		return err == nil && n == len(wire) && n == a.PackedSize() && a.Equal(&b) &&
 			bytes.Equal(b.AppendPacked(nil), wire)
 	}

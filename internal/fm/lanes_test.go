@@ -187,7 +187,8 @@ func TestLaneLayoutMatchesReferenceModel(t *testing.T) {
 				}
 				agree(t, "Or left its argument alone", sb, rb)
 
-				back, _, err := ReadPacked(c, width, union.AppendPacked(nil))
+				var back Sketch
+				_, err := ReadPacked(&back, c, width, union.AppendPacked(nil))
 				if err != nil {
 					t.Fatalf("ReadPacked rejects AppendPacked's output: %v", err)
 				}
@@ -217,7 +218,8 @@ func TestReadPackedRejectsWhatAppendPackedNeverWrites(t *testing.T) {
 					vecs[1] |= (uint64(1)<<width - 2) << lo // bit lo clear in another
 				}
 				body := packBits(lo, width, vecs)
-				s, n, err := ReadPacked(c, bits, body)
+				var s Sketch
+				n, err := ReadPacked(&s, c, bits, body)
 				if ok := lo+width <= bits; ok != (err == nil) {
 					t.Fatalf("bits=%d window [%d,%d): err = %v", bits, lo, lo+width, err)
 				}
@@ -245,7 +247,7 @@ func TestReadPackedRejectsWhatAppendPackedNeverWrites(t *testing.T) {
 					hostile["padding bit set"] = padded
 				}
 				for name, h := range hostile {
-					if _, _, err := ReadPacked(c, bits, h); err == nil {
+					if _, err := ReadPacked(new(Sketch), c, bits, h); err == nil {
 						t.Fatalf("bits=%d window [%d,%d): %s (%x) accepted", bits, lo, lo+width, name, h)
 					}
 				}
@@ -253,7 +255,7 @@ func TestReadPackedRejectsWhatAppendPackedNeverWrites(t *testing.T) {
 		}
 	}
 	for _, dims := range [][2]int{{0, 32}, {8, 0}, {8, 65}} {
-		if _, _, err := ReadPacked(dims[0], dims[1], []byte{0, 0}); err == nil {
+		if _, err := ReadPacked(new(Sketch), dims[0], dims[1], []byte{0, 0}); err == nil {
 			t.Fatalf("a %d×%d sketch decoded", dims[0], dims[1])
 		}
 	}

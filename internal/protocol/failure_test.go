@@ -175,7 +175,7 @@ func TestWildfireDropsBroadcastWithImpossibleHop(t *testing.T) {
 	b := oracle.Compute(g, vals, q.Hq, churn.Timeline{}, q.Deadline(), q.Kind)
 
 	// The 2³²−1 case comes off the wire, as a peer would deliver it.
-	frame, err := wire.AppendFrame(nil, wire.Frame{From: 3, To: 2, Query: 1, Payload: wfBroadcast{Hop: 1, A: agg.NewPartial(agg.Max, 0, q.Params, nil)}})
+	frame, err := wire.AppendFrame(nil, wire.Frame{From: 3, To: 2, Query: 1, Payload: wfBroadcast{Hop: 1, S: carry(agg.NewPartial(agg.Max, 0, q.Params, nil))}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestWildfireDropsBroadcastWithImpossibleHop(t *testing.T) {
 	}
 	forged := []any{decoded.Payload}
 	for _, hop := range []int{0, -1, g.Len()} {
-		forged = append(forged, wfBroadcast{Hop: hop, A: agg.NewPartial(agg.Max, 0, q.Params, nil)})
+		forged = append(forged, wfBroadcast{Hop: hop, S: carry(agg.NewPartial(agg.Max, 0, q.Params, nil))})
 	}
 	for _, m := range forged {
 		w := NewWildfire(q)
@@ -273,9 +273,9 @@ func TestHandlersDropNonConformingPartials(t *testing.T) {
 			}
 		}
 		run(NewWildfire(q),
-			offWire(1, 0, wfBroadcast{Hop: 1, A: f.p}),
-			offWire(1, 0, wfConverge{A: f.p}),
-			offWire(3, 2, wfBroadcast{Hop: 1, A: f.p}))
+			offWire(1, 0, wfBroadcast{Hop: 1, S: carry(f.p)}),
+			offWire(1, 0, wfConverge{S: carry(f.p)}),
+			offWire(3, 2, wfBroadcast{Hop: 1, S: carry(f.p)}))
 		run(NewDAG(q, 2), offWire(1, 0, dagReport{A: f.p}))
 	}
 }

@@ -72,8 +72,8 @@ func TestWildfireCountSketchLevelValidity(t *testing.T) {
 				func(q Query) Protocol { return NewWildfire(q) })
 			_ = v
 			w := p.(*Wildfire)
-			final := agg.Sketches(w.Partial())
-			if len(final) != 1 {
+			final, avgCount := agg.WireSketches(w.Partial())
+			if final == nil || avgCount != nil {
 				t.Fatal("count partial should carry one sketch")
 			}
 			// Lower bound: every H_C host's own contribution is covered.
@@ -83,19 +83,21 @@ func TestWildfireCountSketchLevelValidity(t *testing.T) {
 				if init == nil {
 					t.Fatalf("r=%d seed=%d: H_C host %d never activated", r, seed, h)
 				}
-				orHC.Or(agg.Sketches(init)[0])
+				sk, _ := agg.WireSketches(init)
+				orHC.Or(sk)
 			}
-			if !final[0].Covers(orHC) {
+			if !final.Covers(orHC) {
 				t.Fatalf("r=%d seed=%d: final sketch misses H_C contributions", r, seed)
 			}
 			// Upper bound: nothing outside the union of activated hosts.
 			orAll := fm.NewSketch(16, 32)
 			for h := 0; h < g.Len(); h++ {
 				if init := w.HostInitial(graph.HostID(h)); init != nil {
-					orAll.Or(agg.Sketches(init)[0])
+					sk, _ := agg.WireSketches(init)
+					orAll.Or(sk)
 				}
 			}
-			if !orAll.Covers(final[0]) {
+			if !orAll.Covers(final) {
 				t.Fatalf("r=%d seed=%d: final sketch contains bits from nowhere", r, seed)
 			}
 		}

@@ -2,6 +2,8 @@ package protocol
 
 import (
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"validity/internal/agg"
 	"validity/internal/graph"
@@ -102,19 +104,70 @@ func (w *Wildfire) HostInitial(h graph.HostID) agg.Partial { return w.hosts[h].i
 // from h_q plus one.
 type wfBroadcast struct {
 	Hop int
-	A   agg.Partial
+	S   *wfSnap
 }
 
-// wfConverge is the Phase II message [q, A_h'].
+// wfConverge is the Phase II message [q, A_h']. It is pointer-shaped, so
+// boxing it into a Send's payload allocates nothing.
 type wfConverge struct {
-	A agg.Partial
+	S *wfSnap
+}
+
+// wfSnap is a snapshot of a host's partial, shared by the host and every
+// frame that carries it and never mutated while anyone holds it. refs
+// counts the holders: one for the host's own h.snap, one per frame, taken
+// before the send so that no receiver's release can precede it. Receive
+// releases a frame's ref whatever it makes of the frame; the release that
+// reaches zero puts the snapshot back in snapPool, and the next takeSnap —
+// or the next WILDFIRE frame the wire decodes — overwrites its partial in
+// place. A ref never released — a frame to a host that is dead or a query
+// that is gone, one encoded to a remote peer — only leaves its snapshot to
+// the garbage collector: a missed release costs an allocation, never an
+// answer.
+type wfSnap struct {
+	a    agg.Partial
+	refs atomic.Int32
+}
+
+var snapPool = sync.Pool{New: func() any { return new(wfSnap) }}
+
+// takeSnap returns a snapshot of p from the pool, holding one ref.
+func takeSnap(p agg.Partial) *wfSnap {
+	s := snapPool.Get().(*wfSnap)
+	s.a = agg.Assign(s.a, p)
+	s.refs.Store(1)
+	return s
+}
+
+// partial is the snapshot's partial; nil for a frame that carries none.
+func (s *wfSnap) partial() agg.Partial {
+	if s == nil {
+		return nil
+	}
+	return s.a
+}
+
+// release drops one ref; the last puts the snapshot back in the pool.
+func (s *wfSnap) release() {
+	if s != nil && s.refs.Add(-1) == 0 {
+		snapPool.Put(s)
+	}
 }
 
 const wfTagFlush = 3
 
 // wfHost is one host's state for one query, minted only on the process
 // that serves the host. What it keeps per neighbor is a version stamp,
-// never a partial: a received partial is garbage once Receive returns.
+// never a partial: a received snapshot goes back to the pool once every
+// Receive of it has returned.
+//
+// A snapshot's life at its host: outgoing takes one from the pool the
+// first time a version is sent, holding the host's ref; every send adds the
+// refs of its frames first — Degree() for a SendAll, Degree()−1 for a
+// SendAllExcept, one per neighbor that lacks the version for a flush; each
+// receiver releases one; and the version moving on releases the host's, so
+// the last of them sends it back to the pool for the next snapshot to be
+// copied into.
 type wfHost struct {
 	w       *Wildfire
 	isHq    bool
@@ -125,11 +178,11 @@ type wfHost struct {
 	// version stamps partial's state: 1 at activation, +1 exactly when
 	// Combine reports a change. Partials only grow: equal stamps, equal state.
 	version uint32
-	// snap is the immutable copy of partial taken at version snapAt (see
-	// snapshot). Every partial a host hands out or retains besides `partial`
-	// itself — snap, initial, message payloads — is never mutated again, so
-	// hosts share them freely, across goroutines too.
-	snap   agg.Partial
+	// snap is the snapshot of partial taken at version snapAt (see
+	// outgoing), nil until the first send. It and initial are never mutated
+	// while the host holds them, so frames share the one and callers read
+	// the other across goroutines.
+	snap   *wfSnap
 	snapAt uint32
 	// lastSent[i], indexed like ctx.Neighbors(): the version of our state
 	// neighbor i is known to hold (0: none), because we sent it or because
@@ -150,13 +203,17 @@ func (h *wfHost) limit() sim.Time {
 	return min(full, sim.Time(2*h.w.Query.DHat-h.dist+1))
 }
 
-// snapshot returns an immutable copy of the current partial, cloning only
-// when it changed since the last one: one snapshot serves every message of
-// a flush, and a fresh host's end-of-tick reply re-sends its broadcast's.
-func (h *wfHost) snapshot() agg.Partial {
+// outgoing returns the snapshot of the current partial with refs taken for
+// the n frames about to carry it. It takes a new snapshot only when the
+// version moved since the last, releasing the host's ref on that one: one
+// snapshot serves every message of a flush, and a fresh host's end-of-tick
+// reply re-sends its broadcast's.
+func (h *wfHost) outgoing(n int) *wfSnap {
 	if h.snapAt != h.version {
-		h.snap, h.snapAt = h.partial.Clone(), h.version
+		h.snap.release()
+		h.snap, h.snapAt = takeSnap(h.partial), h.version
 	}
+	h.snap.refs.Add(int32(n))
 	return h.snap
 }
 
@@ -165,7 +222,7 @@ func (h *wfHost) Start(ctx *sim.Context) {
 		return
 	}
 	h.activate(ctx, 0, nil)
-	ctx.SendAll(wfBroadcast{Hop: 1, A: h.snapshot()})
+	ctx.SendAll(wfBroadcast{Hop: 1, S: h.outgoing(ctx.Degree())})
 	h.noteSentToAll(ctx, graph.None)
 }
 
@@ -180,7 +237,7 @@ func (h *wfHost) activate(ctx *sim.Context, dist int, incoming agg.Partial) {
 	}
 	h.partial = agg.NewPartial(h.w.Query.Kind, value, h.w.Query.Params, ctx.Rand())
 	h.initial = h.partial.Clone()
-	h.snap, h.snapAt, h.version = h.initial, 1, 1 // the whole state, unless incoming adds to it
+	h.version = 1
 	h.lastSent = make([]uint32, ctx.Degree())
 	if incoming != nil && h.partial.Combine(incoming) {
 		h.version++
@@ -196,6 +253,17 @@ func (h *wfHost) noteSentToAll(ctx *sim.Context, skip graph.HostID) {
 }
 
 func (h *wfHost) Receive(ctx *sim.Context, msg sim.Message) {
+	b, broadcast := msg.Payload.(wfBroadcast)
+	s := b.S
+	if !broadcast {
+		c, ok := msg.Payload.(wfConverge)
+		if !ok {
+			return
+		}
+		s = c.S
+	}
+	// The frame's ref ends with this call, whichever way it returns.
+	defer s.release()
 	// from indexes ctx.Neighbors(); a frame from anywhere else did not
 	// travel an edge of G (§3.1) and is not this protocol's.
 	from := slices.Index(ctx.Neighbors(), msg.From)
@@ -206,23 +274,22 @@ func (h *wfHost) Receive(ctx *sim.Context, msg sim.Message) {
 	// sketch dimensions, or none at all, would panic Combine on the shard
 	// worker and take every query of the process down with it.
 	q := &h.w.Query
-	switch m := msg.Payload.(type) {
-	case wfBroadcast:
-		if agg.Conforms(m.A, q.Kind, q.Params) {
-			h.onBroadcast(ctx, from, msg.From, m)
-		}
-	case wfConverge:
-		if agg.Conforms(m.A, q.Kind, q.Params) {
-			h.onConverge(ctx, from, m.A)
-		}
+	a := s.partial()
+	if !agg.Conforms(a, q.Kind, q.Params) {
+		return
+	}
+	if broadcast {
+		h.onBroadcast(ctx, from, msg.From, b.Hop, a)
+	} else {
+		h.onConverge(ctx, from, a)
 	}
 }
 
-func (h *wfHost) onBroadcast(ctx *sim.Context, from int, sender graph.HostID, m wfBroadcast) {
+func (h *wfHost) onBroadcast(ctx *sim.Context, from int, sender graph.HostID, hop int, a agg.Partial) {
 	if h.active {
 		// Fig. 3: an active host drops the Broadcast message — but the
 		// piggybacked partial is still convergecast information (§5.1).
-		h.onConverge(ctx, from, m.A)
+		h.onConverge(ctx, from, a)
 		return
 	}
 	// Fig. 3 guard: activate only if t < 2D̂δ.
@@ -232,18 +299,18 @@ func (h *wfHost) onBroadcast(ctx *sim.Context, from int, sender graph.HostID, m 
 	// Hop comes off the wire. One that is no path length in G is a stale
 	// or hostile frame's: as dist it would put limit() in the past and
 	// silence this host for the whole query.
-	if m.Hop < 1 || m.Hop >= len(h.w.hosts) {
+	if hop < 1 || hop >= len(h.w.hosts) {
 		return
 	}
-	h.activate(ctx, m.Hop, m.A)
+	h.activate(ctx, hop, a)
 	// Forward the query with our partial piggybacked (the first
 	// convergecast message rides on the broadcast, footnote 4).
-	ctx.SendAllExcept(sender, wfBroadcast{Hop: h.dist + 1, A: h.snapshot()})
+	ctx.SendAllExcept(sender, wfBroadcast{Hop: h.dist + 1, S: h.outgoing(ctx.Degree() - 1)})
 	h.noteSentToAll(ctx, sender)
 	// If combining changed anything relative to what the sender already
 	// knows, the end-of-tick flush will reply to the sender (Example 5.1:
 	// x sends A_x back to w; y skips because A_y equals what w sent).
-	if !h.partial.Equal(m.A) {
+	if !h.partial.Equal(a) {
 		h.markDirty(ctx)
 	} else {
 		h.lastSent[from] = h.version // sender already holds this state
@@ -300,22 +367,27 @@ func (h *wfHost) Timer(ctx *sim.Context, tag int) {
 	if ctx.Medium() == sim.MediumWireless {
 		// One radio transmission reaches everyone; selective suppression
 		// saves nothing (§5.3).
-		ctx.SendAll(wfConverge{A: h.snapshot()})
+		ctx.SendAll(wfConverge{S: h.outgoing(ctx.Degree())})
 		h.noteSentToAll(ctx, graph.None)
 		return
 	}
-	// The snapshot is taken — and boxed into its message — on the first
-	// neighbor that actually needs it; a flush that suppresses every
-	// neighbor allocates nothing.
-	var msg any
-	for i, n := range ctx.Neighbors() {
-		if h.lastSent[i] == h.version {
-			continue // §5.1: the neighbor already holds this state
+	// §5.1: a neighbor that already holds this state is skipped. The refs
+	// of every frame are taken before the first goes out; a flush that
+	// skips every neighbor takes no snapshot at all.
+	n := 0
+	for _, v := range h.lastSent {
+		if v != h.version {
+			n++
 		}
-		if msg == nil {
-			msg = wfConverge{A: h.snapshot()}
+	}
+	if n == 0 {
+		return
+	}
+	msg := wfConverge{S: h.outgoing(n)}
+	for i, nb := range ctx.Neighbors() {
+		if h.lastSent[i] != h.version {
+			ctx.Send(nb, msg)
+			h.lastSent[i] = h.version
 		}
-		ctx.Send(n, msg)
-		h.lastSent[i] = h.version
 	}
 }

@@ -71,32 +71,70 @@ func TestWildfireDifferentialGolden(t *testing.T) {
 	goldenScenarios(t, func(string, *Wildfire, *sim.Network) {})
 }
 
-// sinkBackend lets a test drive one host's callbacks by hand: sends are
-// counted, timers ignored (the test fires the flush itself).
+// sinkBackend lets a test drive one host's callbacks by hand: timers are
+// ignored (the test fires the flush itself) and every frame sent is handed
+// to its receiver at once — its ref released, as Receive releases it — or,
+// with hold set, kept in held for the test to deliver.
 type sinkBackend struct {
 	g     *graph.Graph
+	coins *rand.Rand // nil: MAX tosses no coins
 	sends int
+	hold  bool
+	held  []sim.Message
 }
 
 func (b *sinkBackend) Now() sim.Time                             { return 1 }
 func (b *sinkBackend) Value(graph.HostID) int64                  { return 5 }
 func (b *sinkBackend) Graph() *graph.Graph                       { return b.g }
 func (b *sinkBackend) Medium() sim.Medium                        { return sim.MediumPointToPoint }
-func (b *sinkBackend) Rand(graph.HostID) *rand.Rand              { return nil } // MAX tosses no coins
-func (b *sinkBackend) Send(_, _ graph.HostID, _ any, _ int)      { b.sends++ }
+func (b *sinkBackend) Rand(graph.HostID) *rand.Rand              { return b.coins }
 func (b *sinkBackend) SetTimer(graph.HostID, sim.Time, int, int) {}
-func (b *sinkBackend) SendAll(from, skip graph.HostID, _ any, _ int) {
+func (b *sinkBackend) Send(from, to graph.HostID, payload any, chain int) {
+	b.hand(sim.MakeMessage(from, to, payload, chain))
+}
+func (b *sinkBackend) SendAll(from, skip graph.HostID, payload any, chain int) {
 	for _, to := range b.g.Neighbors(from) {
 		if to != skip {
-			b.sends++
+			b.hand(sim.MakeMessage(from, to, payload, chain))
 		}
 	}
 }
 
+func (b *sinkBackend) hand(m sim.Message) {
+	b.sends++
+	if b.hold {
+		b.held = append(b.held, m)
+		return
+	}
+	frameSnap(m.Payload).release()
+}
+
+// frameSnap is the snapshot a WILDFIRE frame carries, nil for any other.
+func frameSnap(payload any) *wfSnap {
+	switch m := payload.(type) {
+	case wfBroadcast:
+		return m.S
+	case wfConverge:
+		return m.S
+	}
+	return nil
+}
+
+// carry wraps p in a snapshot holding one ref, as a decoded frame's does;
+// nil carries nothing.
+func carry(p agg.Partial) *wfSnap {
+	if p == nil {
+		return nil
+	}
+	return takeSnap(p)
+}
+
 // TestWildfireRoundAllocations pins the garbage of one WILDFIRE round at
 // a host — Receive, then the end-of-tick flush — for the shapes a round
-// takes. Snapshots are shared, so the only allocations left are the one
-// clone of a partial that changed and the one boxed message per flush.
+// takes, with the sink handing every frame to its receiver: none. The
+// snapshot a flush replaces goes back to the pool once its last frame is
+// received, the next one is copied into it in place, and a wfConverge is
+// pointer-shaped, so boxing it allocates nothing.
 func TestWildfireRoundAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are pinned for uninstrumented builds")
@@ -118,7 +156,7 @@ func TestWildfireRoundAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx.Reset(be, 0, 1)
-		w.hosts[0].Receive(ctx, sim.MakeMessage(1, 0, wfBroadcast{Hop: 1, A: maxPartial(1)}, 1))
+		w.hosts[0].Receive(ctx, sim.MakeMessage(1, 0, wfBroadcast{Hop: 1, S: carry(maxPartial(1))}, 1))
 		return w.hosts[0]
 	}
 	flush := func(h *wfHost) (sent int) {
@@ -135,38 +173,45 @@ func TestWildfireRoundAllocations(t *testing.T) {
 	}
 	host := activated()
 	flush(host)
-	rising := make([]sim.Message, runs+1) // from neighbor 2: news every time
+	// News from neighbor 2, every time. The test keeps a ref on each of
+	// these, as it does on the duplicate, so a run recycles only what the
+	// host itself sends.
+	rising := make([]sim.Message, runs+1)
 	for i := range rising {
-		rising[i] = sim.MakeMessage(2, 0, wfConverge{A: maxPartial(int64(100 + i))}, 2)
+		rising[i] = sim.MakeMessage(2, 0, wfConverge{S: carry(maxPartial(int64(100 + i)))}, 2)
+		frameSnap(rising[i].Payload).refs.Add(1)
 	}
+	dup := sim.MakeMessage(2, 0, wfConverge{S: carry(maxPartial(100 + runs))}, 2)
 
 	next, sent := 0, 0
-	check := func(shape string, wantAllocs float64, wantSent int, f func()) {
+	check := func(shape string, wantSent int, f func()) {
 		t.Helper()
 		next = 0
-		if got := testing.AllocsPerRun(runs, f); got != wantAllocs || sent != wantSent {
-			t.Errorf("%s: %.0f allocations and %d sends per round, want %.0f and %d",
-				shape, got, sent, wantAllocs, wantSent)
+		if got := testing.AllocsPerRun(runs, f); got != 0 || sent != wantSent {
+			t.Errorf("%s: %.0f allocations and %d sends per round, want 0 and %d",
+				shape, got, sent, wantSent)
 		}
 	}
 	// The reply to the activator: nothing changed since the snapshot the
-	// broadcast carried, so it is re-sent — one boxed message, no clone.
-	check("reply to activator", 1, 1, func() {
+	// broadcast carried, so it is re-sent.
+	check("reply to activator", 1, func() {
 		sent = flush(fresh[next])
 		next++
 	})
-	// News from neighbor 2: clone the changed partial once, box one
-	// message, send it to the three neighbors that lack it.
-	check("changed", 2, deg-1, func() {
+	// The partial changed: the flush copies it into the snapshot the last
+	// one's receivers gave back and sends it to the three neighbors that
+	// lack it.
+	check("changed", deg-1, func() {
 		ctx.Reset(be, 0, 2)
 		host.Receive(ctx, rising[next])
 		next++
 		sent = flush(host)
 	})
 	// The same partial again: nothing to learn, nothing to say.
-	check("duplicate", 0, 0, func() {
+	check("duplicate", 0, func() {
+		frameSnap(dup.Payload).refs.Add(1) // this delivery's ref
 		ctx.Reset(be, 0, 2)
-		host.Receive(ctx, rising[runs])
+		host.Receive(ctx, dup)
 		sent = flush(host)
 	})
 }

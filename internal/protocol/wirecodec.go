@@ -33,7 +33,8 @@ import (
 //	gsPair:       sum f64 | weight f64
 //
 // "partial?" is internal/wire's partial encoding, present iff has = 1.
-// Every Decode copies what it keeps out of the body (wire.PayloadCodec).
+// Every Decode copies what it keeps out of the body (wire.PayloadCodec);
+// the WILDFIRE two copy it into a snapshot from the pool (decodeSnap).
 const (
 	tagWfBroadcast  uint8 = 1
 	tagWfConverge   uint8 = 2
@@ -85,37 +86,37 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return appendOptPartial(buf, m.A)
+			return appendOptPartial(buf, m.S.partial())
 		},
 		Size: func(payload any) (int, error) {
-			return sizeOptPartial(4, payload.(wfBroadcast).A)
+			return sizeOptPartial(4, payload.(wfBroadcast).S.partial())
 		},
 		Decode: func(body []byte) (any, error) {
 			if len(body) < 4 {
 				return nil, fmt.Errorf("truncated wfBroadcast")
 			}
-			p, err := decodeOptPartial(body[4:])
+			s, err := decodeSnap(body[4:])
 			if err != nil {
 				return nil, err
 			}
-			return wfBroadcast{Hop: int(binary.LittleEndian.Uint32(body[0:4])), A: p}, nil
+			return wfBroadcast{Hop: int(binary.LittleEndian.Uint32(body[0:4])), S: s}, nil
 		},
 	})
 
 	wire.RegisterPayload(tagWfConverge, wire.PayloadCodec{
 		Name: "wfConverge",
 		Append: func(buf []byte, payload any) ([]byte, error) {
-			return appendOptPartial(buf, payload.(wfConverge).A)
+			return appendOptPartial(buf, payload.(wfConverge).S.partial())
 		},
 		Size: func(payload any) (int, error) {
-			return sizeOptPartial(0, payload.(wfConverge).A)
+			return sizeOptPartial(0, payload.(wfConverge).S.partial())
 		},
 		Decode: func(body []byte) (any, error) {
-			p, err := decodeOptPartial(body)
+			s, err := decodeSnap(body)
 			if err != nil {
 				return nil, err
 			}
-			return wfConverge{A: p}, nil
+			return wfConverge{S: s}, nil
 		},
 	})
 
@@ -191,7 +192,7 @@ func init() {
 			return sizeOptPartial(0, payload.(dagReport).A)
 		},
 		Decode: func(body []byte) (any, error) {
-			p, err := decodeOptPartial(body)
+			p, err := decodeOptPartial(nil, body)
 			if err != nil {
 				return nil, err
 			}
@@ -303,9 +304,23 @@ func sizeOptPartial(prefix int, p agg.Partial) (int, error) {
 	return prefix + 1 + n, nil
 }
 
-// decodeOptPartial parses "has u8 | partial?", enforcing that the partial
-// consumes the body exactly.
-func decodeOptPartial(body []byte) (agg.Partial, error) {
+// decodeSnap parses "has u8 | partial?" into a snapshot from the pool that
+// holds the frame's one ref, for the receiver to release; nil when has = 0.
+func decodeSnap(body []byte) (*wfSnap, error) {
+	s := snapPool.Get().(*wfSnap)
+	p, err := decodeOptPartial(s.a, body)
+	if err != nil || p == nil {
+		snapPool.Put(s)
+		return nil, err
+	}
+	s.a = p
+	s.refs.Store(1)
+	return s, nil
+}
+
+// decodeOptPartial parses "has u8 | partial?" into dst (wire.DecodePartial),
+// enforcing that the partial consumes the body exactly.
+func decodeOptPartial(dst agg.Partial, body []byte) (agg.Partial, error) {
 	if len(body) < 1 {
 		return nil, fmt.Errorf("missing has-partial flag")
 	}
@@ -316,7 +331,7 @@ func decodeOptPartial(body []byte) (agg.Partial, error) {
 		}
 		return nil, nil
 	case 1:
-		p, _, n, err := wire.DecodePartial(body[1:])
+		p, _, n, err := wire.DecodePartial(dst, body[1:])
 		if err != nil {
 			return nil, err
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"validity/internal/agg"
-	"validity/internal/fm"
 	"validity/internal/wire"
 )
 
@@ -20,9 +19,9 @@ func allMessages(tb testing.TB) []any {
 	rng := rand.New(rand.NewSource(11))
 	return []any{
 		wfBroadcast{Hop: 3},
-		wfBroadcast{Hop: 0, A: agg.NewPartial(agg.Count, 5, codecParams(), rng)},
+		wfBroadcast{Hop: 0, S: carry(agg.NewPartial(agg.Count, 5, codecParams(), rng))},
 		wfConverge{},
-		wfConverge{A: agg.NewPartial(agg.Avg, 7, codecParams(), rng)},
+		wfConverge{S: carry(agg.NewPartial(agg.Avg, 7, codecParams(), rng))},
 		stBroadcast{Level: 4},
 		stReport{},
 		stReport{A: &ExactPartial{Count: 2, Sum: -9, Min: -11, Max: 3}},
@@ -34,7 +33,7 @@ func allMessages(tb testing.TB) []any {
 		rrBroadcast{},
 		rrReport{},
 		gsPair{Sum: 3.25, Weight: 0.5},
-		wfBroadcast{Hop: 2, A: agg.NewPartial(agg.Avg, 7, codecParams(), rng)},
+		wfBroadcast{Hop: 2, S: carry(agg.NewPartial(agg.Avg, 7, codecParams(), rng))},
 		// Not protocol messages: the quiescence control frames — a
 		// worker's announce, the issuer's Done — ride the same framing, so
 		// they belong in the same round-trip, hostile-body, and fuzz
@@ -118,15 +117,11 @@ func TestWildfireFrameGoldenBytes(t *testing.T) {
 		// vector 2 = 0b0000011 → 00000, vector 3 = 0b1111111 → 11111
 		0b000_00100, 0b1_00000_10, 0b0000_1111,
 	}
-	sk, n, err := fm.ReadPacked(4, 32, packed)
-	if err != nil || n != len(packed) {
+	p, _, n, err := wire.DecodePartial(nil, append([]byte{3, 4, 32}, packed...)) // count, 4 vectors, 32 bits
+	if err != nil || n != 3+len(packed) {
 		t.Fatal(n, err)
 	}
-	p, err := agg.PartialFromSketches(agg.Count, sk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf, err := wire.AppendFrame(nil, wire.Frame{From: 1, To: 2, Query: 5, Chain: 3, Payload: wfConverge{A: p}})
+	buf, err := wire.AppendFrame(nil, wire.Frame{From: 1, To: 2, Query: 5, Chain: 3, Payload: wfConverge{S: carry(p)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +138,7 @@ func TestWildfireFrameGoldenBytes(t *testing.T) {
 		t.Fatalf("frame bytes\n got %v\nwant %v", buf, want)
 	}
 	got, err := wire.DecodeFrameBody(want[4:])
-	if err != nil || !got.Payload.(wfConverge).A.Equal(p) {
+	if err != nil || !got.Payload.(wfConverge).S.partial().Equal(p) {
 		t.Fatalf("the golden frame does not decode to the partial it was built from: %v", err)
 	}
 	if est := p.Result(); est < 12.2 || est > 12.4 { // lowest zero bits 2, 2, 2, 7: 2^(13/4)/φ

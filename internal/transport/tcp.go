@@ -18,8 +18,9 @@ import (
 )
 
 // maxFrame bounds one wire frame. Protocol messages are a few hundred
-// bytes (an FM partial is vectors×4 bytes plus a small header); anything
-// near this limit is a corrupt or hostile stream.
+// bytes at most (an FM sketch travels as its occupied bit window, at most
+// vectors×bits/8 bytes plus a small header); anything near this limit is a
+// corrupt or hostile stream.
 const maxFrame = 1 << 24
 
 // maxBatch caps the frames one writer packs into a single conn.Write:
@@ -78,8 +79,8 @@ type TCP struct {
 	// update is one nil branch).
 	Obs *obs.Registry
 	// Log, when set before Open, receives the transport's warnings (an
-	// inbound connection dropped for an undecodable frame); nil means
-	// slog.Default().
+	// inbound connection dropped for an undecodable frame, a frame for a
+	// host this process does not serve); nil means slog.Default().
 	Log *slog.Logger
 
 	// met holds the pre-registered counters, built once in Open; its
@@ -107,6 +108,7 @@ type tcpMetrics struct {
 	framesIn     *obs.Counter
 	bytesIn      *obs.Counter
 	undecodable  *obs.Counter
+	misrouted    *obs.Counter
 	batchFlushes *obs.Counter
 	framesPerWr  *obs.Histogram
 	framesDrop   *obs.Counter
@@ -142,6 +144,7 @@ func (t *TCP) initMetrics() {
 		framesIn:     reg.Counter("transport_frames_in_total", "Frames decoded off inbound connections."),
 		bytesIn:      reg.Counter("transport_bytes_in_total", "Wire bytes read off inbound connections (length prefix included)."),
 		undecodable:  reg.Counter("transport_frames_undecodable_total", "Inbound frames that failed to decode (bad version, tag or body); each drops its connection."),
+		misrouted:    reg.Counter("transport_frames_misrouted_total", "Inbound frames addressed to a host this process does not serve (processes disagree on which host lives where); each is dropped."),
 		batchFlushes: reg.Counter("transport_batch_flushes_total", "Coalesced batch writes flushed to peers."),
 		framesPerWr:  reg.Histogram("transport_frames_per_write", "Frames packed into one connection write.", batchBuckets),
 		framesDrop:   reg.Counter("transport_frames_dropped_total", "Outbound frames dropped after a failed write and failed retry."),
@@ -280,6 +283,7 @@ func (t *TCP) readLoop(c net.Conn) {
 	br := bufio.NewReaderSize(c, 64<<10)
 	var lenBuf [4]byte
 	var body []byte // one buffer per connection: payload codecs never alias it
+	warnedMisrouted := false
 	for {
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			return
@@ -298,30 +302,46 @@ func (t *TCP) readLoop(c net.Conn) {
 			// the connection, but not without a trace — a fleet that mixes
 			// wire versions would otherwise just go quiet.
 			t.met.undecodable.Inc()
-			log := t.Log
-			if log == nil {
-				log = slog.Default()
-			}
-			log.Warn("transport: dropping connection on undecodable frame", "peer", c.RemoteAddr().String(), "err", err)
+			t.log().Warn("transport: dropping connection on undecodable frame", "peer", c.RemoteAddr().String(), "err", err)
 			return
 		}
 		t.met.framesIn.Inc()
 		t.met.bytesIn.Add(int64(n) + 4)
-		t.deliverLocal(Message{
+		served := t.deliverLocal(Message{
 			From:    f.From,
 			To:      f.To,
 			Query:   QueryID(f.Query),
 			Chain:   f.Chain,
 			Payload: f.Payload,
 		})
+		if !served {
+			// The peer maps the host to this process and this process does
+			// not: the two were started with different host→address maps.
+			// The connection stays up for the frames that are routed right.
+			t.met.misrouted.Inc()
+			if !warnedMisrouted {
+				warnedMisrouted = true
+				t.log().Warn("transport: dropping frames for a host this process does not serve",
+					"host", f.To, "from", f.From, "peer", c.RemoteAddr().String())
+			}
+		}
 	}
 }
 
-// deliverLocal hands msg to the bound RecvFunc, dropping it if the
-// destination is not served here or the transport has closed.
-func (t *TCP) deliverLocal(msg Message) {
+// log is where the transport's warnings go.
+func (t *TCP) log() *slog.Logger {
+	if t.Log != nil {
+		return t.Log
+	}
+	return slog.Default()
+}
+
+// deliverLocal hands msg to the bound RecvFunc and reports whether its
+// destination is served here; a frame that arrives after Close is dropped
+// either way.
+func (t *TCP) deliverLocal(msg Message) (served bool) {
 	t.mu.Lock()
-	fn := t.recv[msg.To]
+	fn, served := t.recv[msg.To]
 	if t.closed {
 		fn = nil
 	}
@@ -329,6 +349,7 @@ func (t *TCP) deliverLocal(msg Message) {
 	if fn != nil {
 		fn(msg)
 	}
+	return served
 }
 
 // Send implements Transport. Destinations served by this process are

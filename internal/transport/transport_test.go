@@ -263,6 +263,58 @@ func TestTCPUndecodableFrameCountedAndLogged(t *testing.T) {
 	}
 }
 
+// A frame for a host this process does not serve — what a peer started
+// with another host→address map sends — is counted and warned about once
+// per connection, naming the host and the peer, and the connection keeps
+// carrying the frames that are routed right.
+func TestTCPMisroutedFrameCountedAndLogged(t *testing.T) {
+	ports := freeAddrs(t, 2)
+	b := NewTCP([]string{ports[0], ports[1], ports[1]}) // host 2 is mapped here but not served
+	reg, logs := obs.NewRegistry(), &lockedBuffer{}
+	b.Obs, b.Log = reg, obs.NewLogger(logs, slog.LevelWarn)
+	var cb collector
+	if err := b.Bind(1, cb.recv); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Open(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	c, err := net.Dial("tcp", ports[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	frame := func(to graph.HostID, payload string) []byte {
+		buf, err := wire.AppendFrame(nil, wire.Frame{From: 0, To: to, Query: 1, Chain: 1, Payload: payload})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	misrouted := reg.Counter("transport_frames_misrouted_total", "")
+	for i, want := range []int64{1, 2} {
+		if _, err := c.Write(append(frame(2, "lost"), frame(1, "routed")...)); err != nil {
+			t.Fatal(err)
+		}
+		got := cb.waitFor(t, i+1, 2*time.Second)
+		if got[i].Payload != "routed" {
+			t.Fatalf("delivered %+v, want the routed frame", got[i])
+		}
+		if n := misrouted.Value(); n != want {
+			t.Fatalf("transport_frames_misrouted_total = %d after %d misrouted frames", n, want)
+		}
+	}
+	line := "transport: dropping frames for a host this process does not serve"
+	if got := strings.Count(logs.String(), line); got != 1 {
+		t.Fatalf("%q logged %d times, want once per connection:\n%s", line, got, logs.String())
+	}
+	if !strings.Contains(logs.String(), "level=WARN") || !strings.Contains(logs.String(), "host=2") ||
+		!strings.Contains(logs.String(), "peer="+c.LocalAddr().String()) {
+		t.Fatalf("the warning names no host or peer, or not at warn:\n%s", logs.String())
+	}
+}
+
 func TestTCPLocalShortcut(t *testing.T) {
 	_, b, _, _, cb2 := newTCPPair(t)
 	// Host 1 and 2 share transport B: delivery must work without a socket.

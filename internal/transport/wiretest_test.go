@@ -78,7 +78,7 @@ func init() {
 					return nil, fmt.Errorf("trailing bytes after empty sketchPayload")
 				}
 			case 1:
-				p, _, n, err := wire.DecodePartial(body[9:])
+				p, _, n, err := wire.DecodePartial(nil, body[9:])
 				if err != nil {
 					return nil, err
 				}

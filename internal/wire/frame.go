@@ -54,9 +54,11 @@ type PayloadCodec struct {
 	// Size is Append's growth in bytes, computed without encoding.
 	Size func(payload any) (int, error)
 	// Decode rebuilds the payload from exactly the body bytes. It must
-	// not alias body: the payload outlives the call (WILDFIRE retains
-	// received partials for the rest of the query) and the TCP read loop
-	// overwrites body with the connection's next frame.
+	// not alias body: the payload outlives the call — it waits on a shard
+	// queue until its handler runs — and the TCP read loop overwrites body
+	// with the connection's next frame. It may build the payload in
+	// recycled storage (WILDFIRE decodes into snapshots from its pool,
+	// which its handler releases).
 	Decode func(body []byte) (any, error)
 }
 

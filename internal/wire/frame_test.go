@@ -48,7 +48,7 @@ func init() {
 			return PartialSize(k, p)
 		},
 		Decode: func(body []byte) (any, error) {
-			p, _, n, err := DecodePartial(body)
+			p, _, n, err := DecodePartial(nil, body)
 			if err == nil && n != len(body) {
 				err = fmt.Errorf("%d trailing bytes after partial", len(body)-n)
 			}

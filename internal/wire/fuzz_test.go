@@ -81,6 +81,9 @@ func FuzzDecode(f *testing.F) {
 
 // FuzzDecodePartial covers the partial decoder on its own, where the
 // bytes arrive without a frame around them and may run past the partial.
+// Decoding into a recycled partial — every kind, sketches with more
+// storage and with less than the input's, every bit set — must give what a
+// fresh decode gives and fail where it fails.
 func FuzzDecodePartial(f *testing.F) {
 	rng := rand.New(rand.NewSource(8))
 	for _, k := range []agg.Kind{agg.Min, agg.Count, agg.Avg} {
@@ -96,7 +99,16 @@ func FuzzDecodePartial(f *testing.F) {
 		f.Add(hostile)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, k, n, err := DecodePartial(data)
+		p, k, n, err := DecodePartial(nil, data)
+		for _, dst := range dirtyPartials(t) {
+			dp, dk, dn, derr := DecodePartial(dst, data)
+			if (err == nil) != (derr == nil) || err != nil && err.Error() != derr.Error() {
+				t.Fatalf("into a recycled %T: err = %v, into nothing %v", dst, derr, err)
+			}
+			if err == nil && (dk != k || dn != n || !dp.Equal(p)) {
+				t.Fatalf("into a recycled %T: a %v partial of %d bytes, into nothing a %v of %d", dst, dk, dn, k, n)
+			}
+		}
 		if err != nil {
 			return
 		}
@@ -108,4 +120,27 @@ func FuzzDecodePartial(f *testing.F) {
 			t.Fatalf("decoded partial re-encodes differently\n  in %x\n out %x", data[:n], buf)
 		}
 	})
+}
+
+// dirtyPartials are recycled destinations for the partial decoder, one of
+// every kind with every bit set: scalars of all ones, sketches of 67
+// 64-bit vectors (more storage than any input here) and of one 1-bit
+// vector (less) — each a window of width 0 above the vectors' every bit.
+func dirtyPartials(tb testing.TB) []agg.Partial {
+	tb.Helper()
+	var out []agg.Partial
+	for _, enc := range [][]byte{
+		{tagMin, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF},
+		{tagMax, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF},
+		{tagCount, 67, 64, 64, 0}, {tagCount, 1, 1, 1, 0},
+		{tagSum, 67, 64, 64, 0}, {tagSum, 1, 1, 1, 0},
+		{tagAvg, 67, 64, 64, 0, 64, 0}, {tagAvg, 1, 1, 1, 0, 1, 0},
+	} {
+		p, _, _, err := DecodePartial(nil, enc)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, p)
+	}
+	return out
 }

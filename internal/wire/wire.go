@@ -186,10 +186,14 @@ func PartialSize(k agg.Kind, p agg.Partial) (int, error) {
 	return 0, fmt.Errorf("wire: unencodable kind %v", k)
 }
 
-// DecodePartial decodes a partial from buf, returning the partial, its
-// kind and the number of bytes consumed. A sketch's vectors are unpacked
-// straight into the storage the partial keeps.
-func DecodePartial(buf []byte) (agg.Partial, agg.Kind, int, error) {
+// DecodePartial decodes a partial from buf into dst and returns the
+// partial, its kind and the number of bytes consumed. The partial is dst
+// itself when dst is one of the decoded kind — its storage reused, a
+// sketch's vectors unpacked straight into it and everything it held
+// overwritten — and a fresh one otherwise (dst nil included), so a
+// receiver that recycles its partials decodes without allocating. On an
+// error what dst holds is unspecified.
+func DecodePartial(dst agg.Partial, buf []byte) (agg.Partial, agg.Kind, int, error) {
 	if len(buf) < 1 {
 		return nil, 0, 0, fmt.Errorf("wire: empty partial")
 	}
@@ -201,32 +205,24 @@ func DecodePartial(buf []byte) (agg.Partial, agg.Kind, int, error) {
 		if len(buf) < 9 {
 			return nil, 0, 0, fmt.Errorf("wire: truncated scalar partial")
 		}
-		v := int64(binary.LittleEndian.Uint64(buf[1:9]))
-		// Reconstruct through the public constructor: a scalar partial's
-		// state is exactly its value.
-		return agg.NewPartial(k, v, agg.Params{}, nil), k, 9, nil
+		return agg.Refill(dst, k, int64(binary.LittleEndian.Uint64(buf[1:9]))), k, 9, nil
 	}
 	if len(buf) < 3 {
 		return nil, 0, 0, fmt.Errorf("wire: truncated sketch header")
 	}
 	vectors, bits := int(buf[1]), int(buf[2]) // vetted by fm.ReadPacked
-
-	n := 1 // sketches in the partial
-	if k == agg.Avg {
-		n = 2
-	}
+	p := agg.Refill(dst, k, 0)
+	a, b := agg.WireSketches(p) // b is the avg count sketch, nil otherwise
 	used := 3
-	var sks [2]fm.Sketch
-	for i := range sks[:n] {
-		var size int
-		if sks[i], size, err = fm.ReadPacked(vectors, bits, buf[used:]); err != nil {
+	for _, sk := range [...]*fm.Sketch{a, b} {
+		if sk == nil {
+			break
+		}
+		size, err := fm.ReadPacked(sk, vectors, bits, buf[used:])
+		if err != nil {
 			return nil, 0, 0, fmt.Errorf("wire: %w", err)
 		}
 		used += size
-	}
-	p, err := agg.PartialFromSketches(k, sks[:n]...)
-	if err != nil {
-		return nil, 0, 0, err
 	}
 	return p, k, used, nil
 }

@@ -19,7 +19,7 @@ func TestScalarRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotK, n, err := DecodePartial(buf)
+			got, gotK, n, err := DecodePartial(nil, buf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,7 +45,7 @@ func TestSketchRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, gotK, n, err := DecodePartial(buf)
+		got, gotK, n, err := DecodePartial(nil, buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,35 +62,35 @@ func TestSketchRoundTrip(t *testing.T) {
 }
 
 func TestDecodePartialErrors(t *testing.T) {
-	if _, _, _, err := DecodePartial(nil); err == nil {
+	if _, _, _, err := DecodePartial(nil, nil); err == nil {
 		t.Fatal("empty partial accepted")
 	}
-	if _, _, _, err := DecodePartial([]byte{1, 0}); err == nil {
+	if _, _, _, err := DecodePartial(nil, []byte{1, 0}); err == nil {
 		t.Fatal("truncated scalar accepted")
 	}
-	if _, _, _, err := DecodePartial([]byte{3, 8}); err == nil {
+	if _, _, _, err := DecodePartial(nil, []byte{3, 8}); err == nil {
 		t.Fatal("truncated sketch header accepted")
 	}
-	if _, _, _, err := DecodePartial([]byte{3, 0, 32}); err == nil {
+	if _, _, _, err := DecodePartial(nil, []byte{3, 0, 32}); err == nil {
 		t.Fatal("zero-vector sketch accepted")
 	}
-	if _, _, _, err := DecodePartial([]byte{3, 1, 99}); err == nil {
+	if _, _, _, err := DecodePartial(nil, []byte{3, 1, 99}); err == nil {
 		t.Fatal("oversized bits accepted")
 	}
-	if _, _, _, err := DecodePartial([]byte{3, 4, 32, 0}); err == nil {
+	if _, _, _, err := DecodePartial(nil, []byte{3, 4, 32, 0}); err == nil {
 		t.Fatal("truncated sketch window accepted")
 	}
 	for name, buf := range hostileSketches() {
-		if p, _, _, err := DecodePartial(buf); err == nil {
+		if p, _, _, err := DecodePartial(nil, buf); err == nil {
 			t.Errorf("%s accepted: decoded to %v", name, p.Result())
 		}
 	}
 	// The same windows, minimal and inside the width, decode — from the
 	// front of a longer buffer too.
-	if _, _, n, err := DecodePartial([]byte{3, 1, 31, 0, 31, 0xFE, 0xFF, 0xFF, 0x7F}); err != nil || n != 9 {
+	if _, _, n, err := DecodePartial(nil, []byte{3, 1, 31, 0, 31, 0xFE, 0xFF, 0xFF, 0x7F}); err != nil || n != 9 {
 		t.Fatalf("a 31-bit vector with all bits but the lowest: n=%d err=%v", n, err)
 	}
-	if _, _, n, err := DecodePartial([]byte{3, 2, 32, 0, 4, 0x98, 0xEE}); err != nil || n != 6 {
+	if _, _, n, err := DecodePartial(nil, []byte{3, 2, 32, 0, 4, 0x98, 0xEE}); err != nil || n != 6 {
 		t.Fatalf("vectors 0x8 and 0x9, then a stray byte: n=%d err=%v", n, err)
 	}
 }
@@ -125,7 +125,7 @@ func TestCombineAfterRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, _, _, err := DecodePartial(buf)
+	decoded, _, _, err := DecodePartial(nil, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestQuickPartialRoundTrip(t *testing.T) {
 		if string(buf1) != string(buf2) {
 			return false
 		}
-		got, k, used, err := DecodePartial(buf1)
+		got, k, used, err := DecodePartial(nil, buf1)
 		if err != nil || k != agg.Avg || used != len(buf1) || !got.Equal(p) {
 			return false
 		}
@@ -188,7 +188,7 @@ func TestMessageSizeSmallAndFixed(t *testing.T) {
 		}
 	}
 	// The bound: vectors that share no low run and reach the top bit.
-	full, _, _, err := DecodePartial(append([]byte{3, 8, 32, 0, 32}, bytes.Repeat([]byte{0, 0, 0, 0x80, 0xFE, 0xFF, 0xFF, 0xFF}, 4)...))
+	full, _, _, err := DecodePartial(nil, append([]byte{3, 8, 32, 0, 32}, bytes.Repeat([]byte{0, 0, 0, 0x80, 0xFE, 0xFF, 0xFF, 0xFF}, 4)...))
 	if err != nil {
 		t.Fatal(err)
 	}
