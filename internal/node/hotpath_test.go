@@ -1,9 +1,14 @@
 package node
 
 import (
+	"math"
+	gort "runtime"
+	"runtime/debug"
 	"testing"
+	"time"
 
 	"validity/internal/agg"
+	"validity/internal/churn"
 	"validity/internal/graph"
 	"validity/internal/protocol"
 	"validity/internal/sim"
@@ -13,15 +18,13 @@ import (
 
 // A host's activation sketch — its own FM coins — must not depend on
 // which process serves it: for every host they share, a runtime serving
-// all hosts and one serving a third of them toss identical coins.
+// all hosts and one serving only that host toss identical coins. On the
+// all-host runtime the query takes hq's neighbors out at tick 0, so on
+// both nothing reaches hq and its partial is its activation sketch.
 func TestActivationSketchIndependentOfSharding(t *testing.T) {
 	g := topology.NewRandom(30, 4, 23)
-	var third []graph.HostID
-	for h := 10; h < 20; h++ {
-		third = append(third, graph.HostID(h))
-	}
 	// activate issues query id = hq+1 at hq on a runtime serving local and
-	// returns the partial hq froze when its Start activated it.
+	// returns hq's partial once its Start has activated it.
 	activate := func(local []graph.HostID, hq graph.HostID) agg.Partial {
 		rt, err := New(Config{Graph: g, Transport: transport.NewChannel(g.Len(), 0), Local: local})
 		if err != nil {
@@ -29,8 +32,16 @@ func TestActivationSketchIndependentOfSharding(t *testing.T) {
 		}
 		q := protocol.Query{Kind: agg.Count, Hq: hq, DHat: 4, Params: agg.Params{Vectors: 64, Bits: 32}}
 		w := protocol.NewWildfire(q)
+		var isolate churn.Timeline
+		for _, n := range g.Neighbors(hq) {
+			isolate = append(isolate, churn.Event{H: n, T: 0})
+		}
 		rt.SetQueryFactory(func(id QueryID) (*QueryInstance, error) {
-			return BuildInstance(rt, w, QuerySeed(23, id))
+			inst, err := BuildInstance(rt, w, QuerySeed(23, id))
+			if err == nil {
+				inst.Churn = isolate
+			}
+			return inst, err
 		})
 		if err := rt.Start(); err != nil {
 			t.Fatal(err)
@@ -41,7 +52,11 @@ func TestActivationSketchIndependentOfSharding(t *testing.T) {
 		}
 		var initial agg.Partial
 		// Do queues behind hq's Start on hq's shard worker.
-		if err := rt.Do(hq, func() { initial = w.HostInitial(hq) }); err != nil {
+		if err := rt.Do(hq, func() {
+			if p := w.Partial(); p != nil {
+				initial = p.Clone()
+			}
+		}); err != nil {
 			t.Fatal(err)
 		}
 		if initial == nil || initial.Result() == 0 {
@@ -50,8 +65,8 @@ func TestActivationSketchIndependentOfSharding(t *testing.T) {
 		return initial
 	}
 	var prev agg.Partial
-	for _, hq := range third {
-		all, shard := activate(nil, hq), activate(third, hq)
+	for hq := graph.HostID(10); hq < 20; hq++ {
+		all, shard := activate(nil, hq), activate([]graph.HostID{hq}, hq)
 		if !all.Equal(shard) {
 			t.Errorf("host %d tosses different coins all-local and sharded", hq)
 		}
@@ -123,5 +138,72 @@ func TestFramePathAllocations(t *testing.T) {
 	t.Logf("%.2f allocations per frame (%.0f per %d-frame run)", perFrame, perRun, relayHops)
 	if perFrame > 0.25 { // 7.00 before the ring and the reused context; 1.00 before the timer freelist
 		t.Fatalf("%.2f allocations per frame on the chan engine, want 0", perFrame)
+	}
+}
+
+// queryAllocBudget is what TestWildfireQueryAllocBytes allows a query to
+// allocate per served host, in bytes: 1.25× the ~550 it reads once every
+// WILDFIRE snapshot goes back to the pool (~1,150 while each host kept its
+// last snapshot and activation kept a clone).
+const queryAllocBudget = 690
+
+// TestWildfireQueryAllocBytes is the end-to-end allocation budget of a
+// query: a warm, all-local chan runtime on a 256-host random graph answers
+// WILDFIRE COUNT queries at c = 64 in windows of five, and the bytes the
+// process allocates over a window, per query and served host, must stay
+// inside queryAllocBudget. What a query still allocates is its per-host
+// state — handlers, partials, coin streams — not the frames it floods.
+//
+// Buffers that only grow — the delivery ring, the timer heap — double
+// when a query's flood runs deeper than any before it, which a loaded box
+// can cause at any query; one such doubling inside a window reads as
+// ~200 B a host. So the reading is the least of three windows: a one-off
+// growth lands in one, a per-query cost in all.
+func TestWildfireQueryAllocBytes(t *testing.T) {
+	if raceSlowdown > 1 {
+		t.Skip("the race detector allocates on its own")
+	}
+	const hosts, queries, windows, hop = 256, 5, 3, 5 * time.Millisecond
+	g := topology.NewRandom(hosts, 5, 23)
+	rt, err := New(Config{Graph: g, Transport: transport.NewChannel(hosts, hop/2), Hop: hop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := protocol.Query{Kind: agg.Count, Hq: 0, DHat: g.Diameter(nil) + 2, Params: fmParams}
+	rt.SetQueryFactory(func(id QueryID) (*QueryInstance, error) {
+		return BuildInstance(rt, protocol.NewWildfire(q), QuerySeed(23, id))
+	})
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+	floor, settle, hardCap := rt.AwaitBracket(q.Deadline())
+	answer := func(id QueryID) {
+		if _, err := rt.StartQuery(id); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := rt.AwaitQueryResult(id, q.Hq, floor, settle, hardCap); err != nil || !ok {
+			t.Fatalf("query %d declared nothing (ok=%t, err=%v)", id, ok, err)
+		}
+	}
+	// A collection empties the sync.Pools, so one landing inside the
+	// measurement would charge these queries for refilling them: the
+	// collector stays off from the warm-up query on.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	answer(1) // warm: pools, timer freelist, delivery ring, shard queues
+	perHost := math.Inf(1)
+	for w, id := 0, QueryID(2); w < windows; w++ {
+		var before, after gort.MemStats
+		gort.ReadMemStats(&before)
+		for end := id + queries; id < end; id++ {
+			answer(id)
+		}
+		gort.ReadMemStats(&after)
+		reading := float64(after.TotalAlloc-before.TotalAlloc) / queries / hosts
+		t.Logf("window %d: %.0f bytes allocated per query per served host", w, reading)
+		perHost = min(perHost, reading)
+	}
+	if perHost > queryAllocBudget {
+		t.Fatalf("%.0f bytes allocated per query per served host, budget %d", perHost, queryAllocBudget)
 	}
 }

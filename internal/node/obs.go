@@ -106,7 +106,7 @@ func (rt *Runtime) initObs(reg *obs.Registry, tracer *obs.Tracer) {
 		var total int
 		for _, s := range rt.shards {
 			s.mu.Lock()
-			total += len(s.ov)
+			total += s.parked()
 			s.mu.Unlock()
 		}
 		return float64(total)

@@ -124,16 +124,22 @@ type shard struct {
 	// Overflow for dispatch(): items parked when ch is full, fed in FIFO
 	// order by at most one drainer goroutine (busy) so the timer loop
 	// never blocks behind a congested shard and per-host ordering is
-	// preserved.
+	// preserved. ov[head:] is what is still parked; a popped slot is zeroed
+	// so it keeps no query state reachable, and the array is kept across
+	// bursts — pop resets ov to ov[:0] when it empties.
 	mu   sync.Mutex
 	ov   []item
+	head int
 	busy bool
 }
+
+// parked is the overflow's backlog; s.mu must be held.
+func (s *shard) parked() int { return len(s.ov) - s.head }
 
 // depth is the shard's pending-callback count: queued plus parked.
 func (s *shard) depth() int {
 	s.mu.Lock()
-	parked := len(s.ov)
+	parked := s.parked()
 	s.mu.Unlock()
 	return len(s.ch) + parked
 }
@@ -495,7 +501,7 @@ func (rt *Runtime) dispatch(h graph.HostID, it item) {
 	s := rt.shards[rt.shardOf[h]]
 	s.mu.Lock()
 	if s.busy {
-		s.ov = append(s.ov, it) // keep FIFO behind parked items
+		s.park(it) // keep FIFO behind parked items
 		s.mu.Unlock()
 		return
 	}
@@ -508,15 +514,39 @@ func (rt *Runtime) dispatch(h graph.HostID, it item) {
 	default:
 	}
 	s.mu.Lock()
-	if s.busy {
-		s.ov = append(s.ov, it)
-		s.mu.Unlock()
-		return
-	}
+	idle := !s.busy
 	s.busy = true
-	s.ov = append(s.ov, it)
+	s.park(it)
 	s.mu.Unlock()
-	go rt.drainOverflow(s)
+	if idle {
+		go rt.drainOverflow(s)
+	}
+}
+
+// park appends it to the overflow; s.mu must be held. When the array is
+// full and mostly popped, the backlog slides down to its front instead of
+// the array growing, so a shard that never quite drains keeps an array
+// proportional to its backlog, not to everything it ever parked.
+func (s *shard) park(it item) {
+	if len(s.ov) == cap(s.ov) && s.head > len(s.ov)/2 {
+		n := copy(s.ov, s.ov[s.head:])
+		clear(s.ov[n:])
+		s.ov, s.head = s.ov[:n], 0
+	}
+	s.ov = append(s.ov, it)
+}
+
+// pop removes the overflow's oldest item; s.mu must be held. ok is false
+// once the overflow is empty, which resets it to the front of its array.
+func (s *shard) pop() (it item, ok bool) {
+	if s.parked() == 0 {
+		s.ov, s.head = s.ov[:0], 0
+		return item{}, false
+	}
+	it = s.ov[s.head]
+	s.ov[s.head] = item{}
+	s.head++
+	return it, true
 }
 
 // drainOverflow feeds s's parked items into its queue in order, exiting
@@ -524,14 +554,12 @@ func (rt *Runtime) dispatch(h graph.HostID, it item) {
 func (rt *Runtime) drainOverflow(s *shard) {
 	for {
 		s.mu.Lock()
-		if len(s.ov) == 0 {
+		it, ok := s.pop()
+		if !ok {
 			s.busy = false
-			s.ov = nil
 			s.mu.Unlock()
 			return
 		}
-		it := s.ov[0]
-		s.ov = s.ov[1:]
 		s.mu.Unlock()
 		select {
 		case s.ch <- it:

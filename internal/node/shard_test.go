@@ -3,6 +3,7 @@ package node
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -137,22 +138,23 @@ func TestShardSerializationProperty(t *testing.T) {
 	}
 }
 
-// gateHandler blocks its shard worker inside Receive until released —
-// the congested-host fixture.
+// gateHandler blocks its shard worker inside Receive until released
+// whenever it receives a negative payload — the congested-host fixture —
+// and records every other payload.
 type gateHandler struct {
 	entered chan struct{}
 	release chan struct{}
-	once    sync.Once
 	seen    []int
 }
 
 func (gh *gateHandler) Start(ctx *sim.Context) {}
 func (gh *gateHandler) Receive(ctx *sim.Context, msg sim.Message) {
-	gh.once.Do(func() {
-		close(gh.entered)
-		<-gh.release
-	})
-	gh.seen = append(gh.seen, msg.Payload.(int))
+	if seq := msg.Payload.(int); seq >= 0 {
+		gh.seen = append(gh.seen, seq)
+		return
+	}
+	gh.entered <- struct{}{}
+	<-gh.release
 }
 func (gh *gateHandler) Timer(ctx *sim.Context, tag int) {}
 
@@ -160,17 +162,22 @@ func (gh *gateHandler) Timer(ctx *sim.Context, tag int) {}
 // parked inside a handler, its queue full, dispatch spilling to the
 // overflow list — and checks the two halves of the timer-loop contract:
 // a timer owned by another shard still fires on time, and the congested
-// shard's parked items drain in FIFO order once the handler returns.
+// shard's parked items drain in FIFO order once the handler returns. It
+// wedges the shard twice: the second burst parks into the array the first
+// one grew, every slot the drainer popped is zeroed, and once drained the
+// shard's depth and node_overflow_parked read 0.
 func TestDispatchCongestionDoesNotBlockTimers(t *testing.T) {
 	const hop = raceSlowdown * 10 * time.Millisecond
 	g := line(2)
 	tr := transport.NewChannel(2, 0)
+	reg := obs.NewRegistry()
 	rt, err := New(Config{
 		Graph:      g,
 		Transport:  tr,
 		Hop:        hop,
 		Shards:     2, // host 0 → shard 0, host 1 → shard 1
 		ShardQueue: 1,
+		Obs:        reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -183,60 +190,170 @@ func TestDispatchCongestionDoesNotBlockTimers(t *testing.T) {
 	}})
 	defer rt.Stop()
 	qs := rt.lookupQuery(1)
-
-	// Wedge shard 0: first message parks the worker inside Receive...
-	if err := tr.Send(transport.Message{From: 0, To: 0, Query: 1, Payload: 0}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-gate.entered:
-	case <-time.After(10 * time.Second):
-		t.Fatal("handler never entered")
-	}
-	// ...then timer-loop-style dispatches overfill its queue (cap 1) and
-	// spill onto the overflow list. dispatch must return without blocking —
-	// the test would hang here if it didn't.
-	const parked = 10
-	for seq := 1; seq <= parked; seq++ {
-		rt.dispatch(0, item{kind: itemMsg, qs: qs, msg: transport.Message{
-			From: 0, To: 0, Query: 1, Payload: seq,
-		}})
-	}
-	if d := rt.shards[rt.shardOf[0]].depth(); d < parked-2 {
-		t.Fatalf("congested shard depth %d, want ≥ %d (overflow never engaged)", d, parked-2)
-	}
-
-	// The other shard's timer must fire while shard 0 is wedged.
-	rt.scheduleEntry(timerEntry{when: time.Now().Add(hop), kind: tkTimer, h: 1, qs: qs, tag: 7})
-	select {
-	case tag := <-fired:
-		if tag != 7 {
-			t.Fatalf("timer fired with tag %d, want 7", tag)
+	s := rt.shards[rt.shardOf[0]]
+	parkedGauge := func() float64 {
+		for _, g := range reg.Snapshot().Gauges {
+			if g.Name == "node_overflow_parked" {
+				return g.Value
+			}
 		}
-	case <-time.After(10 * hop):
-		t.Fatal("timer on the idle shard never fired: the timer loop blocked on the congested shard")
+		t.Fatal("no node_overflow_parked gauge")
+		return 0
 	}
 
-	// Release the wedge: queued and parked items must drain in FIFO order.
-	close(gate.release)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var seen []int
-		if err := rt.Do(0, func() { seen = append([]int(nil), gate.seen...) }); err != nil {
+	const parked = 10
+	ovCap := 0
+	for cycle := 0; cycle < 2; cycle++ {
+		// Wedge shard 0: a negative payload parks the worker inside Receive...
+		if err := tr.Send(transport.Message{From: 0, To: 0, Query: 1, Payload: -1}); err != nil {
 			t.Fatal(err)
 		}
-		if len(seen) == parked+1 {
-			for i, s := range seen {
-				if s != i {
-					t.Fatalf("drained order %v: overflow items out of FIFO order", seen)
+		select {
+		case <-gate.entered:
+		case <-time.After(10 * time.Second):
+			t.Fatal("handler never entered")
+		}
+		// ...then timer-loop-style dispatches overfill its queue (cap 1) and
+		// spill onto the overflow list. dispatch must return without
+		// blocking — the test would hang here if it didn't.
+		for i := 0; i < parked; i++ {
+			rt.dispatch(0, item{kind: itemMsg, qs: qs, msg: transport.Message{
+				From: 0, To: 0, Query: 1, Payload: cycle*parked + i,
+			}})
+		}
+		if d := s.depth(); d < parked-2 {
+			t.Fatalf("cycle %d: congested shard depth %d, want ≥ %d (overflow never engaged)", cycle, d, parked-2)
+		}
+
+		if cycle == 0 {
+			// The other shard's timer must fire while shard 0 is wedged.
+			rt.scheduleEntry(timerEntry{when: time.Now().Add(hop), kind: tkTimer, h: 1, qs: qs, tag: 7})
+			select {
+			case tag := <-fired:
+				if tag != 7 {
+					t.Fatalf("timer fired with tag %d, want 7", tag)
 				}
+			case <-time.After(10 * hop):
+				t.Fatal("timer on the idle shard never fired: the timer loop blocked on the congested shard")
 			}
-			break
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("congested shard drained %d/%d items", len(seen), parked+1)
+
+		// Release the wedge: queued and parked items must drain in FIFO
+		// order, and the drainer must let go of the overflow.
+		gate.release <- struct{}{}
+		want := (cycle + 1) * parked
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			var seen []int
+			if err := rt.Do(0, func() { seen = append([]int(nil), gate.seen...) }); err != nil {
+				t.Fatal(err)
+			}
+			s.mu.Lock()
+			busy := s.busy
+			s.mu.Unlock()
+			if len(seen) == want && !busy {
+				for i, v := range seen {
+					if v != i {
+						t.Fatalf("drained order %v: overflow items out of FIFO order", seen)
+					}
+				}
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("cycle %d: congested shard drained %d/%d items (drainer busy: %t)", cycle, len(seen), want, busy)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(time.Millisecond)
+
+		s.mu.Lock()
+		slots := s.ov[:cap(s.ov)]
+		c := cap(s.ov)
+		s.mu.Unlock()
+		for i, it := range slots {
+			if !reflect.ValueOf(it).IsZero() {
+				t.Fatalf("cycle %d: drained overflow slot %d still holds %+v", cycle, i, it)
+			}
+		}
+		if d, p := s.depth(), parkedGauge(); d != 0 || p != 0 {
+			t.Fatalf("cycle %d: drained shard has depth %d, node_overflow_parked %v; want 0 and 0", cycle, d, p)
+		}
+		switch {
+		case cycle == 0 && c == 0:
+			t.Fatal("the first burst left the overflow without an array")
+		case cycle == 1 && c > ovCap:
+			t.Fatalf("the second burst grew the overflow's array from %d to %d slots", ovCap, c)
+		}
+		ovCap = c
+	}
+}
+
+// TestDispatchOverflowAllocFree pins the overflow's array across bursts:
+// once one burst has grown it, parking n more items behind a drainer and
+// draining them allocates nothing. The drainer runs on the test goroutine
+// here, over a queue with room for the whole burst, so the measurement
+// sees dispatch and drainOverflow alone.
+func TestDispatchOverflowAllocFree(t *testing.T) {
+	if raceSlowdown > 1 {
+		t.Skip("the race detector allocates on its own")
+	}
+	const n = 256
+	rt, err := New(Config{Graph: line(2), Transport: transport.NewChannel(2, 0), Shards: 1, ShardQueue: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := rt.shards[0]
+	burst := func() {
+		s.mu.Lock()
+		s.busy = true // a drainer in flight: every dispatch parks
+		s.mu.Unlock()
+		for i := 0; i < n; i++ {
+			rt.dispatch(0, item{kind: itemTimer, tag: i})
+		}
+		rt.drainOverflow(s)
+		for i := 0; i < n; i++ {
+			if it := <-s.ch; it.tag != i {
+				t.Fatalf("drained tag %d at position %d: out of FIFO order", it.tag, i)
+			}
+		}
+	}
+	burst()
+	if got := testing.AllocsPerRun(20, burst); got != 0 {
+		t.Fatalf("a burst of %d parked items allocates %.0f times into a warmed overflow, want 0", n, got)
+	}
+}
+
+// An overflow that never quite drains holds its backlog, not its history:
+// with five items always parked and two in, two out for a thousand rounds,
+// parking slides the backlog down to the front of the array instead of
+// growing it, in FIFO order, and every slot outside the backlog is zero.
+func TestOverflowKeepsItsBacklogNotItsHistory(t *testing.T) {
+	s := &shard{}
+	in, out := 0, 0
+	for ; in < 5; in++ {
+		s.park(item{tag: in})
+	}
+	for round := 0; round < 1000; round++ {
+		for i := 0; i < 2; i++ {
+			s.park(item{tag: in})
+			in++
+		}
+		for i := 0; i < 2; i++ {
+			if it, ok := s.pop(); !ok || it.tag != out {
+				t.Fatalf("round %d: popped tag %d (ok=%t), want %d", round, it.tag, ok, out)
+			}
+			out++
+		}
+	}
+	// The array grows only while the backlog fills half of it, so it stays
+	// within a few times the largest backlog (7 here); without the slide it
+	// would hold all 2,005 items parked.
+	if p, c := s.parked(), cap(s.ov); p != 5 || c > 4*7 {
+		t.Fatalf("a backlog of %d items holds an array of %d slots after %d parked", p, c, in)
+	}
+	for i, it := range s.ov[:cap(s.ov)] {
+		if (i < s.head || i >= len(s.ov)) && !reflect.ValueOf(it).IsZero() {
+			t.Fatalf("slot %d outside the backlog [%d, %d) holds %+v", i, s.head, len(s.ov), it)
+		}
 	}
 }
 

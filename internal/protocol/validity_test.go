@@ -61,40 +61,46 @@ func TestWildfireMinMaxValidityUnderChurn(t *testing.T) {
 }
 
 // Theorem 5.3 sketch-level check: h_q's final count sketch must cover the
-// OR of the initial sketches of every host in H_C, and must itself be
+// OR of the own contributions of every host in H_C, and must itself be
 // covered by the OR over all hosts that ever activated (⊆ H_U). This is
-// the exact guarantee, independent of FM estimation error.
+// the exact guarantee, independent of FM estimation error. A host's own
+// contribution is the partial its activation builds from its value and
+// the first draw of its coin stream, sim.NewCoins(seed, h), so the test
+// rebuilds it rather than asking the host to keep a copy; were the rebuild
+// wrong, the upper bound would catch bits from nowhere.
 func TestWildfireCountSketchLevelValidity(t *testing.T) {
 	g := topology.NewGnutella(400, 4)
 	for _, r := range []int{0, 40, 120} {
 		for seed := int64(0); seed < 3; seed++ {
-			v, b, p := runUnderChurn(t, g, agg.Count, r, seed,
+			_, b, p := runUnderChurn(t, g, agg.Count, r, seed,
 				func(q Query) Protocol { return NewWildfire(q) })
-			_ = v
 			w := p.(*Wildfire)
 			final, avgCount := agg.WireSketches(w.Partial())
 			if final == nil || avgCount != nil {
 				t.Fatal("count partial should carry one sketch")
 			}
+			vals := zipfval.Default(seed).Values(g.Len())
+			own := func(h graph.HostID) *fm.Sketch {
+				sk, _ := agg.WireSketches(agg.NewPartial(agg.Count, vals[h], w.Query.Params, sim.NewCoins(seed, h)))
+				return sk
+			}
+			activated := func(h graph.HostID) bool { return w.hosts[h] != nil && w.hosts[h].active }
 			// Lower bound: every H_C host's own contribution is covered.
 			orHC := fm.NewSketch(16, 32)
 			for _, h := range b.HC {
-				init := w.HostInitial(h)
-				if init == nil {
+				if !activated(h) {
 					t.Fatalf("r=%d seed=%d: H_C host %d never activated", r, seed, h)
 				}
-				sk, _ := agg.WireSketches(init)
-				orHC.Or(sk)
+				orHC.Or(own(h))
 			}
 			if !final.Covers(orHC) {
 				t.Fatalf("r=%d seed=%d: final sketch misses H_C contributions", r, seed)
 			}
 			// Upper bound: nothing outside the union of activated hosts.
 			orAll := fm.NewSketch(16, 32)
-			for h := 0; h < g.Len(); h++ {
-				if init := w.HostInitial(graph.HostID(h)); init != nil {
-					sk, _ := agg.WireSketches(init)
-					orAll.Or(sk)
+			for h := graph.HostID(0); int(h) < g.Len(); h++ {
+				if activated(h) {
+					orAll.Or(own(h))
 				}
 			}
 			if !orAll.Covers(final) {

@@ -10,13 +10,12 @@ import (
 	"validity/internal/wire"
 )
 
-// A snapshot's refs are its host's one plus one per frame not yet
-// received, at every step of its life: a flush takes its frames' refs up
-// front, each Receive gives one back — a frame that is not a neighbor's or
-// carries no partial this query could have built included — and the
-// version moving on gives back the host's, which takes the last snapshot
-// to zero. Driven by hand on the sink: h_q = 0 with neighbors 1–3, and
-// host 4 behind 1.
+// A snapshot's refs are the frames that carry it and have not yet been
+// received, at every step of its life — the host holds none: a send takes
+// its frames' refs up front, each Receive gives one back — a frame that is
+// not a neighbor's or carries no partial this query could have built
+// included — and the last sends the snapshot back to the pool. Driven by
+// hand on the sink: h_q = 0 with neighbors 1–3, and host 4 behind 1.
 func TestWildfireSnapshotRefs(t *testing.T) {
 	g := graph.New(5)
 	for _, e := range [][2]graph.HostID{{0, 1}, {0, 2}, {0, 3}, {1, 4}} {
@@ -36,6 +35,20 @@ func TestWildfireSnapshotRefs(t *testing.T) {
 			t.Fatalf("%s: refs = %d, want %d", step, got, want)
 		}
 	}
+	// sent is the one snapshot every held frame carries.
+	sent := func(step string, frames int) *wfSnap {
+		t.Helper()
+		if len(be.held) != frames {
+			t.Fatalf("%s: %d frames, want %d", step, len(be.held), frames)
+		}
+		s := frameSnap(be.held[0].Payload)
+		for _, m := range be.held {
+			if frameSnap(m.Payload) != s {
+				t.Fatalf("%s: the frames carry different snapshots", step)
+			}
+		}
+		return s
+	}
 	// receive delivers every held frame and forgets it; what the receivers
 	// send in turn is released on the spot.
 	receive := func() {
@@ -48,37 +61,52 @@ func TestWildfireSnapshotRefs(t *testing.T) {
 		}
 		be.hold = true
 	}
+	// pooled reports whether s is back in the pool. The race detector drops
+	// pooled items at random, so there it reports true.
+	pooled := func(s *wfSnap) bool {
+		if raceEnabled {
+			return true
+		}
+		var got []*wfSnap
+		for len(got) < 8 && (len(got) == 0 || got[len(got)-1] != s) {
+			got = append(got, snapPool.Get().(*wfSnap))
+		}
+		for _, x := range got {
+			snapPool.Put(x)
+		}
+		return got[len(got)-1] == s
+	}
 
 	ctx.Reset(be, 0, 0)
 	hq.Start(ctx)
-	first := hq.snap
-	refs("broadcast to 3 neighbors", first, 1+3)
+	first := sent("broadcast", 3)
+	refs("broadcast to 3 neighbors", first, 3)
 	receive()
-	refs("broadcast received", first, 1)
-
-	// News from neighbor 1 that h_q's state neither covers nor equals:
-	// the flush owes it to all three neighbors. The test holds a ref on the
-	// first snapshot meanwhile, so the flush cannot recycle it under our
-	// eyes.
-	news := agg.NewPartial(agg.Count, 0, q.Params, rand.New(rand.NewSource(11)))
-	if merged := hq.partial.Clone(); !merged.Combine(news) || merged.Equal(news) {
-		t.Fatal("the news must change h_q's state and differ from what it becomes")
+	refs("broadcast received", first, 0)
+	if !pooled(first) {
+		t.Fatal("the received broadcast's snapshot is not back in the pool")
 	}
-	first.refs.Add(1)
+
+	// News from neighbor 1 that covers h_q's state and adds to it: h_q's
+	// version moves on, 1 holds exactly the new state, so the flush owes it
+	// to 2 and 3 only — one snapshot, two refs.
+	news := hq.partial.Clone()
+	if !news.Combine(agg.NewPartial(agg.Count, 0, q.Params, rand.New(rand.NewSource(11)))) {
+		t.Fatal("the news must add to h_q's state")
+	}
+	msg := sim.MakeMessage(1, 0, wfConverge{S: carry(news)}, 1)
 	ctx.Reset(be, 0, 1)
-	hq.Receive(ctx, sim.MakeMessage(1, 0, wfConverge{S: carry(news)}, 1))
+	hq.Receive(ctx, msg)
+	refs("news received", frameSnap(msg.Payload), 0)
 	ctx.Reset(be, 0, 1)
 	hq.Timer(ctx, wfTagFlush)
-	refs("the version moved on: the test's ref is the last", first, 1)
-	first.release()
-	refs("the version moved on", first, 0)
-	second := hq.snap
-	if second == first {
-		t.Fatal("the flush sends the snapshot of the old version")
-	}
-	refs("flush to 3 neighbors", second, 1+3)
+	second := sent("flush", 2)
+	refs("flush to the 2 neighbors that lack the version", second, 2)
 	receive()
-	refs("flush received", second, 1)
+	refs("flush received", second, 0)
+	if !pooled(second) {
+		t.Fatal("the received flush's snapshot is not back in the pool")
+	}
 
 	// Frames h_q drops still give their ref back.
 	for name, m := range map[string]sim.Message{
@@ -93,7 +121,6 @@ func TestWildfireSnapshotRefs(t *testing.T) {
 	}
 	ctx.Reset(be, 0, 1)
 	hq.Receive(ctx, sim.MakeMessage(1, 0, wfConverge{}, 1)) // has=0: nothing to release
-	refs("after the drops", second, 1)
 }
 
 // A received WILDFIRE frame costs nothing once the pool is warm: a c=64

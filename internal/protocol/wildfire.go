@@ -92,13 +92,6 @@ func (w *Wildfire) Partial() agg.Partial {
 	return hq.partial
 }
 
-// HostInitial returns the partial aggregate host h held the instant it
-// became active, before combining anything — its own contribution to the
-// query. The oracle's sketch-level validity check needs these: h_q's final
-// sketch must cover the OR of the initial sketches of every host in H_C
-// and be covered by the OR over H_U (Theorem 5.3).
-func (w *Wildfire) HostInitial(h graph.HostID) agg.Partial { return w.hosts[h].initial }
-
 // wfBroadcast is the Phase I message [q, 0, D̂] with the sender's partial
 // aggregate piggybacked (§5.1 footnote 4). Hop is the sender's distance
 // from h_q plus one.
@@ -113,17 +106,16 @@ type wfConverge struct {
 	S *wfSnap
 }
 
-// wfSnap is a snapshot of a host's partial, shared by the host and every
-// frame that carries it and never mutated while anyone holds it. refs
-// counts the holders: one for the host's own h.snap, one per frame, taken
-// before the send so that no receiver's release can precede it. Receive
-// releases a frame's ref whatever it makes of the frame; the release that
-// reaches zero puts the snapshot back in snapPool, and the next takeSnap —
-// or the next WILDFIRE frame the wire decodes — overwrites its partial in
-// place. A ref never released — a frame to a host that is dead or a query
-// that is gone, one encoded to a remote peer — only leaves its snapshot to
-// the garbage collector: a missed release costs an allocation, never an
-// answer.
+// wfSnap is a snapshot of a host's partial, shared by every frame that
+// carries it and never mutated while any of them is alive. refs counts the
+// frames, all taken before the first is sent, so that no release can
+// precede a send; the host keeps none. Receive uses up its frame's ref,
+// whatever it makes of the frame; the release that reaches zero puts the
+// snapshot back in snapPool, and the next takeSnap — or the next WILDFIRE
+// frame the wire decodes — overwrites its partial in place. A ref never
+// released — a frame to a host that is dead or a query that is gone, one
+// encoded for a remote peer — only leaves its snapshot to the garbage
+// collector: a missed release costs an allocation, never an answer.
 type wfSnap struct {
 	a    agg.Partial
 	refs atomic.Int32
@@ -131,11 +123,12 @@ type wfSnap struct {
 
 var snapPool = sync.Pool{New: func() any { return new(wfSnap) }}
 
-// takeSnap returns a snapshot of p from the pool, holding one ref.
-func takeSnap(p agg.Partial) *wfSnap {
+// takeSnap returns a snapshot of p from the pool holding n refs, one per
+// frame about to carry it.
+func takeSnap(p agg.Partial, n int) *wfSnap {
 	s := snapPool.Get().(*wfSnap)
 	s.a = agg.Assign(s.a, p)
-	s.refs.Store(1)
+	s.refs.Store(int32(n))
 	return s
 }
 
@@ -157,33 +150,22 @@ func (s *wfSnap) release() {
 const wfTagFlush = 3
 
 // wfHost is one host's state for one query, minted only on the process
-// that serves the host. What it keeps per neighbor is a version stamp,
-// never a partial: a received snapshot goes back to the pool once every
-// Receive of it has returned.
-//
-// A snapshot's life at its host: outgoing takes one from the pool the
-// first time a version is sent, holding the host's ref; every send adds the
-// refs of its frames first — Degree() for a SendAll, Degree()−1 for a
-// SendAllExcept, one per neighbor that lacks the version for a flush; each
-// receiver releases one; and the version moving on releases the host's, so
-// the last of them sends it back to the pool for the next snapshot to be
-// copied into.
+// that serves the host. It holds no snapshot: what it keeps per neighbor is
+// a version stamp, never a partial, and every send copies the partial into
+// a snapshot from the pool (takeSnap) with refs for exactly the frames
+// about to carry it — Degree() for a SendAll, Degree()−1 for a
+// SendAllExcept, one per neighbor that lacks the version for a flush. Once
+// the last of those frames is received, the snapshot is back in the pool
+// for the next one to be copied into.
 type wfHost struct {
 	w       *Wildfire
 	isHq    bool
 	active  bool
 	dist    int // hops from h_q along the activation path
 	partial agg.Partial
-	initial agg.Partial // own contribution, frozen at activation
 	// version stamps partial's state: 1 at activation, +1 exactly when
 	// Combine reports a change. Partials only grow: equal stamps, equal state.
 	version uint32
-	// snap is the snapshot of partial taken at version snapAt (see
-	// outgoing), nil until the first send. It and initial are never mutated
-	// while the host holds them, so frames share the one and callers read
-	// the other across goroutines.
-	snap   *wfSnap
-	snapAt uint32
 	// lastSent[i], indexed like ctx.Neighbors(): the version of our state
 	// neighbor i is known to hold (0: none), because we sent it or because
 	// what i sent equalled it; one that holds the current version is skipped
@@ -203,26 +185,12 @@ func (h *wfHost) limit() sim.Time {
 	return min(full, sim.Time(2*h.w.Query.DHat-h.dist+1))
 }
 
-// outgoing returns the snapshot of the current partial with refs taken for
-// the n frames about to carry it. It takes a new snapshot only when the
-// version moved since the last, releasing the host's ref on that one: one
-// snapshot serves every message of a flush, and a fresh host's end-of-tick
-// reply re-sends its broadcast's.
-func (h *wfHost) outgoing(n int) *wfSnap {
-	if h.snapAt != h.version {
-		h.snap.release()
-		h.snap, h.snapAt = takeSnap(h.partial), h.version
-	}
-	h.snap.refs.Add(int32(n))
-	return h.snap
-}
-
 func (h *wfHost) Start(ctx *sim.Context) {
 	if !h.isHq {
 		return
 	}
 	h.activate(ctx, 0, nil)
-	ctx.SendAll(wfBroadcast{Hop: 1, S: h.outgoing(ctx.Degree())})
+	ctx.SendAll(wfBroadcast{Hop: 1, S: takeSnap(h.partial, ctx.Degree())})
 	h.noteSentToAll(ctx, graph.None)
 }
 
@@ -236,7 +204,6 @@ func (h *wfHost) activate(ctx *sim.Context, dist int, incoming agg.Partial) {
 		value = h.w.ValueFn(ctx.Self(), dist)
 	}
 	h.partial = agg.NewPartial(h.w.Query.Kind, value, h.w.Query.Params, ctx.Rand())
-	h.initial = h.partial.Clone()
 	h.version = 1
 	h.lastSent = make([]uint32, ctx.Degree())
 	if incoming != nil && h.partial.Combine(incoming) {
@@ -305,7 +272,7 @@ func (h *wfHost) onBroadcast(ctx *sim.Context, from int, sender graph.HostID, ho
 	h.activate(ctx, hop, a)
 	// Forward the query with our partial piggybacked (the first
 	// convergecast message rides on the broadcast, footnote 4).
-	ctx.SendAllExcept(sender, wfBroadcast{Hop: h.dist + 1, S: h.outgoing(ctx.Degree() - 1)})
+	ctx.SendAllExcept(sender, wfBroadcast{Hop: h.dist + 1, S: takeSnap(h.partial, ctx.Degree()-1)})
 	h.noteSentToAll(ctx, sender)
 	// If combining changed anything relative to what the sender already
 	// knows, the end-of-tick flush will reply to the sender (Example 5.1:
@@ -367,7 +334,7 @@ func (h *wfHost) Timer(ctx *sim.Context, tag int) {
 	if ctx.Medium() == sim.MediumWireless {
 		// One radio transmission reaches everyone; selective suppression
 		// saves nothing (§5.3).
-		ctx.SendAll(wfConverge{S: h.outgoing(ctx.Degree())})
+		ctx.SendAll(wfConverge{S: takeSnap(h.partial, ctx.Degree())})
 		h.noteSentToAll(ctx, graph.None)
 		return
 	}
@@ -383,7 +350,7 @@ func (h *wfHost) Timer(ctx *sim.Context, tag int) {
 	if n == 0 {
 		return
 	}
-	msg := wfConverge{S: h.outgoing(n)}
+	msg := wfConverge{S: takeSnap(h.partial, n)}
 	for i, nb := range ctx.Neighbors() {
 		if h.lastSent[i] != h.version {
 			ctx.Send(nb, msg)

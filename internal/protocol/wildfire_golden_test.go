@@ -126,15 +126,15 @@ func carry(p agg.Partial) *wfSnap {
 	if p == nil {
 		return nil
 	}
-	return takeSnap(p)
+	return takeSnap(p, 1)
 }
 
 // TestWildfireRoundAllocations pins the garbage of one WILDFIRE round at
 // a host — Receive, then the end-of-tick flush — for the shapes a round
-// takes, with the sink handing every frame to its receiver: none. The
-// snapshot a flush replaces goes back to the pool once its last frame is
-// received, the next one is copied into it in place, and a wfConverge is
-// pointer-shaped, so boxing it allocates nothing.
+// takes, with the sink handing every frame to its receiver: none. A sent
+// snapshot goes back to the pool once its last frame is received, the
+// next send copies into it in place, and a wfConverge is pointer-shaped,
+// so boxing it allocates nothing.
 func TestWildfireRoundAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are pinned for uninstrumented builds")
@@ -192,14 +192,15 @@ func TestWildfireRoundAllocations(t *testing.T) {
 				shape, got, sent, wantSent)
 		}
 	}
-	// The reply to the activator: nothing changed since the snapshot the
-	// broadcast carried, so it is re-sent.
+	// The reply to the activator: nothing changed since the broadcast, but
+	// the host keeps no snapshot, so the reply copies its partial into the
+	// one the broadcast's receivers gave back.
 	check("reply to activator", 1, func() {
 		sent = flush(fresh[next])
 		next++
 	})
 	// The partial changed: the flush copies it into the snapshot the last
-	// one's receivers gave back and sends it to the three neighbors that
+	// flush's receivers gave back and sends it to the three neighbors that
 	// lack it.
 	check("changed", deg-1, func() {
 		ctx.Reset(be, 0, 2)

@@ -44,64 +44,73 @@ func TestCoinSourceGolden(t *testing.T) {
 
 // The event-loop twin of node's TestActivationSketchIndependentOfSharding:
 // a host's activation sketch on a sim.Network is the one the live engine
-// freezes for the same (seed, host), and does not depend on the order the
-// flood reaches the hosts around it.
+// builds for the same (seed, host). Each host in turn is h_q with its
+// neighbors gone at tick 0, so nothing reaches it and its final partial is
+// its activation sketch — on the event loop and on the engine alike.
 func TestActivationSketchSameOnEventLoop(t *testing.T) {
 	g := topology.NewRandom(30, 4, 23)
 	values := make([]int64, g.Len())
-	const hq = graph.HostID(12)
-	q := protocol.Query{Kind: agg.Count, Hq: hq, DHat: 8, Params: agg.Params{Vectors: 64, Bits: 32}}
 	seed := node.QuerySeed(23, 7)
-
-	onLoop := func(tl churn.Timeline) *protocol.Wildfire {
-		nw := sim.NewNetwork(sim.Config{Graph: g, Seed: seed, Values: values})
-		tl.Apply(nw)
-		w := protocol.NewWildfire(q)
-		if _, _, err := protocol.Run(w, nw); err != nil {
-			t.Fatal(err)
-		}
-		return w
+	query := func(hq graph.HostID) protocol.Query {
+		return protocol.Query{Kind: agg.Count, Hq: hq, DHat: 8, Params: agg.Params{Vectors: 64, Bits: 32}}
 	}
-	// Taking two of hq's neighbors out for the first ticks sends the flood
-	// around them: the hosts behind them activate later and in another
-	// order, and the two rejoin to be activated last.
-	ns := g.Neighbors(hq)
-	straight := onLoop(nil)
-	detour := onLoop(churn.Timeline{
-		{H: ns[0], T: 0}, {H: ns[1], T: 0},
-		{H: ns[0], T: 3, Kind: churn.Join}, {H: ns[1], T: 3, Kind: churn.Join},
-	})
+	isolate := func(hq graph.HostID) churn.Timeline {
+		var tl churn.Timeline
+		for _, n := range g.Neighbors(hq) {
+			tl = append(tl, churn.Event{H: n, T: 0})
+		}
+		return tl
+	}
 
-	const hop = 20 * time.Millisecond // generous: a late hop would cut the live flood short
-	rt, err := node.New(node.Config{Graph: g, Values: values, Hop: hop, Transport: transport.NewChannel(g.Len(), hop/2)})
+	// Query id hq+1 isolates host hq on the engine.
+	rt, err := node.New(node.Config{Graph: g, Values: values, Hop: 20 * time.Millisecond, Transport: transport.NewChannel(g.Len(), 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := protocol.NewWildfire(q)
-	rt.SetQueryFactory(func(node.QueryID) (*node.QueryInstance, error) {
-		return node.BuildInstance(rt, live, seed)
+	live := make([]*protocol.Wildfire, g.Len())
+	rt.SetQueryFactory(func(id node.QueryID) (*node.QueryInstance, error) {
+		hq := graph.HostID(id - 1)
+		live[hq] = protocol.NewWildfire(query(hq))
+		inst, err := node.BuildInstance(rt, live[hq], seed)
+		if err == nil {
+			inst.Churn = isolate(hq)
+		}
+		return inst, err
 	})
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Stop()
-	if _, err := rt.StartQuery(7); err != nil {
-		t.Fatal(err)
-	}
-	floor, settle, hardCap := rt.AwaitBracket(q.Deadline())
-	if _, ok, err := rt.AwaitQueryResult(7, hq, floor, settle, hardCap); err != nil || !ok {
-		t.Fatalf("live query declared nothing (ok=%t, err=%v)", ok, err)
-	}
 
-	for h := graph.HostID(0); int(h) < g.Len(); h++ {
-		want := live.HostInitial(h)
-		if want == nil {
-			t.Fatalf("host %d never activated on the engine", h)
+	var prev agg.Partial
+	for hq := graph.HostID(0); int(hq) < g.Len(); hq++ {
+		nw := sim.NewNetwork(sim.Config{Graph: g, Seed: seed, Values: values})
+		isolate(hq).Apply(nw)
+		loop := protocol.NewWildfire(query(hq))
+		if _, _, err := protocol.Run(loop, nw); err != nil {
+			t.Fatal(err)
 		}
-		for name, w := range map[string]*protocol.Wildfire{"straight": straight, "detour": detour} {
-			if got := w.HostInitial(h); got == nil || !got.Equal(want) {
-				t.Errorf("host %d, %s flood: activation sketch differs from the engine's for one (seed, host)", h, name)
+		if _, err := rt.StartQuery(node.QueryID(hq) + 1); err != nil {
+			t.Fatal(err)
+		}
+		var engine agg.Partial
+		// Do queues behind hq's Start on hq's shard worker.
+		if err := rt.Do(hq, func() {
+			if p := live[hq].Partial(); p != nil {
+				engine = p.Clone()
 			}
+		}); err != nil {
+			t.Fatal(err)
 		}
+		if engine == nil || engine.Result() == 0 {
+			t.Fatalf("host %d did not activate with a non-empty sketch on the engine", hq)
+		}
+		if got := loop.Partial(); got == nil || !got.Equal(engine) {
+			t.Errorf("host %d: activation sketch on the event loop differs from the engine's for one (seed, host)", hq)
+		}
+		if prev != nil && prev.Equal(engine) {
+			t.Errorf("hosts %d and %d toss identical coins", hq-1, hq)
+		}
+		prev = engine
 	}
 }

@@ -80,6 +80,14 @@ type Transport interface {
 	Open() error
 	// Send delivers msg to its destination asynchronously. A returned
 	// error means the message is known lost (e.g. unreachable peer).
+	//
+	// A payload may carry one reference to storage its sender recycles (a
+	// WILDFIRE frame's pooled snapshot), and Send takes it over. An
+	// in-process delivery hands the payload itself, and with it the
+	// reference, to the receiver, which releases it. A payload serialized
+	// for another process keeps its reference: its storage is left to the
+	// garbage collector. Only the transport knows which of the two
+	// happened, so no caller releases a payload after Send.
 	Send(msg Message) error
 	// Close releases all resources and stops delivery goroutines.
 	Close() error
