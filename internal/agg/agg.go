@@ -145,27 +145,30 @@ func DefaultParams() Params { return Params{Vectors: fm.DefaultVectors, Bits: fm
 // NewPartial initializes the partial aggregate for a host with attribute
 // value v, using rng for the FM coin tosses (sketch kinds only).
 func NewPartial(k Kind, v int64, p Params, rng *rand.Rand) Partial {
+	return Init(nil, k, v, p, rng)
+}
+
+// Init is NewPartial into dst: dst itself when it is a partial of kind k,
+// whatever its sketch dimensions, and a fresh one otherwise (dst nil
+// included). Nothing dst held shows through, and a dst whose sketches have
+// the storage for p allocates nothing.
+func Init(dst Partial, k Kind, v int64, p Params, rng *rand.Rand) Partial {
+	dst = Refill(dst, k, v)
+	a, b := WireSketches(dst)
 	switch k {
-	case Min:
-		return &scalarPartial{kind: Min, val: v}
-	case Max:
-		return &scalarPartial{kind: Max, val: v}
 	case Count:
-		c := &countPartial{sk: fm.MakeSketch(p.Vectors, p.Bits)}
-		c.sk.AddDistinct(rng)
-		return c
+		a.Reset(p.Vectors, p.Bits)
+		a.AddDistinct(rng)
 	case Sum:
-		s := &sumPartial{sk: fm.MakeSketch(p.Vectors, p.Bits)}
-		s.sk.AddN(rng, v)
-		return s
+		a.Reset(p.Vectors, p.Bits)
+		a.AddN(rng, v)
 	case Avg:
-		a := &avgPartial{sum: fm.MakeSketch(p.Vectors, p.Bits), cnt: fm.MakeSketch(p.Vectors, p.Bits)}
-		a.sum.AddN(rng, v)
-		a.cnt.AddDistinct(rng)
-		return a
-	default:
-		panic(fmt.Sprintf("agg: unknown kind %d", int(k)))
+		a.Reset(p.Vectors, p.Bits)
+		b.Reset(p.Vectors, p.Bits)
+		a.AddN(rng, v)
+		b.AddDistinct(rng)
 	}
+	return dst
 }
 
 // scalarPartial carries min/max state.

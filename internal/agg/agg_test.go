@@ -337,3 +337,64 @@ func TestConforms(t *testing.T) {
 		t.Error("a MIN partial must conform whatever the sketch params")
 	}
 }
+
+// initShapes are the sketch dimensions TestInitIntoRecycled moves between:
+// both lane layouts (bits ≤ 32 pack two vectors a word), few and many
+// vectors, so every pair is a shrink or a growth in words, width or both.
+func initShapes() []Params {
+	var ps []Params
+	for _, c := range []int{8, 64} {
+		for _, bits := range []int{16, 32, 64} {
+			ps = append(ps, Params{Vectors: c, Bits: bits})
+		}
+	}
+	return ps
+}
+
+// TestInitIntoRecycled pins the rebuild a recycled partial takes: Init into
+// a partial of any other kind or shape — one that has been combined into,
+// so its words are dirty — holds exactly what NewPartial builds from the
+// same coins, and reuses dst whenever it is of the kind asked for.
+func TestInitIntoRecycled(t *testing.T) {
+	kinds := []Kind{Min, Max, Count, Sum, Avg}
+	const v = 100 // above AddN's literal-insertion threshold: the sum draws per bit
+	for _, fromK := range kinds {
+		for _, fromP := range initShapes() {
+			for _, k := range kinds {
+				for _, p := range initShapes() {
+					if fromK == k && fromP == p {
+						continue
+					}
+					dst := NewPartial(fromK, 7, fromP, rand.New(rand.NewSource(1)))
+					dst.Combine(NewPartial(fromK, 3, fromP, rand.New(rand.NewSource(2))))
+					got := Init(dst, k, v, p, rand.New(rand.NewSource(3)))
+					want := NewPartial(k, v, p, rand.New(rand.NewSource(3)))
+					if !got.Equal(want) || !Conforms(got, k, p) {
+						t.Errorf("Init(%v %d×%d partial, %v %d×%d) differs from NewPartial",
+							fromK, fromP.Vectors, fromP.Bits, k, p.Vectors, p.Bits)
+					}
+					reuse := fromK == k || !fromK.DuplicateSensitive() && !k.DuplicateSensitive()
+					if (got == dst) != reuse {
+						t.Errorf("Init(%v partial, %v): reused dst = %t, want %t", fromK, k, got == dst, reuse)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestInitAllocations pins the rebuild's garbage: Init into a partial of
+// the kind asked for, whose sketches have the storage, allocates nothing —
+// whatever dimensions the sketches held before.
+func TestInitAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	big := Params{Vectors: 64, Bits: 64}
+	for _, k := range []Kind{Min, Max, Count, Sum, Avg} {
+		dst := NewPartial(k, 5, big, rng)
+		for _, p := range initShapes() {
+			if got := testing.AllocsPerRun(20, func() { dst = Init(dst, k, 100, p, rng) }); got != 0 {
+				t.Errorf("Init into a %v partial at %d×%d: %.0f allocations, want 0", k, p.Vectors, p.Bits, got)
+			}
+		}
+	}
+}

@@ -57,13 +57,23 @@ type Sketch struct {
 // MakeSketch returns an empty sketch with c vectors of `bits` bits
 // (1 ≤ bits ≤ 64) by value, for holders that embed it.
 func MakeSketch(c, bits int) Sketch {
+	var s Sketch
+	s.Reset(c, bits)
+	return s
+}
+
+// Reset makes s an empty sketch with c vectors of `bits` bits
+// (1 ≤ bits ≤ 64), on the storage it has when that is large enough: a
+// recycled sketch starts over without allocating.
+func (s *Sketch) Reset(c, bits int) {
 	if c < 1 {
 		panic("fm: need at least one vector")
 	}
 	if bits < 1 || bits > 64 {
 		panic(fmt.Sprintf("fm: bits must be in [1,64], got %d", bits))
 	}
-	return Sketch{words: make([]uint64, numWords(c, bits)), c: int32(c), bits: int32(bits)}
+	s.reshape(c, bits)
+	clear(s.words)
 }
 
 // numWords is the storage of a c×bits sketch: two vectors a word up to 32

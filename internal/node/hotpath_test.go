@@ -142,17 +142,21 @@ func TestFramePathAllocations(t *testing.T) {
 }
 
 // queryAllocBudget is what TestWildfireQueryAllocBytes allows a query to
-// allocate per served host, in bytes: 1.25× the ~550 it reads once every
-// WILDFIRE snapshot goes back to the pool (~1,150 while each host kept its
-// last snapshot and activation kept a clone).
-const queryAllocBudget = 690
+// allocate per served host, in bytes: 1.25× the ~105 its least window reads
+// at the top of its range (86–110 over forty runs, idle and beside a -race
+// test loop) once a retired query hands its hosts, partials and coin
+// streams back (~550 while every query built them fresh; ~1,150 while each
+// host also kept its last snapshot and activation kept a clone).
+const queryAllocBudget = 130
 
 // TestWildfireQueryAllocBytes is the end-to-end allocation budget of a
 // query: a warm, all-local chan runtime on a 256-host random graph answers
 // WILDFIRE COUNT queries at c = 64 in windows of five, and the bytes the
 // process allocates over a window, per query and served host, must stay
-// inside queryAllocBudget. What a query still allocates is its per-host
-// state — handlers, partials, coin streams — not the frames it floods.
+// inside queryAllocBudget. Neither the frames a query floods nor its
+// per-host state — handlers, partials, coin streams, rebuilt in place from
+// what the last retired query handed back — allocate; what is left is the
+// query's O(hosts) bookkeeping.
 //
 // Buffers that only grow — the delivery ring, the timer heap — double
 // when a query's flood runs deeper than any before it, which a loaded box

@@ -20,6 +20,9 @@ import (
 // process: the protocol object (for result reading at the issuing
 // process), the per-host handlers, the query's deadline in ticks, and the
 // query's membership timeline.
+// Protocol state is recycled when the query retires (a handler with a
+// Retire method hands it back), so read results through AwaitQueryResult
+// or QueryResult, which serve the answer frozen at retirement.
 type QueryInstance struct {
 	// Protocol is the installed protocol; nil for handler-only instances.
 	Protocol protocol.Protocol
@@ -237,9 +240,10 @@ func (rt *Runtime) queryForErr(id QueryID, create bool) (*queryState, bool, erro
 
 // retire marks qs dead to the dispatcher, drops the protocol instance —
 // which pins every host's protocol state — and hands each host's shard
-// worker the job of dropping the host's handler reference, so nothing is
-// freed while an in-flight callback could still touch it. Stats counters
-// and a frozen answer survive retirement. Of its three callers — why is
+// worker the job of retiring the host's handler and coin stream
+// (itemRetire), so nothing is reused while an in-flight callback could
+// still touch it. Stats counters and a frozen answer survive retirement.
+// Of its three callers — why is
 // "answered" at the issuer's read, "done" on a worker told so, "timer" at
 // the tkRetire backstop — the first wins and the rest are no-ops, so a
 // query is counted, traced and fanned out once; it reports whether this
@@ -288,15 +292,16 @@ type answer struct {
 type queryState struct {
 	id QueryID
 	// inst pins the protocol object (and through it every host's state)
-	// until retirement clears it and the GC can reclaim the query's
-	// protocol state; from then on the only result readable is answer, set
-	// (before inst clears) when the retirement was AwaitQueryResult's.
+	// until retirement clears it; each host's itemRetire then hands the
+	// host's handler back (retirer) or leaves it to the GC. From then on
+	// the only result readable is answer, set (before inst clears) when the
+	// retirement was AwaitQueryResult's.
 	inst     atomic.Pointer[QueryInstance]
 	answer   atomic.Pointer[answer]
 	handlers []sim.Handler
-	// coins[h] is host h's coin stream, made on h's shard worker at the
-	// host's first toss and dropped with its handler.
-	coins    []*rand.Rand
+	// coins[h] is host h's coin stream, taken on h's shard worker at the
+	// host's first toss and released to sim's pool with its handler.
+	coins    []*sim.Coins
 	seed     int64
 	be       *queryBackend
 	deadline sim.Time
@@ -370,7 +375,7 @@ func newQueryState(rt *Runtime, id QueryID, inst *QueryInstance, deadline sim.Ti
 	qs := &queryState{
 		id:        id,
 		handlers:  make([]sim.Handler, n),
-		coins:     make([]*rand.Rand, n),
+		coins:     make([]*sim.Coins, n),
 		deadline:  deadline,
 		origin:    -1,
 		idle:      make(chan struct{}),
@@ -553,7 +558,7 @@ func (b *queryBackend) Rand(h graph.HostID) *rand.Rand {
 	if b.qs.coins[h] == nil {
 		b.qs.coins[h] = sim.NewCoins(b.qs.seed, h)
 	}
-	return b.qs.coins[h]
+	return b.qs.coins[h].Rand
 }
 
 // SendAll implements sim.Backend: one Send per neighbor.

@@ -109,8 +109,13 @@ const (
 	itemMsg
 	itemTimer
 	itemFunc   // run an arbitrary closure on the host's shard worker (Do)
-	itemRetire // drop the host's handler and coins for a retired query
+	itemRetire // hand back the host's handler and coins for a retired query
 )
+
+// retirer is a handler that hands its per-query state back for reuse. Its
+// Retire runs once per (query, local host), from the host's itemRetire,
+// after the last callback the host runs for the query.
+type retirer interface{ Retire() }
 
 // shard is one worker's slice of the runtime: a bounded queue of host
 // callbacks plus the overflow list the timer loop parks into when the
@@ -600,6 +605,14 @@ func (rt *Runtime) runItem(it item, ctx *sim.Context) {
 	case itemFunc:
 		it.fn() // runs whatever the host's membership: state reads stay safe
 	case itemRetire:
+		// retire flagged the query before dispatching this, so runCallback
+		// drops all that comes later: what the host held may be reused.
+		if r, ok := it.qs.handlers[it.h].(retirer); ok {
+			r.Retire()
+		}
+		if c := it.qs.coins[it.h]; c != nil {
+			c.Release()
+		}
 		it.qs.handlers[it.h], it.qs.coins[it.h] = nil, nil
 	default:
 		rt.runCallback(it, ctx)

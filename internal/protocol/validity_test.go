@@ -81,7 +81,7 @@ func TestWildfireCountSketchLevelValidity(t *testing.T) {
 			}
 			vals := zipfval.Default(seed).Values(g.Len())
 			own := func(h graph.HostID) *fm.Sketch {
-				sk, _ := agg.WireSketches(agg.NewPartial(agg.Count, vals[h], w.Query.Params, sim.NewCoins(seed, h)))
+				sk, _ := agg.WireSketches(agg.NewPartial(agg.Count, vals[h], w.Query.Params, sim.NewCoins(seed, h).Rand))
 				return sk
 			}
 			activated := func(h graph.HostID) bool { return w.hosts[h] != nil && w.hosts[h].active }

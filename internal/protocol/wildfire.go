@@ -64,10 +64,13 @@ func (w *Wildfire) Init(g *graph.Graph) error {
 	return w.Query.Validate(g)
 }
 
-// NewHost implements Protocol.
+// NewHost implements Protocol. The host may be one a retired query handed
+// back (Retire): of that it keeps only the storage activation rebuilds in.
 func (w *Wildfire) NewHost(h graph.HostID) sim.Handler {
-	w.hosts[h] = &wfHost{w: w, isHq: h == w.Query.Hq}
-	return w.hosts[h]
+	host := hostPool.Get().(*wfHost)
+	*host = wfHost{w: w, self: h, isHq: h == w.Query.Hq, partial: host.partial, lastSent: host.lastSent}
+	w.hosts[h] = host
+	return host
 }
 
 // Install implements Protocol.
@@ -83,10 +86,11 @@ func (w *Wildfire) Result() (float64, bool) {
 }
 
 // Partial exposes h_q's final partial aggregate for the oracle's sketch-
-// level validity check; nil until h_q is active, and where it is not served.
+// level validity check; nil until h_q is active, where it is not served,
+// and once the live engine has retired the query.
 func (w *Wildfire) Partial() agg.Partial {
 	hq := w.hosts[w.Query.Hq]
-	if hq == nil {
+	if hq == nil || !hq.active {
 		return nil
 	}
 	return hq.partial
@@ -157,8 +161,13 @@ const wfTagFlush = 3
 // SendAllExcept, one per neighbor that lacks the version for a flush. Once
 // the last of those frames is received, the snapshot is back in the pool
 // for the next one to be copied into.
+//
+// The host itself comes from hostPool, and the live engine hands it back
+// when its query retires (Retire); a later NewHost keeps its partial and
+// lastSent's array for activation to rebuild in place.
 type wfHost struct {
 	w       *Wildfire
+	self    graph.HostID
 	isHq    bool
 	active  bool
 	dist    int // hops from h_q along the activation path
@@ -174,6 +183,19 @@ type wfHost struct {
 	lastSent []uint32
 	dirty    bool
 	flushing bool // a flush timer is pending for the current tick
+}
+
+var hostPool = sync.Pool{New: func() any { return new(wfHost) }}
+
+// Retire hands the host back to hostPool after its last callback for the
+// query. A caller still holding the Wildfire then reads no result, never
+// state another query owns; a slot another Init refilled is left alone.
+func (h *wfHost) Retire() {
+	if h.w.hosts[h.self] == h {
+		h.w.hosts[h.self] = nil
+	}
+	h.w = nil
+	hostPool.Put(h)
 }
 
 // limit is this host's participation deadline.
@@ -203,9 +225,9 @@ func (h *wfHost) activate(ctx *sim.Context, dist int, incoming agg.Partial) {
 	if h.w.ValueFn != nil {
 		value = h.w.ValueFn(ctx.Self(), dist)
 	}
-	h.partial = agg.NewPartial(h.w.Query.Kind, value, h.w.Query.Params, ctx.Rand())
+	h.partial = agg.Init(h.partial, h.w.Query.Kind, value, h.w.Query.Params, ctx.Rand())
 	h.version = 1
-	h.lastSent = make([]uint32, ctx.Degree())
+	h.lastSent = append(h.lastSent[:0], make([]uint32, ctx.Degree())...)
 	if incoming != nil && h.partial.Combine(incoming) {
 		h.version++
 	}

@@ -369,7 +369,7 @@ func (nw *Network) Medium() Medium { return nw.medium }
 // who drew before it.
 func (nw *Network) Rand(h graph.HostID) *rand.Rand {
 	if nw.coins[h] == nil {
-		nw.coins[h] = NewCoins(nw.seed, h)
+		nw.coins[h] = NewCoins(nw.seed, h).Rand
 	}
 	return nw.coins[h]
 }
