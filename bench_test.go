@@ -195,7 +195,7 @@ func BenchmarkAblationPCSA(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p := fm.NewPCSA(8, 32)
 			for k := 0; k < m; k++ {
-				p.AddRandom(rng)
+				p.Add(uint64(rng.Int63())<<1 | uint64(rng.Int63n(2))) // a host inventing a distinct element
 			}
 		}
 	})

@@ -141,9 +141,6 @@ func (e *Estimator) Step() Result {
 	return res
 }
 
-// MarkedCount exposes |M_t| (tests).
-func (e *Estimator) MarkedCount() int { return len(e.marked) }
-
 // RequiredSampleSize returns the §5.4 bound |N_t| ≥ (4/(ε²·ρ))·ln(2/δ)
 // where ρ is the marked fraction |M_t|/|H_t| (estimated from the previous
 // interval if |H_t| is unknown).

@@ -120,8 +120,8 @@ func TestMaxMarkedCap(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		est.Step()
 	}
-	if est.MarkedCount() > 50 {
-		t.Fatalf("marked set %d exceeds cap 50", est.MarkedCount())
+	if len(est.marked) > 50 {
+		t.Fatalf("marked set %d exceeds cap 50", len(est.marked))
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 )
 
 // PCSA is the stochastic-averaging variant from the original
@@ -55,12 +54,6 @@ func (p *PCSA) Add(hash uint64) {
 		b = p.bits - 1
 	}
 	p.vecs[vec] |= 1 << b
-}
-
-// AddRandom inserts a fresh pseudo-element drawn from rng (a host
-// inventing a distinct element, §5.2).
-func (p *PCSA) AddRandom(rng *rand.Rand) {
-	p.Add(uint64(rng.Int63())<<1 | uint64(rng.Int63n(2)))
 }
 
 // Or merges other into p.

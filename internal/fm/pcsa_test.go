@@ -52,7 +52,7 @@ func TestPCSAAccuracy(t *testing.T) {
 	const m = 1 << 14
 	p := NewPCSA(64, 32)
 	for i := 0; i < m; i++ {
-		p.AddRandom(rng)
+		addRandom(p, rng)
 	}
 	est := p.Estimate()
 	// PCSA at c=64 concentrates around the truth; the classic analysis
@@ -67,10 +67,10 @@ func TestPCSAEstimateMonotone(t *testing.T) {
 	small := NewPCSA(16, 32)
 	large := NewPCSA(16, 32)
 	for i := 0; i < 100; i++ {
-		small.AddRandom(rng)
+		addRandom(small, rng)
 	}
 	for i := 0; i < 20000; i++ {
-		large.AddRandom(rng)
+		addRandom(large, rng)
 	}
 	if small.Estimate() >= large.Estimate() {
 		t.Fatalf("PCSA not monotone: %.0f vs %.0f", small.Estimate(), large.Estimate())
@@ -82,7 +82,7 @@ func TestQuickPCSAOrProperties(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := NewPCSA(8, 32)
 		for i := 0; i < n; i++ {
-			p.AddRandom(rng)
+			addRandom(p, rng)
 		}
 		return p
 	}
@@ -126,7 +126,7 @@ func TestPCSAAgreesWithSketch(t *testing.T) {
 		p := NewPCSA(32, 32)
 		s := NewSketch(32, 32)
 		for k := 0; k < m; k++ {
-			p.AddRandom(rng)
+			addRandom(p, rng)
 			s.AddDistinct(rng)
 		}
 		pcsaSum += p.Estimate()
@@ -136,4 +136,10 @@ func TestPCSAAgreesWithSketch(t *testing.T) {
 	if ratio < 0.4 || ratio > 2.5 {
 		t.Fatalf("PCSA/Sketch mean estimate ratio %.2f; designs disagree", ratio)
 	}
+}
+
+// addRandom inserts a fresh pseudo-element drawn from rng into p: a host
+// inventing a distinct element (§5.2).
+func addRandom(p *PCSA, rng *rand.Rand) {
+	p.Add(uint64(rng.Int63())<<1 | uint64(rng.Int63n(2)))
 }

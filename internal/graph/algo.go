@@ -58,12 +58,6 @@ func (s *bfsScratch) run(g *Graph, src HostID, alive Alive) int {
 	return int(ecc)
 }
 
-// Eccentricity returns the largest finite BFS distance from src among
-// alive hosts, or -1 if src is dead.
-func (g *Graph) Eccentricity(src HostID, alive Alive) int {
-	return g.newBFSScratch().run(g, src, alive)
-}
-
 // Diameter computes the exact diameter of the graph restricted to alive
 // hosts: the maximum over sources of eccentricity. It is O(|H|·(|H|+|E|)),
 // so use DiameterSampled for large graphs.
@@ -166,10 +160,4 @@ func (g *Graph) Components(alive Alive) [][]HostID {
 func (g *Graph) IsConnected(alive Alive) bool {
 	comps := g.Components(alive)
 	return len(comps) <= 1
-}
-
-// Reachable reports whether dst is reachable from src over alive hosts.
-func (g *Graph) Reachable(src, dst HostID, alive Alive) bool {
-	dist := g.BFS(src, alive)
-	return dist[dst] >= 0
 }

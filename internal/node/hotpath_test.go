@@ -142,32 +142,34 @@ func TestFramePathAllocations(t *testing.T) {
 }
 
 // queryAllocBudget is what TestWildfireQueryAllocBytes allows a query to
-// allocate per served host, in bytes: 1.25× the ~105 its least window reads
-// at the top of its range (86–110 over forty runs, idle and beside a -race
-// test loop) once a retired query hands its hosts, partials and coin
-// streams back (~550 while every query built them fresh; ~1,150 while each
-// host also kept its last snapshot and activation kept a clone).
-const queryAllocBudget = 130
+// allocate per served host, in bytes: 1.25× the 22 its least window reads
+// at the top of its range (12–22 over forty runs, idle and beside a -race
+// test loop) once a query is built in the storage a retired one handed
+// back (~105 while hosts and coin streams went through sync.Pools; ~550
+// while every query built them fresh; ~1,150 while each host also kept its
+// last snapshot and activation kept a clone).
+const queryAllocBudget = 28
 
 // TestWildfireQueryAllocBytes is the end-to-end allocation budget of a
 // query: a warm, all-local chan runtime on a 256-host random graph answers
 // WILDFIRE COUNT queries at c = 64 in windows of five, and the bytes the
 // process allocates over a window, per query and served host, must stay
 // inside queryAllocBudget. Neither the frames a query floods nor its
-// per-host state — handlers, partials, coin streams, rebuilt in place from
-// what the last retired query handed back — allocate; what is left is the
-// query's O(hosts) bookkeeping.
+// per-host state — handlers, partials, coin streams, rebuilt in place in
+// the slab the last retired query handed back — allocate; what is left is
+// the query's per-host counters and the snapshot pool's refills.
 //
 // Buffers that only grow — the delivery ring, the timer heap — double
 // when a query's flood runs deeper than any before it, which a loaded box
 // can cause at any query; one such doubling inside a window reads as
-// ~200 B a host. So the reading is the least of three windows: a one-off
-// growth lands in one, a per-query cost in all.
+// ~200 B a host, and so can the snapshot pool's chains when frames move
+// between Ps. So the reading is the least of five windows: a one-off
+// growth lands in some, a per-query cost in all.
 func TestWildfireQueryAllocBytes(t *testing.T) {
 	if raceSlowdown > 1 {
 		t.Skip("the race detector allocates on its own")
 	}
-	const hosts, queries, windows, hop = 256, 5, 3, 5 * time.Millisecond
+	const hosts, queries, windows, hop = 256, 5, 5, 5 * time.Millisecond
 	g := topology.NewRandom(hosts, 5, 23)
 	rt, err := New(Config{Graph: g, Transport: transport.NewChannel(hosts, hop/2), Hop: hop})
 	if err != nil {
@@ -190,11 +192,11 @@ func TestWildfireQueryAllocBytes(t *testing.T) {
 			t.Fatalf("query %d declared nothing (ok=%t, err=%v)", id, ok, err)
 		}
 	}
-	// A collection empties the sync.Pools, so one landing inside the
-	// measurement would charge these queries for refilling them: the
+	// A collection empties the snapshot pool, so one landing inside the
+	// measurement would charge these queries for refilling it: the
 	// collector stays off from the warm-up query on.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	answer(1) // warm: pools, timer freelist, delivery ring, shard queues
+	answer(1) // warm: a slab, the snapshot pool, timer freelist, delivery ring, shard queues
 	perHost := math.Inf(1)
 	for w, id := 0, QueryID(2); w < windows; w++ {
 		var before, after gort.MemStats

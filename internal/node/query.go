@@ -20,9 +20,10 @@ import (
 // process: the protocol object (for result reading at the issuing
 // process), the per-host handlers, the query's deadline in ticks, and the
 // query's membership timeline.
-// Protocol state is recycled when the query retires (a handler with a
-// Retire method hands it back), so read results through AwaitQueryResult
-// or QueryResult, which serve the answer frozen at retirement.
+// When the query retires, a later BuildInstance rebuilds in what this one
+// built — Handlers and the protocol's per-host state — so read results
+// through AwaitQueryResult or QueryResult, which serve the answer frozen at
+// retirement; a Protocol held past it reports its own answer or nothing.
 type QueryInstance struct {
 	// Protocol is the installed protocol; nil for handler-only instances.
 	Protocol protocol.Protocol
@@ -56,6 +57,8 @@ type QueryInstance struct {
 	// liveness the runtime keeps: a host switched off for good is a Leave
 	// at tick 0 on every query's timeline.
 	Churn churn.Timeline
+
+	slab *slab // what BuildInstance built in; nil if the factory built it
 }
 
 // QueryFactory builds the local protocol instance for a query on first
@@ -122,16 +125,26 @@ func (rt *Runtime) QueryResult(id QueryID, h graph.HostID) (float64, bool, error
 	if a := qs.answer.Load(); a != nil {
 		return a.v, a.ok, nil
 	}
-	inst := qs.inst.Load()
-	if inst == nil || inst.Protocol == nil {
-		return 0, false, fmt.Errorf("node: query %d has no protocol instance here (retired?)", id)
-	}
 	var v float64
-	var ok bool
-	if err := rt.Do(h, func() { v, ok = inst.Protocol.Result() }); err != nil {
-		return 0, false, err
+	var ok, live bool
+	if inst := qs.inst.Load(); inst != nil && inst.Protocol != nil {
+		// Retirement is checked on h's worker: until then h's itemRetire,
+		// and with it the recycling of the query's storage, waits behind.
+		if err := rt.Do(h, func() {
+			if live = !qs.retired.Load(); live {
+				v, ok = inst.Protocol.Result()
+			}
+		}); err != nil {
+			return 0, false, err
+		}
 	}
-	return v, ok, nil
+	if live {
+		return v, ok, nil
+	}
+	if a := qs.answer.Load(); a != nil {
+		return a.v, a.ok, nil
+	}
+	return 0, false, fmt.Errorf("node: query %d has no protocol instance here (retired?)", id)
 }
 
 // queryEntry is the demux map's slot for one QueryID. The factory runs
@@ -238,11 +251,11 @@ func (rt *Runtime) queryForErr(id QueryID, create bool) (*queryState, bool, erro
 	return e.qs, created, nil
 }
 
-// retire marks qs dead to the dispatcher, drops the protocol instance —
-// which pins every host's protocol state — and hands each host's shard
-// worker the job of retiring the host's handler and coin stream
-// (itemRetire), so nothing is reused while an in-flight callback could
-// still touch it. Stats counters and a frozen answer survive retirement.
+// retire marks qs dead to the dispatcher, drops the protocol instance, and
+// hands each local host's shard worker an itemRetire; the last of those to
+// run recycles the query's storage, so nothing is reused while an in-flight
+// callback could still touch it. Stats counters and a frozen answer
+// survive retirement.
 // Of its three callers — why is
 // "answered" at the issuer's read, "done" on a worker told so, "timer" at
 // the tkRetire backstop — the first wins and the rest are no-ops, so a
@@ -291,20 +304,19 @@ type answer struct {
 // §6.3 counters.
 type queryState struct {
 	id QueryID
-	// inst pins the protocol object (and through it every host's state)
-	// until retirement clears it; each host's itemRetire then hands the
-	// host's handler back (retirer) or leaves it to the GC. From then on
+	// inst is the protocol object until retirement clears it. From then on
 	// the only result readable is answer, set (before inst clears) when the
 	// retirement was AwaitQueryResult's.
-	inst     atomic.Pointer[QueryInstance]
-	answer   atomic.Pointer[answer]
-	handlers []sim.Handler
-	// coins[h] is host h's coin stream, taken on h's shard worker at the
-	// host's first toss and released to sim's pool with its handler.
-	coins    []*sim.Coins
-	seed     int64
-	be       *queryBackend
-	deadline sim.Time
+	inst   atomic.Pointer[QueryInstance]
+	answer atomic.Pointer[answer]
+	// The query's handlers, coins and started flags (install.go); the
+	// itemRetire that takes unretired — local hosts yet to retire — to zero
+	// recycles them. coins[h] is reseeded from (seed, h) when h starts.
+	*slab
+	unretired atomic.Int32
+	seed      int64
+	be        *queryBackend
+	deadline  sim.Time
 
 	// The query clock arms at the query's first send or delivery in this
 	// process, not at instantiation: shards see a query at different wall
@@ -315,12 +327,6 @@ type queryState struct {
 	// starting late must not inherit an earlier query's elapsed ticks.
 	clockOnce  sync.Once
 	clockStart atomic.Pointer[time.Time]
-
-	// started[h] records that host h's handler has run Start for this
-	// query. It is read and written only from the shard worker owning h
-	// (Start, Receive and Timer of a host all serialize through its
-	// shard), so no synchronization is needed.
-	started []bool
 
 	// Per-query membership (nil when the query has no churn timeline):
 	// membership indexes the timeline on this query's clock, and dead[h]
@@ -374,24 +380,25 @@ func newQueryState(rt *Runtime, id QueryID, inst *QueryInstance, deadline sim.Ti
 	n := rt.g.Len()
 	qs := &queryState{
 		id:        id,
-		handlers:  make([]sim.Handler, n),
-		coins:     make([]*sim.Coins, n),
 		deadline:  deadline,
 		origin:    -1,
 		idle:      make(chan struct{}),
-		started:   make([]bool, n),
 		processed: make([]int64, n),
 	}
+	qs.unretired.Store(int32(len(rt.localHosts)))
 	if inst != nil {
 		qs.inst.Store(inst)
 		qs.seed = inst.Seed
 		if inst.Origin >= 0 && int(inst.Origin) < n {
 			qs.origin = inst.Origin
 		}
-		for _, h := range rt.localHosts {
-			if int(h) < len(inst.Handlers) {
-				qs.handlers[h] = inst.Handlers[h]
-			}
+		// The slab is this query's alone, however often the factory returns
+		// inst; a factory's own handlers are copied into a slab of rt's.
+		qs.slab, inst.slab = inst.slab, nil
+		if qs.slab == nil {
+			qs.slab = rt.takeSlab()
+			clear(qs.handlers)
+			copy(qs.handlers, inst.Handlers)
 		}
 		if len(inst.Churn) > 0 {
 			// Degenerate negative event times mean "before the query
@@ -451,13 +458,15 @@ func (qs *queryState) markAlive(h graph.HostID) {
 	}
 }
 
-// startHost runs hd.Start exactly once for host h, on the calling worker's
-// context; must be called from the shard worker owning h.
+// startHost reseeds h's coins and runs hd.Start, exactly once for host h,
+// on the calling worker's context; must be called from the shard worker
+// owning h.
 func (qs *queryState) startHost(h graph.HostID, hd sim.Handler, ctx *sim.Context) {
 	if qs.started[h] {
 		return
 	}
 	qs.started[h] = true
+	qs.coins[h].Reseed(qs.seed, h)
 	ctx.Reset(qs.be, h, 0)
 	hd.Start(ctx)
 }
@@ -552,14 +561,10 @@ func (b *queryBackend) Graph() *graph.Graph { return b.rt.g }
 // Medium implements sim.Backend: a transport frame has one destination.
 func (b *queryBackend) Medium() sim.Medium { return sim.MediumPointToPoint }
 
-// Rand implements sim.Backend. All callbacks of h run on h's one shard
-// worker, so its slot and its unsynchronized stream have a single user.
-func (b *queryBackend) Rand(h graph.HostID) *rand.Rand {
-	if b.qs.coins[h] == nil {
-		b.qs.coins[h] = sim.NewCoins(b.qs.seed, h)
-	}
-	return b.qs.coins[h].Rand
-}
+// Rand implements sim.Backend: h's stream, seeded by startHost, which
+// precedes every callback of h. All of them run on h's one shard worker,
+// so the unsynchronized stream has a single user.
+func (b *queryBackend) Rand(h graph.HostID) *rand.Rand { return b.qs.coins[h].Rand }
 
 // SendAll implements sim.Backend: one Send per neighbor.
 func (b *queryBackend) SendAll(from, skip graph.HostID, payload any, chain int) {

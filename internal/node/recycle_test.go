@@ -1,6 +1,7 @@
 package node
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -31,14 +32,16 @@ func recycleSpec(id QueryID) protocol.Query {
 }
 
 // recycleEngine is an all-local chan runtime on the path 0-1-2-3-4 that
-// answers recycleSpec queries and remembers each query's Wildfire.
+// answers recycleSpec queries — WILDFIRE's, or SpanningTree's for the ids
+// in spanning — and remembers each query's protocol.
 type recycleEngine struct {
 	*Runtime
-	mu  sync.Mutex
-	wfs map[QueryID]*protocol.Wildfire
+	spanning map[QueryID]bool
+	mu       sync.Mutex
+	protos   map[QueryID]protocol.Protocol
 }
 
-func newRecycleEngine(t *testing.T) *recycleEngine {
+func newRecycleEngine(t *testing.T, spanning ...QueryID) *recycleEngine {
 	t.Helper()
 	g := line(5)
 	rt, err := New(Config{
@@ -48,13 +51,19 @@ func newRecycleEngine(t *testing.T) *recycleEngine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &recycleEngine{Runtime: rt, wfs: map[QueryID]*protocol.Wildfire{}}
+	e := &recycleEngine{Runtime: rt, spanning: map[QueryID]bool{}, protos: map[QueryID]protocol.Protocol{}}
+	for _, id := range spanning {
+		e.spanning[id] = true
+	}
 	rt.SetQueryFactory(func(id QueryID) (*QueryInstance, error) {
-		w := protocol.NewWildfire(recycleSpec(id))
+		var p protocol.Protocol = protocol.NewWildfire(recycleSpec(id))
+		if e.spanning[id] {
+			p = protocol.NewSpanningTree(recycleSpec(id))
+		}
 		e.mu.Lock()
-		e.wfs[id] = w
+		e.protos[id] = p
 		e.mu.Unlock()
-		return BuildInstance(rt, w, QuerySeed(23, id))
+		return BuildInstance(rt, p, QuerySeed(23, id))
 	})
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)
@@ -63,26 +72,35 @@ func newRecycleEngine(t *testing.T) *recycleEngine {
 	return e
 }
 
-// outcome is what a query left at h_q: its final partial and the messages
-// its hosts sent.
+func (e *recycleEngine) proto(id QueryID) protocol.Protocol {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.protos[id]
+}
+
+// outcome is what a query left: its answer, h_q's final partial (for
+// WILDFIRE) and the messages its hosts sent.
 type outcome struct {
+	v       float64
 	partial agg.Partial
 	sent    int64
 }
 
-// start issues query id and returns its handlers.
+// start issues query id and returns a copy of its handlers: the instance's
+// own slice serves a later query once this one retires.
 func (e *recycleEngine) start(t *testing.T, id QueryID) []sim.Handler {
 	t.Helper()
 	inst, err := e.StartQuery(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return inst.Handlers
+	return slices.Clone(inst.Handlers)
 }
 
 // finish waits for query id to go idle, copies h_q's partial while the
 // query still owns it, then answers the query — which retires it — and
-// checks that the Wildfire the test still holds declares nothing after.
+// waits for its storage to be back on the free list. The protocol the
+// test still holds must then report that answer or nothing.
 func (e *recycleEngine) finish(t *testing.T, id QueryID) outcome {
 	t.Helper()
 	qs := e.lookupQuery(id)
@@ -91,36 +109,44 @@ func (e *recycleEngine) finish(t *testing.T, id QueryID) outcome {
 	case <-time.After(10 * time.Second):
 		t.Fatalf("query %d never went idle", id)
 	}
-	e.mu.Lock()
-	w := e.wfs[id]
-	e.mu.Unlock()
+	p := e.proto(id)
 	var out outcome
-	if err := e.Do(0, func() {
-		if p := w.Partial(); p != nil {
-			out.partial = p.Clone()
+	if w, ok := p.(*protocol.Wildfire); ok {
+		if err := e.Do(0, func() {
+			if p := w.Partial(); p != nil {
+				out.partial = p.Clone()
+			}
+		}); err != nil {
+			t.Fatal(err)
 		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if out.partial == nil {
-		t.Fatalf("query %d: h_q holds no partial", id)
+		if out.partial == nil {
+			t.Fatalf("query %d: h_q holds no partial", id)
+		}
 	}
 	floor, settle, hardCap := e.AwaitBracket(recycleSpec(id).Deadline())
-	if _, ok, err := e.AwaitQueryResult(id, 0, floor, settle, hardCap); err != nil || !ok {
+	v, ok, err := e.AwaitQueryResult(id, 0, floor, settle, hardCap)
+	if err != nil || !ok {
 		t.Fatalf("query %d: await failed: ok=%v err=%v", id, ok, err)
 	}
 	st, _ := e.QueryStats(id)
-	out.sent = st.MessagesSent
-	// The answer dispatched h_q's itemRetire onto its shard's queue; this
-	// read queues behind it.
-	var declared bool
-	if err := e.Do(0, func() { _, declared = w.Result() }); err != nil {
-		t.Fatal(err)
-	}
-	if declared {
-		t.Errorf("query %d: its Wildfire still declares a result after retirement", id)
+	out.v, out.sent = v, st.MessagesSent
+	e.drain(t)
+	if got, declared := p.Result(); declared && got != v {
+		t.Errorf("query %d: its held protocol declares %v, not its answer %v", id, got, v)
 	}
 	return out
+}
+
+// drain returns once every local host's worker has run what was queued
+// for it: the itemRetires of the queries answered so far, and with the
+// last of each the recycling of that query's storage.
+func (e *recycleEngine) drain(t *testing.T) {
+	t.Helper()
+	for _, h := range e.localHosts {
+		if err := e.Do(h, func() {}); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func (e *recycleEngine) answer(t *testing.T, id QueryID) outcome {
@@ -131,9 +157,9 @@ func (e *recycleEngine) answer(t *testing.T, id QueryID) outcome {
 
 func sameOutcome(t *testing.T, what string, got, want outcome) {
 	t.Helper()
-	if !got.partial.Equal(want.partial) || got.sent != want.sent {
-		t.Errorf("%s: h_q's partial %v after %d messages, a fresh runtime's %v after %d",
-			what, got.partial.Result(), got.sent, want.partial.Result(), want.sent)
+	if got.v != want.v || !got.partial.Equal(want.partial) || got.sent != want.sent {
+		t.Errorf("%s: answered %v after %d messages, a fresh runtime %v after %d",
+			what, got.v, got.sent, want.v, want.sent)
 	}
 }
 
@@ -169,8 +195,8 @@ func TestRecycledHostsAnswerLikeFreshOverlapping(t *testing.T) {
 
 // TestNoHostServesTwoLiveQueries rolls queries through one runtime two at
 // a time — each starts while the one before is live and retires once the
-// next has started — and holds the pool to its contract: no handler is
-// ever held by two live queries, though retired ones come back.
+// next has started — and holds the free list to its contract: no handler
+// is ever held by two live queries, though retired ones come back.
 func TestNoHostServesTwoLiveQueries(t *testing.T) {
 	e := newRecycleEngine(t)
 	owner, ever := map[sim.Handler]QueryID{}, map[sim.Handler]bool{}
@@ -198,4 +224,114 @@ func TestNoHostServesTwoLiveQueries(t *testing.T) {
 	if !reused {
 		t.Fatal("no query took a handler a retired query handed back")
 	}
+}
+
+// TestRecycleAcrossProtocols runs WILDFIRE, then SpanningTree, then
+// WILDFIRE on one runtime. SpanningTree cannot take WILDFIRE hosts over,
+// so the third query builds fresh ones: it shares no handler with the
+// first, and every answer is right — SpanningTree's the path's minimum,
+// the last query's a fresh runtime's. (SpanningTree runs MIN: its level
+// schedule assumes one clock, so on the engine a COUNT may miss the far
+// end of the path.)
+func TestRecycleAcrossProtocols(t *testing.T) {
+	e := newRecycleEngine(t, 4)
+	first := e.start(t, 1)
+	e.finish(t, 1)
+	e.start(t, 4)
+	if got := e.finish(t, 4); got.v != 10 {
+		t.Errorf("SpanningTree's minimum of the path is %v, want 10", got.v)
+	}
+	for h, hd := range e.start(t, 3) {
+		if hd != nil && hd == first[h] {
+			t.Fatalf("host %d: the WILDFIRE query after SpanningTree runs on the WILDFIRE query's host state", h)
+		}
+	}
+	sameOutcome(t, "query 3", e.finish(t, 3), newRecycleEngine(t).answer(t, 3))
+}
+
+// TestHeldWildfireSeesNoLaterQuery keeps query 1's Wildfire past its
+// answer while query 4, of the same kind, takes its hosts over: from that
+// build on, through query 4's flood and past its answer, the held Wildfire
+// declares nothing and exposes no partial.
+func TestHeldWildfireSeesNoLaterQuery(t *testing.T) {
+	e := newRecycleEngine(t)
+	first := e.start(t, 1)
+	e.finish(t, 1)
+	held := e.proto(1).(*protocol.Wildfire)
+	later := e.start(t, 4)
+	if !slices.Equal(later, first) {
+		t.Fatal("query 4 did not take over query 1's hosts")
+	}
+	check := func(when string) {
+		t.Helper()
+		if v, ok := held.Result(); ok || held.Partial() != nil {
+			t.Fatalf("%s: query 1's Wildfire declares %v", when, v)
+		}
+	}
+	check("query 4 in flight")
+	e.finish(t, 4)
+	check("query 4 answered")
+}
+
+// blockOnReceive is a two-host query whose host 0 sends host 1 one frame,
+// and host 1's Receive holds its shard worker until release closes.
+type blockOnReceive struct{ entered, release chan struct{} }
+
+func (b *blockOnReceive) Start(ctx *sim.Context) {
+	if ctx.Self() == 0 {
+		ctx.Send(1, "ping")
+	}
+}
+func (b *blockOnReceive) Receive(*sim.Context, sim.Message) { close(b.entered); <-b.release }
+func (b *blockOnReceive) Timer(*sim.Context, int)           {}
+
+// TestSlabWaitsForRunningCallback retires a query while host 1, on its
+// own shard, is still inside a callback of it: host 0's itemRetire runs at
+// once, but the query's storage reaches the free list only after host 1's
+// callback has returned and its own itemRetire has run.
+func TestSlabWaitsForRunningCallback(t *testing.T) {
+	rt, err := New(Config{Graph: line(2), Transport: transport.NewChannel(2, 0), Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &blockOnReceive{entered: make(chan struct{}), release: make(chan struct{})}
+	startInstance(t, rt, &QueryInstance{Handlers: []sim.Handler{b, b}, Deadline: 1000})
+	defer rt.Stop()
+	<-b.entered
+	rt.retire(rt.lookupQuery(1), "test")
+	if err := rt.Do(0, func() {}); err != nil { // queued behind host 0's itemRetire
+		t.Fatal(err)
+	}
+	if n := len(rt.slabs); n != 0 {
+		t.Fatalf("the storage went back with host 1 still in a callback (%d free)", n)
+	}
+	close(b.release)
+	if err := rt.Do(1, func() {}); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(rt.slabs); n != 1 {
+		t.Fatalf("%d slabs free once every host retired, want 1", n)
+	}
+}
+
+// TestFreeListBounded answers eight overlapping queries on one runtime.
+// Each retirement hands its storage back with nothing built in between,
+// and the free list keeps slabCap of them, never more.
+func TestFreeListBounded(t *testing.T) {
+	e := newRecycleEngine(t)
+	const queries = 8
+	for id := QueryID(1); id <= queries; id++ {
+		e.start(t, id)
+	}
+	for id := QueryID(1); id <= queries; id++ {
+		e.finish(t, id)
+		if n, want := len(e.slabs), min(int(id), slabCap); n != want {
+			t.Fatalf("%d queries retired: %d slabs free, want %d", id, n, want)
+		}
+	}
+	e.start(t, queries+1)
+	if n := len(e.slabs); n != slabCap-1 {
+		t.Fatalf("a build left %d slabs free, want %d", n, slabCap-1)
+	}
+	e.finish(t, queries+1)
 }

@@ -1,6 +1,10 @@
 package node
 
-import "validity/internal/obs"
+import (
+	"sync/atomic"
+
+	"validity/internal/obs"
+)
 
 // Retired-query compaction: a long-running fleet answers an unbounded
 // stream of queries, so per-query state must not accumulate forever.
@@ -80,15 +84,13 @@ func (r *retiredRing) list() []RetiredStats {
 	return append(out, r.buf[:r.next]...)
 }
 
-// summarize collapses a Stats snapshot to the ring's fixed-size form.
-func summarize(id QueryID, s Stats) RetiredStats {
-	return RetiredStats{
-		Query:             id,
+// stats is the summary as a Stats, its per-host array nil.
+func (s RetiredStats) stats() Stats {
+	return Stats{
 		MessagesSent:      s.MessagesSent,
 		BytesOnWire:       s.BytesOnWire,
 		MessagesDelivered: s.MessagesDelivered,
 		MessagesDropped:   s.MessagesDropped,
-		MaxComputation:    s.MaxComputation(),
 		TimeCost:          s.TimeCost,
 	}
 }
@@ -98,12 +100,12 @@ func summarize(id QueryID, s Stats) RetiredStats {
 // full history) and a summary lands on the ring, then the demux map entry
 // is deleted. Fired from the timer heap one grace window after retirement.
 //
-// The snapshot is taken under rt.mu, in the same critical section that
+// The counters are read under rt.mu, in the same critical section that
 // drops the demux entry: straggler increments for a retired query go
 // through dropRetired, which takes the same lock, so every such increment
-// either lands before the snapshot (and is folded) or observes the entry
-// gone (and lands on the folded totals directly) — none can fall between
-// the snapshot and the delete and be lost.
+// either lands before the read (and is folded) or observes the entry gone
+// (and lands on the folded totals directly) — none can fall between the
+// read and the delete and be lost.
 func (rt *Runtime) compact(qs *queryState) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -111,10 +113,22 @@ func (rt *Runtime) compact(qs *queryState) {
 	if e == nil || e.qs != qs {
 		return // already compacted
 	}
-	snap := qs.snapshot()
 	delete(rt.queries, qs.id)
-	mergeStats(&rt.retiredTotal, snap)
-	rt.retired.push(summarize(qs.id, snap))
+	sum := RetiredStats{
+		Query:             qs.id,
+		MessagesSent:      qs.sent.Load(),
+		BytesOnWire:       qs.bytes.Load(),
+		MessagesDelivered: qs.delivered.Load(),
+		MessagesDropped:   qs.dropped.Load(),
+		TimeCost:          int(qs.timeCost.Load()),
+	}
+	for h := range qs.processed {
+		c := atomic.LoadInt64(&qs.processed[h])
+		rt.retiredTotal.PerHostProcessed[h] += c
+		sum.MaxComputation = max(sum.MaxComputation, c)
+	}
+	mergeStats(&rt.retiredTotal, sum.stats())
+	rt.retired.push(sum)
 	rt.met.compacted.Inc()
 	if rt.trace != nil {
 		rt.trace.Record(int64(qs.id), obs.EvCompacted, -1, qs.tickNow(rt), "")

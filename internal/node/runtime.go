@@ -109,13 +109,8 @@ const (
 	itemMsg
 	itemTimer
 	itemFunc   // run an arbitrary closure on the host's shard worker (Do)
-	itemRetire // hand back the host's handler and coins for a retired query
+	itemRetire // count off a retired query's local host; the last recycles it
 )
-
-// retirer is a handler that hands its per-query state back for reuse. Its
-// Retire runs once per (query, local host), from the host's itemRetire,
-// after the last callback the host runs for the query.
-type retirer interface{ Retire() }
 
 // shard is one worker's slice of the runtime: a bounded queue of host
 // callbacks plus the overflow list the timer loop parks into when the
@@ -280,8 +275,9 @@ type Runtime struct {
 	retired      retiredRing
 	retiredTotal Stats
 
-	quit chan struct{}
-	wg   sync.WaitGroup
+	slabs chan *slab // retired queries' storage for the next builds (install.go)
+	quit  chan struct{}
+	wg    sync.WaitGroup
 
 	// Timer heap shared by all hosts and queries; see timer.go.
 	tmu       sync.Mutex
@@ -320,6 +316,7 @@ func New(cfg Config) (*Runtime, error) {
 		shardOf:      make([]int32, n),
 		queries:      make(map[QueryID]*queryEntry),
 		retiredTotal: Stats{PerHostProcessed: make([]int64, n)},
+		slabs:        make(chan *slab, slabCap),
 		quit:         make(chan struct{}),
 		timerWake:    make(chan struct{}, 1),
 	}
@@ -606,14 +603,11 @@ func (rt *Runtime) runItem(it item, ctx *sim.Context) {
 		it.fn() // runs whatever the host's membership: state reads stay safe
 	case itemRetire:
 		// retire flagged the query before dispatching this, so runCallback
-		// drops all that comes later: what the host held may be reused.
-		if r, ok := it.qs.handlers[it.h].(retirer); ok {
-			r.Retire()
+		// drops all that comes later: once every local host is here, the
+		// query's storage may serve the next.
+		if it.qs.unretired.Add(-1) == 0 {
+			rt.recycle(it.qs)
 		}
-		if c := it.qs.coins[it.h]; c != nil {
-			c.Release()
-		}
-		it.qs.handlers[it.h], it.qs.coins[it.h] = nil, nil
 	default:
 		rt.runCallback(it, ctx)
 		it.qs.workDone()
@@ -759,16 +753,7 @@ func (rt *Runtime) QueryStats(id QueryID) (Stats, bool) {
 		rt.mu.Lock()
 		rs, ok := rt.retired.get(id)
 		rt.mu.Unlock()
-		if !ok {
-			return Stats{}, false
-		}
-		return Stats{
-			MessagesSent:      rs.MessagesSent,
-			BytesOnWire:       rs.BytesOnWire,
-			MessagesDelivered: rs.MessagesDelivered,
-			MessagesDropped:   rs.MessagesDropped,
-			TimeCost:          rs.TimeCost,
-		}, true
+		return rs.stats(), ok
 	}
 	return qs.snapshot(), true
 }

@@ -172,24 +172,3 @@ func (b Bounds) ValidFactor(v, f float64) bool {
 	}
 	return v >= lo/f && v <= hi*f
 }
-
-// Completeness is the §2.4 metric: the fraction of hosts in the network
-// whose data contributed to the result, given the set that actually
-// contributed.
-func Completeness(contributed, total int) float64 {
-	if total == 0 {
-		return 0
-	}
-	return float64(contributed) / float64(total)
-}
-
-// RelativeError is the §2.4 metric |v̂/v − 1|.
-func RelativeError(reported, truth float64) float64 {
-	if truth == 0 {
-		if reported == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return math.Abs(reported/truth - 1)
-}

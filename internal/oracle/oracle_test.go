@@ -1,7 +1,6 @@
 package oracle
 
 import (
-	"math"
 	"testing"
 
 	"validity/internal/agg"
@@ -154,21 +153,6 @@ func TestValidFactor(t *testing.T) {
 	// f < 1 clamps to exact.
 	if !b.ValidFactor(3, 0.1) {
 		t.Error("clamped factor should behave like exact bounds")
-	}
-}
-
-func TestMetrics(t *testing.T) {
-	if Completeness(5, 10) != 0.5 || Completeness(0, 0) != 0 {
-		t.Fatal("completeness wrong")
-	}
-	if math.Abs(RelativeError(110, 100)-0.1) > 1e-12 {
-		t.Fatalf("relative error = %v", RelativeError(110, 100))
-	}
-	if !math.IsInf(RelativeError(1, 0), 1) {
-		t.Fatal("relative error vs zero truth should be +Inf")
-	}
-	if RelativeError(0, 0) != 0 {
-		t.Fatal("0/0 relative error should be 0")
 	}
 }
 

@@ -63,9 +63,6 @@ func (a *AllReport) Result() (float64, bool) {
 	return agg.Exact(a.Query.Kind, hq.collected), true
 }
 
-// Reports returns the number of values collected at h_q.
-func (a *AllReport) Reports() int { return len(a.hosts[a.Query.Hq].collected) }
-
 type arBroadcast struct{}
 
 // arReport carries one host's attribute value toward h_q.

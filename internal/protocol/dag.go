@@ -63,9 +63,6 @@ func (d *DAG) Result() (float64, bool) {
 	return hq.partial.Result(), true
 }
 
-// Parents returns the parent set chosen by host h.
-func (d *DAG) Parents(h graph.HostID) []graph.HostID { return d.hosts[h].parents }
-
 type dagBroadcast struct {
 	Level int
 }

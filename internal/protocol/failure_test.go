@@ -175,7 +175,7 @@ func TestWildfireDropsBroadcastWithImpossibleHop(t *testing.T) {
 	b := oracle.Compute(g, vals, q.Hq, churn.Timeline{}, q.Deadline(), q.Kind)
 
 	// The 2³²−1 case comes off the wire, as a peer would deliver it.
-	frame, err := wire.AppendFrame(nil, wire.Frame{From: 3, To: 2, Query: 1, Payload: wfBroadcast{Hop: 1, S: carry(agg.NewPartial(agg.Max, 0, q.Params, nil))}})
+	frame, err := wire.AppendFrame(nil, wire.Frame{From: 3, To: 2, Query: 1, Payload: bcast(1, agg.NewPartial(agg.Max, 0, q.Params, nil))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,9 +187,10 @@ func TestWildfireDropsBroadcastWithImpossibleHop(t *testing.T) {
 	}
 	forged := []any{decoded.Payload}
 	for _, hop := range []int{0, -1, g.Len()} {
-		forged = append(forged, wfBroadcast{Hop: hop, S: carry(agg.NewPartial(agg.Max, 0, q.Params, nil))})
+		forged = append(forged, bcast(hop, agg.NewPartial(agg.Max, 0, q.Params, nil)))
 	}
 	for _, m := range forged {
+		hop := m.(wfBroadcast).S.hop // the snapshot is recycled once received
 		w := NewWildfire(q)
 		nw := newNet(g, vals, 1)
 		if err := w.Install(nw); err != nil {
@@ -199,10 +200,10 @@ func TestWildfireDropsBroadcastWithImpossibleHop(t *testing.T) {
 		nw.Run(w.Deadline())
 		v, ok := w.Result()
 		if !ok || !b.Valid(v, 0) {
-			t.Fatalf("hop %d: max = %v, outside the oracle's [%v,%v]", m.(wfBroadcast).Hop, v, b.LowerValue, b.UpperValue)
+			t.Fatalf("hop %d: max = %v, outside the oracle's [%v,%v]", hop, v, b.LowerValue, b.UpperValue)
 		}
 		if h := w.hosts[2]; !h.active || h.dist != 2 {
-			t.Fatalf("hop %d: host 2 active=%v at distance %d, want activated by host 1's broadcast at 2", m.(wfBroadcast).Hop, h.active, h.dist)
+			t.Fatalf("hop %d: host 2 active=%v at distance %d, want activated by host 1's broadcast at 2", hop, h.active, h.dist)
 		}
 	}
 }
@@ -273,9 +274,9 @@ func TestHandlersDropNonConformingPartials(t *testing.T) {
 			}
 		}
 		run(NewWildfire(q),
-			offWire(1, 0, wfBroadcast{Hop: 1, S: carry(f.p)}),
+			offWire(1, 0, bcast(1, f.p)),
 			offWire(1, 0, wfConverge{S: carry(f.p)}),
-			offWire(3, 2, wfBroadcast{Hop: 1, S: carry(f.p)}))
+			offWire(3, 2, bcast(1, f.p)))
 		run(NewDAG(q, 2), offWire(1, 0, dagReport{A: f.p}))
 	}
 }

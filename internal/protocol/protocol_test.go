@@ -289,8 +289,8 @@ func TestDAGSurvivesSingleParentFailure(t *testing.T) {
 	if v != 99 {
 		t.Fatalf("dag(k=2) max = %v, want 99 via surviving parent", v)
 	}
-	if len(d.Parents(3)) != 2 {
-		t.Fatalf("host 3 parents = %v, want 2", d.Parents(3))
+	if ps := d.hosts[3].parents; len(ps) != 2 {
+		t.Fatalf("host 3 parents = %v, want 2", ps)
 	}
 
 	// SPANNINGTREE on the same failure may lose the tail (if 3 parented
@@ -352,8 +352,8 @@ func TestAllReportCollectsAll(t *testing.T) {
 	if _, _, err := Run(ar, newNet(g, vals, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if ar.Reports() != 4 {
-		t.Fatalf("reports = %d, want 4", ar.Reports())
+	if n := len(ar.hosts[q.Hq].collected); n != 4 {
+		t.Fatalf("reports = %d, want 4", n)
 	}
 }
 

@@ -75,9 +75,6 @@ func (r *RandomizedReport) Result() (float64, bool) {
 	return float64(hq.reports) / r.P, true
 }
 
-// Reports returns the raw number of 1-reports received (|M|).
-func (r *RandomizedReport) Reports() int { return r.hosts[r.Query.Hq].reports }
-
 type rrBroadcast struct{}
 
 type rrReport struct{}

@@ -84,7 +84,7 @@ func TestWildfireCountSketchLevelValidity(t *testing.T) {
 				sk, _ := agg.WireSketches(agg.NewPartial(agg.Count, vals[h], w.Query.Params, sim.NewCoins(seed, h).Rand))
 				return sk
 			}
-			activated := func(h graph.HostID) bool { return w.hosts[h] != nil && w.hosts[h].active }
+			activated := func(h graph.HostID) bool { return w.hosts[h].active }
 			// Lower bound: every H_C host's own contribution is covered.
 			orHC := fm.NewSketch(16, 32)
 			for _, h := range b.HC {

@@ -28,7 +28,7 @@ func TestWildfireSnapshotRefs(t *testing.T) {
 	}
 	be := &sinkBackend{g: g, coins: rand.New(rand.NewSource(3)), hold: true}
 	ctx := new(sim.Context)
-	hq := w.hosts[0]
+	hq := &w.hosts[0]
 	refs := func(step string, s *wfSnap, want int32) {
 		t.Helper()
 		if got := s.refs.Load(); got != want {
@@ -112,7 +112,7 @@ func TestWildfireSnapshotRefs(t *testing.T) {
 	for name, m := range map[string]sim.Message{
 		"non-neighbor":  sim.MakeMessage(4, 0, wfConverge{S: carry(news)}, 1),
 		"min partial":   sim.MakeMessage(2, 0, wfConverge{S: carry(agg.NewPartial(agg.Min, 1, q.Params, nil))}, 1),
-		"c=8 broadcast": sim.MakeMessage(3, 0, wfBroadcast{Hop: 1, S: carry(agg.NewPartial(agg.Count, 0, agg.Params{Vectors: 8, Bits: 32}, be.coins))}, 1),
+		"c=8 broadcast": sim.MakeMessage(3, 0, bcast(1, agg.NewPartial(agg.Count, 0, agg.Params{Vectors: 8, Bits: 32}, be.coins)), 1),
 	} {
 		s := frameSnap(m.Payload)
 		ctx.Reset(be, 0, 1)

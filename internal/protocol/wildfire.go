@@ -43,7 +43,7 @@ type Wildfire struct {
 	// values.
 	ValueFn func(h graph.HostID, dist int) int64
 
-	hosts []*wfHost
+	hosts []wfHost // rebuilt in place by NewHost, handed on by Reuse
 }
 
 // NewWildfire returns an uninstalled WILDFIRE instance with the §5.3
@@ -58,18 +58,33 @@ func (w *Wildfire) Name() string { return "wildfire" }
 // Deadline implements Protocol.
 func (w *Wildfire) Deadline() sim.Time { return w.Query.Deadline() }
 
-// Init implements Protocol.
+// Init implements Protocol. It keeps host storage that fits g, as Reuse's
+// does, so one Wildfire serves one query at a time.
 func (w *Wildfire) Init(g *graph.Graph) error {
-	w.hosts = make([]*wfHost, g.Len())
-	return w.Query.Validate(g)
+	if err := w.Query.Validate(g); err != nil {
+		return err
+	}
+	if len(w.hosts) != g.Len() {
+		w.hosts = make([]wfHost, g.Len())
+	}
+	return nil
 }
 
-// NewHost implements Protocol. The host may be one a retired query handed
-// back (Retire): of that it keeps only the storage activation rebuilds in.
+// Reuse takes over the hosts of old, a retired query's Wildfire, ahead of
+// Init; NewHost and activation rebuild them in place, partials included.
+// old keeps none and declares nothing from then on. Any other protocol, or
+// w itself, hands over nothing.
+func (w *Wildfire) Reuse(old Protocol) {
+	if o, ok := old.(*Wildfire); ok && o != w {
+		w.hosts, o.hosts = o.hosts, nil
+	}
+}
+
+// NewHost implements Protocol. Of what the slot held before it keeps only
+// the storage activation rebuilds in.
 func (w *Wildfire) NewHost(h graph.HostID) sim.Handler {
-	host := hostPool.Get().(*wfHost)
-	*host = wfHost{w: w, self: h, isHq: h == w.Query.Hq, partial: host.partial, lastSent: host.lastSent}
-	w.hosts[h] = host
+	host := &w.hosts[h]
+	*host = wfHost{w: w, isHq: h == w.Query.Hq, partial: host.partial, lastSent: host.lastSent}
 	return host
 }
 
@@ -87,21 +102,23 @@ func (w *Wildfire) Result() (float64, bool) {
 
 // Partial exposes h_q's final partial aggregate for the oracle's sketch-
 // level validity check; nil until h_q is active, where it is not served,
-// and once the live engine has retired the query.
+// and once a later query's Wildfire has taken the hosts over (Reuse).
 func (w *Wildfire) Partial() agg.Partial {
-	hq := w.hosts[w.Query.Hq]
-	if hq == nil || !hq.active {
+	if w.Query.Hq < 0 || int(w.Query.Hq) >= len(w.hosts) {
 		return nil
+	}
+	hq := &w.hosts[w.Query.Hq]
+	if hq.w != w || !hq.active {
+		return nil // never built by this Wildfire, or not yet activated
 	}
 	return hq.partial
 }
 
 // wfBroadcast is the Phase I message [q, 0, D̂] with the sender's partial
-// aggregate piggybacked (§5.1 footnote 4). Hop is the sender's distance
-// from h_q plus one.
+// aggregate piggybacked (§5.1 footnote 4); its snapshot carries the hop.
+// Like wfConverge, it is pointer-shaped.
 type wfBroadcast struct {
-	Hop int
-	S   *wfSnap
+	S *wfSnap
 }
 
 // wfConverge is the Phase II message [q, A_h']. It is pointer-shaped, so
@@ -121,17 +138,21 @@ type wfConverge struct {
 // encoded for a remote peer — only leaves its snapshot to the garbage
 // collector: a missed release costs an allocation, never an answer.
 type wfSnap struct {
-	a    agg.Partial
+	a agg.Partial
+	// hop is a broadcast's: the sender's distance from h_q plus one, the
+	// same for every frame of one send. A wfConverge's is 0 and unsent.
+	hop  int
 	refs atomic.Int32
 }
 
 var snapPool = sync.Pool{New: func() any { return new(wfSnap) }}
 
-// takeSnap returns a snapshot of p from the pool holding n refs, one per
-// frame about to carry it.
-func takeSnap(p agg.Partial, n int) *wfSnap {
+// takeSnap returns a snapshot of p at hop from the pool holding n refs,
+// one per frame about to carry it.
+func takeSnap(p agg.Partial, hop, n int) *wfSnap {
 	s := snapPool.Get().(*wfSnap)
 	s.a = agg.Assign(s.a, p)
+	s.hop = hop
 	s.refs.Store(int32(n))
 	return s
 }
@@ -162,12 +183,10 @@ const wfTagFlush = 3
 // the last of those frames is received, the snapshot is back in the pool
 // for the next one to be copied into.
 //
-// The host itself comes from hostPool, and the live engine hands it back
-// when its query retires (Retire); a later NewHost keeps its partial and
-// lastSent's array for activation to rebuild in place.
+// The host lives in its Wildfire's hosts, which Reuse hands on to a later
+// query once the live engine has retired this one.
 type wfHost struct {
 	w       *Wildfire
-	self    graph.HostID
 	isHq    bool
 	active  bool
 	dist    int // hops from h_q along the activation path
@@ -185,19 +204,6 @@ type wfHost struct {
 	flushing bool // a flush timer is pending for the current tick
 }
 
-var hostPool = sync.Pool{New: func() any { return new(wfHost) }}
-
-// Retire hands the host back to hostPool after its last callback for the
-// query. A caller still holding the Wildfire then reads no result, never
-// state another query owns; a slot another Init refilled is left alone.
-func (h *wfHost) Retire() {
-	if h.w.hosts[h.self] == h {
-		h.w.hosts[h.self] = nil
-	}
-	h.w = nil
-	hostPool.Put(h)
-}
-
 // limit is this host's participation deadline.
 func (h *wfHost) limit() sim.Time {
 	full := sim.Time(2 * h.w.Query.DHat)
@@ -212,7 +218,7 @@ func (h *wfHost) Start(ctx *sim.Context) {
 		return
 	}
 	h.activate(ctx, 0, nil)
-	ctx.SendAll(wfBroadcast{Hop: 1, S: takeSnap(h.partial, ctx.Degree())})
+	ctx.SendAll(wfBroadcast{S: takeSnap(h.partial, 1, ctx.Degree())})
 	h.noteSentToAll(ctx, graph.None)
 }
 
@@ -268,7 +274,7 @@ func (h *wfHost) Receive(ctx *sim.Context, msg sim.Message) {
 		return
 	}
 	if broadcast {
-		h.onBroadcast(ctx, from, msg.From, b.Hop, a)
+		h.onBroadcast(ctx, from, msg.From, s.hop, a)
 	} else {
 		h.onConverge(ctx, from, a)
 	}
@@ -294,7 +300,7 @@ func (h *wfHost) onBroadcast(ctx *sim.Context, from int, sender graph.HostID, ho
 	h.activate(ctx, hop, a)
 	// Forward the query with our partial piggybacked (the first
 	// convergecast message rides on the broadcast, footnote 4).
-	ctx.SendAllExcept(sender, wfBroadcast{Hop: h.dist + 1, S: takeSnap(h.partial, ctx.Degree()-1)})
+	ctx.SendAllExcept(sender, wfBroadcast{S: takeSnap(h.partial, h.dist+1, ctx.Degree()-1)})
 	h.noteSentToAll(ctx, sender)
 	// If combining changed anything relative to what the sender already
 	// knows, the end-of-tick flush will reply to the sender (Example 5.1:
@@ -356,7 +362,7 @@ func (h *wfHost) Timer(ctx *sim.Context, tag int) {
 	if ctx.Medium() == sim.MediumWireless {
 		// One radio transmission reaches everyone; selective suppression
 		// saves nothing (§5.3).
-		ctx.SendAll(wfConverge{S: takeSnap(h.partial, ctx.Degree())})
+		ctx.SendAll(wfConverge{S: takeSnap(h.partial, 0, ctx.Degree())})
 		h.noteSentToAll(ctx, graph.None)
 		return
 	}
@@ -372,7 +378,7 @@ func (h *wfHost) Timer(ctx *sim.Context, tag int) {
 	if n == 0 {
 		return
 	}
-	msg := wfConverge{S: takeSnap(h.partial, n)}
+	msg := wfConverge{S: takeSnap(h.partial, 0, n)}
 	for i, nb := range ctx.Neighbors() {
 		if h.lastSent[i] != h.version {
 			ctx.Send(nb, msg)

@@ -126,15 +126,28 @@ func carry(p agg.Partial) *wfSnap {
 	if p == nil {
 		return nil
 	}
-	return takeSnap(p, 1)
+	return takeSnap(p, 0, 1)
+}
+
+// bcast is a broadcast at hop carrying p, its snapshot holding one ref as
+// a decoded frame's does; a nil p makes the partial-less broadcast a peer
+// may send.
+func bcast(hop int, p agg.Partial) wfBroadcast {
+	s := carry(p)
+	if s == nil {
+		s = new(wfSnap)
+		s.refs.Store(1)
+	}
+	s.hop = hop
+	return wfBroadcast{S: s}
 }
 
 // TestWildfireRoundAllocations pins the garbage of one WILDFIRE round at
 // a host — Receive, then the end-of-tick flush — for the shapes a round
 // takes, with the sink handing every frame to its receiver: none. A sent
 // snapshot goes back to the pool once its last frame is received, the
-// next send copies into it in place, and a wfConverge is pointer-shaped,
-// so boxing it allocates nothing.
+// next send copies into it in place, and both frame types are
+// pointer-shaped, so boxing one allocates nothing.
 func TestWildfireRoundAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are pinned for uninstrumented builds")
@@ -156,8 +169,8 @@ func TestWildfireRoundAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx.Reset(be, 0, 1)
-		w.hosts[0].Receive(ctx, sim.MakeMessage(1, 0, wfBroadcast{Hop: 1, S: carry(maxPartial(1))}, 1))
-		return w.hosts[0]
+		w.hosts[0].Receive(ctx, sim.MakeMessage(1, 0, bcast(1, maxPartial(1)), 1))
+		return &w.hosts[0]
 	}
 	flush := func(h *wfHost) (sent int) {
 		be.sends = 0
@@ -214,5 +227,19 @@ func TestWildfireRoundAllocations(t *testing.T) {
 		ctx.Reset(be, 0, 2)
 		host.Receive(ctx, dup)
 		sent = flush(host)
+	})
+	// The query reaches a host not yet active, built on the storage an
+	// earlier activation left: activation refills its partial in place,
+	// and the forward to the three other neighbors copies it into a
+	// recycled snapshot.
+	fwd := activated()
+	wave := sim.MakeMessage(1, 0, bcast(1, maxPartial(1)), 1)
+	check("broadcast forward", deg-1, func() {
+		fwd.w.NewHost(0)
+		frameSnap(wave.Payload).refs.Add(1) // this delivery's ref
+		be.sends = 0
+		ctx.Reset(be, 0, 1)
+		fwd.Receive(ctx, wave)
+		sent = be.sends
 	})
 }

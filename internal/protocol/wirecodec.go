@@ -81,12 +81,12 @@ func init() {
 	wire.RegisterPayload(tagWfBroadcast, wire.PayloadCodec{
 		Name: "wfBroadcast",
 		Append: func(buf []byte, payload any) ([]byte, error) {
-			m := payload.(wfBroadcast)
-			buf, err := appendU32(buf, m.Hop, "hop")
+			s := payload.(wfBroadcast).S
+			buf, err := appendU32(buf, s.hop, "hop")
 			if err != nil {
 				return nil, err
 			}
-			return appendOptPartial(buf, m.S.partial())
+			return appendOptPartial(buf, s.partial())
 		},
 		Size: func(payload any) (int, error) {
 			return sizeOptPartial(4, payload.(wfBroadcast).S.partial())
@@ -99,7 +99,8 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return wfBroadcast{Hop: int(binary.LittleEndian.Uint32(body[0:4])), S: s}, nil
+			s.hop = int(binary.LittleEndian.Uint32(body[0:4]))
+			return wfBroadcast{S: s}, nil
 		},
 	})
 
@@ -305,11 +306,12 @@ func sizeOptPartial(prefix int, p agg.Partial) (int, error) {
 }
 
 // decodeSnap parses "has u8 | partial?" into a snapshot from the pool that
-// holds the frame's one ref, for the receiver to release; nil when has = 0.
+// holds the frame's one ref, for the receiver to release; its partial is
+// nil when has = 0, which no WILDFIRE host sends and Receive drops.
 func decodeSnap(body []byte) (*wfSnap, error) {
 	s := snapPool.Get().(*wfSnap)
 	p, err := decodeOptPartial(s.a, body)
-	if err != nil || p == nil {
+	if err != nil {
 		snapPool.Put(s)
 		return nil, err
 	}

@@ -18,8 +18,8 @@ func allMessages(tb testing.TB) []any {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(11))
 	return []any{
-		wfBroadcast{Hop: 3},
-		wfBroadcast{Hop: 0, S: carry(agg.NewPartial(agg.Count, 5, codecParams(), rng))},
+		bcast(3, nil),
+		bcast(0, agg.NewPartial(agg.Count, 5, codecParams(), rng)),
 		wfConverge{},
 		wfConverge{S: carry(agg.NewPartial(agg.Avg, 7, codecParams(), rng))},
 		stBroadcast{Level: 4},
@@ -33,7 +33,7 @@ func allMessages(tb testing.TB) []any {
 		rrBroadcast{},
 		rrReport{},
 		gsPair{Sum: 3.25, Weight: 0.5},
-		wfBroadcast{Hop: 2, S: carry(agg.NewPartial(agg.Avg, 7, codecParams(), rng))},
+		bcast(2, agg.NewPartial(agg.Avg, 7, codecParams(), rng)),
 		// Not protocol messages: the quiescence control frames — a
 		// worker's announce, the issuer's Done — ride the same framing, so
 		// they belong in the same round-trip, hostile-body, and fuzz

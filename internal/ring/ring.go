@@ -62,18 +62,6 @@ func (r *Ring) Leave(id float64) bool {
 	return true
 }
 
-// LeaveRandom removes a uniformly random host and returns its identifier;
-// ok is false on an empty ring.
-func (r *Ring) LeaveRandom() (id float64, ok bool) {
-	if len(r.ids) == 0 {
-		return 0, false
-	}
-	i := r.rng.Intn(len(r.ids))
-	id = r.ids[i]
-	r.ids = append(r.ids[:i], r.ids[i+1:]...)
-	return id, true
-}
-
 // Successor returns the host managing point p: the first identifier
 // clockwise at or after p (wrapping to the smallest identifier).
 func (r *Ring) Successor(p float64) (float64, error) {

@@ -114,7 +114,7 @@ func TestEstimateTracksChurn(t *testing.T) {
 	r := NewWithHosts(4000, rng)
 	// Half the hosts leave (uniformly at random, assumption 3).
 	for i := 0; i < 2000; i++ {
-		if _, ok := r.LeaveRandom(); !ok {
+		if !r.Leave(r.SampleHosts(1)[0]) {
 			t.Fatal("leave failed")
 		}
 	}
@@ -139,9 +139,6 @@ func TestEstimateErrors(t *testing.T) {
 	if _, err := r.EstimateSize(5); err == nil {
 		t.Fatal("estimate on empty ring should error")
 	}
-	if _, ok := r.LeaveRandom(); ok {
-		t.Fatal("LeaveRandom on empty ring should fail")
-	}
 }
 
 func TestSegmentLengthUnknownHost(t *testing.T) {
@@ -162,7 +159,7 @@ func TestQuickPartitionInvariant(t *testing.T) {
 			if join || r.Size() == 0 {
 				r.Join()
 			} else {
-				r.LeaveRandom()
+				r.Leave(r.SampleHosts(1)[0])
 			}
 		}
 		if r.Size() == 0 {

@@ -3,7 +3,6 @@ package sim
 import (
 	"math/rand"
 	randv2 "math/rand/v2"
-	"sync"
 
 	"validity/internal/graph"
 )
@@ -24,17 +23,12 @@ func (c *coinSource) Int63() int64   { return int64(c.pcg.Uint64() >> 1) }
 func (c *coinSource) Seed(seed int64) { c.pcg.Seed(uint64(seed), c.h) }
 
 // Coins is one host's coin stream for one query. It is a *rand.Rand — what
-// Backend.Rand hands out — over its own coinSource.
+// Backend.Rand hands out — over its own coinSource. The Rand points into
+// the Coins, so a Coins must not be copied once seeded.
 type Coins struct {
 	*rand.Rand
 	src coinSource
 }
-
-var coinPool = sync.Pool{New: func() any {
-	c := new(Coins)
-	c.Rand = rand.New(&c.src)
-	return c
-}}
 
 // NewCoins derives host h's coin stream from (seed, h) alone — the one
 // derivation behind every Backend.Rand. A host's coins therefore depend
@@ -42,14 +36,20 @@ var coinPool = sync.Pool{New: func() any {
 // loop, a single runtime and a fleet of processes sharding one topology
 // all toss identical coins for a host under one seed (for a query of the
 // live engine, seed is node.QuerySeed of the fleet seed and the query id).
-// The stream comes from a pool, reseeded — Read's buffer included — so it
-// draws what a fresh one does; the live engine releases it at retirement.
 func NewCoins(seed int64, h graph.HostID) *Coins {
-	c := coinPool.Get().(*Coins)
-	c.src.h = uint64(h)
-	c.Seed(seed)
+	c := new(Coins)
+	c.Reseed(seed, h)
 	return c
 }
 
-// Release returns the stream to the pool; c must not be drawn from again.
-func (c *Coins) Release() { coinPool.Put(c) }
+// Reseed restarts c in place as NewCoins(seed, h) would build it, whatever
+// c drew before: the same PCG derivation, and Read's buffer emptied with
+// it. A zero Coins is ready for Reseed, so the live engine keeps a query's
+// streams in one slice and reseeds each when its host starts.
+func (c *Coins) Reseed(seed int64, h graph.HostID) {
+	if c.Rand == nil {
+		c.Rand = rand.New(&c.src)
+	}
+	c.src.h = uint64(h)
+	c.Seed(seed)
+}

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"fmt"
 	"math/rand"
 	randv2 "math/rand/v2"
 	"slices"
@@ -120,17 +121,18 @@ func TestActivationSketchSameOnEventLoop(t *testing.T) {
 
 // pcgRand is the coin derivation built by hand from math/rand/v2's PCG —
 // seeded (seed, h), Int63 the top 63 bits of the next Uint64 — as a
-// reference that no pool can have touched.
+// reference that no earlier draw can have touched.
 type pcgRand struct{ *randv2.PCG }
 
 func (p pcgRand) Int63() int64 { return int64(p.Uint64() >> 1) }
 func (pcgRand) Seed(int64)     {}
 
-// A released stream is taken again by a later NewCoins, and it must then
-// draw exactly what a fresh (seed, h) stream draws: the same first 64
-// values, and a Read that starts from nothing buffered — though the stream
-// was drawn from, and left mid-Read, under another seed and host.
-func TestCoinsReleasedDrawAsFresh(t *testing.T) {
+// A reseeded stream draws exactly what a fresh (seed, h) stream draws: the
+// same first 64 values, and a Read that starts from nothing buffered —
+// whether it is the zero Coins a query's slice starts with, one NewCoins
+// built, or one a query left drawn from, mid-Read, under another seed and
+// host.
+func TestCoinsReseedDrawsAsFresh(t *testing.T) {
 	const seed, h = 23, 5
 	draws := func(r *rand.Rand) ([]uint64, [11]byte) {
 		var vs []uint64
@@ -142,24 +144,23 @@ func TestCoinsReleasedDrawAsFresh(t *testing.T) {
 		return vs, buf
 	}
 	wantVs, wantBuf := draws(rand.New(pcgRand{randv2.NewPCG(seed, h)}))
-	seen := map[*sim.Coins]bool{}
-	reused := false
-	for round := range 50 {
-		c := sim.NewCoins(seed, h)
-		reused = reused || seen[c]
-		seen[c] = true
+	check := func(what string, c *sim.Coins) {
+		t.Helper()
 		if vs, buf := draws(c.Rand); !slices.Equal(vs, wantVs) || buf != wantBuf {
-			t.Fatalf("round %d: the (seed %d, host %d) stream drew other values than a fresh one", round, seed, h)
+			t.Fatalf("%s: the (seed %d, host %d) stream drew other values than a fresh one", what, seed, h)
 		}
-		c.Release()
-		// Dirty a stream of another (seed, h) the way a query leaves one:
-		// drawn from, and a Read that leaves bytes buffered.
-		d := sim.NewCoins(int64(round), graph.HostID(round%7))
-		d.Int63()
-		d.Read(make([]byte, 5))
-		d.Release()
 	}
-	if !reused {
-		t.Fatal("NewCoins never handed back a released stream")
+	check("NewCoins", sim.NewCoins(seed, h))
+	var c sim.Coins
+	c.Reseed(seed, h)
+	check("a zero Coins reseeded", &c)
+	for round := range 20 {
+		// Dirty the stream the way a query leaves one: drawn from under
+		// another (seed, h), and a Read that leaves bytes buffered.
+		c.Reseed(int64(round), graph.HostID(round%7))
+		c.Int63()
+		c.Read(make([]byte, 5))
+		c.Reseed(seed, h)
+		check(fmt.Sprintf("round %d, reseeded", round), &c)
 	}
 }

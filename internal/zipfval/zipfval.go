@@ -86,6 +86,3 @@ func (g *Gen) Values(n int) []int64 {
 	}
 	return out
 }
-
-// Range returns the inclusive bounds of the generator.
-func (g *Gen) Range() (lo, hi int64) { return g.lo, g.hi }

@@ -69,9 +69,8 @@ func TestSingletonRange(t *testing.T) {
 			t.Fatalf("singleton range produced %d", v)
 		}
 	}
-	lo, hi := g.Range()
-	if lo != 42 || hi != 42 {
-		t.Fatalf("Range() = %d,%d", lo, hi)
+	if g.lo != 42 || g.hi != 42 {
+		t.Fatalf("range = %d,%d", g.lo, g.hi)
 	}
 }
 
