@@ -31,7 +31,7 @@ ci: build vet fmt-check race scale-smoke metrics-smoke fuzz-smoke repro-smoke al
 # allocates on its own and drops sync.Pool items at random, so under `race`
 # these tests skip themselves and nothing else would hold them.
 alloc-smoke:
-	$(GO) test -count=1 -run 'Alloc' ./internal/agg ./internal/protocol ./internal/node ./internal/wire ./internal/obs ./internal/transport
+	$(GO) test -count=1 -run 'Alloc' ./internal/agg ./internal/oracle ./internal/protocol ./internal/node ./internal/wire ./internal/obs ./internal/transport
 
 # scale-smoke answers a short query stream over a 2,048-host in-process
 # fleet and asserts the goroutine peak stays O(shards), not O(hosts) —
@@ -45,13 +45,20 @@ scale-smoke:
 	$(GO) test ./internal/daemon -run '^TestScaleSmoke2K$$' -count=1 -v
 
 # repro-smoke holds the event loop to its contract: every experiment of
-# the built validitybench, run twice from one seed, prints the same bytes.
+# the built validitybench, run twice from one seed, prints the same bytes,
+# and they are the bytes committed in REPRO_GOLDEN. A change that moves a
+# figure re-pins it with
+#   go run ./cmd/validitybench -all -scale 0.03 -trials 2 > $(REPRO_GOLDEN)
+# and names the rows that moved.
+REPRO_GOLDEN = internal/experiment/testdata/validitybench-all-scale0.03-trials2.txt
+
 repro-smoke:
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
 	$(GO) build -o $$d/validitybench ./cmd/validitybench && \
 	$$d/validitybench -all -scale 0.03 -trials 2 > $$d/a.txt && \
 	$$d/validitybench -all -scale 0.03 -trials 2 > $$d/b.txt && \
-	cmp $$d/a.txt $$d/b.txt && echo "repro-smoke: validitybench -all byte-identical run to run"
+	cmp $$d/a.txt $$d/b.txt && cmp $(REPRO_GOLDEN) $$d/a.txt && \
+	echo "repro-smoke: validitybench -all byte-identical run to run and to $(REPRO_GOLDEN)"
 
 # metrics-smoke gates the observability surface of the built binaries,
 # not just the packages: act 1 boots one validityd with -metrics on and

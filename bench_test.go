@@ -175,32 +175,6 @@ func BenchmarkAblationFMSumFastPath(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationPCSA compares the §5.2 per-element-c sketch encoding
-// against the original FM paper's stochastic-averaging (PCSA) design:
-// one geometric draw per insertion instead of c, at the price of a
-// noisier estimate for equal c.
-func BenchmarkAblationPCSA(b *testing.B) {
-	const m = 1 << 12
-	b.Run("sketch-c8", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(1))
-		for i := 0; i < b.N; i++ {
-			s := fm.NewSketch(8, 32)
-			for k := 0; k < m; k++ {
-				s.AddDistinct(rng)
-			}
-		}
-	})
-	b.Run("pcsa-c8", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(1))
-		for i := 0; i < b.N; i++ {
-			p := fm.NewPCSA(8, 32)
-			for k := 0; k < m; k++ {
-				p.Add(uint64(rng.Int63())<<1 | uint64(rng.Int63n(2))) // a host inventing a distinct element
-			}
-		}
-	})
-}
-
 // BenchmarkGossipBaseline measures the §2.2 epidemic baseline's cost to
 // reach convergence on the same network the protocol comparison uses.
 func BenchmarkGossipBaseline(b *testing.B) {

@@ -6,7 +6,6 @@ import (
 	"validity/internal/agg"
 	"validity/internal/churn"
 	"validity/internal/graph"
-	"validity/internal/oracle"
 	"validity/internal/protocol"
 	"validity/internal/sim"
 	"validity/internal/stream"
@@ -46,11 +45,12 @@ type WindowResult struct {
 	Start, End int64
 	// Value is the window's declared result.
 	Value float64
-	// Lower, Upper are the window's own validity bounds.
+	// Lower, Upper are the window's own exact validity bounds.
 	Lower, Upper float64
 	// HC, HU are the bound set sizes; AliveAtStart is the population.
 	HC, HU, AliveAtStart int
-	// Valid reports Continuous Single-Site Validity for this window.
+	// Valid reports Continuous Single-Site Validity for this window, judged
+	// like Result.Valid of a WILDFIRE query.
 	Valid bool
 	// Messages is the window's communication cost.
 	Messages int64
@@ -114,7 +114,7 @@ func (n *Network) ContinuousQuery(cfg ContinuousConfig) ([]WindowResult, error) 
 	if n.wireless {
 		medium = sim.MediumWireless
 	}
-	rs, err := stream.RunSim(plan, n.g, n.values, medium, oracle.FMSlack(kind, vectors))
+	rs, err := stream.RunSim(plan, n.g, n.values, medium)
 	if err != nil {
 		return nil, err
 	}

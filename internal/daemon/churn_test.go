@@ -121,7 +121,7 @@ func TestChurnedInProcessQueryStream(t *testing.T) {
 	}
 }
 
-var latRe = regexp.MustCompile(`validityd: q=(\d+) agg=\w+ hq=\d+ result=[0-9.]+ lower=([0-9.]+) upper=([0-9.]+) slack=[0-9.]+ valid=(true|false) msgs=[0-9]+ bytes=[0-9]+ maxproc=[0-9]+ timecost=[0-9]+ lat=([0-9]+)ms`)
+var latRe = regexp.MustCompile(`validityd: q=(\d+) agg=\w+ hq=\d+ result=[0-9.]+ lower=([0-9.]+) upper=([0-9.]+) matched=\[[0-9.]+,[0-9.+Inf]+\] valid=(true|false) msgs=[0-9]+ bytes=[0-9]+ maxproc=[0-9]+ timecost=[0-9]+ lat=([0-9]+)ms`)
 
 // TestConcurrentTCPChurnedQueryStream is the acceptance demo of the
 // membership layer: a three-process fleet on loopback answers 8

@@ -18,7 +18,7 @@ import (
 )
 
 var windowLineRe = regexp.MustCompile(
-	`validityd: q=(\d+) window=(\d+) span=\[(\d+),(\d+)\) agg=(\w+) hq=(\d+) pop=(\d+) result=([0-9.]+) lower=([0-9.]+) upper=([0-9.]+) slack=[0-9.]+ valid=(true|false) msgs=([0-9]+) bytes=([0-9]+) lat=([0-9]+)ms`)
+	`validityd: q=(\d+) window=(\d+) span=\[(\d+),(\d+)\) agg=(\w+) hq=(\d+) pop=(\d+) result=([0-9.]+) lower=([0-9.]+) upper=([0-9.]+) matched=\[[0-9.]+,[0-9.+Inf]+\] valid=(true|false) msgs=([0-9]+) bytes=([0-9]+) lat=([0-9]+)ms`)
 
 // TestContinuousFlagsRejected extends the flag-validation contract to the
 // streaming mode.

@@ -778,9 +778,9 @@ func runContinuous(cfg *Config, rt *node.Runtime, splan *stream.Plan, out io.Wri
 		// some instant of it — so a run with arrivals shows the
 		// population growing window over window, not just shrinking.
 		fmt.Fprintf(out,
-			"validityd: q=%d window=%d span=[%d,%d) agg=%s hq=%d pop=%d result=%.2f lower=%.2f upper=%.2f slack=%.2f valid=%t msgs=%d bytes=%d lat=%dms\n",
+			"validityd: q=%d window=%d span=[%d,%d) agg=%s hq=%d pop=%d result=%.2f lower=%.2f upper=%.2f matched=[%.2f,%.2f] valid=%t msgs=%d bytes=%d lat=%dms\n",
 			splan.Query, r.Window, r.Start, r.End, splan.Spec.Kind, splan.Spec.Hq, r.HU,
-			r.Value, r.Lower, r.Upper, r.Slack, r.Valid,
+			r.Value, r.Lower, r.Upper, r.MatchedLower, r.MatchedUpper, r.Valid,
 			r.Stats.MessagesSent, r.Stats.BytesOnWire, r.Latency.Milliseconds())
 	}
 	elapsed := time.Since(start)
@@ -866,12 +866,13 @@ func runQueryStream(cfg *Config, rt *node.Runtime, g *graph.Graph, values []int6
 				logSlowQuery(logger, rt, coll, id, lat, threshold)
 			}
 			// Each query is judged against its own H_C/H_U: the oracle is
-			// handed the query's own schedule on the query's own clock.
+			// handed the query's own schedule on the query's own clock, and
+			// the coins its hosts drew.
 			b := oracle.Compute(g, values, spec.Hq, plan.forQuery(id, spec.Hq, spec.Deadline()),
 				spec.Deadline(), spec.Kind)
-			slack := oracle.FMSlack(spec.Kind, cfg.Vectors)
+			m := b.Matched(values, spec.Params, node.QuerySeed(cfg.Seed, id))
 			st, _ := rt.QueryStats(id)
-			ok = b.ValidFactor(v, slack)
+			ok = m.Valid(v)
 			mu.Lock()
 			if ok {
 				valid++
@@ -879,8 +880,8 @@ func runQueryStream(cfg *Config, rt *node.Runtime, g *graph.Graph, values []int6
 			totalMsgs += st.MessagesSent
 			totalBytes += st.BytesOnWire
 			fmt.Fprintf(out,
-				"validityd: q=%d agg=%s hq=%d result=%.2f lower=%.2f upper=%.2f slack=%.2f valid=%t msgs=%d bytes=%d maxproc=%d timecost=%d lat=%dms\n",
-				id, spec.Kind, spec.Hq, v, b.LowerValue, b.UpperValue, slack, ok,
+				"validityd: q=%d agg=%s hq=%d result=%.2f lower=%.2f upper=%.2f matched=[%.2f,%.2f] valid=%t msgs=%d bytes=%d maxproc=%d timecost=%d lat=%dms\n",
+				id, spec.Kind, spec.Hq, v, b.LowerValue, b.UpperValue, m.LowerValue, m.UpperValue, ok,
 				st.MessagesSent, st.BytesOnWire, st.MaxComputation(), st.TimeCost,
 				lat.Milliseconds())
 			mu.Unlock()

@@ -57,7 +57,7 @@ func toBytes(ss []string) [][]byte {
 }
 
 var resultRe = regexp.MustCompile(
-	`validityd: q=\d+ agg=\w+ hq=\d+ result=([0-9.]+) lower=([0-9.]+) upper=([0-9.]+) slack=[0-9.]+ valid=(true|false) msgs=([0-9]+) bytes=([0-9]+)`)
+	`validityd: q=\d+ agg=\w+ hq=\d+ result=([0-9.]+) lower=([0-9.]+) upper=([0-9.]+) matched=\[[0-9.]+,[0-9.+Inf]+\] valid=(true|false) msgs=([0-9]+) bytes=([0-9]+)`)
 
 // parseReport extracts (result, lower, upper, valid) from Run's output.
 func parseReport(t *testing.T, out string) (v, lo, hi float64, valid bool) {

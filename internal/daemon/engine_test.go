@@ -87,7 +87,7 @@ func TestInProcessQueryStream(t *testing.T) {
 }
 
 var streamLineRe = regexp.MustCompile(
-	`validityd: q=(\d+) agg=(\w+) hq=(\d+) result=[0-9.]+ lower=[0-9.]+ upper=[0-9.]+ slack=[0-9.]+ valid=(true|false) msgs=([0-9]+) bytes=([0-9]+)`)
+	`validityd: q=(\d+) agg=(\w+) hq=(\d+) result=[0-9.]+ lower=[0-9.]+ upper=[0-9.]+ matched=\[[0-9.]+,[0-9.+Inf]+\] valid=(true|false) msgs=([0-9]+) bytes=([0-9]+)`)
 
 // TestConcurrentTCPQueryStream is the acceptance demo for the engine: a
 // single three-process fleet on loopback answers 8 overlapping queries

@@ -329,8 +329,9 @@ func TestLateJoinDoesNotHoldTheRead(t *testing.T) {
 	if elapsed >= joinTick*hop {
 		t.Fatalf("read after %v: it waited for the join at %v", elapsed, joinTick*hop)
 	}
-	b := oracle.Compute(g, make([]int64, hosts), q.Hq, tl, q.Deadline(), q.Kind)
-	if !b.ValidFactor(v, oracle.FMSlack(q.Kind, fmParams.Vectors)) {
+	values := make([]int64, hosts)
+	b := oracle.Compute(g, values, q.Hq, tl, q.Deadline(), q.Kind).Matched(values, fmParams, QuerySeed(1, 1))
+	if !b.Valid(v) {
 		t.Fatalf("answer %.2f outside the full interval's bounds q(H_C)=%.2f q(H_U)=%.2f", v, b.LowerValue, b.UpperValue)
 	}
 	rt.tmu.Lock()

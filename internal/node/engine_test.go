@@ -222,14 +222,10 @@ func TestConcurrentQueriesOneRuntime(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("query %d declared no result (err=%v)", id, err)
 		}
-		b := oracle.Compute(g, values, q.Hq, nil, q.Deadline(), q.Kind)
-		slack := 1.0
-		if q.Kind.DuplicateSensitive() {
-			slack = fmFactor
-		}
-		if !b.ValidFactor(v, slack) {
-			t.Fatalf("query %d (%v) result %.1f outside [%.1f, %.1f] × %.2f",
-				id, q.Kind, v, b.LowerValue, b.UpperValue, slack)
+		b := oracle.Compute(g, values, q.Hq, nil, q.Deadline(), q.Kind).Matched(values, q.Params, QuerySeed(29, id))
+		if !b.Valid(v) {
+			t.Fatalf("query %d (%v) result %.1f outside its matched bounds [%.1f, %.1f]",
+				id, q.Kind, v, b.LowerValue, b.UpperValue)
 		}
 		st, seen := rt.QueryStats(id)
 		if !seen || st.MessagesSent == 0 || st.MaxComputation() == 0 {
@@ -307,9 +303,9 @@ func TestLazyInstantiationAcrossShards(t *testing.T) {
 		t.Fatalf("no result at the issuing shard (err=%v)", err)
 	}
 	b := oracle.Compute(g, make([]int64, n), 0, nil, protocol.Query{DHat: dHat}.Deadline(), agg.Count)
-	if !b.ValidFactor(v, fmFactor) {
-		t.Fatalf("estimate %.1f outside [%.1f, %.1f] × %.1f: shard B never joined",
-			v, b.LowerValue, b.UpperValue, fmFactor)
+	if m := b.Matched(make([]int64, n), fmParams, QuerySeed(41, 1)); !m.Valid(v) {
+		t.Fatalf("estimate %.1f outside its matched bounds [%.1f, %.1f]: shard B never joined",
+			v, m.LowerValue, m.UpperValue)
 	}
 	stB, seen := rtB.QueryStats(1)
 	if !seen || stB.MessagesSent == 0 {

@@ -14,11 +14,6 @@ import (
 	"validity/internal/transport"
 )
 
-// fmFactor is the multiplicative slack allowed for FM-sketch estimates in
-// these tests: with c = 64 repetitions the estimator's relative standard
-// error is ≈ 0.78/√c ≈ 10%, so 1.5× is > 4σ of headroom.
-const fmFactor = 1.5
-
 var fmParams = agg.Params{Vectors: 64, Bits: 32}
 
 // testHop is the wall-clock δ used by these tests, widened under -race.
@@ -41,7 +36,7 @@ func TestRuntimeWildfireCountMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	startHandlers(t, rt, inst.Handlers)
+	startInstance(t, rt, inst)
 	waitQuery(dHat, testHop)
 	rt.Stop()
 
@@ -53,9 +48,8 @@ func TestRuntimeWildfireCountMatchesOracle(t *testing.T) {
 	if b.LowerValue != n || b.UpperValue != n {
 		t.Fatalf("oracle bounds [%v, %v], want [%d, %d]", b.LowerValue, b.UpperValue, n, n)
 	}
-	if !b.ValidFactor(v, fmFactor) {
-		t.Fatalf("estimate %.1f outside FM bounds [%.1f, %.1f] × %.1f",
-			v, b.LowerValue, b.UpperValue, fmFactor)
+	if m := b.Matched(make([]int64, n), fmParams, 17); !m.Valid(v) {
+		t.Fatalf("estimate %.1f outside its matched bounds [%.1f, %.1f]", v, m.LowerValue, m.UpperValue)
 	}
 	st := rt.Stats()
 	if st.MessagesSent == 0 || st.MaxComputation() == 0 || st.TimeCost == 0 {
@@ -97,9 +91,8 @@ func TestRuntimeWildfireCountUnderKill(t *testing.T) {
 	if b.LowerValue >= b.UpperValue {
 		t.Fatalf("degenerate oracle bounds [%v, %v]", b.LowerValue, b.UpperValue)
 	}
-	if !b.ValidFactor(v, fmFactor) {
-		t.Fatalf("estimate %.1f outside single-site validity bounds [%.1f, %.1f] × %.1f",
-			v, b.LowerValue, b.UpperValue, fmFactor)
+	if m := b.Matched(make([]int64, n), fmParams, 19); !m.Valid(v) {
+		t.Fatalf("estimate %.1f outside its matched bounds [%.1f, %.1f]", v, m.LowerValue, m.UpperValue)
 	}
 }
 
@@ -183,9 +176,8 @@ func TestRuntimeShardedOverTCP(t *testing.T) {
 		t.Fatal("wildfire declared no result at the sharded h_q")
 	}
 	b := oracle.Compute(g, make([]int64, n), 0, nil, protocol.Query{DHat: dHat}.Deadline(), agg.Count)
-	if !b.ValidFactor(v, fmFactor) {
-		t.Fatalf("sharded estimate %.1f outside [%.1f, %.1f] × %.1f",
-			v, b.LowerValue, b.UpperValue, fmFactor)
+	if m := b.Matched(make([]int64, n), fmParams, 29); !m.Valid(v) {
+		t.Fatalf("sharded estimate %.1f outside its matched bounds [%.1f, %.1f]", v, m.LowerValue, m.UpperValue)
 	}
 	if rtA.Stats().MessagesSent == 0 || rtB.Stats().MessagesSent == 0 {
 		t.Fatal("a shard sent no messages; the query never crossed the wire")

@@ -444,8 +444,9 @@ func TestReleaseBoundsLiveState(t *testing.T) {
 
 	for id := QueryID(1); id <= queries; id++ {
 		q := specFor(id)
-		b := oracle.Compute(g, values, q.Hq, churnFor(id, q), q.Deadline(), q.Kind)
-		if !b.ValidFactor(answers[id], oracle.FMSlack(q.Kind, fmParams.Vectors)) {
+		b := oracle.Compute(g, values, q.Hq, churnFor(id, q), q.Deadline(), q.Kind).
+			Matched(values, q.Params, QuerySeed(seed, id))
+		if !b.Valid(answers[id]) {
 			t.Errorf("query %d %s at h_q=%d answered %.2f, bounds q(H_C)=%.2f q(H_U)=%.2f",
 				id, q.Kind, q.Hq, answers[id], b.LowerValue, b.UpperValue)
 		}

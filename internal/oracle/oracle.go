@@ -19,9 +19,10 @@
 // subgraph (provided h_q itself is, which experiments guarantee by
 // protecting it from churn).
 //
-// The oracle also evaluates the q(H_C) and q(H_U) bounds for any aggregate
-// and provides the §2.4 post-hoc validity metrics (Completeness, Relative
-// Error) that best-effort work used before Single-Site Validity existed.
+// The oracle evaluates the q(H_C) and q(H_U) bounds for any aggregate and
+// judges an answer against them (Valid). MIN and MAX answers are exact and
+// meet the exact bounds; COUNT, SUM and AVG answers are FM estimates and
+// meet the bounds Matched rebuilds from the hosts' own coins.
 package oracle
 
 import (
@@ -30,6 +31,7 @@ import (
 
 	"validity/internal/agg"
 	"validity/internal/churn"
+	"validity/internal/fm"
 	"validity/internal/graph"
 	"validity/internal/sim"
 )
@@ -40,10 +42,10 @@ type Bounds struct {
 	HC []graph.HostID
 	// HU is the upper-bounding host set (alive at some instant).
 	HU []graph.HostID
-	// LowerValue and UpperValue are q(H_C) and q(H_U). For monotone
-	// aggregates (count, sum over non-negative values, max) Lower ≤ Upper;
-	// for min the inequality flips and for avg neither bounds the other —
-	// Valid() handles each kind.
+	// LowerValue and UpperValue are q(H_C) and q(H_U), or their sketch
+	// estimates after Matched. For monotone aggregates (count, sum over
+	// non-negative values, max) Lower ≤ Upper; for min the inequality flips
+	// and for exact avg neither bounds the other — Valid handles each kind.
 	LowerValue float64
 	UpperValue float64
 	// Kind is the aggregate the values were computed for.
@@ -116,10 +118,11 @@ func ComputeInterval(g *graph.Graph, values []int64, hq graph.HostID, ix *churn.
 	return b
 }
 
-// FMSlack is the multiplicative tolerance granted to FM-estimated results
-// when judging them against the bounds: 1 + 4·(0.78/√c), four standard
-// errors of the Flajolet–Martin estimator at c repetitions. Min/max are
-// exact and get no slack.
+// FMSlack is the multiplicative tolerance the bench's judges grant
+// FM-estimated results: 1 + 4·(0.78/√c), four standard errors of the
+// Flajolet–Martin estimator at c repetitions; min/max get none. Only the
+// benchmark under bench/ still judges this way — everything else uses
+// Matched, which needs no slack — and FMSlack goes when it switches.
 func FMSlack(kind agg.Kind, vectors int) float64 {
 	if !kind.DuplicateSensitive() {
 		return 1
@@ -135,38 +138,78 @@ func gather(values []int64, hosts []graph.HostID) []int64 {
 	return out
 }
 
-// Valid reports whether a reported result v satisfies Single-Site
-// Validity's value-level consequence: v = q(H) for some H_C ⊆ H ⊆ H_U.
-// For monotone aggregates this is exactly Lower ≤ v ≤ Upper (count, sum of
-// non-negative values, and max grow with H; min shrinks). For avg any
-// value between the min and max attribute value of H_U could be q(H) of
-// some valid H, so the check is necessarily looser; callers doing
-// sketch-level verification should use SketchValid instead.
-//
-// eps loosens the comparison for estimate-based results (count/sum/avg
-// report FM estimates, which Theorem 5.3 only bounds within a factor).
-func (b Bounds) Valid(v, eps float64) bool {
+// Valid reports whether a reported result v lies within the bounds:
+// between LowerValue and UpperValue, whichever way round they fall (min
+// shrinks as H grows, and exact avg bounds may cross). On exact bounds
+// this is Single-Site Validity's value-level consequence for monotone
+// aggregates, v = q(H) for some H_C ⊆ H ⊆ H_U; for avg it is narrower,
+// since a valid H's average can fall outside [q(H_C), q(H_U)]. On
+// Matched bounds it is the same consequence for an FM estimate.
+func (b Bounds) Valid(v float64) bool {
 	lo, hi := b.LowerValue, b.UpperValue
-	if b.Kind == agg.Min {
-		lo, hi = hi, lo
-	}
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	return v >= lo-eps && v <= hi+eps
+	return v >= lo && v <= hi
+}
+
+// Matched returns b with the bounds of a sketch aggregate (count, sum,
+// avg) replaced by the estimates of the sketches H_C and H_U build with
+// their own coins; min and max come back unchanged. Every backend draws
+// host h's FM coins from sim.NewCoins(seed, h) alone — seed is the event
+// loop's Config.Seed, node.QuerySeed of the fleet seed and the query id on
+// the engine — so Matched rebuilds each host's initial partial from
+// values[h], p and those coins, and ORs them over H_C and over H_U. A
+// valid answer's sketch covers the first OR and is covered by the second
+// (Theorems 5.1/5.3), and an FM estimate only grows with its bits, so
+// est(H_C) ≤ answer ≤ est(H_U) holds with no slack. For avg, a ratio of
+// two such sketches, the bounds are the bracket they imply:
+// [est(sum_HC)/est(cnt_HU), est(sum_HU)/est(cnt_HC)], +Inf above an empty
+// H_C. Matched allocates a fixed handful of objects, whatever the size of
+// H_U.
+func (b Bounds) Matched(values []int64, p agg.Params, seed int64) Bounds {
+	if !b.Kind.DuplicateSensitive() {
+		return b
+	}
+	var (
+		coins sim.Coins
+		own   agg.Partial
+	)
+	or := func(hosts []graph.HostID) (sum, cnt *fm.Sketch) {
+		acc := agg.Refill(nil, b.Kind, 0)
+		sum, cnt = agg.WireSketches(acc)
+		sum.Reset(p.Vectors, p.Bits)
+		if cnt != nil {
+			cnt.Reset(p.Vectors, p.Bits)
+		}
+		for _, h := range hosts {
+			coins.Reseed(seed, h)
+			own = agg.Init(own, b.Kind, values[h], p, coins.Rand)
+			acc.Combine(own)
+		}
+		return sum, cnt
+	}
+	lo, loCnt := or(b.HC)
+	hi, hiCnt := or(b.HU)
+	b.LowerValue, b.UpperValue = lo.Estimate(), hi.Estimate()
+	if b.Kind == agg.Avg {
+		b.LowerValue /= hiCnt.Estimate() // h_q is in H_U, so this is > 0
+		b.UpperValue = math.Inf(1)
+		if c := loCnt.Estimate(); c > 0 {
+			b.UpperValue = hi.Estimate() / c
+		}
+	}
+	return b
 }
 
 // ValidFactor is Valid with multiplicative slack: accepts v within
-// [Lower/f, Upper·f] (for the monotone orientation). Used for FM-estimate
-// results where Theorem 5.2 bounds error by a factor.
+// [Lower/f, Upper·f] (for the monotone orientation). Only the bench's
+// judges still call it, with FMSlack; it goes with FMSlack.
 func (b Bounds) ValidFactor(v, f float64) bool {
 	if f < 1 {
 		f = 1
 	}
 	lo, hi := b.LowerValue, b.UpperValue
-	if b.Kind == agg.Min {
-		lo, hi = hi, lo
-	}
 	if lo > hi {
 		lo, hi = hi, lo
 	}

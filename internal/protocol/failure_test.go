@@ -58,7 +58,7 @@ func TestPartitionMidQueryWildfireRespectsHC(t *testing.T) {
 	}
 	sched := churn.Timeline{{H: bridge, T: 1}}
 	b := oracle.Compute(g, vals, 0, sched, q.Deadline(), agg.Max)
-	if !b.Valid(v, 0) {
+	if !b.Valid(v) {
 		t.Fatalf("partitioned result %v outside oracle [%v,%v]", v, b.LowerValue, b.UpperValue)
 	}
 
@@ -79,7 +79,7 @@ func TestPartitionMidQueryWildfireRespectsHC(t *testing.T) {
 	}
 	sched2 := churn.Timeline{{H: bridge, T: 9}}
 	b2 := oracle.Compute(g, vals, 0, sched2, q.Deadline(), agg.Max)
-	if !b2.Valid(v2, 0) {
+	if !b2.Valid(v2) {
 		t.Fatalf("late-partition result %v outside oracle [%v,%v]", v2, b2.LowerValue, b2.UpperValue)
 	}
 }
@@ -153,7 +153,7 @@ func TestWirelessGridValidityUnderChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := oracle.Compute(g, vals, 0, sched, q.Deadline(), agg.Max)
-		if !b.Valid(v, 0) {
+		if !b.Valid(v) {
 			t.Fatalf("seed %d: wireless max %v outside [%v,%v]", seed, v, b.LowerValue, b.UpperValue)
 		}
 	}
@@ -161,10 +161,10 @@ func TestWirelessGridValidityUnderChurn(t *testing.T) {
 
 // A broadcast whose hop count is no path length in G — what a stale or
 // hostile frame can carry, the codec yields anything up to 2³²−1 — is
-// dropped before it activates anyone: taken as the host's distance it
-// would end the host's participation before it began (and at 2³²−1 its own
-// forward would not encode). The host activates on the next legitimate
-// broadcast instead and the answer stays inside the oracle's bounds.
+// dropped before it activates anyone: a ValueFn would take it for the
+// host's distance, and at 2³²−1 the host's own forward would not encode.
+// The host activates on the next legitimate broadcast instead and the
+// answer stays inside the oracle's bounds.
 func TestWildfireDropsBroadcastWithImpossibleHop(t *testing.T) {
 	g := graph.New(4) // a line: 0 — 1 — 2 — 3, the maximum at the far end
 	for h := graph.HostID(0); h < 3; h++ {
@@ -199,11 +199,11 @@ func TestWildfireDropsBroadcastWithImpossibleHop(t *testing.T) {
 		nw.Send(3, 2, m, 0) // reaches host 2 at t=1, a tick before the query does
 		nw.Run(w.Deadline())
 		v, ok := w.Result()
-		if !ok || !b.Valid(v, 0) {
+		if !ok || !b.Valid(v) {
 			t.Fatalf("hop %d: max = %v, outside the oracle's [%v,%v]", hop, v, b.LowerValue, b.UpperValue)
 		}
-		if h := w.hosts[2]; !h.active || h.dist != 2 {
-			t.Fatalf("hop %d: host 2 active=%v at distance %d, want activated by host 1's broadcast at 2", hop, h.active, h.dist)
+		if h := w.hosts[2]; !h.active || h.act != 2 {
+			t.Fatalf("hop %d: host 2 active=%v at tick %d, want activated by host 1's broadcast at 2", hop, h.active, h.act)
 		}
 	}
 }
@@ -224,8 +224,8 @@ func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 // has=0. WILDFIRE sees each as a broadcast and a converge at the active
 // h_q and as a broadcast at host 2 before the query reaches it. DAG sees
 // each as a report at h_q, handed over as a value: its messages have no
-// wire format. The handlers drop them and the query answers inside its
-// oracle bounds.
+// wire format. The handlers drop them: WILDFIRE answers inside its
+// matched bounds, and DAG as it does without them.
 func TestHandlersDropNonConformingPartials(t *testing.T) {
 	g := graph.New(4) // 0 — 1 — 2 — 3
 	for h := graph.HostID(0); h < 3; h++ {
@@ -233,8 +233,7 @@ func TestHandlersDropNonConformingPartials(t *testing.T) {
 	}
 	vals := []int64{5, 15, 1, 25}
 	q := Query{Kind: agg.Count, Hq: 0, DHat: 3, Params: agg.Params{Vectors: 64, Bits: 32}}
-	b := oracle.Compute(g, vals, q.Hq, churn.Timeline{}, q.Deadline(), q.Kind)
-	slack := oracle.FMSlack(q.Kind, q.Params.Vectors)
+	b := oracle.Compute(g, vals, q.Hq, churn.Timeline{}, q.Deadline(), q.Kind).Matched(vals, q.Params, 1)
 
 	offWire := func(from, to graph.HostID, payload any) sim.Message {
 		t.Helper()
@@ -258,26 +257,36 @@ func TestHandlersDropNonConformingPartials(t *testing.T) {
 		{"bits=16 sketch", agg.NewPartial(agg.Count, 1, agg.Params{Vectors: 64, Bits: 16}, rng)},
 		{"has=0", nil},
 	}
-	for _, f := range forged {
-		run := func(p Protocol, frames ...sim.Message) {
-			t.Helper()
-			nw := newNet(g, vals, 1)
-			if err := p.Install(nw); err != nil {
-				t.Fatal(err)
-			}
-			for _, m := range frames {
-				nw.Send(m.From, m.To, m.Payload, 0) // arrives at t=1
-			}
-			nw.Run(p.Deadline())
-			if v, ok := p.Result(); !ok || !b.ValidFactor(v, slack) {
-				t.Errorf("%s, %s: count = %v (ok=%t), outside the oracle's [%v,%v] ×%.2f",
-					f.name, p.Name(), v, ok, b.LowerValue, b.UpperValue, slack)
-			}
+	run := func(p Protocol, frames ...sim.Message) float64 {
+		t.Helper()
+		nw := newNet(g, vals, 1)
+		if err := p.Install(nw); err != nil {
+			t.Fatal(err)
 		}
-		run(NewWildfire(q),
+		for _, m := range frames {
+			nw.Send(m.From, m.To, m.Payload, 0) // arrives at t=1
+		}
+		nw.Run(p.Deadline())
+		v, ok := p.Result()
+		if !ok {
+			t.Fatalf("%s declared no result", p.Name())
+		}
+		return v
+	}
+	// DAG's own answer misses host 3 here: at level D̂ its report timer
+	// falls on its activation tick, slips one tick and misses its parent's.
+	// A dropped forgery leaves that answer as it was.
+	dag := run(NewDAG(q, 2))
+	for _, f := range forged {
+		if v := run(NewWildfire(q),
 			offWire(1, 0, bcast(1, f.p)),
 			offWire(1, 0, wfConverge{S: carry(f.p)}),
-			offWire(3, 2, bcast(1, f.p)))
-		run(NewDAG(q, 2), sim.MakeMessage(1, 0, dagReport{A: f.p}, 0))
+			offWire(3, 2, bcast(1, f.p))); !b.Valid(v) {
+			t.Errorf("%s, wildfire: count = %v, outside the matched bounds [%v,%v]",
+				f.name, v, b.LowerValue, b.UpperValue)
+		}
+		if v := run(NewDAG(q, 2), sim.MakeMessage(1, 0, dagReport{A: f.p}, 0)); v != dag {
+			t.Errorf("%s, dag: count = %v, %v without the forgery", f.name, v, dag)
+		}
 	}
 }

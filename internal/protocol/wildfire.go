@@ -26,14 +26,17 @@ import (
 //
 // Two engineering optimizations from §5.3 are implemented:
 //
-//   - EarlyDeadline: a host at distance l from h_q participates until
-//     (2D̂ − l + 1)δ instead of 2D̂δ (a message sent later could not reach
-//     h_q in time anyway).
+//   - EarlyDeadline: a host activated at tick t_act participates until
+//     (2D̂ − t_act + 1)δ instead of 2D̂δ (a message sent later could not
+//     reach h_q in time anyway). §5.3 states it for a host at distance l;
+//     every hop takes at most δ, so t_act ≤ l and this deadline is never
+//     earlier, whereas the hop count of the first broadcast heard can
+//     exceed l when a longer path is faster, and silence the host early.
 //   - The wireless medium optimization is inherited from the simulator:
 //     under sim.MediumWireless a send-to-all-neighbors costs one message.
 type Wildfire struct {
 	Query Query
-	// EarlyDeadline enables the per-distance participation deadline.
+	// EarlyDeadline enables the per-host participation deadline.
 	EarlyDeadline bool
 	// ValueFn, when non-nil, overrides the attribute value a host
 	// contributes; it receives the host ID and its broadcast distance
@@ -189,7 +192,7 @@ type wfHost struct {
 	w       *Wildfire
 	isHq    bool
 	active  bool
-	dist    int // hops from h_q along the activation path
+	act     sim.Time // the tick the host activated at
 	partial agg.Partial
 	// version stamps partial's state: 1 at activation, +1 exactly when
 	// Combine reports a change. Partials only grow: equal stamps, equal state.
@@ -210,7 +213,7 @@ func (h *wfHost) limit() sim.Time {
 	if !h.w.EarlyDeadline || !h.active {
 		return full
 	}
-	return min(full, sim.Time(2*h.w.Query.DHat-h.dist+1))
+	return min(full, full-h.act+1)
 }
 
 func (h *wfHost) Start(ctx *sim.Context) {
@@ -222,11 +225,11 @@ func (h *wfHost) Start(ctx *sim.Context) {
 	h.noteSentToAll(ctx, graph.None)
 }
 
-// activate initializes the host's state; incoming, when non-nil, is the
-// piggybacked partial of the activating broadcast.
+// activate initializes the host's state; dist is the activating
+// broadcast's hop count and incoming, when non-nil, its piggybacked partial.
 func (h *wfHost) activate(ctx *sim.Context, dist int, incoming agg.Partial) {
 	h.active = true
-	h.dist = dist
+	h.act = ctx.Now()
 	value := ctx.Value()
 	if h.w.ValueFn != nil {
 		value = h.w.ValueFn(ctx.Self(), dist)
@@ -292,15 +295,14 @@ func (h *wfHost) onBroadcast(ctx *sim.Context, from int, sender graph.HostID, ho
 		return
 	}
 	// Hop comes off the wire. One that is no path length in G is a stale
-	// or hostile frame's: as dist it would put limit() in the past and
-	// silence this host for the whole query.
+	// or hostile frame's, and ValueFn must not see it.
 	if hop < 1 || hop >= len(h.w.hosts) {
 		return
 	}
 	h.activate(ctx, hop, a)
 	// Forward the query with our partial piggybacked (the first
 	// convergecast message rides on the broadcast, footnote 4).
-	ctx.SendAllExcept(sender, wfBroadcast{S: takeSnap(h.partial, h.dist+1, ctx.Degree()-1)})
+	ctx.SendAllExcept(sender, wfBroadcast{S: takeSnap(h.partial, hop+1, ctx.Degree()-1)})
 	h.noteSentToAll(ctx, sender)
 	// If combining changed anything relative to what the sender already
 	// knows, the end-of-tick flush will reply to the sender (Example 5.1:

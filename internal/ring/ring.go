@@ -6,7 +6,7 @@
 // sample of s hosts, then s/X_s is an unbiased estimator of |H|.
 //
 // The package provides the ring overlay itself (join/leave with correct
-// segment reassignment, successor lookup) and the estimator, together
+// segment reassignment) and the estimator, together
 // with the §5.4 validity assumptions encoded as options for tests to
 // violate deliberately.
 package ring
@@ -60,19 +60,6 @@ func (r *Ring) Leave(id float64) bool {
 	}
 	r.ids = append(r.ids[:i], r.ids[i+1:]...)
 	return true
-}
-
-// Successor returns the host managing point p: the first identifier
-// clockwise at or after p (wrapping to the smallest identifier).
-func (r *Ring) Successor(p float64) (float64, error) {
-	if len(r.ids) == 0 {
-		return 0, fmt.Errorf("ring: empty")
-	}
-	i := sort.SearchFloat64s(r.ids, p)
-	if i == len(r.ids) {
-		i = 0
-	}
-	return r.ids[i], nil
 }
 
 // SegmentLength returns the length of the segment managed by the host

@@ -57,38 +57,6 @@ func TestSingleHostOwnsWholeRing(t *testing.T) {
 	}
 }
 
-func TestSuccessor(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	r := New(rng)
-	if _, err := r.Successor(0.5); err == nil {
-		t.Fatal("successor on empty ring should error")
-	}
-	r.Join()
-	r.Join()
-	r.Join()
-	ids := r.SampleHosts(3)
-	for _, id := range ids {
-		s, err := r.Successor(id)
-		if err != nil || s != id {
-			t.Fatalf("successor of own id should be itself: %v vs %v", s, id)
-		}
-	}
-	// A point past the largest id wraps to the smallest.
-	min, max := 1.0, 0.0
-	for _, id := range ids {
-		if id < min {
-			min = id
-		}
-		if id > max {
-			max = id
-		}
-	}
-	s, err := r.Successor(max + (1-max)/2)
-	if err != nil || s != min {
-		t.Fatalf("wrap-around successor = %v, want %v", s, min)
-	}
-}
-
 func TestEstimateAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n = 5000

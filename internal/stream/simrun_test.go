@@ -7,7 +7,6 @@ import (
 	"validity/internal/agg"
 	"validity/internal/churn"
 	"validity/internal/graph"
-	"validity/internal/oracle"
 	"validity/internal/protocol"
 	"validity/internal/sim"
 	"validity/internal/topology"
@@ -30,10 +29,10 @@ func simFixture() (*graph.Graph, []int64, *Plan) {
 	}
 }
 
-// runSim runs p on the event loop with the engine's own FM slack.
+// runSim runs p on the event loop.
 func runSim(t *testing.T, p *Plan, g *graph.Graph, values []int64) []Result {
 	t.Helper()
-	rs, err := RunSim(p, g, values, sim.MediumPointToPoint, oracle.FMSlack(p.Spec.Kind, p.Spec.Params.Vectors))
+	rs, err := RunSim(p, g, values, sim.MediumPointToPoint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +47,7 @@ func TestRunSimValidation(t *testing.T) {
 	run := func(edit func(*Plan), g *graph.Graph, values []int64) error {
 		p := &Plan{Query: base.Query, Spec: base.Spec, Windows: base.Windows, Seed: base.Seed}
 		edit(p)
-		_, err := RunSim(p, g, values, sim.MediumPointToPoint, 1)
+		_, err := RunSim(p, g, values, sim.MediumPointToPoint)
 		return err
 	}
 	if run(func(*Plan) {}, g, values) != nil {
@@ -231,8 +230,8 @@ func TestRunSimCountWindowsValidWithinFactor(t *testing.T) {
 		rand.New(rand.NewSource(4)))
 	for _, r := range runSim(t, p, g, values) {
 		if !r.Valid {
-			t.Fatalf("window %d: count %v outside factor band [%v,%v]×%v",
-				r.Window, r.Value, r.Lower, r.Upper, r.Slack)
+			t.Fatalf("window %d: count %v outside its matched bounds [%v,%v]",
+				r.Window, r.Value, r.MatchedLower, r.MatchedUpper)
 		}
 		if r.Stats.MessagesSent == 0 {
 			t.Fatalf("window %d: no traffic", r.Window)

@@ -7,7 +7,6 @@ import (
 
 	"validity/internal/node"
 	"validity/internal/obs"
-	"validity/internal/oracle"
 )
 
 // Result is one window's outcome, delivered in window order.
@@ -18,14 +17,15 @@ type Result struct {
 	Start, End int64
 	// Value is the result declared at h_q for this window.
 	Value float64
-	// Lower and Upper are this window's own q(H_C) / q(H_U) bounds; HC
-	// and HU are the bound set sizes.
-	Lower, Upper float64
-	HC, HU       int
-	// Slack is the multiplicative FM tolerance Valid was judged with.
-	Slack float64
+	// Lower and Upper are this window's own exact q(H_C) / q(H_U)
+	// bounds, MatchedLower and MatchedUpper the same bounds matched to the
+	// coins the window's hosts drew (oracle.Bounds.Matched; the exact
+	// pair again for min/max). HC and HU are the bound set sizes.
+	Lower, Upper               float64
+	MatchedLower, MatchedUpper float64
+	HC, HU                     int
 	// Valid reports whether Value satisfies this window's Continuous
-	// Single-Site Validity (exactly for min/max, within Slack otherwise).
+	// Single-Site Validity: whether it lies within the matched bounds.
 	Valid bool
 	// Stats is this process's share of the window's §6.3 cost counters.
 	Stats node.Stats
@@ -129,7 +129,6 @@ func (s *Stream) collect() {
 		spec   = p.Spec
 		g      = s.rt.Graph()
 		values = s.rt.Values()
-		slack  = oracle.FMSlack(spec.Kind, spec.Params.Vectors)
 	)
 	// Adaptive read bracket per window, shared with the daemon's one-shot
 	// reads (node.AwaitBracket): the runtime's sound floor, quiescence
@@ -146,7 +145,6 @@ func (s *Stream) collect() {
 			Window: k,
 			Start:  int64(p.WindowStart(k)),
 			End:    int64(p.WindowEnd(k)),
-			Slack:  slack,
 		}
 		if op.err != nil {
 			res.Err = fmt.Errorf("stream: opening window %d: %w", k, op.err)
@@ -179,20 +177,15 @@ func (s *Stream) collect() {
 			s.emit(res)
 			return
 		}
-		b, err := p.Bounds(g, values, k)
+		r, err := p.judge(g, values, k, v)
 		if err != nil {
 			res.Err = err
 			s.emit(res)
 			return
 		}
-		res.Value = v
-		res.Lower, res.Upper = b.LowerValue, b.UpperValue
-		res.HC, res.HU = len(b.HC), len(b.HU)
-		res.Valid = b.ValidFactor(v, slack)
-		if st, known := s.rt.QueryStats(id); known {
-			res.Stats = st
-		}
-		s.emit(res)
+		r.Latency = res.Latency
+		r.Stats, _ = s.rt.QueryStats(id)
+		s.emit(r)
 	}
 }
 

@@ -276,8 +276,8 @@ func TestLiveContinuousStream(t *testing.T) {
 			t.Fatalf("window %d arrived at position %d: results must stream in window order", r.Window, i)
 		}
 		if !r.Valid {
-			t.Fatalf("window %d: %v outside its own bounds [%v, %v] (slack %v)",
-				r.Window, r.Value, r.Lower, r.Upper, r.Slack)
+			t.Fatalf("window %d: %v outside its own matched bounds [%v, %v]",
+				r.Window, r.Value, r.MatchedLower, r.MatchedUpper)
 		}
 		if r.Stats.MessagesSent == 0 {
 			t.Fatalf("window %d reports zero messages; per-window counters broken", r.Window)

@@ -246,8 +246,7 @@ func (p *Plan) WindowInstance(rt *node.Runtime, k int) (*node.QueryInstance, err
 	if err != nil {
 		return nil, err
 	}
-	inst, err := node.BuildInstance(rt, protocol.NewWildfire(p.Spec),
-		node.QuerySeed(p.Seed, WindowID(p.Query, k)))
+	inst, err := node.BuildInstance(rt, protocol.NewWildfire(p.Spec), p.seed(k))
 	if err != nil {
 		return nil, err
 	}
@@ -287,4 +286,25 @@ func (p *Plan) Bounds(g *graph.Graph, values []int64, k int) (oracle.Bounds, err
 	}
 	return oracle.ComputeInterval(g, values, p.Spec.Hq, p.ix,
 		p.WindowStart(k), p.WindowEnd(k), p.Spec.Kind), nil
+}
+
+// seed is what window k's hosts draw their coins from, on the engine and
+// in RunSim alike.
+func (p *Plan) seed(k int) int64 { return node.QuerySeed(p.Seed, WindowID(p.Query, k)) }
+
+// judge holds v, window k's answer, against the window's own bounds: the
+// exact pair, and the pair matched to its hosts' coins that Valid is
+// judged by.
+func (p *Plan) judge(g *graph.Graph, values []int64, k int, v float64) (Result, error) {
+	b, err := p.Bounds(g, values, k)
+	if err != nil {
+		return Result{}, err
+	}
+	m := b.Matched(values, p.Spec.Params, p.seed(k))
+	return Result{
+		Window: k, Start: int64(p.WindowStart(k)), End: int64(p.WindowEnd(k)),
+		Value: v, Lower: b.LowerValue, Upper: b.UpperValue,
+		MatchedLower: m.LowerValue, MatchedUpper: m.UpperValue,
+		HC: len(b.HC), HU: len(b.HU), Valid: m.Valid(v),
+	}, nil
 }

@@ -330,7 +330,10 @@ type Result struct {
 	// HC and HU are the bound set sizes.
 	HC, HU int
 	// Valid reports whether Value lies within the Single-Site Validity
-	// bounds (exactly for min/max; within the FM factor for sketches).
+	// bounds in the protocol's own currency: WILDFIRE's and DAG's FM
+	// estimates against the bounds their hosts' own coins give
+	// (oracle.Bounds.Matched), RandomizedReport's sample within (1±Epsilon)
+	// of Lower and Upper, every exact answer against Lower and Upper.
 	Valid bool
 	// Messages is the communication cost (§6.3).
 	Messages int64
@@ -375,6 +378,10 @@ func (n *Network) Query(cfg QueryConfig) (*Result, error) {
 		Params: agg.Params{Vectors: vectors, Bits: agg.DefaultParams().Bits},
 	}
 
+	eps := cfg.Epsilon
+	if eps == 0 {
+		eps = 0.1
+	}
 	var p protocol.Protocol
 	switch cfg.Protocol {
 	case Wildfire:
@@ -392,10 +399,7 @@ func (n *Network) Query(cfg QueryConfig) (*Result, error) {
 	case RandomizedReport:
 		prob := cfg.ReportProbability
 		if prob == 0 {
-			eps, zeta := cfg.Epsilon, cfg.Zeta
-			if eps == 0 {
-				eps = 0.1
-			}
+			zeta := cfg.Zeta
 			if zeta == 0 {
 				zeta = 0.05
 			}
@@ -466,12 +470,16 @@ func (n *Network) Query(cfg QueryConfig) (*Result, error) {
 		b := oracle.Compute(n.g, n.values, q.Hq, sched, q.Deadline(), kind)
 		res.Lower, res.Upper = b.LowerValue, b.UpperValue
 		res.HC, res.HU = len(b.HC), len(b.HU)
-		if kind.DuplicateSensitive() && cfg.Protocol != AllReport && cfg.Protocol != SpanningTree && cfg.Protocol != Gossip {
-			// FM estimates: validity within the estimator's slack, the one
-			// the daemon and the streams judge by.
-			res.Valid = b.ValidFactor(v, oracle.FMSlack(kind, vectors))
-		} else {
-			res.Valid = b.Valid(v, 1e-9)
+		// Each protocol in its own currency: sketches against the bounds
+		// of the hosts' own coins, exact partials against the exact ones,
+		// and §4.3's sampled count within (1±ε) of them.
+		switch cfg.Protocol {
+		case Wildfire, DAG:
+			res.Valid = b.Matched(n.values, q.Params, seed).Valid(v)
+		case RandomizedReport:
+			res.Valid = v >= (1-eps)*b.LowerValue && v <= (1+eps)*b.UpperValue
+		default:
+			res.Valid = b.Valid(v)
 		}
 	}
 	return res, nil
