@@ -31,7 +31,7 @@ ci: build vet fmt-check race scale-smoke metrics-smoke fuzz-smoke repro-smoke al
 # allocates on its own and drops sync.Pool items at random, so under `race`
 # these tests skip themselves and nothing else would hold them.
 alloc-smoke:
-	$(GO) test -count=1 -run 'Alloc' ./internal/agg ./internal/oracle ./internal/protocol ./internal/node ./internal/wire ./internal/obs ./internal/transport
+	$(GO) test -count=1 -run 'Alloc' ./internal/agg ./internal/churn ./internal/oracle ./internal/protocol ./internal/node ./internal/wire ./internal/obs ./internal/transport
 
 # scale-smoke answers a short query stream over a 2,048-host in-process
 # fleet and asserts the goroutine peak stays O(shards), not O(hosts) —

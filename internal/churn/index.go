@@ -1,8 +1,9 @@
 package churn
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"validity/internal/graph"
 	"validity/internal/sim"
@@ -33,65 +34,102 @@ type span struct {
 // absent, a Join while present) are dropped during normalization, and
 // ties at one tick order Leave before Join — the event loop's evFail <
 // evJoin ordering — so a leave/join pair at one tick nets to presence.
+//
+// The layout is flat: the mentioned hosts ascending, and per host where
+// its runs start in one spans array and one normalized-events array, so a
+// build costs a handful of allocations whatever the host count and a
+// probe is a binary search.
 type Index struct {
-	spans  map[graph.HostID][]span
-	events map[graph.HostID]Timeline // normalized per-host transitions
-	late   map[graph.HostID]bool     // first event is a Join
-	hosts  []graph.HostID            // hosts with events, ascending
+	hosts []graph.HostID // hosts with events, ascending
+	// runs[i] and runs[i+1] bracket hosts[i]'s spans and events; the last
+	// entry closes the arrays.
+	runs   []hostRuns
+	spans  []span
+	events Timeline // normalized transitions, grouped by host in time order
+}
+
+// hostRuns is where one host's runs start in Index.spans and Index.events.
+type hostRuns struct {
+	spans, events int32
+	late          bool // first event is a Join
 }
 
 // Index builds the indexed view of the timeline. The timeline is not
 // retained.
 func (tl Timeline) Index() *Index {
-	ix := &Index{
-		spans:  make(map[graph.HostID][]span),
-		events: make(map[graph.HostID]Timeline),
-		late:   make(map[graph.HostID]bool),
-	}
-	sorted := append(Timeline(nil), tl...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].T < sorted[j].T })
-	perHost := make(map[graph.HostID]Timeline)
-	for _, e := range sorted {
-		perHost[e.H] = append(perHost[e.H], e)
-	}
-	for h, evs := range perHost {
-		// Same-tick ties: Leave applies before Join (evFail < evJoin).
-		sort.SliceStable(evs, func(i, j int) bool {
-			if evs[i].T != evs[j].T {
-				return evs[i].T < evs[j].T
-			}
-			return evs[i].Kind < evs[j].Kind
-		})
-		alive := evs[0].Kind != Join
-		if !alive {
-			ix.late[h] = true
+	// One stable sort by (host, tick, kind): each host's events in time
+	// order, same-tick ties Leave before Join (evFail < evJoin), and equal
+	// events in timeline order.
+	evs := slices.Clone(tl)
+	slices.SortStableFunc(evs, func(a, b Event) int {
+		if c := cmp.Compare(a.H, b.H); c != 0 {
+			return c
 		}
+		if c := cmp.Compare(a.T, b.T); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Kind, b.Kind)
+	})
+	n := 0
+	for i := range evs {
+		if i == 0 || evs[i].H != evs[i-1].H {
+			n++
+		}
+	}
+	ix := &Index{
+		hosts: make([]graph.HostID, 0, n),
+		runs:  make([]hostRuns, 0, n+1),
+		// A host has at most one span per event plus its open last one.
+		spans: make([]span, 0, len(evs)+n),
+	}
+	// Normalization keeps a subsequence of each host's run, so the kept
+	// events compact in place to the front of evs.
+	kept := 0
+	for lo := 0; lo < len(evs); {
+		h := evs[lo].H
+		hi := lo + 1
+		for hi < len(evs) && evs[hi].H == h {
+			hi++
+		}
+		alive := evs[lo].Kind != Join
+		ix.hosts = append(ix.hosts, h)
+		ix.runs = append(ix.runs, hostRuns{spans: int32(len(ix.spans)), events: int32(kept), late: !alive})
 		cur := sim.Time(0)
-		var spans []span
-		var norm Timeline
-		for _, e := range evs {
+		for _, e := range evs[lo:hi] {
 			switch {
 			case e.Kind == Leave && alive:
 				if e.T > cur {
-					spans = append(spans, span{from: cur, to: e.T})
+					ix.spans = append(ix.spans, span{from: cur, to: e.T})
 				}
 				alive = false
-				norm = append(norm, e)
+				evs[kept] = e
+				kept++
 			case e.Kind == Join && !alive:
 				cur = e.T
 				alive = true
-				norm = append(norm, e)
+				evs[kept] = e
+				kept++
 			}
 		}
 		if alive {
-			spans = append(spans, span{from: cur, to: forever})
+			ix.spans = append(ix.spans, span{from: cur, to: forever})
 		}
-		ix.spans[h] = spans
-		ix.events[h] = norm
-		ix.hosts = append(ix.hosts, h)
+		lo = hi
 	}
-	sort.Slice(ix.hosts, func(i, j int) bool { return ix.hosts[i] < ix.hosts[j] })
+	ix.runs = append(ix.runs, hostRuns{spans: int32(len(ix.spans)), events: int32(kept)})
+	ix.events = evs[:kept:kept]
 	return ix
+}
+
+// find returns h's position in ix.hosts, or false if the timeline never
+// mentions h.
+func (ix *Index) find(h graph.HostID) (int, bool) {
+	return slices.BinarySearch(ix.hosts, h)
+}
+
+// hostSpans returns the presence spans of the host at position i.
+func (ix *Index) hostSpans(i int) []span {
+	return ix.spans[ix.runs[i].spans:ix.runs[i+1].spans]
 }
 
 // Hosts returns the hosts the timeline mentions at all, ascending.
@@ -101,31 +139,42 @@ func (ix *Index) Hosts() []graph.HostID { return ix.hosts }
 // HostEvents returns h's normalized membership transitions in time
 // order: state-changing Leaves and Joins only, no-ops dropped. Consumers
 // that enforce the timeline (the engine's timer heap, the simulator's
-// event queue) replay exactly these.
-func (ix *Index) HostEvents(h graph.HostID) Timeline { return ix.events[h] }
+// event queue) replay exactly these. The slice is the index's own, capped
+// at its length: read it, do not write it.
+func (ix *Index) HostEvents(h graph.HostID) Timeline {
+	i, ok := ix.find(h)
+	if !ok {
+		return nil
+	}
+	lo, hi := ix.runs[i].events, ix.runs[i+1].events
+	return ix.events[lo:hi:hi]
+}
 
 // InitialMember reports whether h is part of the network at tick 0 —
 // i.e. h is not a late joiner. Note a host that leaves at tick 0 is
 // still an initial member: it was present at the starting instant.
-func (ix *Index) InitialMember(h graph.HostID) bool { return !ix.late[h] }
+func (ix *Index) InitialMember(h graph.HostID) bool {
+	i, ok := ix.find(h)
+	return !ok || !ix.runs[i].late
+}
 
 // ArriveTime returns the tick h becomes part of the network: 0 for
 // initial members, the first join tick for late joiners.
 func (ix *Index) ArriveTime(h graph.HostID) sim.Time {
-	if !ix.late[h] {
+	if ix.InitialMember(h) {
 		return 0
 	}
-	return ix.events[h][0].T
+	return ix.HostEvents(h)[0].T
 }
 
 // AliveAt reports whether h is a member at tick t: inside one of its
 // presence sessions, or unmentioned by the timeline entirely.
 func (ix *Index) AliveAt(h graph.HostID, t sim.Time) bool {
-	spans, ok := ix.spans[h]
+	i, ok := ix.find(h)
 	if !ok {
 		return t >= 0
 	}
-	for _, s := range spans {
+	for _, s := range ix.hostSpans(i) {
 		if s.from <= t && t < s.to {
 			return true
 		}
@@ -137,11 +186,11 @@ func (ix *Index) AliveAt(h graph.HostID, t sim.Time) bool {
 // [start, end] — the per-host predicate behind H_U: arrivals inside the
 // interval count even though the host was absent when it opened.
 func (ix *Index) AliveDuring(h graph.HostID, start, end sim.Time) bool {
-	spans, ok := ix.spans[h]
+	i, ok := ix.find(h)
 	if !ok {
 		return true
 	}
-	for _, s := range spans {
+	for _, s := range ix.hostSpans(i) {
 		if s.from <= end && s.to > start {
 			return true
 		}
@@ -154,11 +203,11 @@ func (ix *Index) AliveDuring(h graph.HostID, start, end sim.Time) bool {
 // (§4.1). A host that leaves and rejoins inside the interval does not
 // qualify, no matter how brief the absence.
 func (ix *Index) PresentThroughout(h graph.HostID, start, end sim.Time) bool {
-	spans, ok := ix.spans[h]
+	i, ok := ix.find(h)
 	if !ok {
 		return true
 	}
-	for _, s := range spans {
+	for _, s := range ix.hostSpans(i) {
 		if s.from <= start && s.to > end {
 			return true
 		}

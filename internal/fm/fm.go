@@ -190,23 +190,25 @@ func (s *Sketch) AddN(rng *rand.Rand, n int64) {
 // literal insertion, but the estimator depends only on the lowest zero
 // bit, whose distribution is governed by the marginals of the low bits,
 // where the dependence is negligible for large n; the property test
-// TestSumFastPathMatchesExact quantifies this.
+// TestSumFastPathMatchesExact quantifies this. The marginals depend on n
+// and the bit alone, so they are computed once per call; every vector
+// draws one rng.Float64 per unset bit against them.
 func (s *Sketch) addNFast(rng *rand.Rand, n int64) {
 	width := int(s.bits)
+	var q [64]float64
+	for b := 0; b < width; b++ {
+		var p float64
+		if b == width-1 {
+			p = math.Pow(2, -float64(b)) // tail mass 2^{-b}
+		} else {
+			p = math.Pow(2, -float64(b+1))
+		}
+		q[b] = -math.Expm1(float64(n) * math.Log1p(-p)) // 1-(1-p)^n
+	}
 	for i := 0; i < int(s.c); i++ {
 		had, add := s.lane(i), uint64(0)
 		for b := 0; b < width; b++ {
-			if had&(1<<b) != 0 {
-				continue
-			}
-			var p float64
-			if b == width-1 {
-				p = math.Pow(2, -float64(b)) // tail mass 2^{-b}
-			} else {
-				p = math.Pow(2, -float64(b+1))
-			}
-			q := -math.Expm1(float64(n) * math.Log1p(-p)) // 1-(1-p)^n
-			if rng.Float64() < q {
+			if had&(1<<b) == 0 && rng.Float64() < q[b] {
 				add |= 1 << b
 			}
 		}

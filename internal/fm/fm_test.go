@@ -373,3 +373,65 @@ func TestStringFormat(t *testing.T) {
 		t.Fatal("empty String()")
 	}
 }
+
+// addNFastPerBit is addNFast as it was before its marginals were tabled:
+// the same float64 expressions and the same draws, recomputed per vector
+// and bit.
+func (s *Sketch) addNFastPerBit(rng *rand.Rand, n int64) {
+	width := int(s.bits)
+	for i := 0; i < int(s.c); i++ {
+		had, add := s.lane(i), uint64(0)
+		for b := 0; b < width; b++ {
+			if had&(1<<b) != 0 {
+				continue
+			}
+			var p float64
+			if b == width-1 {
+				p = math.Pow(2, -float64(b))
+			} else {
+				p = math.Pow(2, -float64(b+1))
+			}
+			q := -math.Expm1(float64(n) * math.Log1p(-p))
+			if rng.Float64() < q {
+				add |= 1 << b
+			}
+		}
+		s.or(i, add)
+	}
+}
+
+// TestAddNTableMatchesPerBit holds the tabled SUM insertion to the per-bit
+// one it replaced: equal sketches, and the coin stream left at the same
+// place, into empty sketches and into ones that already hold bits.
+func TestAddNTableMatchesPerBit(t *testing.T) {
+	for _, dims := range [][2]int{{64, 32}, {8, 64}, {16, 20}} {
+		for _, n := range []int64{65, 1000, 123456} {
+			for _, seed := range []int64{1, 2, 3} {
+				got, want := NewSketch(dims[0], dims[1]), NewSketch(dims[0], dims[1])
+				gr, wr := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				for round := 0; round < 3; round++ {
+					got.AddN(gr, n)
+					want.addNFastPerBit(wr, n)
+					if !got.Equal(want) {
+						t.Fatalf("c=%d bits=%d n=%d seed=%d round %d: tabled sketch differs", dims[0], dims[1], n, seed, round)
+					}
+					if gr.Int63() != wr.Int63() {
+						t.Fatalf("c=%d bits=%d n=%d seed=%d round %d: coin streams diverged", dims[0], dims[1], n, seed, round)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkAddN is one SUM insertion of a value of 1,000 into an empty
+// c = 64, 32-bit sketch: the per-host cost of a SUM activation.
+func BenchmarkAddN(b *testing.B) {
+	s := NewSketch(64, 32)
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	for b.Loop() {
+		s.Reset(64, 32)
+		s.AddN(rng, 1000)
+	}
+}

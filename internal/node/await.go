@@ -154,6 +154,11 @@ func (rt *Runtime) AwaitQueryResult(id QueryID, h graph.HostID, floor, settle, h
 	}
 	lastAct := int64(-1)
 	quietSince := start
+	// One timer serves every poll step: Reset re-arms it (Go 1.23 timers
+	// drop an unread expiry on Reset), where a time.After per step would
+	// allocate a timer each.
+	tick := time.NewTimer(hardCap)
+	defer tick.Stop()
 	for {
 		now := time.Now()
 		if !now.Before(hard) {
@@ -197,8 +202,9 @@ func (rt *Runtime) AwaitQueryResult(id QueryID, h graph.HostID, floor, settle, h
 			wait = rem
 		}
 		if wait > 0 {
+			tick.Reset(wait)
 			select {
-			case <-time.After(wait):
+			case <-tick.C:
 			case <-rt.quit:
 				return rt.QueryResult(id, h)
 			}
@@ -222,6 +228,9 @@ func (rt *Runtime) awaitCounted(qs *queryState, id QueryID, h graph.HostID, floo
 		// from elsewhere — so a query unknown now has nothing to wait for.
 		return rt.QueryResult(id, h)
 	}
+	// One timer first waits out the floor, then is re-armed for what is
+	// left of the cap.
+	start := time.Now()
 	hard := time.NewTimer(hardCap)
 	defer hard.Stop()
 	idle := qs.idle
@@ -229,11 +238,13 @@ func (rt *Runtime) awaitCounted(qs *queryState, id QueryID, h graph.HostID, floo
 	case floor >= hardCap:
 		idle = nil // the early path is shut: read at the cap
 	case floor > 0:
+		hard.Reset(floor)
 		select {
-		case <-time.After(floor):
+		case <-hard.C:
 		case <-rt.quit:
 			return rt.QueryResult(id, h)
 		}
+		hard.Reset(hardCap - time.Since(start))
 	}
 	for {
 		select {

@@ -158,6 +158,41 @@ const queryAllocBudget = 28
 // per-host state — handlers, partials, coin streams, rebuilt in place in
 // the slab the last retired query handed back — allocate; what is left is
 // the query's per-host counters and the snapshot pool's refills.
+func TestWildfireQueryAllocBytes(t *testing.T) {
+	const hosts = 256
+	perHost := leastQueryWindow(t, hosts, nil, "bytes allocated per query per served host",
+		func(before, after *gort.MemStats) float64 { return float64(after.TotalAlloc-before.TotalAlloc) / hosts })
+	if perHost > queryAllocBudget {
+		t.Fatalf("%.0f bytes allocated per query per served host, budget %d", perHost, queryAllocBudget)
+	}
+}
+
+// churnedQueryAllocBudget is what TestChurnedQueryAllocs allows a warm
+// churned query to allocate, in objects: the least window read 37–40 over
+// ten idle runs, and 822 while every frame dropped at a departed host kept
+// its snapshot from the pool and the timeline's index was built of maps.
+const churnedQueryAllocBudget = 80
+
+// TestChurnedQueryAllocs pins the objects a warm query allocates when its
+// timeline churns: 60 hosts, each query with its own timeline of session
+// departures and rejoins. Frames that meet a departed host hand their
+// snapshot back to the pool as received ones do, and the timeline's index
+// is a few flat arrays.
+func TestChurnedQueryAllocs(t *testing.T) {
+	const hosts = 60
+	src := churn.Sessions{N: hosts, Mean: 20, Rejoin: 4}
+	perQuery := leastQueryWindow(t, hosts, src, "objects allocated per churned query",
+		func(before, after *gort.MemStats) float64 { return float64(after.Mallocs - before.Mallocs) })
+	if perQuery > churnedQueryAllocBudget {
+		t.Fatalf("%.0f objects allocated per churned query, budget %d", perQuery, churnedQueryAllocBudget)
+	}
+}
+
+// leastQueryWindow answers WILDFIRE COUNT queries at c = 64 with h_q = 0
+// on a warm, all-local chan runtime over a random graph of the given size,
+// each query under the timeline src draws for it (none if src is nil), in
+// five windows of five queries, and returns the least window's read per
+// query.
 //
 // Buffers that only grow — the delivery ring, the timer heap — double
 // when a query's flood runs deeper than any before it, which a loaded box
@@ -165,11 +200,12 @@ const queryAllocBudget = 28
 // ~200 B a host, and so can the snapshot pool's chains when frames move
 // between Ps. So the reading is the least of five windows: a one-off
 // growth lands in some, a per-query cost in all.
-func TestWildfireQueryAllocBytes(t *testing.T) {
+func leastQueryWindow(t *testing.T, hosts int, src churn.Source, unit string, read func(before, after *gort.MemStats) float64) float64 {
+	t.Helper()
 	if raceSlowdown > 1 {
 		t.Skip("the race detector allocates on its own")
 	}
-	const hosts, queries, windows, hop = 256, 5, 5, 5 * time.Millisecond
+	const queries, windows, hop = 5, 5, 5 * time.Millisecond
 	g := topology.NewRandom(hosts, 5, 23)
 	rt, err := New(Config{Graph: g, Transport: transport.NewChannel(hosts, hop/2), Hop: hop})
 	if err != nil {
@@ -177,7 +213,11 @@ func TestWildfireQueryAllocBytes(t *testing.T) {
 	}
 	q := protocol.Query{Kind: agg.Count, Hq: 0, DHat: g.Diameter(nil) + 2, Params: fmParams}
 	rt.SetQueryFactory(func(id QueryID) (*QueryInstance, error) {
-		return BuildInstance(rt, protocol.NewWildfire(q), QuerySeed(23, id))
+		inst, err := BuildInstance(rt, protocol.NewWildfire(q), QuerySeed(23, id))
+		if err == nil && src != nil {
+			inst.Churn = src.Schedule(churn.QuerySeed(23, int64(id)), q.Hq, q.Deadline())
+		}
+		return inst, err
 	})
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)
@@ -197,7 +237,7 @@ func TestWildfireQueryAllocBytes(t *testing.T) {
 	// collector stays off from the warm-up query on.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	answer(1) // warm: a slab, the snapshot pool, timer freelist, delivery ring, shard queues
-	perHost := math.Inf(1)
+	least := math.Inf(1)
 	for w, id := 0, QueryID(2); w < windows; w++ {
 		var before, after gort.MemStats
 		gort.ReadMemStats(&before)
@@ -205,11 +245,9 @@ func TestWildfireQueryAllocBytes(t *testing.T) {
 			answer(id)
 		}
 		gort.ReadMemStats(&after)
-		reading := float64(after.TotalAlloc-before.TotalAlloc) / queries / hosts
-		t.Logf("window %d: %.0f bytes allocated per query per served host", w, reading)
-		perHost = min(perHost, reading)
+		reading := read(&before, &after) / queries
+		t.Logf("window %d: %.0f %s", w, reading, unit)
+		least = min(least, reading)
 	}
-	if perHost > queryAllocBudget {
-		t.Fatalf("%.0f bytes allocated per query per served host, budget %d", perHost, queryAllocBudget)
-	}
+	return least
 }

@@ -577,10 +577,13 @@ func (b *queryBackend) SendAll(from, skip graph.HostID, payload any, chain int) 
 
 // Send implements sim.Backend: the message goes to the transport stamped
 // with the query id, and is delivered if the destination is alive at
-// arrival.
+// arrival. A frame that does not reach its receiver as a Go value — a
+// departed sender's, one the transport refused, one it serialized — has
+// its payload's reference ended here (Transport.Send).
 func (b *queryBackend) Send(from, to graph.HostID, payload any, chain int) {
 	rt, qs := b.rt, b.qs
 	if qs.hostDead(from) {
+		sim.Release(payload)
 		return // a departed host says nothing more (§3.2), per query here
 	}
 	qs.armClock(rt)
@@ -601,6 +604,9 @@ func (b *queryBackend) Send(from, to graph.HostID, payload any, chain int) {
 		if toLocal {
 			qs.workDone()
 		}
+	}
+	if err != nil || rt.serializes[to] {
+		sim.Release(payload)
 	}
 }
 

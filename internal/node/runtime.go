@@ -265,6 +265,11 @@ type Runtime struct {
 	procOf      []int32
 	remoteHosts []graph.HostID
 
+	// serializes[h]: the transport encodes a frame for h, so its payload's
+	// reference ends at the sender once Send returns (Transport.Serializes,
+	// read once the local hosts are bound).
+	serializes []bool
+
 	mu      sync.Mutex
 	started bool
 	closed  bool
@@ -419,6 +424,10 @@ func (rt *Runtime) Start() error {
 			return err
 		}
 	}
+	rt.serializes = make([]bool, rt.g.Len())
+	for h := range rt.serializes {
+		rt.serializes[h] = rt.tr.Serializes(graph.HostID(h))
+	}
 	if err := rt.tr.Open(); err != nil {
 		return err
 	}
@@ -455,6 +464,7 @@ func (rt *Runtime) recvFunc(h graph.HostID) transport.RecvFunc {
 		if err != nil && errors.Is(err, ErrQueryRejected) {
 			// Admission control: the rejection was counted (and traced)
 			// where it was decided; the frame is simply not demuxed.
+			sim.Release(m.Payload)
 			return
 		}
 		if qs == nil {
@@ -462,6 +472,7 @@ func (rt *Runtime) recvFunc(h graph.HostID) transport.RecvFunc {
 			// failed). Counted but not traced: hostile ids must not churn
 			// the tracer's query rings.
 			rt.met.dropUnknown.Inc()
+			sim.Release(m.Payload)
 			return
 		}
 		if !rt.Local(m.From) {
@@ -473,6 +484,7 @@ func (rt *Runtime) recvFunc(h graph.HostID) transport.RecvFunc {
 			// Serialized with compaction: the drop is folded exactly once
 			// whether it lands before or after the counters collapse.
 			rt.dropRetired(qs)
+			sim.Release(m.Payload)
 			qs.workDone()
 			return
 		}
@@ -615,8 +627,8 @@ func (rt *Runtime) runItem(it item, ctx *sim.Context) {
 }
 
 // runCallback runs the handler callback of a Start, frame or timer item —
-// or counts the frame dropped, when the query or the host no longer takes
-// it.
+// or counts the frame dropped, and releases it, when the query or the host
+// no longer takes it.
 func (rt *Runtime) runCallback(it item, ctx *sim.Context) {
 	h, qs := it.h, it.qs
 	// Retirement is checked before membership so that EVERY
@@ -627,6 +639,7 @@ func (rt *Runtime) runCallback(it item, ctx *sim.Context) {
 	if qs.retired.Load() {
 		if it.kind == itemMsg {
 			rt.dropRetired(qs)
+			sim.Release(it.msg.Payload)
 		}
 		return
 	}
@@ -646,6 +659,7 @@ func (rt *Runtime) runCallback(it item, ctx *sim.Context) {
 			qs.dropped.Add(1)
 			rt.met.dropQueryDead.Inc()
 			rt.traceDrop(qs, h, it.msg.Chain, dropQueryDead)
+			sim.Release(it.msg.Payload)
 		}
 		return
 	}
@@ -657,6 +671,7 @@ func (rt *Runtime) runCallback(it item, ctx *sim.Context) {
 			qs.dropped.Add(1)
 			rt.met.dropUnknown.Inc()
 			rt.traceDrop(qs, h, it.msg.Chain, dropUnknown)
+			sim.Release(it.msg.Payload)
 		}
 		return
 	}

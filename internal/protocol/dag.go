@@ -119,8 +119,8 @@ func (h *dagHost) onBroadcast(ctx *sim.Context, from graph.HostID, m dagBroadcas
 		h.partial = agg.NewPartial(h.d.Query.Kind, ctx.Value(), h.d.Query.Params, ctx.Rand())
 		ctx.SendAllExcept(from, dagBroadcast{Level: h.level + 1})
 		t := sim.Time(2*h.d.Query.DHat - h.level)
-		if t <= ctx.Now() {
-			t = ctx.Now() + 1
+		if t < ctx.Now() {
+			t = ctx.Now()
 		}
 		ctx.SetTimer(t, dagTagReport)
 		return

@@ -107,8 +107,8 @@ func (h *stHost) Receive(ctx *sim.Context, msg sim.Message) {
 		ctx.SendAllExcept(msg.From, stBroadcast{Level: h.level + 1})
 		// Schedule the subtree report: by 2D̂−l all children have reported.
 		t := sim.Time(2*h.s.Query.DHat - h.level)
-		if t <= ctx.Now() {
-			t = ctx.Now() + 1
+		if t < ctx.Now() {
+			t = ctx.Now()
 		}
 		ctx.SetTimer(t, stTagReport)
 	case stReport:

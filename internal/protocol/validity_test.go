@@ -225,3 +225,48 @@ func TestWildfirePriceOfValidity(t *testing.T) {
 		t.Fatalf("wildfire/spanningtree message ratio = %.2f; expected same order as paper's ≈4-5×", ratio)
 	}
 }
+
+// TestTreeBaselinesValidOnPathAtTightDHat runs the tree baselines on a
+// static path with h_q at one end and D̂ = D, the least legal estimate.
+// The host at depth D̂ activates at tick D̂, which is its own report tick
+// 2D̂ − D̂; a report set for a tick already passed would reach its parent
+// after the parent reported, and the farthest host would be lost. Absent
+// failures SPANNINGTREE is valid (§4), exactly; DAG is judged against the
+// bounds its hosts' own coins imply (oracle.Bounds.Matched).
+func TestTreeBaselinesValidOnPathAtTightDHat(t *testing.T) {
+	for _, n := range []int{3, 4, 6} {
+		g := graph.New(n)
+		vals := make([]int64, n)
+		for h := range vals {
+			vals[h] = int64(10 + h)
+			if h > 0 {
+				g.AddEdge(graph.HostID(h-1), graph.HostID(h))
+			}
+		}
+		g.SortAdjacency()
+		protos := []func(Query) Protocol{
+			func(q Query) Protocol { return NewSpanningTree(q) },
+			func(q Query) Protocol { return NewDAG(q, 2) },
+			func(q Query) Protocol { return NewDAG(q, 3) },
+		}
+		for _, build := range protos {
+			for _, kind := range []agg.Kind{agg.Min, agg.Max, agg.Count} {
+				q := Query{Kind: kind, Hq: 0, DHat: n - 1, Params: params()}
+				p := build(q)
+				const seed = 7
+				v, _, err := Run(p, newNet(g, vals, seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				b := oracle.Compute(g, vals, q.Hq, nil, q.Deadline(), kind)
+				if _, exact := p.(*SpanningTree); !exact {
+					b = b.Matched(vals, q.Params, seed)
+				}
+				if !b.Valid(v) {
+					t.Errorf("path of %d, %s %v = %v, want inside [%v, %v]",
+						n, p.Name(), kind, v, b.LowerValue, b.UpperValue)
+				}
+			}
+		}
+	}
+}

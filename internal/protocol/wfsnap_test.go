@@ -121,6 +121,17 @@ func TestWildfireSnapshotRefs(t *testing.T) {
 	}
 	ctx.Reset(be, 0, 1)
 	hq.Receive(ctx, sim.MakeMessage(1, 0, wfConverge{}, 1)) // has=0: nothing to release
+
+	// A frame no Receive will take gives its ref back through its backend.
+	for name, payload := range map[string]any{
+		"broadcast": bcast(1, news),
+		"converge":  wfConverge{S: carry(news)},
+	} {
+		s := frameSnap(payload)
+		sim.Release(payload)
+		refs(name+" released by its backend", s, 0)
+	}
+	sim.Release(wfConverge{}) // has=0: nothing to release
 }
 
 // A received WILDFIRE frame costs nothing once the pool is warm: a c=64

@@ -130,16 +130,27 @@ type wfConverge struct {
 	S *wfSnap
 }
 
+// Release ends the frame's ref on its snapshot when no Receive will: a
+// backend calls it (sim.Release) on a frame it drops or serializes.
+func (b wfBroadcast) Release() { b.S.release() }
+
+// Release is wfBroadcast.Release for a converge frame.
+func (c wfConverge) Release() { c.S.release() }
+
 // wfSnap is a snapshot of a host's partial, shared by every frame that
 // carries it and never mutated while any of them is alive. refs counts the
 // frames, all taken before the first is sent, so that no release can
-// precede a send; the host keeps none. Receive uses up its frame's ref,
-// whatever it makes of the frame; the release that reaches zero puts the
-// snapshot back in snapPool, and the next takeSnap — or the next WILDFIRE
-// frame the wire decodes — overwrites its partial in place. A ref never
-// released — a frame to a host that is dead or a query that is gone, one
-// encoded for a remote peer — only leaves its snapshot to the garbage
-// collector: a missed release costs an allocation, never an answer.
+// precede a send; the host keeps none. Every frame's ref ends exactly once:
+// Receive uses it up, whatever it makes of the frame, and a frame finished
+// without one — dropped at a dead host, a host with no handler or a query
+// that is gone, suppressed at a departed sender, refused by the transport,
+// or encoded for another process — is released by its backend (Release).
+// The release that reaches zero puts the snapshot back in snapPool, and
+// the next takeSnap — or the next WILDFIRE frame the wire decodes —
+// overwrites its partial in place. A ref never released (a frame still in
+// flight when its transport closes) only leaves its snapshot to the
+// garbage collector: a missed release costs an allocation, never an
+// answer.
 type wfSnap struct {
 	a agg.Partial
 	// hop is a broadcast's: the sender's distance from h_q plus one, the

@@ -33,7 +33,8 @@ import (
 //
 // "partial?" is internal/wire's partial encoding, present iff has = 1.
 // Decode copies the partial out of the body into a snapshot from the pool
-// (decodeSnap), which the receiving handler releases.
+// (decodeSnap), which the receiving handler releases, or the runtime where
+// it drops the frame.
 const (
 	tagWfBroadcast uint8 = 1
 	tagWfConverge  uint8 = 2

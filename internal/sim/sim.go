@@ -85,6 +85,18 @@ func MakeMessage(from, to graph.HostID, payload any, chain int) Message {
 	return Message{From: from, To: to, Payload: payload, chain: chain}
 }
 
+// Release ends the one reference a payload may hold on storage its sender
+// recycles (a WILDFIRE frame's pooled snapshot), for a frame a backend
+// finishes without a Receive: one dropped at a dead host or a host with no
+// handler, or one the live runtime drops or serializes for another
+// process. A Receive ends its own frame's reference. A payload that holds
+// none is left alone.
+func Release(payload any) {
+	if r, ok := payload.(interface{ Release() }); ok {
+		r.Release()
+	}
+}
+
 // Handler is the per-host protocol logic. Implementations must be pure
 // state machines: all communication goes through the Context.
 type Handler interface {
@@ -321,6 +333,7 @@ func (nw *Network) dispatch(e *event) {
 	case evDeliver:
 		if !nw.alive[e.msg.To] {
 			nw.stats.MessagesDropped++
+			Release(e.msg.Payload)
 			return
 		}
 		nw.stats.MessagesDelivered++
@@ -333,6 +346,8 @@ func (nw *Network) dispatch(e *event) {
 		}
 		if hd := nw.handlers[e.msg.To]; hd != nil {
 			hd.Receive(nw.at(e.msg.To, e.msg.chain), e.msg)
+		} else {
+			Release(e.msg.Payload)
 		}
 	case evTimer:
 		if !nw.alive[e.host] {

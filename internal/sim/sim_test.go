@@ -296,3 +296,50 @@ func TestOnDeliverObserver(t *testing.T) {
 		t.Fatalf("observer saw %d, delivered %d", observed, st.MessagesDelivered)
 	}
 }
+
+// heldFrame is a payload holding one reference; released counts the
+// Release calls on it.
+type heldFrame struct{ released *int }
+
+func (f heldFrame) Release() { *f.released++ }
+
+// sender sends one heldFrame to each of its targets at Start and keeps
+// their counters.
+type sender struct {
+	to   []graph.HostID
+	sent []*int
+}
+
+func (s *sender) Start(ctx *Context) {
+	for _, h := range s.to {
+		f := heldFrame{released: new(int)}
+		s.sent = append(s.sent, f.released)
+		ctx.Send(h, f)
+	}
+}
+func (*sender) Receive(*Context, Message) {}
+func (*sender) Timer(*Context, int)       {}
+
+// TestDroppedFramesAreReleased pins the event loop's half of the payload
+// contract: a frame that reaches no Receive — its destination is dead at
+// arrival, or has no handler — is released once by the loop, and a
+// delivered frame is left to its receiver.
+func TestDroppedFramesAreReleased(t *testing.T) {
+	g := graph.New(4)
+	for h := graph.HostID(1); h < 4; h++ {
+		g.AddEdge(0, h)
+	}
+	nw := NewNetwork(Config{Graph: g})
+	s := &sender{to: []graph.HostID{1, 2, 3}}
+	nw.SetHandler(0, s)
+	nw.SetHandler(1, &sender{}) // receives, and does not release
+	nw.SetHandler(2, &sender{})
+	nw.FailAt(2, 1) // dead when its frame lands at tick 1
+	// Host 3 has no handler.
+	nw.Run(5)
+	for i, want := range []int{0, 1, 1} {
+		if got := *s.sent[i]; got != want {
+			t.Errorf("frame to host %d released %d times, want %d", s.to[i], got, want)
+		}
+	}
+}

@@ -140,6 +140,9 @@ func (c *Channel) Send(msg Message) error {
 	return nil
 }
 
+// Serializes implements Transport: every delivery is in process.
+func (c *Channel) Serializes(graph.HostID) bool { return false }
+
 func (c *Channel) start() {
 	c.wg.Add(1)
 	go c.schedule()

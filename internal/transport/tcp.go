@@ -358,7 +358,9 @@ func (t *TCP) deliverLocal(msg Message) (served bool) {
 // queued frames into batched connection writes. Send still dials
 // synchronously when no connection exists — with the same retry budget as
 // before — so a fleet booting in arbitrary order blocks senders, not the
-// writer goroutines, until the peer appears.
+// writer goroutines, until the peer appears. The queued frame keeps
+// nothing of msg.Payload, and Send releases nothing: a caller may send one
+// payload any number of times.
 func (t *TCP) Send(msg Message) error {
 	if msg.To < 0 || int(msg.To) >= len(t.addrs) {
 		return fmt.Errorf("transport: destination %d has no address", msg.To)
@@ -402,6 +404,15 @@ func (t *TCP) Send(msg Message) error {
 	}
 	w.enqueue(fr)
 	return nil
+}
+
+// Serializes implements Transport: a frame for a host bound elsewhere is
+// encoded inside Send, and Send keeps no reference to its payload.
+func (t *TCP) Serializes(h graph.HostID) bool {
+	t.mu.Lock()
+	_, local := t.recv[h]
+	t.mu.Unlock()
+	return !local
 }
 
 // writer returns addr's writer goroutine, starting it on first use.

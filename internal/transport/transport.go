@@ -82,13 +82,19 @@ type Transport interface {
 	// error means the message is known lost (e.g. unreachable peer).
 	//
 	// A payload may carry one reference to storage its sender recycles (a
-	// WILDFIRE frame's pooled snapshot), and Send takes it over. An
-	// in-process delivery hands the payload itself, and with it the
-	// reference, to the receiver, which releases it. A payload serialized
-	// for another process keeps its reference: its storage is left to the
-	// garbage collector. Only the transport knows which of the two
-	// happened, so no caller releases a payload after Send.
+	// WILDFIRE frame's pooled snapshot). Send releases none. An in-process
+	// delivery hands the payload itself, and with it the reference, to the
+	// receiver, which releases it. A frame for a destination Serializes
+	// names is encoded inside Send, which keeps nothing of the payload, and
+	// a Send that returns an error delivers nothing: in both cases the
+	// reference is still the caller's to end once Send returns (the node
+	// runtime does). A frame that reaches no bound host is dropped with
+	// its reference, which leaves the storage to the garbage collector.
 	Send(msg Message) error
+	// Serializes reports whether Send encodes a frame for h into bytes for
+	// another process instead of handing the payload over in process. The
+	// answer is fixed once every local host is bound.
+	Serializes(h graph.HostID) bool
 	// Close releases all resources and stops delivery goroutines.
 	Close() error
 }

@@ -326,6 +326,25 @@ func TestTCPLocalShortcut(t *testing.T) {
 	}
 }
 
+// TestSerializesPerDestination pins what each transport answers: the chan
+// transport hands every payload over in process; TCP encodes a frame for
+// any host it has not bound, and only those.
+func TestSerializesPerDestination(t *testing.T) {
+	c := NewChannel(3, 0)
+	a, b, _, _, _ := newTCPPair(t)
+	for h := graph.HostID(0); h < 3; h++ {
+		if c.Serializes(h) {
+			t.Errorf("Channel serializes a frame for host %d", h)
+		}
+		if got, want := a.Serializes(h), h != 0; got != want {
+			t.Errorf("TCP serving host 0: Serializes(%d) = %t, want %t", h, got, want)
+		}
+		if got, want := b.Serializes(h), h == 0; got != want {
+			t.Errorf("TCP serving hosts 1 and 2: Serializes(%d) = %t, want %t", h, got, want)
+		}
+	}
+}
+
 func TestTCPSendUnboundHostDropsSilently(t *testing.T) {
 	a, _, _, _, _ := newTCPPair(t)
 	// Host 2's address is B; a frame for a host B never bound (here: a
