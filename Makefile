@@ -23,9 +23,10 @@ race:
 # concurrent code; plain `go test` would let scheduling bugs through),
 # smoke-test the built binary's metrics endpoint end to end, give the
 # wire decoders a short hostile-input fuzz pass, hold the figures to
-# byte-identical output run to run, and hold the hot paths' allocation
-# pins, which skip themselves under -race.
-ci: build vet fmt-check race scale-smoke metrics-smoke fuzz-smoke repro-smoke alloc-smoke
+# byte-identical output run to run, hold the hot paths' allocation
+# pins, which skip themselves under -race, and keep out exported funcs
+# that only tests call.
+ci: build vet fmt-check test-only-exports race scale-smoke metrics-smoke fuzz-smoke repro-smoke alloc-smoke
 
 # alloc-smoke runs every allocation pin natively: the race detector
 # allocates on its own and drops sync.Pool items at random, so under `race`
@@ -123,7 +124,7 @@ loc:
 	     test_loc $$(find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)
 
 # test-only-exports lists exported funcs and methods under internal/ that
-# only tests still mention — where a subtraction pass starts. Report-only,
-# not part of ci.
+# only tests still mention, and fails if there is any: code kept alive by
+# its own tests alone is deleted, or gains a caller. Part of ci.
 test-only-exports:
 	@./scripts/test-only-exports.sh

@@ -1,14 +1,13 @@
 // Package agg defines the aggregate queries of the paper — minimum,
 // maximum, count, sum and average (§1, §5) — and the partial-aggregate
-// states the protocols exchange.
+// state A_h the protocols exchange.
 //
-// Two families of partials exist:
-//
-//   - Scalar partials for min/max, whose combine function is the query
-//     itself and is naturally duplicate-insensitive (§5.1).
-//   - Sketch partials for count/sum/avg, which carry Flajolet–Martin
-//     bit-vectors whose combine function is bitwise OR (§5.2). Average is
-//     a (sum, count) sketch pair.
+// One type, Partial, carries that state for every kind, and each kind
+// uses its own fields only: min/max a scalar, whose combine function is
+// the query itself and naturally duplicate-insensitive (§5.1); count and
+// sum one Flajolet–Martin sketch, combined by bitwise OR (§5.2); average a
+// (sum, count) sketch pair. A partial rebuilt for another kind keeps the
+// storage of the fields that kind ignores.
 //
 // Exact reference evaluation over a value multiset is also provided; the
 // oracle uses it to compute the q(H_C) and q(H_U) validity bounds.
@@ -118,16 +117,17 @@ func Exact(k Kind, values []int64) float64 {
 // Partial is a host's partial aggregate A_h (§5.1): the state initialized
 // when the host becomes active, combined with neighbors' partials during
 // convergecast, and evaluated at the querying host at the deadline.
-type Partial interface {
-	// Combine merges other into the receiver and reports whether the
-	// receiver changed (WILDFIRE only re-floods on change).
-	Combine(other Partial) bool
-	// Clone returns an independent deep copy, safe to hand to a message.
-	Clone() Partial
-	// Equal reports whether two partials hold identical state.
-	Equal(other Partial) bool
-	// Result converts the partial into the query answer.
-	Result() float64
+//
+// Its kind decides which fields it uses: val for min/max, a for count and
+// sum, a (the sum) and b (the count) for avg. Every method ignores the
+// rest, which keep their storage, so a partial rebuilt in place (Init,
+// Assign, Refill) allocates nothing once it has held each kind. The zero
+// Partial holds no aggregate: Kind reports false and no query conforms.
+type Partial struct {
+	kind Kind
+	set  bool // built by Init, Assign or Refill; Clear unsets it
+	val  int64
+	a, b fm.Sketch
 }
 
 // Params configures sketch-backed partials.
@@ -144,148 +144,116 @@ func DefaultParams() Params { return Params{Vectors: fm.DefaultVectors, Bits: fm
 
 // NewPartial initializes the partial aggregate for a host with attribute
 // value v, using rng for the FM coin tosses (sketch kinds only).
-func NewPartial(k Kind, v int64, p Params, rng *rand.Rand) Partial {
-	return Init(nil, k, v, p, rng)
+func NewPartial(k Kind, v int64, params Params, rng *rand.Rand) *Partial {
+	p := new(Partial)
+	p.Init(k, v, params, rng)
+	return p
 }
 
-// Init is NewPartial into dst: dst itself when it is a partial of kind k,
-// whatever its sketch dimensions, and a fresh one otherwise (dst nil
-// included). Nothing dst held shows through, and a dst whose sketches have
-// the storage for p allocates nothing.
-func Init(dst Partial, k Kind, v int64, p Params, rng *rand.Rand) Partial {
-	dst = Refill(dst, k, v)
-	a, b := WireSketches(dst)
+// Init rebuilds p in place as NewPartial(k, v, params, rng), whatever kind
+// and sketch dimensions it held: nothing it held shows through, and once
+// its sketches have the storage for params it allocates nothing. The coins
+// are drawn in NewPartial's order — avg's sum sketch first, then its count.
+func (p *Partial) Init(k Kind, v int64, params Params, rng *rand.Rand) {
+	a, b := p.Refill(k, v)
 	switch k {
 	case Count:
-		a.Reset(p.Vectors, p.Bits)
+		a.Reset(params.Vectors, params.Bits)
 		a.AddDistinct(rng)
 	case Sum:
-		a.Reset(p.Vectors, p.Bits)
+		a.Reset(params.Vectors, params.Bits)
 		a.AddN(rng, v)
 	case Avg:
-		a.Reset(p.Vectors, p.Bits)
-		b.Reset(p.Vectors, p.Bits)
+		a.Reset(params.Vectors, params.Bits)
+		b.Reset(params.Vectors, params.Bits)
 		a.AddN(rng, v)
 		b.AddDistinct(rng)
 	}
-	return dst
 }
 
-// scalarPartial carries min/max state.
-type scalarPartial struct {
-	kind Kind
-	val  int64
-}
-
-func (s *scalarPartial) Combine(other Partial) bool {
-	o, ok := other.(*scalarPartial)
-	if !ok || o.kind != s.kind {
-		panic("agg: combining mismatched partials")
+// Refill makes p a partial of kind k for a caller to fill and returns the
+// sketches k uses (Sketches). A min/max partial is set to v; a sketch
+// partial ignores v, and its sketches keep whatever dimensions and bits
+// they held until the caller overwrites them in full — fm.ReadPacked and
+// Sketch.CopyFrom both reshape. A decoder that recycles its partials this
+// way decodes without allocating.
+func (p *Partial) Refill(k Kind, v int64) (a, b *fm.Sketch) {
+	if k < Min || k > Avg {
+		panic(fmt.Sprintf("agg: unknown kind %d", int(k)))
 	}
-	switch {
-	case s.kind == Min && o.val < s.val:
-		s.val = o.val
-		return true
-	case s.kind == Max && o.val > s.val:
-		s.val = o.val
-		return true
+	p.kind, p.set, p.val = k, true, v
+	return p.Sketches()
+}
+
+// Assign makes p a deep copy of src in p's own storage — the in-place
+// Clone a recycled snapshot takes.
+func (p *Partial) Assign(src *Partial) {
+	a, b := p.Refill(src.kind, src.val)
+	sa, sb := src.Sketches()
+	if a != nil {
+		a.CopyFrom(sa)
 	}
-	return false
+	if b != nil {
+		b.CopyFrom(sb)
+	}
+	p.set = src.set
 }
 
-func (s *scalarPartial) Clone() Partial { c := *s; return &c }
+// Clear makes p hold no aggregate, as the zero Partial does, keeping its
+// storage.
+func (p *Partial) Clear() { p.set = false }
 
-func (s *scalarPartial) Equal(other Partial) bool {
-	o, ok := other.(*scalarPartial)
-	return ok && o.kind == s.kind && o.val == s.val
-}
-
-func (s *scalarPartial) Result() float64 { return float64(s.val) }
-
-// ScalarValue returns a min/max partial's value exactly; Result's float64
-// rounds beyond 2^53, which the wire format must not.
-func ScalarValue(p Partial) (int64, bool) {
-	s, ok := p.(*scalarPartial)
-	if !ok {
+// Kind reports the aggregate kind p was built for, and false for a nil or
+// zero partial, which holds none.
+func (p *Partial) Kind() (Kind, bool) {
+	if p == nil {
 		return 0, false
 	}
-	return s.val, true
+	return p.kind, p.set
 }
 
-// The sketch-backed partials hold their sketches by value: a partial and
-// its vectors are two objects, so a clone is two allocations.
+// Scalar returns a min/max partial's value exactly; Result's float64
+// rounds beyond 2^53, which the wire format must not.
+func (p *Partial) Scalar() int64 { return p.val }
 
-// countPartial carries an FM count sketch.
-type countPartial struct{ sk fm.Sketch }
+// Sketches returns the sketches p's kind uses, without allocating: a is
+// the sole sketch for count/sum and the sum sketch for avg, b the avg
+// count sketch (nil otherwise). Both nil for min/max.
+func (p *Partial) Sketches() (a, b *fm.Sketch) {
+	switch p.kind {
+	case Count, Sum:
+		return &p.a, nil
+	case Avg:
+		return &p.a, &p.b
+	}
+	return nil, nil
+}
 
-func (c *countPartial) Combine(other Partial) bool {
-	o, ok := other.(*countPartial)
-	if !ok {
+// Combine merges other into p and reports whether p changed (WILDFIRE
+// only re-floods on change). It panics unless both hold an aggregate of
+// one kind.
+func (p *Partial) Combine(other *Partial) bool {
+	if !p.set || !other.set || other.kind != p.kind {
 		panic("agg: combining mismatched partials")
 	}
-	return orInto(&c.sk, &o.sk)
-}
-
-func (c *countPartial) Clone() Partial { return &countPartial{sk: c.sk.Copy()} }
-
-func (c *countPartial) Equal(other Partial) bool {
-	o, ok := other.(*countPartial)
-	return ok && c.sk.Equal(&o.sk)
-}
-
-func (c *countPartial) Result() float64 { return c.sk.Estimate() }
-
-// sumPartial carries an FM sum sketch.
-type sumPartial struct{ sk fm.Sketch }
-
-func (s *sumPartial) Combine(other Partial) bool {
-	o, ok := other.(*sumPartial)
-	if !ok {
-		panic("agg: combining mismatched partials")
+	switch p.kind {
+	case Min:
+		if other.val < p.val {
+			p.val = other.val
+			return true
+		}
+	case Max:
+		if other.val > p.val {
+			p.val = other.val
+			return true
+		}
+	case Count, Sum:
+		return orInto(&p.a, &other.a)
+	case Avg:
+		sum, cnt := orInto(&p.a, &other.a), orInto(&p.b, &other.b)
+		return sum || cnt
 	}
-	return orInto(&s.sk, &o.sk)
-}
-
-func (s *sumPartial) Clone() Partial { return &sumPartial{sk: s.sk.Copy()} }
-
-func (s *sumPartial) Equal(other Partial) bool {
-	o, ok := other.(*sumPartial)
-	return ok && s.sk.Equal(&o.sk)
-}
-
-func (s *sumPartial) Result() float64 { return s.sk.Estimate() }
-
-// avgPartial is a (sum, count) sketch pair; avg = sum/count (§5, Thm 5.3's
-// "average" class).
-type avgPartial struct {
-	sum fm.Sketch
-	cnt fm.Sketch
-}
-
-func (a *avgPartial) Combine(other Partial) bool {
-	o, ok := other.(*avgPartial)
-	if !ok {
-		panic("agg: combining mismatched partials")
-	}
-	sum, cnt := orInto(&a.sum, &o.sum), orInto(&a.cnt, &o.cnt)
-	return sum || cnt
-}
-
-func (a *avgPartial) Clone() Partial {
-	return &avgPartial{sum: a.sum.Copy(), cnt: a.cnt.Copy()}
-}
-
-func (a *avgPartial) Equal(other Partial) bool {
-	o, ok := other.(*avgPartial)
-	return ok && a.sum.Equal(&o.sum) && a.cnt.Equal(&o.cnt)
-}
-
-func (a *avgPartial) Result() float64 {
-	c := a.cnt.Estimate()
-	if c == 0 {
-		return 0
-	}
-	return a.sum.Estimate() / c
+	return false
 }
 
 // orInto merges src into dst and reports whether dst changed.
@@ -297,109 +265,59 @@ func orInto(dst, src *fm.Sketch) bool {
 	return true
 }
 
-// Refill returns a partial of kind k for a decoder to fill: dst itself
-// when it is one already, a fresh one otherwise (dst nil included). A
-// scalar partial is set to v; a sketch partial ignores v, and its sketches
-// (WireSketches) keep whatever dimensions and bits they held until the
-// caller overwrites them in full — fm.ReadPacked and Sketch.CopyFrom both
-// reshape. Recycling partials this way, a receiver decodes without
-// allocating.
-func Refill(dst Partial, k Kind, v int64) Partial {
-	switch k {
-	case Min, Max:
-		if s, ok := dst.(*scalarPartial); ok {
-			*s = scalarPartial{kind: k, val: v}
-			return s
-		}
-		return &scalarPartial{kind: k, val: v}
-	case Count:
-		if c, ok := dst.(*countPartial); ok {
-			return c
-		}
-		return &countPartial{}
-	case Sum:
-		if s, ok := dst.(*sumPartial); ok {
-			return s
-		}
-		return &sumPartial{}
+// Clone returns an independent deep copy, safe to hand to a message. A
+// min/max clone carries no sketch storage.
+func (p *Partial) Clone() *Partial {
+	c := new(Partial)
+	c.Assign(p)
+	return c
+}
+
+// Equal reports whether two partials hold identical state.
+func (p *Partial) Equal(other *Partial) bool {
+	if p.kind != other.kind || p.set != other.set {
+		return false
+	}
+	switch p.kind {
+	case Count, Sum:
+		return p.a.Equal(&other.a)
 	case Avg:
-		if a, ok := dst.(*avgPartial); ok {
-			return a
+		return p.a.Equal(&other.a) && p.b.Equal(&other.b)
+	}
+	return p.val == other.val
+}
+
+// Result converts the partial into the query answer; avg = sum/count (§5,
+// Thm 5.3's "average" class), 0 over an empty count.
+func (p *Partial) Result() float64 {
+	switch p.kind {
+	case Count, Sum:
+		return p.a.Estimate()
+	case Avg:
+		c := p.b.Estimate()
+		if c == 0 {
+			return 0
 		}
-		return &avgPartial{}
-	default:
-		panic(fmt.Sprintf("agg: unknown kind %d", int(k)))
+		return p.a.Estimate() / c
 	}
-}
-
-// Assign makes dst a deep copy of src and returns it: dst itself when it
-// is a partial of src's kind, whatever its sketch dimensions, and a fresh
-// one otherwise — the in-place Clone a recycled snapshot takes.
-func Assign(dst, src Partial) Partial {
-	k, ok := KindOf(src)
-	if !ok {
-		return src.Clone()
-	}
-	v, _ := ScalarValue(src)
-	p := Refill(dst, k, v)
-	pa, pb := WireSketches(p)
-	sa, sb := WireSketches(src)
-	if pa != nil {
-		pa.CopyFrom(sa)
-	}
-	if pb != nil {
-		pb.CopyFrom(sb)
-	}
-	return p
-}
-
-// KindOf reports the aggregate kind a partial was built for; the payload
-// codecs need it to encode a partial.
-func KindOf(p Partial) (Kind, bool) {
-	switch v := p.(type) {
-	case *scalarPartial:
-		return v.kind, true
-	case *countPartial:
-		return Count, true
-	case *sumPartial:
-		return Sum, true
-	case *avgPartial:
-		return Avg, true
-	default:
-		return 0, false
-	}
+	return float64(p.val)
 }
 
 // Conforms reports whether p is a partial a query of kind k with params
-// could have built: non-nil, of kind k, and for sketch kinds every sketch
-// at params' dimensions. Combine panics on any other partial, so one that
-// came off the wire is checked here before it meets the query's state.
-func Conforms(p Partial, k Kind, params Params) bool {
-	if got, ok := KindOf(p); !ok || got != k {
+// could have built: non-nil, holding an aggregate of kind k, and for
+// sketch kinds every sketch at params' dimensions. Combine panics on a
+// partial of another kind and would take a zero one, which a MIN query
+// reads as 0, for real: one that came off the wire is checked here before
+// it meets the query's state.
+func Conforms(p *Partial, k Kind, params Params) bool {
+	if got, ok := p.Kind(); !ok || got != k {
 		return false
 	}
-	a, b := WireSketches(p)
+	a, b := p.Sketches()
 	for _, sk := range [...]*fm.Sketch{a, b} {
 		if sk != nil && (sk.Vectors() != params.Vectors || sk.Bits() != params.Bits) {
 			return false
 		}
 	}
 	return true
-}
-
-// WireSketches returns the sketches carried by p without allocating: a is
-// the sole sketch for count/sum and the sum sketch for avg, b the avg
-// count sketch (nil otherwise). Both nil for scalar partials. The wire
-// codec reaches a partial's sketches through it on the send and the
-// receive hot paths, where a per-call slice would be the only allocation.
-func WireSketches(p Partial) (a, b *fm.Sketch) {
-	switch v := p.(type) {
-	case *countPartial:
-		return &v.sk, nil
-	case *sumPartial:
-		return &v.sk, nil
-	case *avgPartial:
-		return &v.sum, &v.cnt
-	}
-	return nil, nil
 }

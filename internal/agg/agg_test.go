@@ -1,38 +1,42 @@
-package agg
+package agg_test
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"validity/internal/agg"
 	"validity/internal/fm"
+	"validity/internal/wire"
 )
 
 func TestKindStringsAndParse(t *testing.T) {
-	for _, k := range []Kind{Min, Max, Count, Sum, Avg} {
+	for _, k := range []agg.Kind{agg.Min, agg.Max, agg.Count, agg.Sum, agg.Avg} {
 		s := k.String()
 		if s == "" {
 			t.Fatalf("empty name for %d", int(k))
 		}
-		back, err := ParseKind(s)
+		back, err := agg.ParseKind(s)
 		if err != nil || back != k {
 			t.Fatalf("round trip %v failed", k)
 		}
 	}
-	if _, err := ParseKind("median"); err == nil {
+	if _, err := agg.ParseKind("median"); err == nil {
 		t.Fatal("ParseKind accepted unknown aggregate")
 	}
-	if k, err := ParseKind("average"); err != nil || k != Avg {
+	if k, err := agg.ParseKind("average"); err != nil || k != agg.Avg {
 		t.Fatal("ParseKind should accept 'average'")
 	}
 }
 
 func TestDuplicateSensitive(t *testing.T) {
-	if Min.DuplicateSensitive() || Max.DuplicateSensitive() {
+	if agg.Min.DuplicateSensitive() || agg.Max.DuplicateSensitive() {
 		t.Fatal("min/max are duplicate-insensitive")
 	}
-	if !Count.DuplicateSensitive() || !Sum.DuplicateSensitive() || !Avg.DuplicateSensitive() {
+	if !agg.Count.DuplicateSensitive() || !agg.Sum.DuplicateSensitive() || !agg.Avg.DuplicateSensitive() {
 		t.Fatal("count/sum/avg are duplicate-sensitive")
 	}
 }
@@ -40,29 +44,29 @@ func TestDuplicateSensitive(t *testing.T) {
 func TestExact(t *testing.T) {
 	vals := []int64{5, 3, 9, 3}
 	cases := []struct {
-		k    Kind
+		k    agg.Kind
 		want float64
 	}{
-		{Min, 3}, {Max, 9}, {Count, 4}, {Sum, 20}, {Avg, 5},
+		{agg.Min, 3}, {agg.Max, 9}, {agg.Count, 4}, {agg.Sum, 20}, {agg.Avg, 5},
 	}
 	for _, c := range cases {
-		if got := Exact(c.k, vals); got != c.want {
+		if got := agg.Exact(c.k, vals); got != c.want {
 			t.Errorf("Exact(%v) = %v, want %v", c.k, got, c.want)
 		}
 	}
-	for _, k := range []Kind{Min, Max, Count, Sum, Avg} {
-		if Exact(k, nil) != 0 {
+	for _, k := range []agg.Kind{agg.Min, agg.Max, agg.Count, agg.Sum, agg.Avg} {
+		if agg.Exact(k, nil) != 0 {
 			t.Errorf("Exact(%v, empty) != 0", k)
 		}
 	}
 }
 
-func params() Params { return Params{Vectors: 8, Bits: 32} }
+func params() agg.Params { return agg.Params{Vectors: 8, Bits: 32} }
 
 func TestScalarCombine(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	a := NewPartial(Min, 10, params(), rng)
-	b := NewPartial(Min, 5, params(), rng)
+	a := agg.NewPartial(agg.Min, 10, params(), rng)
+	b := agg.NewPartial(agg.Min, 5, params(), rng)
 	if !a.Combine(b) {
 		t.Fatal("min combine with smaller value should change")
 	}
@@ -72,23 +76,26 @@ func TestScalarCombine(t *testing.T) {
 	if a.Combine(b) {
 		t.Fatal("second combine should be a no-op")
 	}
-	c := NewPartial(Max, 10, params(), rng)
-	d := NewPartial(Max, 20, params(), rng)
+	c := agg.NewPartial(agg.Max, 10, params(), rng)
+	d := agg.NewPartial(agg.Max, 20, params(), rng)
 	if !c.Combine(d) || c.Result() != 20 {
 		t.Fatalf("max combine: %v", c.Result())
 	}
-	if c.Combine(NewPartial(Max, 3, params(), rng)) {
+	if c.Combine(agg.NewPartial(agg.Max, 3, params(), rng)) {
 		t.Fatal("max combine with smaller value should not change")
 	}
 }
 
 func TestMismatchedCombinePanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	cases := [][2]Partial{
-		{NewPartial(Min, 1, params(), rng), NewPartial(Max, 1, params(), rng)},
-		{NewPartial(Count, 1, params(), rng), NewPartial(Sum, 1, params(), rng)},
-		{NewPartial(Sum, 1, params(), rng), NewPartial(Avg, 1, params(), rng)},
-		{NewPartial(Avg, 1, params(), rng), NewPartial(Min, 1, params(), rng)},
+	cases := [][2]*agg.Partial{
+		{agg.NewPartial(agg.Min, 1, params(), rng), agg.NewPartial(agg.Max, 1, params(), rng)},
+		{agg.NewPartial(agg.Count, 1, params(), rng), agg.NewPartial(agg.Sum, 1, params(), rng)},
+		{agg.NewPartial(agg.Sum, 1, params(), rng), agg.NewPartial(agg.Avg, 1, params(), rng)},
+		{agg.NewPartial(agg.Avg, 1, params(), rng), agg.NewPartial(agg.Min, 1, params(), rng)},
+		// The zero Partial is of kind Min, but holds no aggregate.
+		{agg.NewPartial(agg.Min, 1, params(), rng), new(agg.Partial)},
+		{new(agg.Partial), agg.NewPartial(agg.Min, 1, params(), rng)},
 	}
 	for i, c := range cases {
 		func() {
@@ -105,9 +112,9 @@ func TestMismatchedCombinePanics(t *testing.T) {
 func TestCountPartialEstimatesNetworkSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n = 4096
-	acc := NewPartial(Count, 0, Params{Vectors: 16, Bits: 32}, rng)
+	acc := agg.NewPartial(agg.Count, 0, agg.Params{Vectors: 16, Bits: 32}, rng)
 	for i := 1; i < n; i++ {
-		acc.Combine(NewPartial(Count, 0, Params{Vectors: 16, Bits: 32}, rng))
+		acc.Combine(agg.NewPartial(agg.Count, 0, agg.Params{Vectors: 16, Bits: 32}, rng))
 	}
 	est := acc.Result()
 	if est < n/8 || est > n*8 {
@@ -118,9 +125,9 @@ func TestCountPartialEstimatesNetworkSize(t *testing.T) {
 func TestSumPartialEstimatesTotal(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	const n, v = 256, 50
-	acc := NewPartial(Sum, v, Params{Vectors: 16, Bits: 32}, rng)
+	acc := agg.NewPartial(agg.Sum, v, agg.Params{Vectors: 16, Bits: 32}, rng)
 	for i := 1; i < n; i++ {
-		acc.Combine(NewPartial(Sum, v, Params{Vectors: 16, Bits: 32}, rng))
+		acc.Combine(agg.NewPartial(agg.Sum, v, agg.Params{Vectors: 16, Bits: 32}, rng))
 	}
 	want := float64(n * v)
 	est := acc.Result()
@@ -132,10 +139,10 @@ func TestSumPartialEstimatesTotal(t *testing.T) {
 func TestAvgPartial(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n, v = 512, 40
-	p := Params{Vectors: 16, Bits: 32}
-	acc := NewPartial(Avg, v, p, rng)
+	p := agg.Params{Vectors: 16, Bits: 32}
+	acc := agg.NewPartial(agg.Avg, v, p, rng)
 	for i := 1; i < n; i++ {
-		acc.Combine(NewPartial(Avg, v, p, rng))
+		acc.Combine(agg.NewPartial(agg.Avg, v, p, rng))
 	}
 	est := acc.Result()
 	// All hosts hold v, so the true average is v; FM error enters as a
@@ -148,7 +155,10 @@ func TestAvgPartial(t *testing.T) {
 func TestAvgEmptyResultZero(t *testing.T) {
 	// An avg partial always contains at least its own host in real runs;
 	// check the division guard directly with empty sketches.
-	a := &avgPartial{sum: fm.MakeSketch(8, 32), cnt: fm.MakeSketch(8, 32)}
+	var a agg.Partial
+	sum, cnt := a.Refill(agg.Avg, 0)
+	sum.Reset(8, 32)
+	cnt.Reset(8, 32)
 	if a.Result() != 0 {
 		t.Fatal("avg with empty count should be 0")
 	}
@@ -156,13 +166,13 @@ func TestAvgEmptyResultZero(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	for _, k := range []Kind{Min, Max, Count, Sum, Avg} {
-		a := NewPartial(k, 10, params(), rng)
+	for _, k := range []agg.Kind{agg.Min, agg.Max, agg.Count, agg.Sum, agg.Avg} {
+		a := agg.NewPartial(k, 10, params(), rng)
 		b := a.Clone()
 		if !a.Equal(b) {
 			t.Fatalf("%v: clone not equal", k)
 		}
-		b.Combine(NewPartial(k, 99, params(), rng))
+		b.Combine(agg.NewPartial(k, 99, params(), rng))
 		// After mutation the clone may differ; the original must be intact:
 		c := a.Clone()
 		if !a.Equal(c) {
@@ -173,8 +183,8 @@ func TestCloneIndependence(t *testing.T) {
 
 func TestEqualAcrossTypes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	a := NewPartial(Min, 1, params(), rng)
-	b := NewPartial(Count, 1, params(), rng)
+	a := agg.NewPartial(agg.Min, 1, params(), rng)
+	b := agg.NewPartial(agg.Count, 1, params(), rng)
 	if a.Equal(b) || b.Equal(a) {
 		t.Fatal("partials of different kinds must not be equal")
 	}
@@ -188,17 +198,17 @@ func TestQuickScalarCombineAlgebra(t *testing.T) {
 			return true
 		}
 		rng := rand.New(rand.NewSource(1))
-		minP := NewPartial(Min, int64(vals[0]), params(), rng)
-		maxP := NewPartial(Max, int64(vals[0]), params(), rng)
+		minP := agg.NewPartial(agg.Min, int64(vals[0]), params(), rng)
+		maxP := agg.NewPartial(agg.Max, int64(vals[0]), params(), rng)
 		for _, v := range vals[1:] {
-			minP.Combine(NewPartial(Min, int64(v), params(), rng))
-			maxP.Combine(NewPartial(Max, int64(v), params(), rng))
+			minP.Combine(agg.NewPartial(agg.Min, int64(v), params(), rng))
+			maxP.Combine(agg.NewPartial(agg.Max, int64(v), params(), rng))
 		}
 		ints := make([]int64, len(vals))
 		for i, v := range vals {
 			ints[i] = int64(v)
 		}
-		return minP.Result() == Exact(Min, ints) && maxP.Result() == Exact(Max, ints)
+		return minP.Result() == agg.Exact(agg.Min, ints) && maxP.Result() == agg.Exact(agg.Max, ints)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -209,11 +219,11 @@ func TestQuickScalarCombineAlgebra(t *testing.T) {
 // any order yields the same final sketch.
 func TestQuickSketchCombineOrderIndependent(t *testing.T) {
 	f := func(seed int64, perm []bool) bool {
-		mk := func() []Partial {
+		mk := func() []*agg.Partial {
 			rng := rand.New(rand.NewSource(seed))
-			ps := make([]Partial, 8)
+			ps := make([]*agg.Partial, 8)
 			for i := range ps {
-				ps[i] = NewPartial(Count, 1, params(), rng)
+				ps[i] = agg.NewPartial(agg.Count, 1, params(), rng)
 			}
 			return ps
 		}
@@ -236,8 +246,8 @@ func TestQuickSketchCombineOrderIndependent(t *testing.T) {
 
 func TestSketchesAccessor(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	for k, want := range map[Kind]int{Min: 0, Max: 0, Count: 1, Sum: 1, Avg: 2} {
-		a, b := WireSketches(NewPartial(k, 1, params(), rng))
+	for k, want := range map[agg.Kind]int{agg.Min: 0, agg.Max: 0, agg.Count: 1, agg.Sum: 1, agg.Avg: 2} {
+		a, b := agg.NewPartial(k, 1, params(), rng).Sketches()
 		if got := btoi(a != nil) + btoi(b != nil); got != want || a == nil && b != nil {
 			t.Fatalf("%v partial exposes sketches (%v, %v), want %d", k, a, b, want)
 		}
@@ -252,57 +262,76 @@ func btoi(b bool) int {
 }
 
 func TestDefaultParams(t *testing.T) {
-	p := DefaultParams()
+	p := agg.DefaultParams()
 	if p.Vectors != 8 || p.Bits != 32 {
 		t.Fatalf("defaults = %+v", p)
 	}
 }
 
 func TestExactAvgFractional(t *testing.T) {
-	got := Exact(Avg, []int64{1, 2})
+	got := agg.Exact(agg.Avg, []int64{1, 2})
 	if math.Abs(got-1.5) > 1e-12 {
 		t.Fatalf("avg = %v, want 1.5", got)
 	}
 }
 
-// Assign copies src into dst's storage whenever dst is of src's kind —
-// whatever its sketch dimensions, every bit of it set — or is the other
-// scalar kind, and into a fresh partial otherwise; either way the result
-// equals src and shares nothing with it.
-func TestAssign(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	kinds := []Kind{Min, Max, Count, Sum, Avg}
-	dirty := func(k Kind) Partial {
-		p := NewPartial(k, 1<<40, Params{Vectors: 67, Bits: 64}, rng)
-		a, b := WireSketches(p)
+// recycled returns a partial of kind k at p as a retired query leaves it
+// for the next: it held an avg at p before, and every sketch it has — the
+// ones k ignores too — is then filled with bits (a sum of 2^62 sets nearly
+// all of them), so any field a rebuild forgets shows.
+func recycled(k agg.Kind, p agg.Params, rng *rand.Rand) *agg.Partial {
+	dst := new(agg.Partial)
+	for _, kind := range []agg.Kind{agg.Avg, k} {
+		dst.Init(kind, 1<<40, p, rng)
+		a, b := dst.Sketches()
 		for _, sk := range [...]*fm.Sketch{a, b} {
 			if sk != nil {
 				sk.AddN(rng, 1<<62)
 			}
 		}
-		return p
 	}
+	return dst
+}
+
+// sameBytes fails t unless got encodes to want's wire bytes.
+func sameBytes(t *testing.T, what string, got, want *agg.Partial) {
+	t.Helper()
+	g, gerr := wire.AppendPartial(nil, got)
+	w, werr := wire.AppendPartial(nil, want)
+	if gerr != nil || werr != nil || !bytes.Equal(g, w) {
+		t.Errorf("%s encodes to %x (%v), want %x (%v)", what, g, gerr, w, werr)
+	}
+}
+
+// Assign copies src into dst's own storage, whatever kind and sketch
+// dimensions dst held and whatever its sketches hold: the result equals
+// src, encodes to its bytes, and shares nothing with it. A Clone of a
+// scalar partial carries no sketch storage.
+func TestAssign(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	kinds := []agg.Kind{agg.Min, agg.Max, agg.Count, agg.Sum, agg.Avg}
 	for _, k := range kinds {
-		src := NewPartial(k, 42, params(), rng)
+		src := agg.NewPartial(k, 42, params(), rng)
 		want := src.Clone()
 		for _, other := range kinds {
-			dst := dirty(other)
-			got := Assign(dst, src)
-			reuse := other == k || !k.DuplicateSensitive() && !other.DuplicateSensitive()
-			if (got == dst) != reuse {
-				t.Errorf("Assign(%v partial, %v): reused dst = %t, want %t", other, k, got == dst, reuse)
-			}
-			if !got.Equal(src) || !Conforms(got, k, params()) {
+			dst := recycled(other, agg.Params{Vectors: 67, Bits: 64}, rng)
+			dst.Assign(src)
+			if !dst.Equal(src) || !agg.Conforms(dst, k, params()) {
 				t.Errorf("Assign(%v partial, %v) does not equal its source", other, k)
 			}
-			got.Combine(NewPartial(k, -1, params(), rng))
-			got.Combine(NewPartial(k, 1000, params(), rng))
+			sameBytes(t, fmt.Sprintf("Assign(%v partial, %v)", other, k), dst, src)
+			dst.Combine(agg.NewPartial(k, -1, params(), rng))
+			dst.Combine(agg.NewPartial(k, 1000, params(), rng))
 			if !src.Equal(want) {
 				t.Fatalf("Assign(%v partial, %v) shares state with its source", other, k)
 			}
 		}
-		if got := Assign(nil, src); !got.Equal(src) {
-			t.Errorf("Assign(nil, %v) does not equal its source", k)
+	}
+	for _, k := range []agg.Kind{agg.Min, agg.Max} {
+		// Refilled as a count, the clone shows the sketch storage it has.
+		c := recycled(k, params(), rng).Clone()
+		if a, _ := c.Refill(agg.Count, 0); a.Vectors() != 0 {
+			t.Errorf("a clone of a %v partial carries a %d×%d sketch", k, a.Vectors(), a.Bits())
 		}
 	}
 }
@@ -314,26 +343,34 @@ func TestAssign(t *testing.T) {
 func TestConforms(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	p := params()
-	kinds := []Kind{Min, Max, Count, Sum, Avg}
+	kinds := []agg.Kind{agg.Min, agg.Max, agg.Count, agg.Sum, agg.Avg}
 	for _, k := range kinds {
 		for _, other := range kinds {
-			if got := Conforms(NewPartial(other, 3, p, rng), k, p); got != (other == k) {
+			if got := agg.Conforms(agg.NewPartial(other, 3, p, rng), k, p); got != (other == k) {
 				t.Errorf("Conforms(%v partial, %v) = %t", other, k, got)
 			}
 		}
-		if Conforms(nil, k, p) {
+		if agg.Conforms(nil, k, p) {
 			t.Errorf("Conforms(nil, %v) = true", k)
 		}
+		// The zero Partial, and one cleared as a has = 0 frame clears a
+		// snapshot, hold no aggregate: on a MIN query they must not pass
+		// for a minimum of 0.
+		cleared := agg.NewPartial(k, 3, p, rng)
+		cleared.Clear()
+		if agg.Conforms(new(agg.Partial), k, p) || agg.Conforms(cleared, k, p) {
+			t.Errorf("a partial that holds no aggregate conforms to %v", k)
+		}
 	}
-	for _, k := range []Kind{Count, Sum, Avg} {
-		for _, q := range []Params{{Vectors: 4, Bits: 32}, {Vectors: 8, Bits: 16}} {
-			if Conforms(NewPartial(k, 3, q, rng), k, p) {
+	for _, k := range []agg.Kind{agg.Count, agg.Sum, agg.Avg} {
+		for _, q := range []agg.Params{{Vectors: 4, Bits: 32}, {Vectors: 8, Bits: 16}} {
+			if agg.Conforms(agg.NewPartial(k, 3, q, rng), k, p) {
 				t.Errorf("%v sketch at %d×%d conforms to a %d×%d query", k, q.Vectors, q.Bits, p.Vectors, p.Bits)
 			}
 		}
 	}
 	// Scalars carry no sketch, so the query's sketch params do not apply.
-	if !Conforms(NewPartial(Min, 3, Params{}, nil), Min, p) {
+	if !agg.Conforms(agg.NewPartial(agg.Min, 3, agg.Params{}, nil), agg.Min, p) {
 		t.Error("a MIN partial must conform whatever the sketch params")
 	}
 }
@@ -341,60 +378,59 @@ func TestConforms(t *testing.T) {
 // initShapes are the sketch dimensions TestInitIntoRecycled moves between:
 // both lane layouts (bits ≤ 32 pack two vectors a word), few and many
 // vectors, so every pair is a shrink or a growth in words, width or both.
-func initShapes() []Params {
-	var ps []Params
+func initShapes() []agg.Params {
+	var ps []agg.Params
 	for _, c := range []int{8, 64} {
 		for _, bits := range []int{16, 32, 64} {
-			ps = append(ps, Params{Vectors: c, Bits: bits})
+			ps = append(ps, agg.Params{Vectors: c, Bits: bits})
 		}
 	}
 	return ps
 }
 
 // TestInitIntoRecycled pins the rebuild a recycled partial takes: Init into
-// a partial of any other kind or shape — one that has been combined into,
-// so its words are dirty — holds exactly what NewPartial builds from the
-// same coins, and reuses dst whenever it is of the kind asked for.
+// a partial of any kind and shape, its every sketch full of stale bits,
+// rebuilds it in place to exactly what NewPartial builds from the same
+// coins, wire bytes included.
 func TestInitIntoRecycled(t *testing.T) {
-	kinds := []Kind{Min, Max, Count, Sum, Avg}
+	kinds := []agg.Kind{agg.Min, agg.Max, agg.Count, agg.Sum, agg.Avg}
 	const v = 100 // above AddN's literal-insertion threshold: the sum draws per bit
 	for _, fromK := range kinds {
 		for _, fromP := range initShapes() {
 			for _, k := range kinds {
 				for _, p := range initShapes() {
-					if fromK == k && fromP == p {
-						continue
+					dst := recycled(fromK, fromP, rand.New(rand.NewSource(1)))
+					dst.Init(k, v, p, rand.New(rand.NewSource(3)))
+					want := agg.NewPartial(k, v, p, rand.New(rand.NewSource(3)))
+					what := fmt.Sprintf("Init(%v %d×%d partial, %v %d×%d)", fromK, fromP.Vectors, fromP.Bits, k, p.Vectors, p.Bits)
+					if !dst.Equal(want) || !agg.Conforms(dst, k, p) {
+						t.Errorf("%s differs from NewPartial", what)
 					}
-					dst := NewPartial(fromK, 7, fromP, rand.New(rand.NewSource(1)))
-					dst.Combine(NewPartial(fromK, 3, fromP, rand.New(rand.NewSource(2))))
-					got := Init(dst, k, v, p, rand.New(rand.NewSource(3)))
-					want := NewPartial(k, v, p, rand.New(rand.NewSource(3)))
-					if !got.Equal(want) || !Conforms(got, k, p) {
-						t.Errorf("Init(%v %d×%d partial, %v %d×%d) differs from NewPartial",
-							fromK, fromP.Vectors, fromP.Bits, k, p.Vectors, p.Bits)
-					}
-					reuse := fromK == k || !fromK.DuplicateSensitive() && !k.DuplicateSensitive()
-					if (got == dst) != reuse {
-						t.Errorf("Init(%v partial, %v): reused dst = %t, want %t", fromK, k, got == dst, reuse)
-					}
+					sameBytes(t, what, dst, want)
 				}
 			}
 		}
 	}
 }
 
-// TestInitAllocations pins the rebuild's garbage: Init into a partial of
-// the kind asked for, whose sketches have the storage, allocates nothing —
-// whatever dimensions the sketches held before.
+// TestInitAllocations pins the rebuild's garbage: once a partial has held
+// every kind at the widest shape, Init into it allocates nothing — from
+// whatever kind and dimensions it held to whatever it is asked for.
 func TestInitAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	big := Params{Vectors: 64, Bits: 64}
-	for _, k := range []Kind{Min, Max, Count, Sum, Avg} {
-		dst := NewPartial(k, 5, big, rng)
-		for _, p := range initShapes() {
-			if got := testing.AllocsPerRun(20, func() { dst = Init(dst, k, 100, p, rng) }); got != 0 {
-				t.Errorf("Init into a %v partial at %d×%d: %.0f allocations, want 0", k, p.Vectors, p.Bits, got)
+	kinds := []agg.Kind{agg.Min, agg.Max, agg.Count, agg.Sum, agg.Avg}
+	dst := new(agg.Partial)
+	for _, k := range kinds {
+		dst.Init(k, 5, agg.Params{Vectors: 64, Bits: 64}, rng)
+	}
+	for _, p := range initShapes() {
+		got := testing.AllocsPerRun(20, func() {
+			for _, k := range kinds {
+				dst.Init(k, 100, p, rng)
 			}
+		})
+		if got != 0 {
+			t.Errorf("Init through every kind at %d×%d: %.0f allocations, want 0", p.Vectors, p.Bits, got)
 		}
 	}
 }

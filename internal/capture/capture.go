@@ -15,6 +15,9 @@
 // (optionally truncated). Estimation begins at the second interval
 // because M_1 = ∅.
 //
+// The sample an (ε, δ) estimate needs is |N_t| ≥ (4/(ε²·ρ))·ln(2/δ), ρ the
+// marked fraction |M_t|/|H_t| (§5.4); the caller chooses the sample size.
+//
 // The package is deliberately protocol-agnostic: callers supply a Sampler
 // (the black-box of assumption 1 — e.g. random walks on an expander
 // overlay) and an alive-probe. A Population helper simulating memoryless
@@ -139,22 +142,6 @@ func (e *Estimator) Step() Result {
 	}
 	e.lastSample = sample
 	return res
-}
-
-// RequiredSampleSize returns the §5.4 bound |N_t| ≥ (4/(ε²·ρ))·ln(2/δ)
-// where ρ is the marked fraction |M_t|/|H_t| (estimated from the previous
-// interval if |H_t| is unknown).
-func RequiredSampleSize(eps, delta, rho float64) (int, error) {
-	if eps <= 0 || eps >= 1 {
-		return 0, fmt.Errorf("capture: ε must be in (0,1), got %v", eps)
-	}
-	if delta <= 0 || delta >= 1 {
-		return 0, fmt.Errorf("capture: δ must be in (0,1), got %v", delta)
-	}
-	if rho <= 0 || rho > 1 {
-		return 0, fmt.Errorf("capture: marked fraction ρ must be in (0,1], got %v", rho)
-	}
-	return int(math.Ceil(4 / (eps * eps * rho) * math.Log(2/delta))), nil
 }
 
 // Population simulates an open population with memoryless churn: at each

@@ -125,25 +125,6 @@ func TestMaxMarkedCap(t *testing.T) {
 	}
 }
 
-func TestRequiredSampleSize(t *testing.T) {
-	s, err := RequiredSampleSize(0.1, 0.05, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 4/(0.01·0.1)·ln(40) ≈ 4000·3.689 ≈ 14756.
-	if s < 14000 || s > 15500 {
-		t.Fatalf("sample size = %d, want ≈ 14756", s)
-	}
-	for _, bad := range [][3]float64{
-		{0, 0.05, 0.1}, {1, 0.05, 0.1}, {0.1, 0, 0.1}, {0.1, 1, 0.1},
-		{0.1, 0.05, 0}, {0.1, 0.05, 1.5},
-	} {
-		if _, err := RequiredSampleSize(bad[0], bad[1], bad[2]); err == nil {
-			t.Fatalf("RequiredSampleSize(%v) accepted invalid input", bad)
-		}
-	}
-}
-
 func TestPopulationAdvance(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pop := NewPopulation(1000, rng)

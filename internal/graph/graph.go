@@ -75,12 +75,6 @@ func (g *Graph) AddEdge(a, b HostID) bool {
 	return true
 }
 
-// AddHost appends a new host with no edges and returns its ID.
-func (g *Graph) AddHost() HostID {
-	g.adj = append(g.adj, nil)
-	return HostID(len(g.adj) - 1)
-}
-
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{adj: make([][]HostID, len(g.adj)), edges: g.edges}

@@ -53,17 +53,6 @@ func TestAddEdgeBasics(t *testing.T) {
 	}
 }
 
-func TestAddHost(t *testing.T) {
-	g := New(2)
-	id := g.AddHost()
-	if id != 2 || g.Len() != 3 {
-		t.Fatalf("AddHost: id=%d len=%d", id, g.Len())
-	}
-	if !g.AddEdge(id, 0) {
-		t.Fatal("edge to new host should succeed")
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 1)

@@ -25,7 +25,7 @@ func TestActivationSketchIndependentOfSharding(t *testing.T) {
 	g := topology.NewRandom(30, 4, 23)
 	// activate issues query id = hq+1 at hq on a runtime serving local and
 	// returns hq's partial once its Start has activated it.
-	activate := func(local []graph.HostID, hq graph.HostID) agg.Partial {
+	activate := func(local []graph.HostID, hq graph.HostID) *agg.Partial {
 		rt, err := New(Config{Graph: g, Transport: transport.NewChannel(g.Len(), 0), Local: local})
 		if err != nil {
 			t.Fatal(err)
@@ -50,7 +50,7 @@ func TestActivationSketchIndependentOfSharding(t *testing.T) {
 		if _, err := rt.StartQuery(QueryID(hq) + 1); err != nil {
 			t.Fatal(err)
 		}
-		var initial agg.Partial
+		var initial *agg.Partial
 		// Do queues behind hq's Start on hq's shard worker.
 		if err := rt.Do(hq, func() {
 			if p := w.Partial(); p != nil {
@@ -64,7 +64,7 @@ func TestActivationSketchIndependentOfSharding(t *testing.T) {
 		}
 		return initial
 	}
-	var prev agg.Partial
+	var prev *agg.Partial
 	for hq := graph.HostID(10); hq < 20; hq++ {
 		all, shard := activate(nil, hq), activate([]graph.HostID{hq}, hq)
 		if !all.Equal(shard) {
@@ -160,7 +160,7 @@ const queryAllocBudget = 28
 // the query's per-host counters and the snapshot pool's refills.
 func TestWildfireQueryAllocBytes(t *testing.T) {
 	const hosts = 256
-	perHost := leastQueryWindow(t, hosts, nil, "bytes allocated per query per served host",
+	perHost := leastQueryWindow(t, hosts, nil, []agg.Kind{agg.Count}, "bytes allocated per query per served host",
 		func(before, after *gort.MemStats) float64 { return float64(after.TotalAlloc-before.TotalAlloc) / hosts })
 	if perHost > queryAllocBudget {
 		t.Fatalf("%.0f bytes allocated per query per served host, budget %d", perHost, queryAllocBudget)
@@ -181,18 +181,45 @@ const churnedQueryAllocBudget = 80
 func TestChurnedQueryAllocs(t *testing.T) {
 	const hosts = 60
 	src := churn.Sessions{N: hosts, Mean: 20, Rejoin: 4}
-	perQuery := leastQueryWindow(t, hosts, src, "objects allocated per churned query",
-		func(before, after *gort.MemStats) float64 { return float64(after.Mallocs - before.Mallocs) })
+	perQuery := leastQueryWindow(t, hosts, src, []agg.Kind{agg.Count}, "objects allocated per churned query", objects)
 	if perQuery > churnedQueryAllocBudget {
 		t.Fatalf("%.0f objects allocated per churned query, budget %d", perQuery, churnedQueryAllocBudget)
 	}
 }
 
-// leastQueryWindow answers WILDFIRE COUNT queries at c = 64 with h_q = 0
-// on a warm, all-local chan runtime over a random graph of the given size,
-// each query under the timeline src draws for it (none if src is nil), in
-// five windows of five queries, and returns the least window's read per
-// query.
+// objects reads a window's allocated objects.
+func objects(before, after *gort.MemStats) float64 { return float64(after.Mallocs - before.Mallocs) }
+
+// mixedQueryAllocMargin is what TestMixedAggregateQueryAllocs allows a
+// query that alternates aggregates to allocate beyond the costlier of the
+// single-kind streams, in objects. The mixed stream read 71 against 24 for
+// COUNT alone and 21 for MIN alone while a partial of one kind could not
+// hold the other, so every host's partial was rebuilt on each switch; 20
+// against 18 and 21 once it could.
+const mixedQueryAllocMargin = 10
+
+// TestMixedAggregateQueryAllocs pins what a recycled slab keeps when the
+// aggregate changes from one query to the next: on a warm 60-host chan
+// runtime, queries that alternate COUNT and MIN allocate, per query,
+// within mixedQueryAllocMargin objects of the costlier of the COUNT-only
+// and MIN-only streams. Every host's partial and every pooled snapshot's
+// is rebuilt in place, whatever kind it held.
+func TestMixedAggregateQueryAllocs(t *testing.T) {
+	const hosts = 60
+	count := leastQueryWindow(t, hosts, nil, []agg.Kind{agg.Count}, "objects per COUNT query", objects)
+	minimum := leastQueryWindow(t, hosts, nil, []agg.Kind{agg.Min}, "objects per MIN query", objects)
+	mixed := leastQueryWindow(t, hosts, nil, []agg.Kind{agg.Count, agg.Min}, "objects per query, COUNT and MIN alternating", objects)
+	if limit := max(count, minimum) + mixedQueryAllocMargin; mixed > limit {
+		t.Fatalf("%.0f objects per query when COUNT and MIN alternate, %.0f for COUNT alone and %.0f for MIN alone: over %.0f",
+			mixed, count, minimum, limit)
+	}
+}
+
+// leastQueryWindow answers WILDFIRE queries at c = 64 with h_q = 0 on a
+// warm, all-local chan runtime over a random graph of the given size, each
+// query under the timeline src draws for it (none if src is nil) and of
+// the aggregate kinds[id mod len(kinds)], in five windows of five queries,
+// and returns the least window's read per query.
 //
 // Buffers that only grow — the delivery ring, the timer heap — double
 // when a query's flood runs deeper than any before it, which a loaded box
@@ -200,7 +227,7 @@ func TestChurnedQueryAllocs(t *testing.T) {
 // ~200 B a host, and so can the snapshot pool's chains when frames move
 // between Ps. So the reading is the least of five windows: a one-off
 // growth lands in some, a per-query cost in all.
-func leastQueryWindow(t *testing.T, hosts int, src churn.Source, unit string, read func(before, after *gort.MemStats) float64) float64 {
+func leastQueryWindow(t *testing.T, hosts int, src churn.Source, kinds []agg.Kind, unit string, read func(before, after *gort.MemStats) float64) float64 {
 	t.Helper()
 	if raceSlowdown > 1 {
 		t.Skip("the race detector allocates on its own")
@@ -213,6 +240,8 @@ func leastQueryWindow(t *testing.T, hosts int, src churn.Source, unit string, re
 	}
 	q := protocol.Query{Kind: agg.Count, Hq: 0, DHat: g.Diameter(nil) + 2, Params: fmParams}
 	rt.SetQueryFactory(func(id QueryID) (*QueryInstance, error) {
+		q := q
+		q.Kind = kinds[int(id)%len(kinds)]
 		inst, err := BuildInstance(rt, protocol.NewWildfire(q), QuerySeed(23, id))
 		if err == nil && src != nil {
 			inst.Churn = src.Schedule(churn.QuerySeed(23, int64(id)), q.Hq, q.Deadline())
@@ -236,9 +265,14 @@ func leastQueryWindow(t *testing.T, hosts int, src churn.Source, unit string, re
 	// measurement would charge these queries for refilling it: the
 	// collector stays off from the warm-up query on.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	answer(1) // warm: a slab, the snapshot pool, timer freelist, delivery ring, shard queues
+	// Warm, one query of each kind: a slab, the snapshot pool, timer
+	// freelist, delivery ring, shard queues.
+	id := QueryID(1)
+	for ; id <= QueryID(len(kinds)); id++ {
+		answer(id)
+	}
 	least := math.Inf(1)
-	for w, id := 0, QueryID(2); w < windows; w++ {
+	for w := 0; w < windows; w++ {
 		var before, after gort.MemStats
 		gort.ReadMemStats(&before)
 		for end := id + queries; id < end; id++ {

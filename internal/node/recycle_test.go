@@ -83,7 +83,7 @@ func (e *recycleEngine) proto(id QueryID) protocol.Protocol {
 // WILDFIRE) and the messages its hosts sent.
 type outcome struct {
 	v       float64
-	partial agg.Partial
+	partial *agg.Partial
 	sent    int64
 }
 

@@ -172,31 +172,30 @@ func (b Bounds) Matched(values []int64, p agg.Params, seed int64) Bounds {
 		return b
 	}
 	var (
-		coins sim.Coins
-		own   agg.Partial
+		coins       sim.Coins
+		own, lo, hi agg.Partial
 	)
-	or := func(hosts []graph.HostID) (sum, cnt *fm.Sketch) {
-		acc := agg.Refill(nil, b.Kind, 0)
-		sum, cnt = agg.WireSketches(acc)
+	or := func(acc *agg.Partial, hosts []graph.HostID) (sum, cnt *fm.Sketch) {
+		sum, cnt = acc.Refill(b.Kind, 0)
 		sum.Reset(p.Vectors, p.Bits)
 		if cnt != nil {
 			cnt.Reset(p.Vectors, p.Bits)
 		}
 		for _, h := range hosts {
 			coins.Reseed(seed, h)
-			own = agg.Init(own, b.Kind, values[h], p, coins.Rand)
-			acc.Combine(own)
+			own.Init(b.Kind, values[h], p, coins.Rand)
+			acc.Combine(&own)
 		}
 		return sum, cnt
 	}
-	lo, loCnt := or(b.HC)
-	hi, hiCnt := or(b.HU)
-	b.LowerValue, b.UpperValue = lo.Estimate(), hi.Estimate()
+	loSum, loCnt := or(&lo, b.HC)
+	hiSum, hiCnt := or(&hi, b.HU)
+	b.LowerValue, b.UpperValue = loSum.Estimate(), hiSum.Estimate()
 	if b.Kind == agg.Avg {
 		b.LowerValue /= hiCnt.Estimate() // h_q is in H_U, so this is > 0
 		b.UpperValue = math.Inf(1)
 		if c := loCnt.Estimate(); c > 0 {
-			b.UpperValue = hi.Estimate() / c
+			b.UpperValue = hiSum.Estimate() / c
 		}
 	}
 	return b

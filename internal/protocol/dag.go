@@ -57,7 +57,7 @@ func (d *DAG) Install(nw *sim.Network) error { return install(d, nw) }
 // Result implements Protocol.
 func (d *DAG) Result() (float64, bool) {
 	hq := d.hosts[d.Query.Hq]
-	if hq == nil || !hq.active || hq.partial == nil {
+	if hq == nil || !hq.active {
 		return 0, false
 	}
 	return hq.partial.Result(), true
@@ -68,7 +68,7 @@ type dagBroadcast struct {
 }
 
 type dagReport struct {
-	A agg.Partial
+	A *agg.Partial
 }
 
 const dagTagReport = 2
@@ -88,7 +88,7 @@ func (h *dagHost) Start(ctx *sim.Context) {
 	}
 	h.active = true
 	h.level = 0
-	h.partial = agg.NewPartial(h.d.Query.Kind, ctx.Value(), h.d.Query.Params, ctx.Rand())
+	h.partial.Init(h.d.Query.Kind, ctx.Value(), h.d.Query.Params, ctx.Rand())
 	ctx.SendAll(dagBroadcast{Level: 1})
 }
 
@@ -116,7 +116,7 @@ func (h *dagHost) onBroadcast(ctx *sim.Context, from graph.HostID, m dagBroadcas
 		h.active = true
 		h.level = m.Level
 		h.parents = append(h.parents, from)
-		h.partial = agg.NewPartial(h.d.Query.Kind, ctx.Value(), h.d.Query.Params, ctx.Rand())
+		h.partial.Init(h.d.Query.Kind, ctx.Value(), h.d.Query.Params, ctx.Rand())
 		ctx.SendAllExcept(from, dagBroadcast{Level: h.level + 1})
 		t := sim.Time(2*h.d.Query.DHat - h.level)
 		if t < ctx.Now() {

@@ -218,23 +218,23 @@ func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 // A partial the query could not have built — another kind, other sketch
 // dimensions, or none at all — makes Combine panic, and nothing recovers
 // on a shard worker: one such frame from any peer that can reach the port
-// would kill the process. Each is decoded here off real wire bytes, as a
-// peer's frame delivers it, into a COUNT query (c=64, 32 bits) on a line:
-// a MIN partial, a c=8 sketch, a bits=16 sketch and a broadcast with
-// has=0. WILDFIRE sees each as a broadcast and a converge at the active
-// h_q and as a broadcast at host 2 before the query reaches it. DAG sees
-// each as a report at h_q, handed over as a value: its messages have no
-// wire format. The handlers drop them: WILDFIRE answers inside its
-// matched bounds, and DAG as it does without them.
+// would kill the process. The zero Partial is the quiet case: it is of
+// kind Min with value 0, so on a MIN query it would combine and answer 0.
+// Each forgery is decoded here off real wire bytes, as a peer's frame
+// delivers it, into a COUNT and a MIN query (c=64, 32 bits) on a line: a
+// partial of the other kind, a c=8 sketch, a bits=16 sketch, a broadcast
+// with has=0 and a zero partial, which travels as has=0 too. WILDFIRE sees
+// each as a broadcast and a converge at the active h_q and as a broadcast
+// at host 2 before the query reaches it. DAG sees each as a report at h_q,
+// handed over as a value: its messages have no wire format. The handlers
+// drop them: WILDFIRE answers inside its matched bounds, and DAG as it
+// does without them.
 func TestHandlersDropNonConformingPartials(t *testing.T) {
 	g := graph.New(4) // 0 — 1 — 2 — 3
 	for h := graph.HostID(0); h < 3; h++ {
 		g.AddEdge(h, h+1)
 	}
 	vals := []int64{5, 15, 1, 25}
-	q := Query{Kind: agg.Count, Hq: 0, DHat: 3, Params: agg.Params{Vectors: 64, Bits: 32}}
-	b := oracle.Compute(g, vals, q.Hq, churn.Timeline{}, q.Deadline(), q.Kind).Matched(vals, q.Params, 1)
-
 	offWire := func(from, to graph.HostID, payload any) sim.Message {
 		t.Helper()
 		frame, err := wire.AppendFrame(nil, wire.Frame{From: from, To: to, Query: 1, Payload: payload})
@@ -246,16 +246,6 @@ func TestHandlersDropNonConformingPartials(t *testing.T) {
 			t.Fatal(err)
 		}
 		return sim.MakeMessage(from, to, decoded.Payload, 0)
-	}
-	rng := newRand(7)
-	forged := []struct {
-		name string
-		p    agg.Partial
-	}{
-		{"min partial", agg.NewPartial(agg.Min, 0, q.Params, nil)},
-		{"c=8 sketch", agg.NewPartial(agg.Count, 1, agg.Params{Vectors: 8, Bits: 32}, rng)},
-		{"bits=16 sketch", agg.NewPartial(agg.Count, 1, agg.Params{Vectors: 64, Bits: 16}, rng)},
-		{"has=0", nil},
 	}
 	run := func(p Protocol, frames ...sim.Message) float64 {
 		t.Helper()
@@ -273,20 +263,37 @@ func TestHandlersDropNonConformingPartials(t *testing.T) {
 		}
 		return v
 	}
-	// DAG's own answer misses host 3 here: at level D̂ its report timer
-	// falls on its activation tick, slips one tick and misses its parent's.
-	// A dropped forgery leaves that answer as it was.
-	dag := run(NewDAG(q, 2))
-	for _, f := range forged {
-		if v := run(NewWildfire(q),
-			offWire(1, 0, bcast(1, f.p)),
-			offWire(1, 0, wfConverge{S: carry(f.p)}),
-			offWire(3, 2, bcast(1, f.p))); !b.Valid(v) {
-			t.Errorf("%s, wildfire: count = %v, outside the matched bounds [%v,%v]",
-				f.name, v, b.LowerValue, b.UpperValue)
+	for _, kind := range []agg.Kind{agg.Count, agg.Min} {
+		q := Query{Kind: kind, Hq: 0, DHat: 3, Params: agg.Params{Vectors: 64, Bits: 32}}
+		b := oracle.Compute(g, vals, q.Hq, churn.Timeline{}, q.Deadline(), q.Kind).Matched(vals, q.Params, 1)
+		other := agg.Min
+		if kind == agg.Min {
+			other = agg.Count
 		}
-		if v := run(NewDAG(q, 2), sim.MakeMessage(1, 0, dagReport{A: f.p}, 0)); v != dag {
-			t.Errorf("%s, dag: count = %v, %v without the forgery", f.name, v, dag)
+		rng := newRand(7)
+		forged := []struct {
+			name string
+			p    *agg.Partial
+		}{
+			{other.String() + " partial", agg.NewPartial(other, 0, q.Params, rng)},
+			{"c=8 sketch", agg.NewPartial(agg.Count, 1, agg.Params{Vectors: 8, Bits: 32}, rng)},
+			{"bits=16 sketch", agg.NewPartial(agg.Count, 1, agg.Params{Vectors: 64, Bits: 16}, rng)},
+			{"has=0", nil},
+			{"zero partial", new(agg.Partial)},
+		}
+		// A dropped forgery leaves DAG's answer as it is without one.
+		dag := run(NewDAG(q, 2))
+		for _, f := range forged {
+			if v := run(NewWildfire(q),
+				offWire(1, 0, bcast(1, f.p)),
+				offWire(1, 0, wfConverge{S: carry(f.p)}),
+				offWire(3, 2, bcast(1, f.p))); !b.Valid(v) {
+				t.Errorf("%s, wildfire %v: %v, outside the matched bounds [%v,%v]",
+					f.name, kind, v, b.LowerValue, b.UpperValue)
+			}
+			if v := run(NewDAG(q, 2), sim.MakeMessage(1, 0, dagReport{A: f.p}, 0)); v != dag {
+				t.Errorf("%s, dag %v: %v, %v without the forgery", f.name, kind, v, dag)
+			}
 		}
 	}
 }

@@ -75,13 +75,13 @@ func TestWildfireCountSketchLevelValidity(t *testing.T) {
 			_, b, p := runUnderChurn(t, g, agg.Count, r, seed,
 				func(q Query) Protocol { return NewWildfire(q) })
 			w := p.(*Wildfire)
-			final, avgCount := agg.WireSketches(w.Partial())
+			final, avgCount := w.Partial().Sketches()
 			if final == nil || avgCount != nil {
 				t.Fatal("count partial should carry one sketch")
 			}
 			vals := zipfval.Default(seed).Values(g.Len())
 			own := func(h graph.HostID) *fm.Sketch {
-				sk, _ := agg.WireSketches(agg.NewPartial(agg.Count, vals[h], w.Query.Params, sim.NewCoins(seed, h).Rand))
+				sk, _ := agg.NewPartial(agg.Count, vals[h], w.Query.Params, sim.NewCoins(seed, h).Rand).Sketches()
 				return sk
 			}
 			activated := func(h graph.HostID) bool { return w.hosts[h].active }

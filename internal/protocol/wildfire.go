@@ -106,7 +106,7 @@ func (w *Wildfire) Result() (float64, bool) {
 // Partial exposes h_q's final partial aggregate for the oracle's sketch-
 // level validity check; nil until h_q is active, where it is not served,
 // and once a later query's Wildfire has taken the hosts over (Reuse).
-func (w *Wildfire) Partial() agg.Partial {
+func (w *Wildfire) Partial() *agg.Partial {
 	if w.Query.Hq < 0 || int(w.Query.Hq) >= len(w.hosts) {
 		return nil
 	}
@@ -114,7 +114,7 @@ func (w *Wildfire) Partial() agg.Partial {
 	if hq.w != w || !hq.active {
 		return nil // never built by this Wildfire, or not yet activated
 	}
-	return hq.partial
+	return &hq.partial
 }
 
 // wfBroadcast is the Phase I message [q, 0, D̂] with the sender's partial
@@ -152,7 +152,7 @@ func (c wfConverge) Release() { c.S.release() }
 // garbage collector: a missed release costs an allocation, never an
 // answer.
 type wfSnap struct {
-	a agg.Partial
+	a agg.Partial // held inline: the pool recycles it with the snapshot
 	// hop is a broadcast's: the sender's distance from h_q plus one, the
 	// same for every frame of one send. A wfConverge's is 0 and unsent.
 	hop  int
@@ -163,20 +163,21 @@ var snapPool = sync.Pool{New: func() any { return new(wfSnap) }}
 
 // takeSnap returns a snapshot of p at hop from the pool holding n refs,
 // one per frame about to carry it.
-func takeSnap(p agg.Partial, hop, n int) *wfSnap {
+func takeSnap(p *agg.Partial, hop, n int) *wfSnap {
 	s := snapPool.Get().(*wfSnap)
-	s.a = agg.Assign(s.a, p)
+	s.a.Assign(p)
 	s.hop = hop
 	s.refs.Store(int32(n))
 	return s
 }
 
-// partial is the snapshot's partial; nil for a frame that carries none.
-func (s *wfSnap) partial() agg.Partial {
+// partial is the snapshot's partial; nil for a frame that carries no
+// snapshot, and one that holds no aggregate for a decoded has = 0.
+func (s *wfSnap) partial() *agg.Partial {
 	if s == nil {
 		return nil
 	}
-	return s.a
+	return &s.a
 }
 
 // release drops one ref; the last puts the snapshot back in the pool.
@@ -203,8 +204,8 @@ type wfHost struct {
 	w       *Wildfire
 	isHq    bool
 	active  bool
-	act     sim.Time // the tick the host activated at
-	partial agg.Partial
+	act     sim.Time    // the tick the host activated at
+	partial agg.Partial // inline: activation rebuilds it in place, whatever kind it held
 	// version stamps partial's state: 1 at activation, +1 exactly when
 	// Combine reports a change. Partials only grow: equal stamps, equal state.
 	version uint32
@@ -232,20 +233,20 @@ func (h *wfHost) Start(ctx *sim.Context) {
 		return
 	}
 	h.activate(ctx, 0, nil)
-	ctx.SendAll(wfBroadcast{S: takeSnap(h.partial, 1, ctx.Degree())})
+	ctx.SendAll(wfBroadcast{S: takeSnap(&h.partial, 1, ctx.Degree())})
 	h.noteSentToAll(ctx, graph.None)
 }
 
 // activate initializes the host's state; dist is the activating
 // broadcast's hop count and incoming, when non-nil, its piggybacked partial.
-func (h *wfHost) activate(ctx *sim.Context, dist int, incoming agg.Partial) {
+func (h *wfHost) activate(ctx *sim.Context, dist int, incoming *agg.Partial) {
 	h.active = true
 	h.act = ctx.Now()
 	value := ctx.Value()
 	if h.w.ValueFn != nil {
 		value = h.w.ValueFn(ctx.Self(), dist)
 	}
-	h.partial = agg.Init(h.partial, h.w.Query.Kind, value, h.w.Query.Params, ctx.Rand())
+	h.partial.Init(h.w.Query.Kind, value, h.w.Query.Params, ctx.Rand())
 	h.version = 1
 	h.lastSent = append(h.lastSent[:0], make([]uint32, ctx.Degree())...)
 	if incoming != nil && h.partial.Combine(incoming) {
@@ -294,7 +295,7 @@ func (h *wfHost) Receive(ctx *sim.Context, msg sim.Message) {
 	}
 }
 
-func (h *wfHost) onBroadcast(ctx *sim.Context, from int, sender graph.HostID, hop int, a agg.Partial) {
+func (h *wfHost) onBroadcast(ctx *sim.Context, from int, sender graph.HostID, hop int, a *agg.Partial) {
 	if h.active {
 		// Fig. 3: an active host drops the Broadcast message — but the
 		// piggybacked partial is still convergecast information (§5.1).
@@ -313,7 +314,7 @@ func (h *wfHost) onBroadcast(ctx *sim.Context, from int, sender graph.HostID, ho
 	h.activate(ctx, hop, a)
 	// Forward the query with our partial piggybacked (the first
 	// convergecast message rides on the broadcast, footnote 4).
-	ctx.SendAllExcept(sender, wfBroadcast{S: takeSnap(h.partial, hop+1, ctx.Degree()-1)})
+	ctx.SendAllExcept(sender, wfBroadcast{S: takeSnap(&h.partial, hop+1, ctx.Degree()-1)})
 	h.noteSentToAll(ctx, sender)
 	// If combining changed anything relative to what the sender already
 	// knows, the end-of-tick flush will reply to the sender (Example 5.1:
@@ -325,7 +326,7 @@ func (h *wfHost) onBroadcast(ctx *sim.Context, from int, sender graph.HostID, ho
 	}
 }
 
-func (h *wfHost) onConverge(ctx *sim.Context, from int, a agg.Partial) {
+func (h *wfHost) onConverge(ctx *sim.Context, from int, a *agg.Partial) {
 	if !h.active {
 		return // cannot hold a partial before activation
 	}
@@ -375,7 +376,7 @@ func (h *wfHost) Timer(ctx *sim.Context, tag int) {
 	if ctx.Medium() == sim.MediumWireless {
 		// One radio transmission reaches everyone; selective suppression
 		// saves nothing (§5.3).
-		ctx.SendAll(wfConverge{S: takeSnap(h.partial, 0, ctx.Degree())})
+		ctx.SendAll(wfConverge{S: takeSnap(&h.partial, 0, ctx.Degree())})
 		h.noteSentToAll(ctx, graph.None)
 		return
 	}
@@ -391,7 +392,7 @@ func (h *wfHost) Timer(ctx *sim.Context, tag int) {
 	if n == 0 {
 		return
 	}
-	msg := wfConverge{S: takeSnap(h.partial, 0, n)}
+	msg := wfConverge{S: takeSnap(&h.partial, 0, n)}
 	for i, nb := range ctx.Neighbors() {
 		if h.lastSent[i] != h.version {
 			ctx.Send(nb, msg)

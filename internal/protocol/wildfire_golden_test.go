@@ -122,7 +122,7 @@ func frameSnap(payload any) *wfSnap {
 
 // carry wraps p in a snapshot holding one ref, as a decoded frame's does;
 // nil carries nothing.
-func carry(p agg.Partial) *wfSnap {
+func carry(p *agg.Partial) *wfSnap {
 	if p == nil {
 		return nil
 	}
@@ -132,7 +132,7 @@ func carry(p agg.Partial) *wfSnap {
 // bcast is a broadcast at hop carrying p, its snapshot holding one ref as
 // a decoded frame's does; a nil p makes the partial-less broadcast a peer
 // may send.
-func bcast(hop int, p agg.Partial) wfBroadcast {
+func bcast(hop int, p *agg.Partial) wfBroadcast {
 	s := carry(p)
 	if s == nil {
 		s = new(wfSnap)
@@ -159,7 +159,7 @@ func TestWildfireRoundAllocations(t *testing.T) {
 	}
 	be := &sinkBackend{g: g}
 	ctx := new(sim.Context)
-	maxPartial := func(v int64) agg.Partial { return agg.NewPartial(agg.Max, v, params(), nil) }
+	maxPartial := func(v int64) *agg.Partial { return agg.NewPartial(agg.Max, v, params(), nil) }
 	// activated returns host 0 of a fresh query issued at neighbor 1, just
 	// activated by 1's broadcast: its own value (5) tops the piggybacked 1,
 	// so it owes 1 a reply at the end of the tick.

@@ -31,10 +31,12 @@ import (
 //	wfBroadcast:  hop u32  | has u8 | partial?
 //	wfConverge:   has u8   | partial?
 //
-// "partial?" is internal/wire's partial encoding, present iff has = 1.
-// Decode copies the partial out of the body into a snapshot from the pool
-// (decodeSnap), which the receiving handler releases, or the runtime where
-// it drops the frame.
+// "partial?" is internal/wire's partial encoding, present iff has = 1; its
+// first byte is the partial's kind, so the codec needs nothing else. Decode
+// copies the partial out of the body into the inline partial of a snapshot
+// from the pool (decodeSnap), whatever kind that partial held before, and
+// the receiving handler releases the snapshot, or the runtime where it
+// drops the frame.
 const (
 	tagWfBroadcast uint8 = 1
 	tagWfConverge  uint8 = 2
@@ -95,29 +97,21 @@ func init() {
 }
 
 // appendOptPartial encodes "has u8 | partial?": the optional piggybacked
-// partial aggregate both message bodies end with.
-func appendOptPartial(buf []byte, p agg.Partial) ([]byte, error) {
-	if p == nil {
+// partial aggregate both message bodies end with, absent (has = 0) when p
+// is nil or holds no aggregate.
+func appendOptPartial(buf []byte, p *agg.Partial) ([]byte, error) {
+	if _, ok := p.Kind(); !ok {
 		return append(buf, 0), nil
 	}
-	k, ok := agg.KindOf(p)
-	if !ok {
-		return nil, fmt.Errorf("partial %T outside the wire format", p)
-	}
-	buf = append(buf, 1)
-	return wire.AppendPartial(buf, k, p)
+	return wire.AppendPartial(append(buf, 1), p)
 }
 
 // sizeOptPartial is appendOptPartial's length plus a fixed prefix.
-func sizeOptPartial(prefix int, p agg.Partial) (int, error) {
-	if p == nil {
+func sizeOptPartial(prefix int, p *agg.Partial) (int, error) {
+	if _, ok := p.Kind(); !ok {
 		return prefix + 1, nil
 	}
-	k, ok := agg.KindOf(p)
-	if !ok {
-		return 0, fmt.Errorf("partial %T outside the wire format", p)
-	}
-	n, err := wire.PartialSize(k, p)
+	n, err := wire.PartialSize(p)
 	if err != nil {
 		return 0, err
 	}
@@ -125,41 +119,42 @@ func sizeOptPartial(prefix int, p agg.Partial) (int, error) {
 }
 
 // decodeSnap parses "has u8 | partial?" into a snapshot from the pool that
-// holds the frame's one ref, for the receiver to release; its partial is
-// nil when has = 0, which no WILDFIRE host sends and Receive drops.
+// holds the frame's one ref, for the receiver to release; its partial
+// holds no aggregate when has = 0, which no WILDFIRE host sends and no
+// query conforms to, so Receive drops it.
 func decodeSnap(body []byte) (*wfSnap, error) {
 	s := snapPool.Get().(*wfSnap)
-	p, err := decodeOptPartial(s.a, body)
-	if err != nil {
+	if err := decodeOptPartial(&s.a, body); err != nil {
 		snapPool.Put(s)
 		return nil, err
 	}
-	s.a = p
 	s.refs.Store(1)
 	return s, nil
 }
 
-// decodeOptPartial parses "has u8 | partial?" into dst (wire.DecodePartial),
-// enforcing that the partial consumes the body exactly.
-func decodeOptPartial(dst agg.Partial, body []byte) (agg.Partial, error) {
+// decodeOptPartial parses "has u8 | partial?" into dst in place
+// (wire.DecodePartial; has = 0 clears it), enforcing that the partial
+// consumes the body exactly.
+func decodeOptPartial(dst *agg.Partial, body []byte) error {
 	if len(body) < 1 {
-		return nil, fmt.Errorf("missing has-partial flag")
+		return fmt.Errorf("missing has-partial flag")
 	}
 	switch body[0] {
 	case 0:
 		if len(body) != 1 {
-			return nil, fmt.Errorf("%d trailing bytes after empty partial", len(body)-1)
+			return fmt.Errorf("%d trailing bytes after empty partial", len(body)-1)
 		}
-		return nil, nil
+		dst.Clear()
+		return nil
 	case 1:
-		p, _, n, err := wire.DecodePartial(dst, body[1:])
+		n, err := wire.DecodePartial(dst, body[1:])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if 1+n != len(body) {
-			return nil, fmt.Errorf("%d trailing bytes after partial", len(body)-1-n)
+			return fmt.Errorf("%d trailing bytes after partial", len(body)-1-n)
 		}
-		return p, nil
+		return nil
 	}
-	return nil, fmt.Errorf("bad has-partial flag %d", body[0])
+	return fmt.Errorf("bad has-partial flag %d", body[0])
 }

@@ -110,7 +110,8 @@ func TestWildfireFrameGoldenBytes(t *testing.T) {
 		// vector 2 = 0b0000011 → 00000, vector 3 = 0b1111111 → 11111
 		0b000_00100, 0b1_00000_10, 0b0000_1111,
 	}
-	p, _, n, err := wire.DecodePartial(nil, append([]byte{3, 4, 32}, packed...)) // count, 4 vectors, 32 bits
+	p := new(agg.Partial)
+	n, err := wire.DecodePartial(p, append([]byte{3, 4, 32}, packed...)) // count, 4 vectors, 32 bits
 	if err != nil || n != 3+len(packed) {
 		t.Fatal(n, err)
 	}

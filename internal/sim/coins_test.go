@@ -86,7 +86,7 @@ func TestActivationSketchSameOnEventLoop(t *testing.T) {
 	}
 	defer rt.Stop()
 
-	var prev agg.Partial
+	var prev *agg.Partial
 	for hq := graph.HostID(0); int(hq) < g.Len(); hq++ {
 		nw := sim.NewNetwork(sim.Config{Graph: g, Seed: seed, Values: values})
 		isolate(hq).Apply(nw)
@@ -97,7 +97,7 @@ func TestActivationSketchSameOnEventLoop(t *testing.T) {
 		if _, err := rt.StartQuery(node.QueryID(hq) + 1); err != nil {
 			t.Fatal(err)
 		}
-		var engine agg.Partial
+		var engine *agg.Partial
 		// Do queues behind hq's Start on hq's shard worker.
 		if err := rt.Do(hq, func() {
 			if p := live[hq].Partial(); p != nil {

@@ -23,7 +23,7 @@ import (
 // registered in wiretest_test.go.
 type sketchPayload struct {
 	Round int
-	A     agg.Partial
+	A     *agg.Partial
 }
 
 // collector accumulates delivered messages.

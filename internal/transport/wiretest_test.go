@@ -45,23 +45,14 @@ func init() {
 			if m.A == nil {
 				return append(buf, 0), nil
 			}
-			k, ok := agg.KindOf(m.A)
-			if !ok {
-				return nil, fmt.Errorf("unknown partial %T", m.A)
-			}
-			buf = append(buf, 1)
-			return wire.AppendPartial(buf, k, m.A)
+			return wire.AppendPartial(append(buf, 1), m.A)
 		},
 		Size: func(payload any) (int, error) {
 			m := payload.(sketchPayload)
 			if m.A == nil {
 				return 9, nil
 			}
-			k, ok := agg.KindOf(m.A)
-			if !ok {
-				return 0, fmt.Errorf("unknown partial %T", m.A)
-			}
-			n, err := wire.PartialSize(k, m.A)
+			n, err := wire.PartialSize(m.A)
 			if err != nil {
 				return 0, err
 			}
@@ -78,14 +69,14 @@ func init() {
 					return nil, fmt.Errorf("trailing bytes after empty sketchPayload")
 				}
 			case 1:
-				p, _, n, err := wire.DecodePartial(nil, body[9:])
+				m.A = new(agg.Partial)
+				n, err := wire.DecodePartial(m.A, body[9:])
 				if err != nil {
 					return nil, err
 				}
 				if 9+n != len(body) {
 					return nil, fmt.Errorf("trailing bytes after sketchPayload partial")
 				}
-				m.A = p
 			default:
 				return nil, fmt.Errorf("bad sketchPayload flag %d", body[8])
 			}

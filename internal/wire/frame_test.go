@@ -23,7 +23,7 @@ const (
 
 // partialPayload is the smallest message that carries a partial: the body
 // is the partial's encoding and nothing else.
-type partialPayload struct{ A agg.Partial }
+type partialPayload struct{ A *agg.Partial }
 
 func init() {
 	RegisterTagger(func(payload any) (uint8, bool) {
@@ -38,17 +38,14 @@ func init() {
 	RegisterPayload(partialTestTag, PayloadCodec{
 		Name: "frame-test-partial",
 		Append: func(buf []byte, payload any) ([]byte, error) {
-			p := payload.(partialPayload).A
-			k, _ := agg.KindOf(p)
-			return AppendPartial(buf, k, p)
+			return AppendPartial(buf, payload.(partialPayload).A)
 		},
 		Size: func(payload any) (int, error) {
-			p := payload.(partialPayload).A
-			k, _ := agg.KindOf(p)
-			return PartialSize(k, p)
+			return PartialSize(payload.(partialPayload).A)
 		},
 		Decode: func(body []byte) (any, error) {
-			p, _, n, err := DecodePartial(nil, body)
+			p := new(agg.Partial)
+			n, err := DecodePartial(p, body)
 			if err == nil && n != len(body) {
 				err = fmt.Errorf("%d trailing bytes after partial", len(body)-n)
 			}

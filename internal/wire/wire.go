@@ -58,6 +58,10 @@
 //	avg partial:     aggKind u8 | vectors u8 | bits u8 | window (sum) | window (count)
 //	window:          lo u8 | width u8 | ⌈vectors × width / 8⌉ bytes
 //
+// An agg.Partial knows its kind, so AppendPartial and PartialSize take the
+// layout from the partial itself, and DecodePartial fills a caller's
+// partial in place, whatever kind it held before.
+//
 // Version 3 shipped every vector at its declared width, 4 or 8 bytes; its
 // frames are rejected by the version check, as version 2's are, so the
 // processes of one fleet must run the same build.
@@ -121,42 +125,38 @@ func tagKind(t uint8) (agg.Kind, error) {
 	return 0, fmt.Errorf("wire: unknown aggregate tag %d", t)
 }
 
-// AppendPartial encodes p (a partial aggregate of kind k) onto buf and
-// returns the extended slice.
-func AppendPartial(buf []byte, k agg.Kind, p agg.Partial) ([]byte, error) {
+// AppendPartial encodes p, in the layout of its kind, onto buf and
+// returns the extended slice. A partial that holds no aggregate has no
+// encoding.
+func AppendPartial(buf []byte, p *agg.Partial) ([]byte, error) {
+	k, ok := p.Kind()
+	if !ok {
+		return nil, fmt.Errorf("wire: partial holds no aggregate")
+	}
 	tag, err := kindTag(k)
 	if err != nil {
 		return nil, err
 	}
-	switch k {
-	case agg.Min, agg.Max:
-		v, ok := agg.ScalarValue(p)
-		if !ok {
-			return nil, fmt.Errorf("wire: %v partial carries no scalar", k)
-		}
-		return binary.LittleEndian.AppendUint64(append(buf, tag), uint64(v)), nil
-	default:
-		a, b, err := wireSketches(k, p)
-		if err != nil {
-			return nil, err
-		}
-		buf = a.AppendPacked(append(buf, tag, uint8(a.Vectors()), uint8(a.Bits())))
-		if b != nil {
-			buf = b.AppendPacked(buf)
-		}
-		return buf, nil
+	if k == agg.Min || k == agg.Max {
+		return binary.LittleEndian.AppendUint64(append(buf, tag), uint64(p.Scalar())), nil
 	}
+	a, b, err := wireSketches(p)
+	if err != nil {
+		return nil, err
+	}
+	buf = a.AppendPacked(append(buf, tag, uint8(a.Vectors()), uint8(a.Bits())))
+	if b != nil {
+		buf = b.AppendPacked(buf)
+	}
+	return buf, nil
 }
 
 // wireSketches fetches and validates the sketches of a sketch partial
 // without allocating: the shared front half of AppendPartial and
 // PartialSize, so encoding and arithmetic sizing can never disagree on
 // what is representable.
-func wireSketches(k agg.Kind, p agg.Partial) (a, b *fm.Sketch, err error) {
-	a, b = agg.WireSketches(p)
-	if a == nil || (b != nil) != (k == agg.Avg) {
-		return nil, nil, fmt.Errorf("wire: partial %T is not a %v partial", p, k)
-	}
+func wireSketches(p *agg.Partial) (a, b *fm.Sketch, err error) {
+	a, b = p.Sketches()
 	if a.Vectors() > 255 {
 		return nil, nil, fmt.Errorf("wire: %d vectors exceed the wire limit of 255", a.Vectors())
 	}
@@ -169,51 +169,51 @@ func wireSketches(k agg.Kind, p agg.Partial) (a, b *fm.Sketch, err error) {
 // PartialSize is AppendPartial's output length, computed from the
 // sketches' windows without encoding — the payload codecs use it to size
 // frames on the send hot path.
-func PartialSize(k agg.Kind, p agg.Partial) (int, error) {
-	switch k {
-	case agg.Min, agg.Max:
-		return 1 + 8, nil // tag + i64 value
-	case agg.Count, agg.Sum, agg.Avg:
-		a, b, err := wireSketches(k, p)
-		if err != nil {
-			return 0, err
-		}
-		n := 3 + a.PackedSize() // tag + vectors + bits header, then the window
-		if b != nil {
-			n += b.PackedSize()
-		}
-		return n, nil
+func PartialSize(p *agg.Partial) (int, error) {
+	k, ok := p.Kind()
+	if !ok {
+		return 0, fmt.Errorf("wire: partial holds no aggregate")
 	}
-	return 0, fmt.Errorf("wire: unencodable kind %v", k)
+	if k == agg.Min || k == agg.Max {
+		return 1 + 8, nil // tag + i64 value
+	}
+	a, b, err := wireSketches(p)
+	if err != nil {
+		return 0, err
+	}
+	n := 3 + a.PackedSize() // tag + vectors + bits header, then the window
+	if b != nil {
+		n += b.PackedSize()
+	}
+	return n, nil
 }
 
-// DecodePartial decodes a partial from buf into dst and returns the
-// partial, its kind and the number of bytes consumed. The partial is dst
-// itself when dst is one of the decoded kind — its storage reused, a
-// sketch's vectors unpacked straight into it and everything it held
-// overwritten — and a fresh one otherwise (dst nil included), so a
-// receiver that recycles its partials decodes without allocating. On an
-// error what dst holds is unspecified.
-func DecodePartial(dst agg.Partial, buf []byte) (agg.Partial, agg.Kind, int, error) {
+// DecodePartial decodes a partial from buf into dst, in place whatever
+// kind dst held, and returns the number of bytes consumed. dst's storage
+// is reused — a sketch's vectors unpacked straight into it and everything
+// of the decoded kind overwritten — so a receiver that recycles its
+// partials decodes without allocating. On an error what dst holds is
+// unspecified.
+func DecodePartial(dst *agg.Partial, buf []byte) (int, error) {
 	if len(buf) < 1 {
-		return nil, 0, 0, fmt.Errorf("wire: empty partial")
+		return 0, fmt.Errorf("wire: empty partial")
 	}
 	k, err := tagKind(buf[0])
 	if err != nil {
-		return nil, 0, 0, err
+		return 0, err
 	}
 	if k == agg.Min || k == agg.Max {
 		if len(buf) < 9 {
-			return nil, 0, 0, fmt.Errorf("wire: truncated scalar partial")
+			return 0, fmt.Errorf("wire: truncated scalar partial")
 		}
-		return agg.Refill(dst, k, int64(binary.LittleEndian.Uint64(buf[1:9]))), k, 9, nil
+		dst.Refill(k, int64(binary.LittleEndian.Uint64(buf[1:9])))
+		return 9, nil
 	}
 	if len(buf) < 3 {
-		return nil, 0, 0, fmt.Errorf("wire: truncated sketch header")
+		return 0, fmt.Errorf("wire: truncated sketch header")
 	}
 	vectors, bits := int(buf[1]), int(buf[2]) // vetted by fm.ReadPacked
-	p := agg.Refill(dst, k, 0)
-	a, b := agg.WireSketches(p) // b is the avg count sketch, nil otherwise
+	a, b := dst.Refill(k, 0)                  // b is the avg count sketch, nil otherwise
 	used := 3
 	for _, sk := range [...]*fm.Sketch{a, b} {
 		if sk == nil {
@@ -221,9 +221,9 @@ func DecodePartial(dst agg.Partial, buf []byte) (agg.Partial, agg.Kind, int, err
 		}
 		size, err := fm.ReadPacked(sk, vectors, bits, buf[used:])
 		if err != nil {
-			return nil, 0, 0, fmt.Errorf("wire: %w", err)
+			return 0, fmt.Errorf("wire: %w", err)
 		}
 		used += size
 	}
-	return p, k, used, nil
+	return used, nil
 }

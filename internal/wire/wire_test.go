@@ -11,15 +11,23 @@ import (
 
 func params() agg.Params { return agg.Params{Vectors: 8, Bits: 32} }
 
+// decode is DecodePartial into a fresh partial, with the kind it decoded.
+func decode(buf []byte) (*agg.Partial, agg.Kind, int, error) {
+	p := new(agg.Partial)
+	n, err := DecodePartial(p, buf)
+	k, _ := p.Kind()
+	return p, k, n, err
+}
+
 func TestScalarRoundTrip(t *testing.T) {
 	for _, k := range []agg.Kind{agg.Min, agg.Max} {
 		for _, v := range []int64{0, 1, -5, 1 << 40} {
 			p := agg.NewPartial(k, v, params(), nil)
-			buf, err := AppendPartial(nil, k, p)
+			buf, err := AppendPartial(nil, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotK, n, err := DecodePartial(nil, buf)
+			got, gotK, n, err := decode(buf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,11 +49,11 @@ func TestSketchRoundTrip(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			p.Combine(agg.NewPartial(k, int64(i*7+1), params(), rng))
 		}
-		buf, err := AppendPartial(nil, k, p)
+		buf, err := AppendPartial(nil, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, gotK, n, err := DecodePartial(nil, buf)
+		got, gotK, n, err := decode(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,35 +70,35 @@ func TestSketchRoundTrip(t *testing.T) {
 }
 
 func TestDecodePartialErrors(t *testing.T) {
-	if _, _, _, err := DecodePartial(nil, nil); err == nil {
+	if _, _, _, err := decode(nil); err == nil {
 		t.Fatal("empty partial accepted")
 	}
-	if _, _, _, err := DecodePartial(nil, []byte{1, 0}); err == nil {
+	if _, _, _, err := decode([]byte{1, 0}); err == nil {
 		t.Fatal("truncated scalar accepted")
 	}
-	if _, _, _, err := DecodePartial(nil, []byte{3, 8}); err == nil {
+	if _, _, _, err := decode([]byte{3, 8}); err == nil {
 		t.Fatal("truncated sketch header accepted")
 	}
-	if _, _, _, err := DecodePartial(nil, []byte{3, 0, 32}); err == nil {
+	if _, _, _, err := decode([]byte{3, 0, 32}); err == nil {
 		t.Fatal("zero-vector sketch accepted")
 	}
-	if _, _, _, err := DecodePartial(nil, []byte{3, 1, 99}); err == nil {
+	if _, _, _, err := decode([]byte{3, 1, 99}); err == nil {
 		t.Fatal("oversized bits accepted")
 	}
-	if _, _, _, err := DecodePartial(nil, []byte{3, 4, 32, 0}); err == nil {
+	if _, _, _, err := decode([]byte{3, 4, 32, 0}); err == nil {
 		t.Fatal("truncated sketch window accepted")
 	}
 	for name, buf := range hostileSketches() {
-		if p, _, _, err := DecodePartial(nil, buf); err == nil {
+		if p, _, _, err := decode(buf); err == nil {
 			t.Errorf("%s accepted: decoded to %v", name, p.Result())
 		}
 	}
 	// The same windows, minimal and inside the width, decode — from the
 	// front of a longer buffer too.
-	if _, _, n, err := DecodePartial(nil, []byte{3, 1, 31, 0, 31, 0xFE, 0xFF, 0xFF, 0x7F}); err != nil || n != 9 {
+	if _, _, n, err := decode([]byte{3, 1, 31, 0, 31, 0xFE, 0xFF, 0xFF, 0x7F}); err != nil || n != 9 {
 		t.Fatalf("a 31-bit vector with all bits but the lowest: n=%d err=%v", n, err)
 	}
-	if _, _, n, err := DecodePartial(nil, []byte{3, 2, 32, 0, 4, 0x98, 0xEE}); err != nil || n != 6 {
+	if _, _, n, err := decode([]byte{3, 2, 32, 0, 4, 0x98, 0xEE}); err != nil || n != 6 {
 		t.Fatalf("vectors 0x8 and 0x9, then a stray byte: n=%d err=%v", n, err)
 	}
 }
@@ -121,11 +129,11 @@ func TestCombineAfterRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := agg.NewPartial(agg.Count, 1, params(), rng)
 	b := agg.NewPartial(agg.Count, 1, params(), rng)
-	buf, err := AppendPartial(nil, agg.Count, a)
+	buf, err := AppendPartial(nil, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, _, _, err := DecodePartial(nil, buf)
+	decoded, _, _, err := decode(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,19 +155,19 @@ func TestQuickPartialRoundTrip(t *testing.T) {
 		for i := 0; i < int(n%16); i++ {
 			p.Combine(agg.NewPartial(agg.Avg, int64(i+1), params(), rng))
 		}
-		buf1, err := AppendPartial(nil, agg.Avg, p)
+		buf1, err := AppendPartial(nil, p)
 		if err != nil {
 			return false
 		}
-		buf2, _ := AppendPartial(nil, agg.Avg, p)
+		buf2, _ := AppendPartial(nil, p)
 		if string(buf1) != string(buf2) {
 			return false
 		}
-		got, k, used, err := DecodePartial(nil, buf1)
+		got, k, used, err := decode(buf1)
 		if err != nil || k != agg.Avg || used != len(buf1) || !got.Equal(p) {
 			return false
 		}
-		buf3, err := AppendPartial(nil, k, got)
+		buf3, err := AppendPartial(nil, got)
 		return err == nil && string(buf3) == string(buf1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -179,7 +187,7 @@ func TestMessageSizeSmallAndFixed(t *testing.T) {
 		for j := 0; j < i*10; j++ {
 			p.Combine(agg.NewPartial(agg.Count, 1, params(), rng))
 		}
-		n, err := PartialSize(agg.Count, p)
+		n, err := PartialSize(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,11 +196,11 @@ func TestMessageSizeSmallAndFixed(t *testing.T) {
 		}
 	}
 	// The bound: vectors that share no low run and reach the top bit.
-	full, _, _, err := DecodePartial(nil, append([]byte{3, 8, 32, 0, 32}, bytes.Repeat([]byte{0, 0, 0, 0x80, 0xFE, 0xFF, 0xFF, 0xFF}, 4)...))
+	full, _, _, err := decode(append([]byte{3, 8, 32, 0, 32}, bytes.Repeat([]byte{0, 0, 0, 0x80, 0xFE, 0xFF, 0xFF, 0xFF}, 4)...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := PartialSize(agg.Count, full); err != nil || n != declared+2 {
+	if n, err := PartialSize(full); err != nil || n != declared+2 {
 		t.Fatalf("a full-width count partial is %d bytes (%v), want %d", n, err, declared+2)
 	}
 }
@@ -212,11 +220,11 @@ func TestSizeOfMatchesEncode(t *testing.T) {
 		{agg.Avg, 3 + 2 + 8 + 2}, // the sum's bits [3,11); the count's vectors all 0b1, no window
 	} {
 		p := agg.NewPartial(want.k, 42, params(), rng)
-		buf, err := AppendPartial(nil, want.k, p)
+		buf, err := AppendPartial(nil, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := PartialSize(want.k, p)
+		n, err := PartialSize(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +234,7 @@ func TestSizeOfMatchesEncode(t *testing.T) {
 	}
 	// Vectors wider than 32 bits cost their window like any other.
 	wide := agg.NewPartial(agg.Count, 1, agg.Params{Vectors: 5, Bits: 40}, rng)
-	if n, err := PartialSize(agg.Count, wide); err != nil || n >= 3+5*8 {
+	if n, err := PartialSize(wide); err != nil || n >= 3+5*8 {
 		t.Fatalf("PartialSize of five 40-bit vectors = %d (%v), want under their 43 at 8 bytes a vector", n, err)
 	}
 }
@@ -263,17 +271,18 @@ func TestSizeAndAppendDoNotAllocate(t *testing.T) {
 func TestSizeOfRejectsUnencodable(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	big := agg.NewPartial(agg.Count, 1, agg.Params{Vectors: 300, Bits: 32}, rng)
-	if _, err := AppendPartial(nil, agg.Count, big); err == nil {
+	if _, err := AppendPartial(nil, big); err == nil {
 		t.Fatal("AppendPartial accepted 300 vectors")
 	}
-	if _, err := PartialSize(agg.Count, big); err == nil {
+	if _, err := PartialSize(big); err == nil {
 		t.Fatal("PartialSize reported a size for a partial AppendPartial rejects")
 	}
-	avg := agg.NewPartial(agg.Avg, 1, params(), rng)
-	if _, err := AppendPartial(nil, agg.Count, avg); err == nil {
-		t.Fatal("AppendPartial wrote an avg partial under the count tag")
+	// The kind comes from the partial, so one that holds none — the zero
+	// Partial — has no encoding.
+	if _, err := AppendPartial(nil, new(agg.Partial)); err == nil {
+		t.Fatal("AppendPartial encoded a partial that holds no aggregate")
 	}
-	if _, err := AppendPartial(nil, agg.Min, avg); err == nil {
-		t.Fatal("AppendPartial wrote a sketch partial as a scalar")
+	if _, err := PartialSize(new(agg.Partial)); err == nil {
+		t.Fatal("PartialSize sized a partial that holds no aggregate")
 	}
 }
