@@ -51,14 +51,14 @@
 //	validityd -transport chan -topology random -hosts 60 -seed 23 \
 //	    -agg count,min -hq 0,7 -churn rate=6 -query -queries 8 -concurrency 2
 //
-// On a tcp fleet, reads do not sleep out the worst case: -quiesce
-// (default on) arms the cross-process quiescence plane, in which worker
-// processes announce per-query silence — one small control frame after a
-// broadcast sweep without local activity, epoch-superseded if activity
-// resumes — to the query's issuing process, whose adaptive read then
-// returns at true global quiescence instead of the full 2·D̂δ floor. The
-// protocol deadline stays as the hard cap either way, so -quiesce=false
-// only restores the old latency, never different answers.
+// On a tcp fleet, reads do not sleep out the worst case: the processes
+// run the cross-process quiescence plane, in which worker processes
+// announce per-query silence — one small control frame after a broadcast
+// sweep without local activity, epoch-superseded if activity resumes — to
+// the query's issuing process, whose adaptive read then returns at true
+// global quiescence instead of the full 2·D̂δ floor. The protocol deadline
+// stays as the hard cap, so a lost announce costs latency, never a
+// different answer.
 //
 // Execution is host-sharded: the served hosts are partitioned across a
 // fixed pool of worker goroutines (-shards N, default one per CPU), each

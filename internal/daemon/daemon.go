@@ -96,12 +96,6 @@ type Config struct {
 	// Serve lists the hosts this process runs: "20-39" or "0,5,7-9"
 	// (tcp only; chan serves everything).
 	Serve string
-	// Quiesce enables the cross-process quiescence control plane on a
-	// tcp fleet (default true): worker processes announce per-query
-	// silence to the issuer, whose reads may then return at true global
-	// quiescence instead of sleeping out the sharded worst-case floor.
-	// -quiesce=false opts out; the hard 2·D̂δ cap applies either way.
-	Quiesce bool
 
 	// Query makes this process issue the query stream; other processes
 	// serve their hosts (indefinitely, unless RunFor bounds them).
@@ -220,7 +214,6 @@ func Flags(fs *flag.FlagSet) *Config {
 	fs.StringVar(&cfg.Transport, "transport", "chan", "chan (in-process) | tcp (sharded fleet)")
 	fs.StringVar(&cfg.Peers, "peers", "", "host→address map, e.g. 0-19=127.0.0.1:7001,20-39=127.0.0.1:7002")
 	fs.StringVar(&cfg.Serve, "serve", "", "hosts this process serves, e.g. 20-39")
-	fs.BoolVar(&cfg.Quiesce, "quiesce", true, "tcp: announce per-query quiescence across processes so reads can return before the full 2·D̂δ deadline (-quiesce=false opts out)")
 	fs.BoolVar(&cfg.Query, "query", false, "issue the query stream and report results")
 	fs.StringVar(&cfg.Hq, "hq", "0", "querying host(s), comma-separated; query i uses entry i mod len")
 	fs.StringVar(&cfg.Agg, "agg", "count", "aggregate(s) min|max|count|sum|avg, comma-separated; query i uses entry i mod len")
@@ -621,7 +614,7 @@ func Run(cfg *Config) error {
 		Local:          local,
 		Shards:         cfg.Shards,
 		MaxLiveQueries: cfg.MaxLiveQueries,
-		Quiesce:        cfg.Quiesce,
+		Quiesce:        true,
 		Roster:         roster,
 		Obs:            reg,
 		Trace:          tracer,

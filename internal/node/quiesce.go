@@ -250,7 +250,7 @@ func (rt *Runtime) handleQuiesce(m transport.Message, q wire.Quiesce) {
 
 // remoteQuiet reports whether every peer process of the roster currently
 // claims quiescence for qs. A process that has never reported — dead,
-// partitioned, or running with -quiesce=false — keeps this false
+// partitioned, or built without Config.Quiesce — keeps this false
 // forever, which is exactly the fallback: the read then waits for the
 // classic floor or the hard cap.
 func (rt *Runtime) remoteQuiet(qs *queryState) bool {

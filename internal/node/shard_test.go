@@ -357,6 +357,73 @@ func TestOverflowKeepsItsBacklogNotItsHistory(t *testing.T) {
 	}
 }
 
+// A new runtime's overflow already has room for one parked item per host
+// of its shard, capped at a queue's worth, so the first burst that deep
+// parks into the array New made instead of growing one mid-query.
+func TestOverflowSizedForItsShardsHosts(t *testing.T) {
+	for _, tc := range []struct{ hosts, shards, queue, want int }{
+		{64, 2, 1024, 32},
+		{65, 2, 1024, 33},
+		{64, 2, 8, 8},
+	} {
+		rt, err := New(Config{Graph: line(tc.hosts), Transport: transport.NewChannel(tc.hosts, 0), Shards: tc.shards, ShardQueue: tc.queue})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range rt.shards {
+			if c := cap(s.ov); c != tc.want {
+				t.Fatalf("%d hosts, %d shards, queue %d: shard %d's overflow holds %d slots, want %d", tc.hosts, tc.shards, tc.queue, i, c, tc.want)
+			}
+			ov := s.ov[:1]
+			for j := 0; j < tc.want; j++ {
+				s.park(item{tag: j})
+			}
+			if &s.ov[0] != &ov[0] {
+				t.Fatalf("shard %d: parking %d items grew the array New made", i, tc.want)
+			}
+		}
+	}
+}
+
+// The entries of a fired batch go back on the timer freelist as soon as
+// the batch has fired, not at the loop's next pass: a batch fired ahead of
+// an entry due much later is back on the freelist long before that entry
+// wakes the loop, ready for the timers its callbacks arm.
+func TestFiredTimerBatchReturnsToFreelist(t *testing.T) {
+	rt, err := New(Config{Graph: line(2), Transport: transport.NewChannel(2, 0), Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 64
+	now := time.Now()
+	rt.scheduleEntry(timerEntry{when: now.Add(time.Hour), kind: tkFunc, fn: func() {}})
+	for i := 0; i < n; i++ {
+		rt.scheduleEntry(timerEntry{when: now, kind: tkFunc, fn: func() {}})
+	}
+	// No wake pending: the loop's first pass fires the batch, and its next
+	// is an hour away.
+	select {
+	case <-rt.timerWake:
+	default:
+	}
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+	free := func() int {
+		rt.tmu.Lock()
+		defer rt.tmu.Unlock()
+		return len(rt.tfree)
+	}
+	deadline := time.Now().Add(raceSlowdown * 2 * time.Second)
+	for free() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("the freelist holds %d of a fired batch of %d while the next entry is an hour away", free(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestAdmissionControlCapsLiveQueries fills a runtime to its
 // MaxLiveQueries cap and checks instantiation beyond it is refused on
 // both ingress paths — StartQuery returns ErrQueryRejected, an unknown
@@ -505,5 +572,58 @@ func TestShardDefaultsClamp(t *testing.T) {
 	}
 	if got := rt2.Shards(); got != 3 {
 		t.Fatalf("shard count %d for 3 hosts with Shards=64, want clamp to 3", got)
+	}
+}
+
+// TestTCPColocatedSendsDoNotWedgeTheirShard pins the transport contract
+// that a RecvFunc never runs on a sender's goroutine, over TCP where two
+// hosts of one process never touch a socket: were a frame between them
+// handed to the runtime on the sending shard worker, a worker whose sends
+// overfill its own queue would block on itself for good. Both hosts of a
+// line share one shard with room for one item, and host 0 sends three
+// frames from Start; host 1 must receive all three, in order.
+func TestTCPColocatedSendsDoNotWedgeTheirShard(t *testing.T) {
+	const frames = 3
+	addr := freeAddrs(t, 1)[0]
+	rt, err := New(Config{
+		Graph:      line(2),
+		Transport:  transport.NewTCP([]string{addr, addr}),
+		Hop:        raceSlowdown * 5 * time.Millisecond,
+		Shards:     1,
+		ShardQueue: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := &orderProbe{h: 1, errs: make(chan string, frames)}
+	startHandlers(t, rt, []sim.Handler{&timerHandler{onStart: func(ctx *sim.Context) {
+		for i := 0; i < frames; i++ {
+			ctx.Send(1, i)
+		}
+	}}, probe})
+	served := make(chan error, 1)
+	go func() {
+		for {
+			var n int
+			if err := rt.Do(1, func() { n = probe.next }); err != nil || n == frames {
+				served <- err
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		// The shard is wedged: Stop would wait on it forever.
+		t.Fatal("host 1's shard never served a Do: the worker is blocked on its own queue")
+	}
+	rt.Stop()
+	close(probe.errs)
+	for e := range probe.errs {
+		t.Error(e)
 	}
 }

@@ -135,8 +135,11 @@ func (rt *Runtime) scheduleRetire(qs *queryState) {
 // timerLoop drains the heap: it sleeps until the earliest entry is due,
 // fires everything due, and re-sleeps. scheduleEntry wakes it early when a
 // new entry preempts the current earliest. One timer is re-armed every
-// pass, the batch of due entries reuses one slice, and the entries of the
-// last batch go back on the freelist at the next lock.
+// pass, the batch of due entries reuses one slice, and the entries of a
+// batch go back on the freelist as soon as it has fired: the timers its
+// callbacks arm then reuse them, so the runtime holds about as many
+// entries as its heap's deepest point, not that plus whatever batch was
+// still waiting for the next pass.
 func (rt *Runtime) timerLoop() {
 	defer rt.wg.Done()
 	timer := time.NewTimer(time.Hour)
@@ -144,8 +147,6 @@ func (rt *Runtime) timerLoop() {
 	var due []*timerEntry
 	for {
 		rt.tmu.Lock()
-		rt.tfree = append(rt.tfree, due...)
-		due = due[:0]
 		now := time.Now()
 		for len(rt.theap) > 0 && !rt.theap[0].when.After(now) {
 			due = append(due, heap.Pop(&rt.theap).(*timerEntry))
@@ -159,6 +160,12 @@ func (rt *Runtime) timerLoop() {
 		for _, e := range due {
 			rt.fireTimer(e)
 			*e = timerEntry{} // a fired entry must not pin its query while it waits for reuse
+		}
+		if len(due) > 0 {
+			rt.tmu.Lock()
+			rt.tfree = append(rt.tfree, due...)
+			rt.tmu.Unlock()
+			due = due[:0]
 		}
 
 		// An empty heap sleeps until the next push wakes it; the timer may

@@ -291,7 +291,7 @@ func TestHandlersDropNonConformingPartials(t *testing.T) {
 				t.Errorf("%s, wildfire %v: %v, outside the matched bounds [%v,%v]",
 					f.name, kind, v, b.LowerValue, b.UpperValue)
 			}
-			if v := run(NewDAG(q, 2), sim.MakeMessage(1, 0, dagReport{A: f.p}, 0)); v != dag {
+			if v := run(NewDAG(q, 2), sim.MakeMessage(1, 0, treeReport[agg.Partial]{A: f.p}, 0)); v != dag {
 				t.Errorf("%s, dag %v: %v, %v without the forgery", f.name, kind, v, dag)
 			}
 		}

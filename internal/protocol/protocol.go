@@ -7,17 +7,19 @@
 //     duplicate-insensitive combine functions (min/max natively, FM
 //     sketches for count/sum/avg) the result at h_q satisfies Single-Site
 //     Validity (Theorems 5.1 and 5.3).
-//   - SPANNINGTREE (§4.4): the TAG-style best-effort baseline. Broadcast
-//     builds a tree (parent = first host the query arrived from);
-//     convergecast propagates exact partial aggregates leaf-to-root on a
-//     level schedule. A single interior failure loses an entire subtree.
-//   - DIRECTEDACYCLICGRAPH (§4.4): like SPANNINGTREE but each host keeps
-//     up to k parents and partials are duplicate-insensitive, so losing
-//     one parent need not lose the subtree.
-//   - ALLREPORT (§4.1, Fig. 2): direct delivery; every host routes its
-//     attribute value to h_q along the reverse broadcast path.
-//   - RANDOMIZEDREPORT (§4.3): ALLREPORT sampling hosts with probability
-//     p to estimate network size within (1±ε) with probability 1−ζ.
+//   - SPANNINGTREE and DIRECTEDACYCLICGRAPH (§4.4), the best-effort
+//     baselines, are one tree protocol (tree.go). Broadcast builds the
+//     tree: a host's parents are the sender of its first copy of the
+//     query plus, up to k, later senders from a strictly smaller depth;
+//     convergecast sends each host's partial to its parents on a level
+//     schedule. SPANNINGTREE is k = 1 over exact partials, so a single
+//     interior failure loses an entire subtree; DAG keeps k parents over
+//     duplicate-insensitive agg.Partial, so losing one parent need not.
+//   - ALLREPORT (§4.1, Fig. 2) and RANDOMIZEDREPORT (§4.3) are one report
+//     protocol (report.go): every host the query reaches routes its
+//     attribute value to h_q along the reverse broadcast path; under
+//     RANDOMIZEDREPORT each reports only with probability p, and h_q
+//     estimates network size within (1±ε) with probability 1−ζ.
 //
 // Every protocol implements the Protocol interface: Install handlers on a
 // sim.Network, Run the network until Deadline, then read Result. The live
@@ -86,7 +88,10 @@ type Protocol interface {
 }
 
 // install is every protocol's Install: Init, then NewHost per host of nw.
-func install(p Protocol, nw *sim.Network) error {
+func install(p interface {
+	Init(*graph.Graph) error
+	NewHost(graph.HostID) sim.Handler
+}, nw *sim.Network) error {
 	g := nw.Graph()
 	if err := p.Init(g); err != nil {
 		return err

@@ -327,6 +327,11 @@ func TestDAGCountFailureFree(t *testing.T) {
 	if v < 1 || v > 4*8 {
 		t.Fatalf("dag count estimate = %v for 4 hosts", v)
 	}
+	// No host has 3 neighbors here, so a k past any degree answers as
+	// k = 3 does, and sizes its parent storage by the graph, not by k.
+	if vk, _, err := Run(NewDAG(q, math.MaxInt), newNet(g, vals, 5)); err != nil || vk != v {
+		t.Fatalf("dag(k=MaxInt) count = %v (%v), want k=3's %v", vk, err, v)
+	}
 }
 
 func TestAllReportExactFailureFree(t *testing.T) {
@@ -352,7 +357,7 @@ func TestAllReportCollectsAll(t *testing.T) {
 	if _, _, err := Run(ar, newNet(g, vals, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(ar.hosts[q.Hq].collected); n != 4 {
+	if n := ar.hosts[q.Hq].got.Count; n != 4 {
 		t.Fatalf("reports = %d, want 4", n)
 	}
 }

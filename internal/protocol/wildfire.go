@@ -194,9 +194,10 @@ const wfTagFlush = 3
 // a version stamp, never a partial, and every send copies the partial into
 // a snapshot from the pool (takeSnap) with refs for exactly the frames
 // about to carry it — Degree() for a SendAll, Degree()−1 for a
-// SendAllExcept, one per neighbor that lacks the version for a flush. Once
-// the last of those frames is received, the snapshot is back in the pool
-// for the next one to be copied into.
+// SendAllExcept, one per neighbor that lacks the version for a flush — and
+// a send with no frame to carry takes none. Once the last of those frames
+// is received, the snapshot is back in the pool for the next one to be
+// copied into.
 //
 // The host lives in its Wildfire's hosts, which Reuse hands on to a later
 // query once the live engine has retired this one.
@@ -233,8 +234,7 @@ func (h *wfHost) Start(ctx *sim.Context) {
 		return
 	}
 	h.activate(ctx, 0, nil)
-	ctx.SendAll(wfBroadcast{S: takeSnap(&h.partial, 1, ctx.Degree())})
-	h.noteSentToAll(ctx, graph.None)
+	h.sendAll(ctx, graph.None, 1)
 }
 
 // activate initializes the host's state; dist is the activating
@@ -254,9 +254,26 @@ func (h *wfHost) activate(ctx *sim.Context, dist int, incoming *agg.Partial) {
 	}
 }
 
-func (h *wfHost) noteSentToAll(ctx *sim.Context, skip graph.HostID) {
-	for i, n := range ctx.Neighbors() {
-		if n != skip {
+// sendAll sends the host's partial to every neighbor but skip (None: to
+// all): a broadcast at hop, or a converge for hop 0. A send no frame would
+// leave — an isolated h_q's Start, a leaf's forward — takes no snapshot,
+// since no Receive would ever release it.
+func (h *wfHost) sendAll(ctx *sim.Context, skip graph.HostID, hop int) {
+	n := ctx.Degree()
+	if skip != graph.None {
+		n--
+	}
+	if n == 0 {
+		return
+	}
+	s := takeSnap(&h.partial, hop, n)
+	if hop > 0 {
+		ctx.SendAllExcept(skip, wfBroadcast{S: s})
+	} else {
+		ctx.SendAllExcept(skip, wfConverge{S: s})
+	}
+	for i, nb := range ctx.Neighbors() {
+		if nb != skip {
 			h.lastSent[i] = h.version
 		}
 	}
@@ -314,8 +331,7 @@ func (h *wfHost) onBroadcast(ctx *sim.Context, from int, sender graph.HostID, ho
 	h.activate(ctx, hop, a)
 	// Forward the query with our partial piggybacked (the first
 	// convergecast message rides on the broadcast, footnote 4).
-	ctx.SendAllExcept(sender, wfBroadcast{S: takeSnap(&h.partial, hop+1, ctx.Degree()-1)})
-	h.noteSentToAll(ctx, sender)
+	h.sendAll(ctx, sender, hop+1)
 	// If combining changed anything relative to what the sender already
 	// knows, the end-of-tick flush will reply to the sender (Example 5.1:
 	// x sends A_x back to w; y skips because A_y equals what w sent).
@@ -376,8 +392,7 @@ func (h *wfHost) Timer(ctx *sim.Context, tag int) {
 	if ctx.Medium() == sim.MediumWireless {
 		// One radio transmission reaches everyone; selective suppression
 		// saves nothing (§5.3).
-		ctx.SendAll(wfConverge{S: takeSnap(&h.partial, 0, ctx.Degree())})
-		h.noteSentToAll(ctx, graph.None)
+		h.sendAll(ctx, graph.None, 0)
 		return
 	}
 	// §5.1: a neighbor that already holds this state is skipped. The refs

@@ -153,7 +153,7 @@ func TestWildfireRoundAllocations(t *testing.T) {
 		t.Skip("allocation counts are pinned for uninstrumented builds")
 	}
 	const deg, runs = 4, 50
-	g := graph.New(deg + 1)
+	g := graph.New(deg + 2) // host deg+1 is isolated
 	for n := 1; n <= deg; n++ {
 		g.AddEdge(0, graph.HostID(n))
 	}
@@ -240,6 +240,34 @@ func TestWildfireRoundAllocations(t *testing.T) {
 		be.sends = 0
 		ctx.Reset(be, 0, 1)
 		fwd.Receive(ctx, wave)
+		sent = be.sends
+	})
+	// A send no frame leaves takes no snapshot, since no Receive would
+	// ever give it back to the pool: not a leaf's forward of the query...
+	// The pool is emptied first, so that each such snapshot would cost an
+	// allocation rather than take a spare.
+	leaf := sim.MakeMessage(0, 2, bcast(2, maxPartial(1)), 1)
+	for i := 0; i < 64; i++ {
+		snapPool.Get()
+	}
+	check("leaf forward", 0, func() {
+		fwd.w.NewHost(2)
+		frameSnap(leaf.Payload).refs.Add(1) // this delivery's ref
+		be.sends = 0
+		ctx.Reset(be, 2, 1)
+		fwd.w.hosts[2].Receive(ctx, leaf)
+		sent = be.sends
+	})
+	// ...nor an isolated h_q's Start.
+	lone := NewWildfire(Query{Kind: agg.Max, Hq: deg + 1, DHat: 8, Params: params()})
+	if err := lone.Install(sim.NewNetwork(sim.Config{Graph: g})); err != nil {
+		t.Fatal(err)
+	}
+	check("isolated h_q", 0, func() {
+		lone.NewHost(deg + 1)
+		be.sends = 0
+		ctx.Reset(be, deg+1, 0)
+		lone.hosts[deg+1].Start(ctx)
 		sent = be.sends
 	})
 }

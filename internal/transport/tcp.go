@@ -50,8 +50,16 @@ const maxBatch = 128
 //
 // Hosts that share an address short-circuit in process without touching a
 // socket, which is what makes sharding |H| hosts across a handful of OS
-// processes cheap. Outbound connections are dialed lazily with retry, so
-// a fleet of validityd processes can start in any order.
+// processes cheap: their frames go through a Channel with no delay that
+// the TCP value owns, so they too reach the receiver from a transport
+// goroutine, never from the sender's. That Channel has one delivery
+// goroutine, as the Channel transport does: a receiver that blocks (a full
+// node shard) holds back co-located delivery to every other host of the
+// process, and senders are not held back meanwhile — their frames wait in
+// the Channel's unbounded ring.
+//
+// Outbound connections are dialed lazily with retry, so a fleet of
+// validityd processes can start in any order.
 type TCP struct {
 	addrs []string // host → advertised address
 
@@ -87,6 +95,9 @@ type TCP struct {
 	// per-peer maps are read-only afterwards, so writers touch no lock for
 	// metrics. The zero value (all nil) is the disabled form.
 	met tcpMetrics
+
+	// local carries frames between hosts served here.
+	local *Channel
 
 	mu        sync.Mutex
 	recv      map[graph.HostID]RecvFunc
@@ -201,6 +212,7 @@ func NewTCP(addrs []string) *TCP {
 		WriteTimeout:   10 * time.Second,
 		DialBackoff:    20 * time.Millisecond,
 		DialBackoffMax: 500 * time.Millisecond,
+		local:          NewChannel(len(addrs), 0),
 		recv:           make(map[graph.HostID]RecvFunc),
 		listeners:      make(map[string]net.Listener),
 		conns:          make(map[string]*tcpConn),
@@ -224,7 +236,7 @@ func (t *TCP) Bind(h graph.HostID, recv RecvFunc) error {
 		return fmt.Errorf("transport: host %d already bound", h)
 	}
 	t.recv[h] = recv
-	return nil
+	return t.local.Bind(h, recv)
 }
 
 // Open implements Transport: one listener per distinct address among the
@@ -353,7 +365,7 @@ func (t *TCP) deliverLocal(msg Message) (served bool) {
 }
 
 // Send implements Transport. Destinations served by this process are
-// delivered directly; remote destinations are encoded into a pooled
+// handed to the local Channel; remote destinations are encoded into a pooled
 // buffer and enqueued on the destination peer's writer, which packs
 // queued frames into batched connection writes. Send still dials
 // synchronously when no connection exists — with the same retry budget as
@@ -374,8 +386,7 @@ func (t *TCP) Send(msg Message) error {
 	t.mu.Unlock()
 
 	if local {
-		t.deliverLocal(msg)
-		return nil
+		return t.local.Send(msg)
 	}
 
 	fr := framePool.Get().(*outFrame)
@@ -687,5 +698,5 @@ func (t *TCP) Close() error {
 	}
 	t.mu.Unlock()
 	t.wg.Wait()
-	return nil
+	return t.local.Close()
 }

@@ -58,9 +58,11 @@ type Message struct {
 }
 
 // RecvFunc is the delivery callback a bound host registers. It is invoked
-// from transport-owned goroutines; implementations must be safe for
-// concurrent calls and should hand the message off quickly (the node
-// runtime enqueues into a per-host inbox).
+// from transport-owned goroutines, never on the goroutine of the Send that
+// carried the frame, so it may block until a receiver drains without
+// blocking that sender; implementations must be safe for concurrent calls
+// and should hand the message off quickly (the node runtime enqueues into
+// the bounded queue of the host's shard).
 type RecvFunc func(Message)
 
 // Transport moves Messages between hosts, possibly across processes.

@@ -193,9 +193,9 @@ for want in 'PROC' 'w1' 'w2' 'fleet:'; do
     fi
 done
 
-# The quiescence plane: the tcp fleet runs with -quiesce on by default,
-# so the issuer must take worker control frames off the wire while the
-# stream is live — a zero counter here means the plane never engaged.
+# The quiescence plane: every tcp fleet runs it, so the issuer must take
+# worker control frames off the wire while the stream is live — a zero
+# counter here means the plane never engaged.
 i=0
 while [ $i -lt 100 ]; do
     QN=$(curl -fsS "http://$M1/metrics" 2>/dev/null |
